@@ -21,8 +21,14 @@ from .errors import (
     SizeOutOfRangeError,
 )
 from .model import Graph, ModelParams, PlantedPartition, expectation_matrix
-from .recovery import all_candidate_sets
-from .spectral import eigh_descending, frobenius_norm, spectral_norm, top_projector
+from .recovery import all_candidate_sets, select_pivot
+from .spectral import (
+    eigh_descending,
+    frobenius_norm,
+    projector_operand,
+    spectral_norm,
+    top_projector,
+)
 
 __all__ = [
     "Constants",
@@ -201,19 +207,20 @@ def check_projector_deviation(
 def check_good_column(p_hat, coassign: np.ndarray, s: int, epsilon: float, **context) -> BoundReport:
     """Existence of a column whose candidate set keeps mass (1 - 8e^2 - e)sqrt(s).
 
-    `coassign` is the 0-1 co-membership matrix on the same vertices; it is
+    `p_hat` is a Projector or a square matrix; the best column is the one
+    :func:`~plantrec.recovery.select_pivot` picks.  `coassign` is the 0-1 co-membership matrix on the same vertices; it is
     used to report how concentrated the best candidate set is on one cluster.
     s is recorded in the report context, so callers must not pass it there.
     """
     if not 0.0 < epsilon <= 0.1:
         raise EpsilonOutOfRangeError(f"epsilon must be in (0, 0.1], got {epsilon}")
     context = {"s": int(s), **context}
-    matrix = p_hat.matrix if hasattr(p_hat, "matrix") else np.asarray(p_hat, dtype=np.float64)
+    op = projector_operand(p_hat)
     coassign = np.asarray(coassign, dtype=np.float64)
-    if coassign.shape != matrix.shape:
+    if coassign.shape != (op.dim, op.dim):
         raise DimensionMismatchError("co-membership matrix shape differs from projector")
-    sets = all_candidate_sets(matrix, s)
-    best = max(sets, key=lambda c: (c.mass, -c.pivot))
+    sets = all_candidate_sets(op, s)
+    best = sets[select_pivot(op, sets)]
     overlap = coassign[np.ix_(best.members, best.members)].sum(axis=1).max()
     threshold = (1.0 - 8.0 * epsilon**2 - epsilon) * math.sqrt(s)
     return BoundReport.of(
@@ -364,21 +371,30 @@ def cluster_unions(
     """All nonempty unions of clusters as (bitmask, vertex ids) pairs.
 
     Exhaustive for k <= max_enumerate_k; beyond that, a seeded uniform sample
-    of at most sample_limit distinct masks.
+    of at most sample_limit distinct masks, ascending.  Masks are Python
+    ints, so any k works.
     """
-    if part.k <= max_enumerate_k:
-        masks = range(1, 2**part.k)
+    k = part.k
+    if k <= max_enumerate_k:
+        masks = range(1, 2**k)
     else:
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, 2], dtype=np.uint64)))
+        target = min(sample_limit, 2**k - 1)
         chosen: set[int] = set()
-        while len(chosen) < min(sample_limit, 2**part.k - 1):
-            draw = rng.integers(1, 2**part.k, size=sample_limit)
-            chosen.update(int(v) for v in draw)
-        masks = sorted(chosen)[:sample_limit]
+        while len(chosen) < target:
+            # each mask is k fair bits; the empty mask is redrawn
+            bits = rng.integers(0, 2, size=(sample_limit, k), dtype=np.uint8)
+            for row in np.packbits(bits, axis=1, bitorder="little"):
+                mask = int.from_bytes(row.tobytes(), "little")
+                if mask:
+                    chosen.add(mask)
+                    if len(chosen) == target:
+                        break
+        masks = sorted(chosen)
     out = []
     for mask in masks:
-        vertices = np.flatnonzero((mask >> part.assignment) & 1)
-        out.append((int(mask), vertices))
+        in_union = np.array([(mask >> c) & 1 for c in range(k)], dtype=bool)
+        out.append((int(mask), np.flatnonzero(in_union[part.assignment])))
     return out
 
 

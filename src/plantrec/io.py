@@ -1,6 +1,7 @@
 """File formats.
 
-Graph:      header line "n m", then m lines "u v" with 0-based u < v, LF.
+Graph:      header line "n m", then m distinct lines "u v" with 0-based
+            u < v, LF, and nothing after them.
 Partition:  one line of n space-separated 0-based cluster ids.
 Matrix:     header "m", then m lines of m decimal floats (debugging dumps).
 Reports:    CSV with columns name,lhs,rhs,satisfied,n,k,s,p,q,seed,J_or_S.
@@ -52,6 +53,11 @@ def read_graph(path) -> Graph:
                 raise ValueError(f"edge line {lineno + 2}: need 0 <= u < v < n")
             adj[u, v] = 1
             adj[v, u] = 1
+        if f.read().strip():
+            raise ValueError(f"graph file has lines after its {m} edges")
+    # every distinct edge sets two entries, so a repeated edge line shows here
+    if np.count_nonzero(adj) != 2 * m:
+        raise ValueError(f"graph file repeats edges: {np.count_nonzero(adj) // 2} distinct of {m}")
     return Graph(adj=adj)
 
 

@@ -7,8 +7,15 @@ indicator vector the projector preserves best, and clean it up by taking the s
 vertices with the most neighbors inside it.  That cluster is removed and the
 round repeats on the rest.
 
+A round on m vertices with rank r = floor(m/s) costs one dense
+eigendecomposition plus O(m^2 r) ranking: the projector is kept as its m x r
+eigenvector basis V, its columns are formed a block at a time, each column's
+s-1 largest entries are found by partial selection, and a set's mass
+||P 1_W|| is computed as ||V^T 1_W||.
+
 All tie-breaks (column-entry ranking, pivot choice, neighbor counts) prefer
-the smaller vertex index, so runs are reproducible.
+the smaller vertex index, so runs are reproducible.  Masses within a relative
+1e-12 of the largest count as tied for the pivot choice.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from .errors import (
     ZeroSizeError,
 )
 from .model import Graph, PlantedPartition
-from .spectral import Projector, projector_column_mass, top_projector
+from .spectral import projector_operand, top_projector
 
 __all__ = [
     "CandidateSet",
@@ -75,53 +82,88 @@ class PivotTrace:
     mass: float
 
 
-def _as_matrix(p) -> np.ndarray:
-    return p.matrix if isinstance(p, Projector) else np.asarray(p, dtype=np.float64)
+# Entries of one block of b projector columns (b x m) ranked at a time; the
+# ranking temporaries scale with it, and the m x m projector never exists.
+BLOCK_ENTRIES = 1 << 20
+
+# Relative difference below which two candidate-set masses count as tied.
+MASS_TIE_REL = 1e-12
+
+
+def _check_size(m: int, s: int) -> None:
+    if not 1 <= s <= m:
+        raise SizeOutOfRangeError(f"size must be in 1..{m}, got {s}")
+
+
+def _candidate_members(op, pivots: np.ndarray, s: int) -> np.ndarray:
+    """Sorted candidate sets of the columns `pivots`, one row each.
+
+    A row is the pivot plus the s-1 largest other entries of its column, ties
+    going to the smaller row index: the first s-1 positions of a stable
+    argsort of the negated column with the pivot's own entry ranked last.
+    """
+    k = s - 1
+    b = pivots.size
+    if k == 0:
+        return pivots[:, None]
+    neg = op.columns(pivots)
+    np.negative(neg, out=neg)
+    neg[np.arange(b), pivots] = np.inf
+    top = np.argpartition(neg, k - 1, axis=1)[:, :k]
+    picked = np.take_along_axis(neg, top, axis=1)
+    cut = picked[:, k - 1 : k]  # the k-th smallest value of each column
+    # argpartition keeps an arbitrary subset of the entries equal to the cut;
+    # where some were left out, redo those columns in the stable order.
+    split = (neg == cut).sum(axis=1) > (picked == cut).sum(axis=1)
+    if split.any():
+        top[split] = np.argsort(neg[split], axis=1, kind="stable")[:, :k]
+    return np.sort(np.concatenate([top, pivots[:, None]], axis=1), axis=1)
 
 
 def candidate_set(p_hat, j: int, s: int) -> CandidateSet:
     """Column j's candidate set: j plus the s-1 largest other entries of column j."""
-    matrix = _as_matrix(p_hat)
-    m = matrix.shape[0]
-    if not 1 <= s <= m:
-        raise SizeOutOfRangeError(f"size must be in 1..{m}, got {s}")
-    if not 0 <= j < m:
+    op = projector_operand(p_hat)
+    _check_size(op.dim, s)
+    if not 0 <= j < op.dim:
         raise ValueError(f"vertex {j} out of range")
-    col = matrix[:, j].copy()
-    col[j] = -np.inf  # own entry never ranked; j is included unconditionally
-    order = np.argsort(-col, kind="stable")
-    members = np.sort(np.append(order[: s - 1], j))
-    return CandidateSet(pivot=j, members=members, mass=projector_column_mass(matrix, members))
+    members = _candidate_members(op, np.array([j], dtype=np.int64), s)
+    return CandidateSet(pivot=j, members=members[0], mass=float(op.masses(members)[0]))
 
 
 def all_candidate_sets(p_hat, s: int) -> list[CandidateSet]:
-    """Candidate sets for every column, with masses computed in one pass."""
-    matrix = _as_matrix(p_hat)
-    m = matrix.shape[0]
-    if not 1 <= s <= m:
-        raise SizeOutOfRangeError(f"size must be in 1..{m}, got {s}")
-    cols = matrix.copy()
-    np.fill_diagonal(cols, -np.inf)
-    order = np.argsort(-cols, axis=0, kind="stable")
-    indicator = np.zeros((m, m), dtype=np.float64)
-    rows = order[: s - 1, :]
-    indicator[rows, np.arange(m)[None, :]] = 1.0
-    np.fill_diagonal(indicator, 1.0)
-    masses = np.linalg.norm(matrix @ indicator, axis=0)
+    """Candidate sets for every column, ranked and weighed block by block.
+
+    `p_hat` is a Projector, whose mass of a set W is ||V^T 1_W||, or a square
+    matrix, whose mass of W is the norm of its column sum over W.
+    """
+    op = projector_operand(p_hat)
+    m = op.dim
+    _check_size(m, s)
+    step = max(1, BLOCK_ENTRIES // m)
     sets = []
-    for j in range(m):
-        members = np.sort(np.append(rows[:, j], j))
-        sets.append(CandidateSet(pivot=j, members=members, mass=float(masses[j])))
+    for start in range(0, m, step):
+        pivots = np.arange(start, min(start + step, m), dtype=np.int64)
+        members = _candidate_members(op, pivots, s)
+        masses = op.masses(members)
+        sets.extend(
+            CandidateSet(pivot=int(j), members=w, mass=float(x))
+            for j, w, x in zip(pivots, members, masses)
+        )
     return sets
 
 
 def select_pivot(p_hat, sets: list[CandidateSet]) -> int:
-    """Pivot with the largest candidate-set mass; ties go to the smaller vertex."""
-    dim = _as_matrix(p_hat).shape[0]
+    """Pivot with the largest candidate-set mass; ties go to the smaller vertex.
+
+    Masses within MASS_TIE_REL (relative) of the largest count as tied, so
+    the choice does not hang on the summation order of the masses.
+    """
+    dim = projector_operand(p_hat).dim
     if {c.pivot for c in sets} != set(range(dim)):
         raise ValueError("candidate sets must cover every vertex exactly once")
-    best = min(sets, key=lambda c: (-c.mass, c.pivot))
-    return best.pivot
+    best = max(c.mass for c in sets)
+    floor = best - MASS_TIE_REL * abs(best)
+    return min(c.pivot for c in sets if c.mass >= floor)
 
 
 def extract_cluster(g: Graph, w: np.ndarray, s: int) -> np.ndarray:

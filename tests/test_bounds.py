@@ -359,6 +359,24 @@ class TestFkSubmatrices:
         again = cluster_unions(part, sample_limit=64, seed=5)
         assert masks == [m for m, _ in again]
 
+    def test_union_sampling_past_64_clusters(self):
+        part = make_partition(140, 2)  # k = 70: masks no longer fit in int64
+        unions = cluster_unions(part, sample_limit=64, seed=5)
+        masks = [m for m, _ in unions]
+        assert len(set(masks)) == 64
+        assert masks == sorted(masks)
+        assert all(isinstance(m, int) and 1 <= m < 2**70 for m in masks)
+        assert max(masks).bit_length() > 63
+        for mask, verts in unions:
+            want = [v for v in range(140) if mask >> int(part.assignment[v]) & 1]
+            assert list(verts) == want
+        assert masks == [m for m, _ in cluster_unions(part, sample_limit=64, seed=5)]
+
+    def test_union_sampling_covers_small_mask_space(self):
+        part = make_partition(26, 2)  # k = 13: 8191 masks, sample every one
+        unions = cluster_unions(part, sample_limit=10**4)
+        assert [m for m, _ in unions] == list(range(1, 2**13))
+
     def test_monte_carlo_all_unions(self):
         part = make_partition(240, 60)
         sigma = Constants.from_params(0.7, 0.3, 1.0).sigma

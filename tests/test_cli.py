@@ -51,6 +51,14 @@ class TestGenerateRecover:
         assert code == 2
         assert "invalid" in err
 
+    @pytest.mark.parametrize("body", ["4 3\n0 1\n0 1\n2 3\n", "4 1\n0 1\n2 3\n"])
+    def test_malformed_graph_exit_2(self, capsys, tmp_path, body):
+        graph = tmp_path / "g.txt"
+        graph.write_text(body)
+        code, _, err = run_cli(capsys, "recover", "--graph", str(graph), "--s", "2")
+        assert code == 2
+        assert "invalid input" in err
+
     def test_missing_graph_exit_3(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "recover", "--graph", str(tmp_path / "nope"), "--s", "2")
         assert code == 3
@@ -118,6 +126,19 @@ class TestExperiment:
         assert (out_dir / "trials.jsonl").exists()
         assert (out_dir / "bounds.csv").exists()
         assert (out_dir / "aggregate.csv").exists()
+
+    def test_fk_check_with_70_clusters(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "n": [140], "k": [70], "p": [0.9], "q": [0.1],
+            "trials": 1, "seed0": 2, "checks": ["fk"],
+        }))
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "experiment", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 0, err
+        rows = (out_dir / "bounds.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4096
+        assert max(int(row.rsplit(",", 1)[1], 16) for row in rows).bit_length() <= 70
 
     def test_invalid_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -44,6 +44,23 @@ class TestGraphFormat:
         with pytest.raises(ValueError):
             read_graph(path)
 
+    def test_rejects_duplicate_edge_lines(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("4 3\n0 1\n0 1\n2 3\n")
+        with pytest.raises(ValueError, match="repeats edges"):
+            read_graph(path)
+
+    def test_rejects_lines_after_last_edge(self, tmp_path):
+        path = tmp_path / "extra.txt"
+        path.write_text("4 1\n0 1\n2 3\n")
+        with pytest.raises(ValueError, match="after its 1 edges"):
+            read_graph(path)
+
+    def test_trailing_blank_lines_accepted(self, tmp_path):
+        path = tmp_path / "blank.txt"
+        path.write_text("4 1\n0 1\n\n")
+        assert read_graph(path).edge_count == 1
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_graph(tmp_path / "nope.txt")

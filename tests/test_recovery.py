@@ -1,8 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plantrec import recovery
 
 from plantrec.errors import GraphTooSmallError, SizeOutOfRangeError, ZeroSizeError
 from plantrec.model import (
@@ -14,6 +19,7 @@ from plantrec.model import (
     true_cluster_matrix,
 )
 from plantrec.recovery import (
+    CandidateSet,
     RecoveryResult,
     all_candidate_sets,
     candidate_set,
@@ -23,6 +29,7 @@ from plantrec.recovery import (
     same_partition,
     select_pivot,
 )
+from plantrec.spectral import Projector, projector_column_mass, top_projector
 
 
 def noiseless_graph(n: int, s: int) -> Graph:
@@ -70,8 +77,6 @@ class TestCandidateSet:
     def test_matches_batch_construction(self):
         part = make_partition(20, 5)
         g = sample_graph(part, ModelParams(p=0.9, q=0.1, seed=4))
-        from plantrec.spectral import top_projector
-
         p = top_projector(g.dense(), 4)
         batch = all_candidate_sets(p, 5)
         for j in (0, 7, 19):
@@ -80,7 +85,100 @@ class TestCandidateSet:
             assert single.mass == pytest.approx(batch[j].mass, rel=1e-12)
 
 
+def brute_force_sets(matrix: np.ndarray, s: int) -> list[np.ndarray]:
+    """The ranking's definition: j plus the first s-1 of a stable argsort of
+    column j, negated, with the own entry ranked last."""
+    sets = []
+    for j in range(matrix.shape[0]):
+        col = matrix[:, j].copy()
+        col[j] = -np.inf
+        order = np.argsort(-col, kind="stable")
+        sets.append(np.sort(np.append(order[: s - 1], j)))
+    return sets
+
+
+def brute_force_mass(matrix: np.ndarray, members: np.ndarray) -> float:
+    return float(np.linalg.norm(matrix[:, members].sum(axis=1)))
+
+
+def random_projector(m: int, r: int, seed: int) -> Projector:
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, r)))
+    return Projector(basis=q)
+
+
+@st.composite
+def sized_matrices(draw):
+    """(symmetric matrix, s): random floats, small integers (many exact
+    ties), all zeros, or block-constant over a random labelling."""
+    m = draw(st.integers(1, 14))
+    s = draw(st.one_of(st.just(1), st.just(m), st.integers(1, m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["float", "int", "zero", "block"]))
+    if kind == "float":
+        a = rng.standard_normal((m, m))
+    elif kind == "int":
+        a = rng.integers(-2, 3, size=(m, m)).astype(np.float64)
+    elif kind == "zero":
+        a = np.zeros((m, m))
+    else:
+        labels = rng.integers(0, 3, size=m)
+        a = rng.integers(0, 3, size=(3, 3)).astype(np.float64)[labels][:, labels]
+    return (a + a.T) / 2, s
+
+
+class TestRanking:
+    @settings(max_examples=300, deadline=None)
+    @given(sized_matrices())
+    def test_members_equal_stable_argsort_definition(self, case):
+        matrix, s = case
+        got = all_candidate_sets(matrix, s)
+        want = brute_force_sets(matrix, s)
+        assert [c.pivot for c in got] == list(range(matrix.shape[0]))
+        for c, w in zip(got, want):
+            assert np.array_equal(c.members, w)
+            assert c.mass == pytest.approx(brute_force_mass(matrix, w), rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sized_matrices(), st.integers(1, 5))
+    def test_small_blocks_give_the_same_sets(self, case, block):
+        matrix, s = case
+        whole = all_candidate_sets(matrix, s)
+        with mock.patch.object(recovery, "BLOCK_ENTRIES", block * matrix.shape[0]):
+            blocked = all_candidate_sets(matrix, s)
+        for a, b in zip(whole, blocked):
+            assert np.array_equal(a.members, b.members)
+            # a raw matrix's masses come from one BLAS product per block,
+            # whose rounding may follow the block's shape
+            assert a.mass == pytest.approx(b.mass, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("m,r,s", [(30, 3, 10), (41, 5, 8), (12, 12, 12), (9, 1, 1)])
+    def test_basis_masses_equal_matrix_masses(self, m, r, s):
+        proj = random_projector(m, r, seed=m * r)
+        dense = proj.matrix
+        for c in all_candidate_sets(proj, s):
+            assert c.mass == pytest.approx(brute_force_mass(dense, c.members), rel=1e-12)
+            assert c.mass == projector_column_mass(proj, c.members)
+
+    def test_basis_ranking_small_blocks(self, monkeypatch):
+        proj = random_projector(50, 4, seed=7)
+        whole = all_candidate_sets(proj, 9)
+        assert [list(c.members) for c in whole] == [list(w) for w in brute_force_sets(proj.matrix, 9)]
+        monkeypatch.setattr(recovery, "BLOCK_ENTRIES", 3 * 50)
+        blocked = all_candidate_sets(proj, 9)
+        for a, b in zip(whole, blocked):
+            assert np.array_equal(a.members, b.members)
+            assert a.mass == b.mass
+
+
 class TestSelectPivot:
+    def test_masses_one_ulp_apart_tie_to_smaller_vertex(self):
+        members = np.array([0, 1])
+        low, high = 2.0, np.nextafter(2.0, 3.0)
+        sets = [CandidateSet(0, members, low), CandidateSet(1, members, high)]
+        assert select_pivot(np.zeros((2, 2)), sets) == 0
+        sets = [CandidateSet(0, members, low), CandidateSet(1, members, low * (1 + 1e-9))]
+        assert select_pivot(np.zeros((2, 2)), sets) == 1
+
     def test_all_tie_returns_vertex_zero(self):
         part = make_partition(12, 4)
         p = true_cluster_matrix(part) / 4

@@ -73,8 +73,26 @@ class TestEighDescending:
         assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
         assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
 
+    def test_rank_keeps_leading_eigenvectors_only(self):
+        a = random_symmetric(25, 3)
+        full, top = eigh_descending(a), eigh_descending(a, 4)
+        assert np.array_equal(top.eigenvalues, full.eigenvalues)
+        assert np.array_equal(top.eigenvectors, full.eigenvectors[:, :4])
+        with pytest.raises(RankOutOfRangeError):
+            eigh_descending(a, 26)
+
 
 class TestTopProjector:
+    @pytest.mark.parametrize("m,rank", [(40, 3), (97, 12), (60, 60)])
+    def test_matrix_is_symmetrized_outer_product_of_full_solve(self, m, rank):
+        # the bound checks read .matrix; it must match the projector built
+        # from the leading columns of the full eigendecomposition bit for bit
+        a = random_symmetric(m, rank)
+        v = eigh_descending(a).eigenvectors[:, :rank]
+        p = top_projector(a, rank)
+        assert (p.dim, p.rank) == (m, rank)
+        assert np.array_equal(p.matrix, as_symmetric(v @ v.T))
+
     def test_full_rank_is_identity(self):
         a = random_symmetric(6, 0)
         p = top_projector(a, 6)
@@ -186,6 +204,10 @@ class TestProjectorColumnMass:
         p = true_cluster_matrix(part) / 4
         w = [0, 1, 4, 5]
         assert projector_column_mass(p, w) == pytest.approx(np.sqrt(2.0))
+
+    def test_rejects_non_square_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            projector_column_mass(np.zeros((3, 4)), [0])
 
     def test_accepts_projector_object(self):
         part = make_partition(8, 4)
