@@ -23,6 +23,7 @@ from .errors import (
 from .model import Graph, ModelParams, PlantedPartition, expectation_matrix
 from .recovery import all_candidate_sets, select_pivot
 from .spectral import (
+    Projector,
     eigh_descending,
     frobenius_norm,
     projector_operand,
@@ -189,11 +190,13 @@ def check_projector_deviation(
     m = sampled.shape[0]
     if not 1 <= l <= m:
         raise DimensionMismatchError(f"l must be in 1..{m}, got {l}")
-    diff = top_projector(sampled, l).matrix - top_projector(expected, l).matrix
+    sampled_projector = top_projector(sampled, l)
+    expected_eig = eigh_descending(expected, l)
+    diff = sampled_projector.matrix - Projector(basis=expected_eig.eigenvectors).matrix
     dev_spec = spectral_norm(diff)
     dev_frob = frobenius_norm(diff)
     instance_dev = spectral_norm(sampled - expected)
-    gap = float(eigh_descending(expected).eigenvalues[l - 1]) - instance_dev
+    gap = float(expected_eig.eigenvalues[l - 1]) - instance_dev
     rhs = 8.0 * math.sqrt(m) / gap if gap > 0 else math.inf
     spec_report = BoundReport.of(
         "projector_deviation", dev_spec, rhs, gap=gap, instance_deviation=instance_dev, **context

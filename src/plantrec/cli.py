@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 invalid config or input, 3 I/O failure, 4 internal
-invariant violation.
+Exit codes: 0 success, 2 invalid config or input, 3 I/O failure or a failed
+allocation, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -183,6 +183,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -1,7 +1,13 @@
 """File formats.
 
 Graph:      header line "n m", then m distinct lines "u v" with 0-based
-            u < v, LF, and nothing after them.
+            u < v < n, LF, and nothing after them but blank lines.  The
+            header needs m <= n(n-1)/2 and an n x n byte adjacency within
+            physical memory, checked before it is allocated.  Numbers are
+            plain decimal digits, fields are separated by spaces or tabs,
+            and CRLF or CR also end a line.  Both directions are
+            vectorized with numpy (the reader over runs of lines of about
+            64K characters), O(n^2 + m), with no Python step per edge.
 Partition:  one line of n space-separated 0-based cluster ids.
 Matrix:     header "m", then m lines of m decimal floats (debugging dumps).
 Reports:    CSV with columns name,lhs,rhs,satisfied,n,k,s,p,q,seed,J_or_S.
@@ -10,6 +16,8 @@ Reports:    CSV with columns name,lhs,rhs,satisfied,n,k,s,p,q,seed,J_or_S.
 from __future__ import annotations
 
 import csv
+import os
+from io import BytesIO
 
 import numpy as np
 
@@ -26,39 +34,108 @@ __all__ = [
     "REPORT_COLUMNS",
 ]
 
+_EDGE_LINE_BYTES = b"0123456789 \t\n"
+_CHUNK_CHARS = 1 << 16
+
 REPORT_COLUMNS = ("name", "lhs", "rhs", "satisfied", "n", "k", "s", "p", "q", "seed", "J_or_S")
 
 
 def write_graph(path, g: Graph) -> None:
-    iu, ju = np.nonzero(np.triu(g.adj, k=1))
+    rows, cols = np.nonzero(np.triu(g.adj, k=1))
+    names = np.array([str(v) for v in range(g.n)], dtype=object)
+    # row u's edges are cols[first[u]:first[u + 1]], v ascending
+    first = np.searchsorted(rows, np.arange(g.n + 1))
     with open(path, "w", newline="\n") as f:
-        f.write(f"{g.n} {iu.size}\n")
-        for u, v in zip(iu, ju):
-            f.write(f"{u} {v}\n")
+        f.write(f"{g.n} {cols.size}\n")
+        for u in range(g.n):
+            neighbors = names[cols[first[u]:first[u + 1]]]
+            if neighbors.size:
+                prefix = f"{u} "
+                f.write(prefix + f"\n{prefix}".join(neighbors) + "\n")
 
 
 def read_graph(path) -> Graph:
-    with open(path) as f:
-        header = f.readline().split()
-        if len(header) != 2:
-            raise ValueError("graph header must be 'n m'")
-        n, m = int(header[0]), int(header[1])
+    with open(path, encoding="ascii") as f:
+        n, m = _graph_header(f.readline())
         adj = np.zeros((n, n), dtype=np.uint8)
-        for lineno in range(m):
-            parts = f.readline().split()
-            if len(parts) != 2:
-                raise ValueError(f"edge line {lineno + 2}: expected 'u v'")
-            u, v = int(parts[0]), int(parts[1])
-            if not 0 <= u < v < n:
-                raise ValueError(f"edge line {lineno + 2}: need 0 <= u < v < n")
-            adj[u, v] = 1
-            adj[v, u] = 1
-        if f.read().strip():
-            raise ValueError(f"graph file has lines after its {m} edges")
+        done = 0  # edge lines read so far
+        for text in _runs_of_lines(f):
+            block = text.encode("ascii")
+            if done < m:
+                # the block's edge lines end at its (m - done)-th line break, or with the block
+                ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n")) + 1
+                cut = int(ends[m - done - 1]) if m - done <= ends.size else len(block)
+                u, v = _edge_lines(block[:cut], first_line=done + 2).T
+                bad = ~((u < v) & (v < n))  # u >= 0: no sign passes _edge_lines
+                if bad.any():
+                    raise ValueError(f"edge line {done + int(np.argmax(bad)) + 2}: need 0 <= u < v < n")
+                adj[u, v] = 1
+                adj[v, u] = 1
+                done += u.size
+                block = block[cut:]
+            if block.strip():
+                raise ValueError(f"graph file has lines after its {m} edges")
+    if done < m:
+        raise ValueError(f"graph file ends after {done} of its {m} edge lines")
     # every distinct edge sets two entries, so a repeated edge line shows here
     if np.count_nonzero(adj) != 2 * m:
         raise ValueError(f"graph file repeats edges: {np.count_nonzero(adj) // 2} distinct of {m}")
     return Graph(adj=adj)
+
+
+def _runs_of_lines(f):
+    """The text file `f` from its position on, as strings of whole lines of
+    about _CHUNK_CHARS each; the last may lack its line break.
+
+    Runs keep every buffer but the adjacency small and reused.  A parse of
+    the whole file at once left its freed file-sized blocks resident in the
+    heap (about 30 MB for a 26 MB file), which raised the peak RSS of the
+    recovery that follows by as much."""
+    tail = ""
+    while chunk := f.read(_CHUNK_CHARS):
+        text = tail + chunk
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield text[:cut]
+        tail = text[cut:]
+    if tail:
+        yield tail
+
+
+def _graph_header(line: str) -> tuple[int, int]:
+    """(n, m) from the header line, checked before anything of size n is allocated."""
+    parts = line.split()
+    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        raise ValueError("graph header must be 'n m' with two non-negative integers")
+    n, m = int(parts[0]), int(parts[1])
+    if m > n * (n - 1) // 2:
+        raise ValueError(f"graph header: m = {m} exceeds n(n-1)/2 = {n * (n - 1) // 2}")
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):  # the platform does not say
+        memory = None
+    if memory is not None and n * n > memory:
+        raise ValueError(
+            f"graph header: the {n} x {n} adjacency needs {n * n} bytes, over the {memory} of physical memory"
+        )
+    return n, m
+
+
+def _edge_lines(block: bytes, first_line: int) -> np.ndarray:
+    """The k x 2 int64 array of `block`, k lines that must each be 'u v'."""
+    if block.translate(None, _EDGE_LINE_BYTES):
+        raise ValueError("edge lines may hold only decimal digits, spaces and tabs")
+    lines = block.count(b"\n") + (not block.endswith(b"\n"))
+    # loadtxt skips blank lines, so a blank line shows as a missing row
+    if block.strip():
+        edges = np.loadtxt(BytesIO(block), dtype=np.int64, comments=None, ndmin=2)
+    else:  # loadtxt warns on a block with no data
+        edges = np.empty((0, 2), dtype=np.int64)
+    if edges.shape != (lines, 2):
+        raise ValueError(
+            f"edge lines {first_line}..{first_line + lines - 1}: each must hold 'u v', and none may be blank"
+        )
+    return edges
 
 
 def write_partition(path, part: PlantedPartition) -> None:

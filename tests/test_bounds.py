@@ -183,6 +183,24 @@ class TestProjectorDeviation:
         spec2 = spectral_norm(diff) ** 2
         assert frob2 <= 2 * l * spec2 + 1e-8
 
+    def test_expected_matrix_solved_once_with_the_same_floats(self, monkeypatch):
+        part = make_partition(60, 20)
+        params = ModelParams(p=0.7, q=0.3, seed=4)
+        sampled = sample_graph(part, params).dense()
+        expected = expectation_matrix(part, params)
+        diff = top_projector(sampled, 3).matrix - top_projector(expected, 3).matrix
+        instance_dev = spectral_norm(sampled - expected)
+        gap = float(eigh_descending(expected).eigenvalues[2]) - instance_dev
+        solves = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(a) or eigh(a))
+        spec, frob = check_projector_deviation(sampled, expected, 3)
+        assert len(solves) == 2  # one of the sampled matrix, one of the expected
+        assert spec.lhs == spectral_norm(diff)
+        assert spec.context["gap"] == gap
+        assert spec.rhs == 8.0 * math.sqrt(60) / gap
+        assert frob.lhs == np.linalg.norm(diff, "fro") ** 2
+
     def test_monte_carlo_deviation_below_half(self):
         part = make_partition(400, 200)
         hits = 0

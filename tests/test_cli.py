@@ -63,6 +63,28 @@ class TestGenerateRecover:
         code, _, _ = run_cli(capsys, "recover", "--graph", str(tmp_path / "nope"), "--s", "2")
         assert code == 3
 
+    # headers rejected before the n x n adjacency is allocated; none of these may allocate
+    @pytest.mark.parametrize("header", ["100000000 0", "4 7", "-3 0"])
+    def test_bad_header_exit_2(self, capsys, tmp_path, header):
+        graph = tmp_path / "g.txt"
+        graph.write_text(header + "\n")
+        code, _, err = run_cli(capsys, "recover", "--graph", str(graph), "--s", "2")
+        assert code == 2
+        assert err.startswith("invalid input: graph header")
+        assert "Traceback" not in err
+
+    def test_failed_allocation_exit_3(self, capsys, tmp_path, monkeypatch):
+        graph = tmp_path / "g.txt"
+        graph.write_text("4 1\n0 1\n")
+
+        def no_memory(g, s):
+            raise MemoryError("Unable to allocate 8.88 PiB")
+
+        monkeypatch.setattr("plantrec.cli.identify_clusters", no_memory)
+        code, _, err = run_cli(capsys, "recover", "--graph", str(graph), "--s", "2")
+        assert code == 3
+        assert err == "out of memory: Unable to allocate 8.88 PiB\n"
+
 
 class TestVerify:
     @pytest.fixture()
