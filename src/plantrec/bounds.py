@@ -4,6 +4,14 @@ Every checker returns :class:`BoundReport` rows with the convention
 ``satisfied == (lhs <= rhs)``; for lower-bound claims the threshold therefore
 sits on the lhs.  Probabilistic bounds are reported, never asserted: callers
 aggregate satisfaction rates over seeds.
+
+The public checkers take plain matrices and solve what they need.  The
+projector-deviation reports are built by one private core from their inputs
+(the two rank-l projectors, the expected l-th eigenvalue and ||A - E||_2);
+:func:`check_projector_deviation` and :func:`empirical_epsilon` solve both
+matrices numerically and call it, while
+:func:`plantrec.experiment.run_checks` calls it with recovery's round-0
+projector and the expected side in closed form.
 """
 
 from __future__ import annotations
@@ -184,7 +192,10 @@ def check_projector_deviation(
     The spectral report compares against 8*sqrt(m) / gap, where the gap is the
     l-th eigenvalue of the expected matrix minus the measured norm deviation
     (infinite rhs when that gap closes).  The Frobenius report checks the
-    deterministic rank inequality ||D||_F^2 <= 2l * ||D||_2^2.
+    deterministic rank inequality ||D||_F^2 <= 2l * ||D||_2^2.  Both matrices
+    are solved numerically here; a caller that has the sampled projector, or
+    the expected side in closed form, gets the same reports from the same
+    arithmetic without these solves.
     """
     sampled, expected = _require_same_shape(sampled, expected)
     m = sampled.shape[0]
@@ -192,12 +203,31 @@ def check_projector_deviation(
         raise DimensionMismatchError(f"l must be in 1..{m}, got {l}")
     sampled_projector = top_projector(sampled, l)
     expected_eig = eigh_descending(expected, l)
-    diff = sampled_projector.matrix - Projector(basis=expected_eig.eigenvectors).matrix
-    dev_spec = spectral_norm(diff)
-    dev_frob = frobenius_norm(diff)
-    instance_dev = spectral_norm(sampled - expected)
-    gap = float(expected_eig.eigenvalues[l - 1]) - instance_dev
-    rhs = 8.0 * math.sqrt(m) / gap if gap > 0 else math.inf
+    return _projector_deviation(
+        sampled_projector,
+        Projector(basis=expected_eig.eigenvectors),
+        float(expected_eig.eigenvalues[l - 1]),
+        spectral_norm(sampled - expected),
+        l,
+        **context,
+    )
+
+
+def _projector_distance(p_a: Projector, p_e: Projector) -> tuple[float, float]:
+    """Spectral and Frobenius norms of P_a - P_e."""
+    diff = p_a.matrix - p_e.matrix
+    return spectral_norm(diff), frobenius_norm(diff)
+
+
+def _projector_deviation(
+    p_a: Projector, p_e: Projector, lambda_l: float, instance_dev: float, l: int, **context
+) -> tuple[BoundReport, BoundReport]:
+    """The reports of :func:`check_projector_deviation` from their inputs: the
+    rank-l projectors of the sampled and expected matrices, the expected
+    matrix's l-th eigenvalue and ||sampled - expected||_2."""
+    dev_spec, dev_frob = _projector_distance(p_a, p_e)
+    gap = float(lambda_l) - instance_dev
+    rhs = 8.0 * math.sqrt(p_a.dim) / gap if gap > 0 else math.inf
     spec_report = BoundReport.of(
         "projector_deviation", dev_spec, rhs, gap=gap, instance_deviation=instance_dev, **context
     )
@@ -410,5 +440,4 @@ def centered_adjacency(g: Graph, part: PlantedPartition, params: ModelParams) ->
 def empirical_epsilon(sampled: np.ndarray, expected: np.ndarray, l: int) -> float:
     """Measured projector deviation ||P_l(sampled) - P_l(expected)||_2."""
     sampled, expected = _require_same_shape(sampled, expected)
-    diff = top_projector(sampled, l).matrix - top_projector(expected, l).matrix
-    return spectral_norm(diff)
+    return _projector_distance(top_projector(sampled, l), top_projector(expected, l))[0]

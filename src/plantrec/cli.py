@@ -12,10 +12,10 @@ import sys
 
 from . import bounds, io
 from .errors import InvariantViolationError
-from .experiment import ExperimentConfig, run_grid
-from .model import ModelParams, make_partition, sample_graph, expectation_matrix, true_cluster_matrix
+from .experiment import DEFAULT_CHECKS, KNOWN_CHECKS, ExperimentConfig, run_checks, run_grid
+from .model import ModelParams, make_partition, sample_graph
 from .recovery import identify_clusters, same_partition
-from .spectral import top_projector
+from .spectral import top_projector  # noqa: F401  (perfbench/tracing.py wraps cli.top_projector)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,7 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--truth", required=True)
     v.add_argument("--p", type=float, required=True)
     v.add_argument("--q", type=float, required=True)
-    v.add_argument("--checks", default="norm,proj,conc", help="comma list from norm,proj,conc,fk,goodcol")
+    v.add_argument(
+        "--checks", default=",".join(DEFAULT_CHECKS), help=f"comma list from {','.join(KNOWN_CHECKS)}"
+    )
     v.add_argument("--epsilon", default="auto", help="deviation parameter or 'auto' to measure it")
     v.add_argument("--seed", type=int, default=0, help="seed recorded in report rows")
     v.add_argument("--out", default="-", help="CSV path, '-' for stdout")
@@ -85,44 +87,9 @@ def _cmd_verify(args) -> int:
     if part.n != g.n:
         raise ValueError("graph and partition sizes differ")
     checks = tuple(c for c in args.checks.split(",") if c)
-    unknown = set(checks) - {"norm", "proj", "conc", "fk", "goodcol"}
-    if unknown:
-        raise ValueError(f"unknown checks: {sorted(unknown)}")
+    epsilon = None if args.epsilon == "auto" else float(args.epsilon)
     params = ModelParams(p=args.p, q=args.q, seed=args.seed)
-    expected = expectation_matrix(part, params)
-    sampled = g.dense()
-    ctx = {"n": part.n, "k": part.k, "s": part.s, "p": args.p, "q": args.q,
-           "seed": args.seed, "mask": (1 << part.k) - 1}
-    if args.epsilon == "auto":
-        eps = max(bounds.empirical_epsilon(sampled, expected, part.k), 1e-12)
-    else:
-        eps = float(args.epsilon)
-    reports = []
-    if "norm" in checks:
-        reports.append(bounds.check_norm_deviation(sampled, expected, **ctx))
-    if "proj" in checks:
-        reports.extend(bounds.check_projector_deviation(sampled, expected, part.k, **ctx))
-    if "conc" in checks:
-        conc_ctx = {key: v for key, v in ctx.items() if key not in ("p", "q")}
-        reports.extend(bounds.check_concentration(g, part, args.p, args.q, eps, **conc_ctx))
-    if "fk" in checks:
-        unions = bounds.cluster_unions(part, seed=args.seed)
-        sigma = bounds.Constants.from_params(args.p, args.q, c=1.0).sigma
-        noise = bounds.centered_adjacency(g, part, params)
-        fk_ctx = {key: ctx[key] for key in ("n", "k", "s", "p", "q", "seed")}
-        reports.extend(
-            bounds.check_fk_submatrices(
-                noise, [v for _, v in unions], sigma, labels=[m for m, _ in unions], **fk_ctx
-            )
-        )
-    if "goodcol" in checks:
-        gc_ctx = {key: v for key, v in ctx.items() if key != "s"}
-        reports.append(
-            bounds.check_good_column(
-                top_projector(sampled, part.k), true_cluster_matrix(part), part.s,
-                min(eps, 0.1), epsilon_measured=eps, **gc_ctx,
-            )
-        )
+    reports = run_checks(g, part, params, checks, epsilon)
     if args.out == "-":
         io.write_reports_csv(sys.stdout, reports)
     else:

@@ -10,11 +10,18 @@ the contiguous layout.
 Outputs are deterministic byte-for-byte for a fixed config: trials.jsonl (raw
 per-trial rows, wall times excluded), bounds.csv (every bound report), and
 aggregate.csv (per-cell success and satisfaction rates).
+
+`run_checks` is the one bound-check pipeline, used by `run_trial` and by
+`plantrec verify`.  A trial makes one eigendecomposition of the full graph:
+recovery's round 0, whose projector the checks reuse.  The expected matrix
+E = (p-q) Z Z^T + q 11^T is never solved; its top-k projector Z Z^T / s and
+its k-th eigenvalue are taken in closed form.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -24,7 +31,7 @@ import numpy as np
 
 from . import bounds
 from .baseline import baseline_common_neighbors
-from .errors import PlantrecError
+from .errors import DimensionMismatchError, EpsilonOutOfRangeError, PlantrecError
 from .io import write_reports_csv
 from .model import (
     ModelParams,
@@ -35,7 +42,7 @@ from .model import (
     true_cluster_matrix,
 )
 from .recovery import recover_with_trace, same_partition
-from .spectral import top_projector
+from .spectral import Projector, top_projector
 
 __all__ = [
     "Cell",
@@ -43,6 +50,7 @@ __all__ = [
     "TrialReport",
     "CellSummary",
     "trial_seed",
+    "run_checks",
     "run_trial",
     "run_grid",
     "KNOWN_CHECKS",
@@ -67,6 +75,14 @@ def trial_seed(seed0: int, cell_index: int, trial_index: int, trials_per_cell: i
     """Injective over (cell, trial) for a fixed seed0 and grid shape."""
     u = cell_index * trials_per_cell + trial_index
     return _mix64((seed0 + (u + 1) * _GOLDEN) & _MASK64)
+
+
+def _validate_checks(checks, epsilon) -> None:
+    unknown = set(checks) - set(KNOWN_CHECKS)
+    if unknown:
+        raise ValueError(f"unknown checks: {sorted(unknown)}; known: {KNOWN_CHECKS}")
+    if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
+        raise EpsilonOutOfRangeError(f"epsilon must be finite and positive, or 'auto'; got {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -133,11 +149,7 @@ class ExperimentConfig:
     def cells(self) -> list[Cell]:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        unknown = set(self.checks) - set(KNOWN_CHECKS)
-        if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}; known: {KNOWN_CHECKS}")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive or 'auto'")
+        _validate_checks(self.checks, self.epsilon)
         out = []
         index = 0
         for n in self.ns:
@@ -187,6 +199,101 @@ class TrialReport:
         }
 
 
+def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
+    """Run the bound checks named in `checks` on one instance.
+
+    Reports come in KNOWN_CHECKS order whatever the order of `checks`.
+    `epsilon` is a finite positive number, or None to use the measured
+    projector deviation ||P_k(A) - P_k(E)||_2 (floored at 1e-12, as it is 0
+    on noiseless instances); it is resolved only when conc or goodcol runs,
+    and taken from the proj report when proj runs.
+
+    `projector`, when given, must be the rank-k projector of `g.dense()`,
+    such as recovery's round 0 (`traces[0].projector`); without it the graph
+    is solved once, and only when proj, goodcol or a measured epsilon needs
+    it.  The expected side is taken in closed form: P_k(E) = Z Z^T / s and
+    lambda_k(E) from `theoretical_spectrum`.  ||A - E||_2 is solved once and
+    shared by norm and proj.
+    """
+    _validate_checks(checks, epsilon)
+    checks = set(checks)
+    n, k, s = part.n, part.k, part.s
+    if projector is not None and (projector.dim, projector.rank) != (n, k):
+        raise DimensionMismatchError(
+            f"projector is {projector.dim} x rank {projector.rank}, need {n} x rank {k}"
+        )
+    ctx = {
+        "n": n,
+        "k": k,
+        "s": s,
+        "p": params.p,
+        "q": params.q,
+        "seed": params.seed,
+        "mask": (1 << k) - 1,
+    }
+    measure_epsilon = epsilon is None and bool({"conc", "goodcol"} & checks)
+    if projector is None and ({"proj", "goodcol"} & checks or measure_epsilon):
+        projector = top_projector(g.dense(), k)
+    if "proj" in checks or measure_epsilon:
+        expected_projector = Projector(basis=np.eye(k)[part.assignment] / math.sqrt(s))
+
+    reports = []
+    if {"norm", "proj"} & checks:
+        sampled = g.dense()
+        expected = expectation_matrix(part, params)
+        if "norm" in checks:
+            norm_rep = bounds.check_norm_deviation(sampled, expected, **ctx)
+            reports.append(norm_rep)
+            instance_dev = norm_rep.lhs
+        else:
+            instance_dev = bounds.spectral_norm(sampled - expected)
+        del sampled, expected  # fk builds its own n x n matrices
+    if "proj" in checks:
+        lambda_k = bounds.theoretical_spectrum(k, s, params.p, params.q)[k - 1]
+        spec_rep, frob_rep = bounds._projector_deviation(
+            projector, expected_projector, lambda_k, instance_dev, k, **ctx
+        )
+        reports.extend((spec_rep, frob_rep))
+    if measure_epsilon:
+        if "proj" in checks:
+            measured = spec_rep.lhs
+        else:
+            measured = bounds._projector_distance(projector, expected_projector)[0]
+        epsilon = max(measured, 1e-12)
+    if "conc" in checks:
+        conc_ctx = {key: v for key, v in ctx.items() if key not in ("p", "q")}
+        reports.extend(
+            bounds.check_concentration(g, part, params.p, params.q, epsilon, **conc_ctx)
+        )
+    if "fk" in checks:
+        unions = bounds.cluster_unions(part, seed=params.seed)
+        sigma = bounds.Constants.from_params(params.p, params.q, c=1.0).sigma
+        noise = bounds.centered_adjacency(g, part, params)
+        fk_ctx = {key: ctx[key] for key in ("n", "k", "s", "p", "q", "seed")}
+        reports.extend(
+            bounds.check_fk_submatrices(
+                noise, [v for _, v in unions], sigma, labels=[m for m, _ in unions], **fk_ctx
+            )
+        )
+    if "goodcol" in checks:
+        # the mass threshold is only meaningful for epsilon <= 0.1; clamp
+        # and record the measured value so the report stays interpretable
+        eps_gc = min(epsilon, 0.1)
+        gc_ctx = {key: v for key, v in ctx.items() if key != "s"}
+        reports.append(
+            bounds.check_good_column(
+                projector,
+                true_cluster_matrix(part),
+                s,
+                eps_gc,
+                epsilon_measured=epsilon,
+                epsilon_clamped=eps_gc != epsilon,
+                **gc_ctx,
+            )
+        )
+    return reports
+
+
 def run_trial(
     cell: Cell,
     seed: int,
@@ -196,7 +303,11 @@ def run_trial(
     baseline: bool = False,
     shuffle: bool = True,
 ) -> TrialReport:
-    """Generate, recover, compare, and run the requested bound checks."""
+    """Generate, recover, compare, and run the requested bound checks.
+
+    The checks reuse recovery's round-0 projector, so the trial makes one
+    eigendecomposition of the full graph.
+    """
     start = time.perf_counter()
     part = make_partition(cell.n, cell.s)
     if shuffle:
@@ -210,68 +321,8 @@ def run_trial(
     baseline_exact = (
         same_partition(baseline_common_neighbors(g, cell.s), part) if baseline else None
     )
-
-    ctx = {
-        "n": cell.n,
-        "k": cell.k,
-        "s": cell.s,
-        "p": cell.p,
-        "q": cell.q,
-        "seed": seed,
-        "mask": (1 << cell.k) - 1,
-    }
-    reports = []
-    needs_expected = bool({"norm", "proj", "fk"} & set(checks)) or (
-        epsilon is None and bool({"conc", "goodcol"} & set(checks))
-    )
-    expected = expectation_matrix(part, params) if needs_expected else None
-    sampled = g.dense() if needs_expected or "goodcol" in checks else None
-
-    # measured epsilon gets a tiny floor (it is exactly 0 for noiseless
-    # instances); an explicit epsilon is passed through so bad values raise
-    eps_val = epsilon
     try:
-        if "norm" in checks:
-            reports.append(bounds.check_norm_deviation(sampled, expected, **ctx))
-        if "proj" in checks:
-            spec_rep, frob_rep = bounds.check_projector_deviation(sampled, expected, cell.k, **ctx)
-            reports.extend((spec_rep, frob_rep))
-            if eps_val is None:
-                eps_val = max(spec_rep.lhs, 1e-12)  # the measured projector deviation
-        if eps_val is None and {"conc", "goodcol"} & set(checks):
-            eps_val = max(bounds.empirical_epsilon(sampled, expected, cell.k), 1e-12)
-        if "conc" in checks:
-            conc_ctx = {key: v for key, v in ctx.items() if key not in ("p", "q")}
-            reports.extend(
-                bounds.check_concentration(g, part, cell.p, cell.q, eps_val, **conc_ctx)
-            )
-        if "fk" in checks:
-            unions = bounds.cluster_unions(part, seed=seed)
-            labels = [mask for mask, _ in unions]
-            sigma = bounds.Constants.from_params(cell.p, cell.q, c=1.0).sigma
-            noise = bounds.centered_adjacency(g, part, params)
-            fk_ctx = {key: ctx[key] for key in ("n", "k", "s", "p", "q", "seed")}
-            reports.extend(
-                bounds.check_fk_submatrices(
-                    noise, [v for _, v in unions], sigma, labels=labels, **fk_ctx
-                )
-            )
-        if "goodcol" in checks:
-            # the mass threshold is only meaningful for epsilon <= 0.1; clamp
-            # and record the measured value so the report stays interpretable
-            eps_gc = min(eps_val, 0.1)
-            gc_ctx = {key: v for key, v in ctx.items() if key != "s"}
-            reports.append(
-                bounds.check_good_column(
-                    top_projector(sampled, cell.k),
-                    true_cluster_matrix(part),
-                    cell.s,
-                    eps_gc,
-                    epsilon_measured=eps_val,
-                    epsilon_clamped=eps_gc != eps_val,
-                    **gc_ctx,
-                )
-            )
+        reports = run_checks(g, part, params, checks, epsilon, projector=traces[0].projector)
     except PlantrecError as exc:
         raise type(exc)(
             f"{exc} [cell {cell.index}: n={cell.n} k={cell.k} p={cell.p} q={cell.q} seed={seed}]"

@@ -20,7 +20,7 @@ the smaller vertex index, so runs are reproducible.  Masses within a relative
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import (
     ZeroSizeError,
 )
 from .model import Graph, PlantedPartition
-from .spectral import projector_operand, top_projector
+from .spectral import Projector, projector_operand, top_projector
 
 __all__ = [
     "CandidateSet",
@@ -74,12 +74,18 @@ class RecoveryResult:
 
 @dataclass(frozen=True)
 class PivotTrace:
-    """Per-round diagnostics: rank used, chosen pivot (original id), its mass."""
+    """Per-round diagnostics: rank used, chosen pivot (original id), its mass.
+
+    `projector` is the round's rank-`rank` projector of the remaining graph's
+    adjacency (round 0: of the whole graph), kept so the bound checks need
+    not solve the graph again; equality and hashing ignore it.
+    """
 
     level: int
     rank: int
     pivot: int
     mass: float
+    projector: Projector = field(compare=False, repr=False)
 
 
 # Entries of one block of b projector columns (b x m) ranked at a time; the
@@ -199,7 +205,13 @@ def recover_with_trace(g: Graph, s: int) -> tuple[RecoveryResult, list[PivotTrac
         members = _extract(adj, sets[j_star].members, s)
         clusters.append(active[members])
         traces.append(
-            PivotTrace(level=level, rank=rank, pivot=int(active[j_star]), mass=sets[j_star].mass)
+            PivotTrace(
+                level=level,
+                rank=rank,
+                pivot=int(active[j_star]),
+                mass=sets[j_star].mass,
+                projector=p_hat,
+            )
         )
         keep = np.setdiff1d(np.arange(active.size), members)
         active = active[keep]

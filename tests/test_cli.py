@@ -1,8 +1,13 @@
+import io
 import json
 
+import numpy as np
 import pytest
 
 from plantrec.cli import main
+from plantrec.experiment import KNOWN_CHECKS, run_checks
+from plantrec.io import read_graph, read_partition, write_reports_csv
+from plantrec.model import ModelParams
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +136,60 @@ class TestVerify:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("epsilon", ["inf", "nan", "-0.5", "0"])
+    def test_non_finite_or_non_positive_epsilon_exit_2(self, capsys, instance, epsilon):
+        graph, truth = instance
+        code, out, err = run_cli(
+            capsys, "verify", "--graph", str(graph), "--truth", str(truth),
+            "--p", "0.8", "--q", "0.2", "--checks", "conc", "--epsilon", epsilon,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid input: epsilon")
+
+    # checks that read no epsilon and no projector solve nothing but their norms
+    @pytest.mark.parametrize(
+        "checks,epsilon,eigh_calls,eigvalsh_calls",
+        [("norm", "auto", 0, 1), ("fk", "auto", 0, 15), ("conc", "0.1", 0, 0),
+         ("conc", "auto", 1, 1), ("norm,proj,goodcol", "auto", 1, 2)],
+    )
+    def test_solves_only_what_the_checks_read(
+        self, capsys, instance, monkeypatch, checks, epsilon, eigh_calls, eigvalsh_calls
+    ):
+        graph, truth = instance
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            solver = getattr(np.linalg, name)
+
+            def counted(a, solver=solver, name=name):
+                calls[name] += 1
+                return solver(a)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        code, _, err = run_cli(
+            capsys, "verify", "--graph", str(graph), "--truth", str(truth),
+            "--p", "0.8", "--q", "0.2", "--checks", checks, "--epsilon", epsilon,
+        )
+        assert code == 0, err
+        assert calls == {"eigh": eigh_calls, "eigvalsh": eigvalsh_calls}
+
+    def test_csv_is_the_pipelines_reports(self, capsys, instance, tmp_path):
+        graph, truth = instance
+        out_csv = tmp_path / "r.csv"
+        code, _, err = run_cli(
+            capsys, "verify", "--graph", str(graph), "--truth", str(truth),
+            "--p", "0.8", "--q", "0.2", "--checks", ",".join(KNOWN_CHECKS),
+            "--seed", "7", "--out", str(out_csv),
+        )
+        assert code == 0, err
+        want = io.StringIO()
+        reports = run_checks(
+            read_graph(graph), read_partition(truth), ModelParams(p=0.8, q=0.2, seed=7),
+            KNOWN_CHECKS, None,
+        )
+        write_reports_csv(want, reports)
+        assert out_csv.read_text() == want.getvalue()
+
 
 class TestExperiment:
     def test_small_grid(self, capsys, tmp_path):
@@ -167,6 +226,18 @@ class TestExperiment:
         cfg.write_text(json.dumps({"n": [12], "k": [5], "p": [0.9], "q": [0.1]}))
         code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 2
+
+    def test_nan_epsilon_config_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        # json.dumps writes NaN, which json.load reads back
+        cfg.write_text(json.dumps({
+            "n": [12], "k": [2], "p": [0.9], "q": [0.1], "checks": ["conc"], "epsilon": float("nan"),
+        }))
+        out_dir = tmp_path / "o"
+        code, _, err = run_cli(capsys, "experiment", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith("invalid input: epsilon")
+        assert not out_dir.exists()
 
     def test_out_dir_from_config(self, capsys, tmp_path):
         out_dir = tmp_path / "from_config"

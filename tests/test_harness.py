@@ -1,20 +1,34 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from plantrec import bounds
 from plantrec.baseline import baseline_common_neighbors
-from plantrec.errors import ZeroSizeError
+from plantrec.errors import DimensionMismatchError, EpsilonOutOfRangeError, ZeroSizeError
 from plantrec.experiment import (
     Cell,
     DEFAULT_CHECKS,
+    KNOWN_CHECKS,
     ExperimentConfig,
+    run_checks,
     run_grid,
     run_trial,
     trial_seed,
 )
-from plantrec.model import ModelParams, make_partition, sample_graph
-from plantrec.recovery import identify_clusters, same_partition
+from plantrec.model import (
+    ModelParams,
+    expectation_matrix,
+    make_partition,
+    permute_partition,
+    sample_graph,
+    true_cluster_matrix,
+)
+from plantrec.recovery import identify_clusters, recover_with_trace, same_partition
+from plantrec.spectral import top_projector
 
 
 class TestSeedDerivation:
@@ -99,6 +113,137 @@ class TestRunTrial:
         cell = Cell(index=2, n=12, k=2, s=6, p=0.8, q=0.2)
         with pytest.raises(ValueError, match=r"cell 2: n=12"):
             run_trial(cell, seed=1, checks=("conc",), epsilon=-1.0)
+
+
+def oracle_checks(g, part, params, checks, epsilon):
+    """The checks composed from the public matrix checkers, each solving its
+    own matrices numerically (the expected matrix included)."""
+    ctx = {"n": part.n, "k": part.k, "s": part.s, "p": params.p, "q": params.q,
+           "seed": params.seed, "mask": (1 << part.k) - 1}
+    sampled, expected = g.dense(), expectation_matrix(part, params)
+    reports = []
+    eps = epsilon
+    if "norm" in checks:
+        reports.append(bounds.check_norm_deviation(sampled, expected, **ctx))
+    if "proj" in checks:
+        spec, frob = bounds.check_projector_deviation(sampled, expected, part.k, **ctx)
+        reports += [spec, frob]
+        if eps is None:
+            eps = max(spec.lhs, 1e-12)
+    if eps is None and {"conc", "goodcol"} & set(checks):
+        eps = max(bounds.empirical_epsilon(sampled, expected, part.k), 1e-12)
+    if "conc" in checks:
+        conc_ctx = {key: v for key, v in ctx.items() if key not in ("p", "q")}
+        reports += bounds.check_concentration(g, part, params.p, params.q, eps, **conc_ctx)
+    if "fk" in checks:
+        unions = bounds.cluster_unions(part, seed=params.seed)
+        sigma = bounds.Constants.from_params(params.p, params.q, c=1.0).sigma
+        fk_ctx = {key: ctx[key] for key in ("n", "k", "s", "p", "q", "seed")}
+        reports += bounds.check_fk_submatrices(
+            bounds.centered_adjacency(g, part, params), [v for _, v in unions], sigma,
+            labels=[m for m, _ in unions], **fk_ctx,
+        )
+    if "goodcol" in checks:
+        gc_ctx = {key: v for key, v in ctx.items() if key != "s"}
+        reports.append(bounds.check_good_column(
+            top_projector(sampled, part.k), true_cluster_matrix(part), part.s, min(eps, 0.1),
+            epsilon_measured=eps, epsilon_clamped=min(eps, 0.1) != eps, **gc_ctx,
+        ))
+    return reports
+
+
+def close(x, y) -> bool:
+    # the absolute floor covers values that are rounding noise, such as the
+    # projector deviation of a noiseless instance (about 1e-16 either way)
+    return x == y or math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def assert_same_reports(got, want):
+    assert [r.name for r in got] == [r.name for r in want]
+    for g, w in zip(got, want):
+        assert close(g.lhs, w.lhs) and close(g.rhs, w.rhs), (g, w)
+        # a verdict decided by rounding (lhs and rhs equal up to it, as in
+        # the Frobenius rank report at k = 1, where equality holds) may differ
+        if not close(w.lhs, w.rhs):
+            assert g.satisfied == w.satisfied, (g, w)
+        assert g.context.keys() == w.context.keys()
+        for key, value in w.context.items():
+            if isinstance(value, float):
+                assert close(g.context[key], value), (key, g, w)
+            else:
+                assert g.context[key] == value, (key, g, w)
+
+
+@st.composite
+def instances(draw):
+    k = draw(st.integers(1, 4))
+    s = draw(st.integers(1, 6))
+    p, q = draw(st.sampled_from([(0.7, 0.3), (0.9, 0.1), (0.55, 0.45), (1.0, 0.0), (0.6, 0.0), (1.0, 0.5)]))
+    seed = draw(st.integers(0, 2**64 - 1))
+    part = make_partition(k * s, s)
+    perm = np.random.default_rng(seed % 2**32).permutation(k * s)
+    return permute_partition(part, perm), ModelParams(p=p, q=q, seed=seed)
+
+
+class TestRunChecks:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        instances(),
+        st.lists(st.sampled_from(KNOWN_CHECKS), unique=True),
+        st.one_of(st.none(), st.sampled_from([0.05, 0.1, 0.3])),
+        st.booleans(),
+    )
+    @example((make_partition(8, 8), ModelParams(p=0.7, q=0.3, seed=1)), list(KNOWN_CHECKS), None, True)
+    @example((make_partition(5, 1), ModelParams(p=0.7, q=0.3, seed=2)), list(KNOWN_CHECKS), None, False)
+    @example((make_partition(12, 4), ModelParams(p=1.0, q=0.0, seed=3)), list(KNOWN_CHECKS), None, True)
+    @example((make_partition(12, 4), ModelParams(p=0.6, q=0.0, seed=4)), list(KNOWN_CHECKS), None, False)
+    @example((make_partition(12, 4), ModelParams(p=0.6, q=0.0, seed=4)), ["conc", "goodcol"], None, True)
+    def test_matches_the_public_checkers(self, instance, checks, epsilon, round0):
+        part, params = instance
+        g = sample_graph(part, params)
+        projector = recover_with_trace(g, part.s)[1][0].projector if round0 else None
+        got = run_checks(g, part, params, checks, epsilon, projector=projector)
+        assert_same_reports(got, oracle_checks(g, part, params, checks, epsilon))
+
+    def test_one_solve_of_the_graph_per_trial(self, monkeypatch):
+        cell = Cell(index=0, n=60, k=3, s=20, p=0.8, q=0.2)
+        eigh_sizes, eigvalsh_calls = [], []
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_sizes.append(len(a)) or eigh(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh_calls.append(len(a)) or eigvalsh(a))
+        run_trial(cell, seed=3, checks=KNOWN_CHECKS, epsilon=None, baseline=True)
+        # one per recovery round on the shrinking graph, none on E
+        assert eigh_sizes == [60, 40, 20]
+        # ||A - E||, ||P_A - P_E||, then the 7 cluster unions of the FK check
+        assert len(eigvalsh_calls) == 2 + 7
+
+    def test_report_order_ignores_the_order_asked(self):
+        part = make_partition(12, 4)
+        params = ModelParams(p=0.8, q=0.2, seed=5)
+        g = sample_graph(part, params)
+        forward = run_checks(g, part, params, KNOWN_CHECKS, None)
+        backward = run_checks(g, part, params, KNOWN_CHECKS[::-1], None)
+        assert [r.name for r in forward] == [r.name for r in backward]
+        assert [(r.lhs, r.rhs) for r in forward] == [(r.lhs, r.rhs) for r in backward]
+
+    def test_projector_of_the_wrong_rank_rejected(self):
+        part = make_partition(12, 4)
+        params = ModelParams(p=0.8, q=0.2, seed=5)
+        g = sample_graph(part, params)
+        with pytest.raises(DimensionMismatchError):
+            run_checks(g, part, params, ("proj",), None, projector=top_projector(g.dense(), 2))
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        part = make_partition(12, 4)
+        params = ModelParams(p=0.8, q=0.2, seed=5)
+        g = sample_graph(part, params)
+        with pytest.raises(EpsilonOutOfRangeError):
+            run_checks(g, part, params, ("conc",), epsilon)
+        with pytest.raises(ValueError, match="epsilon"):
+            ExperimentConfig.from_dict(
+                {"n": [12], "k": [3], "p": [0.8], "q": [0.2], "epsilon": epsilon}
+            )
 
 
 class TestRunGrid:

@@ -20,6 +20,7 @@ from plantrec.model import (
 )
 from plantrec.recovery import (
     CandidateSet,
+    PivotTrace,
     RecoveryResult,
     all_candidate_sets,
     candidate_set,
@@ -266,6 +267,23 @@ class TestIdentifyClusters:
         assert [t.rank for t in traces] == [5, 4, 3, 2, 1]
         seen = np.concatenate([np.asarray(c) for c in result.clusters])
         assert np.unique(seen).size == seen.size == 60
+
+    def test_traces_carry_each_rounds_projector(self):
+        part = make_partition(60, 12)
+        g = sample_graph(part, ModelParams(p=0.9, q=0.1, seed=9))
+        _, traces = recover_with_trace(g, 12)
+        assert [(t.projector.dim, t.projector.rank) for t in traces] == [
+            (60, 5), (48, 4), (36, 3), (24, 2), (12, 1)
+        ]
+        assert np.array_equal(traces[0].projector.basis, top_projector(g.dense(), 5).basis)
+
+    def test_trace_equality_and_hash_ignore_the_projector(self):
+        a = PivotTrace(level=0, rank=2, pivot=3, mass=1.5, projector=Projector(np.eye(4)[:, :2]))
+        b = PivotTrace(level=0, rank=2, pivot=3, mass=1.5, projector=Projector(np.eye(4)[:, 2:]))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert "projector" not in repr(a)
+        assert a != PivotTrace(level=0, rank=2, pivot=3, mass=2.5, projector=a.projector)
 
     def test_matches_maximum_likelihood_on_tiny_instances(self):
         # oracle: brute-force ML over all 35 balanced bipartitions of 8 vertices
