@@ -94,8 +94,8 @@ class Constants:
     def from_params(cls, p: float, q: float, c: float) -> "Constants":
         if not (0.0 <= q < p <= 1.0):
             raise ValueError(f"need 0 <= q < p <= 1, got p={p}, q={q}")
-        if c <= 0:
-            raise ValueError("c must be positive")
+        if not (math.isfinite(c) and c > 0):
+            raise ValueError(f"c must be finite and positive, got {c}")
         c_prime = (p - q) * c
         epsilon = 8.0 / (c_prime - 8.0) if c_prime > 16.0 else None
         sigma = max(math.sqrt(p * (1.0 - p)), math.sqrt(q * (1.0 - q)))

@@ -7,11 +7,13 @@ indicator vector the projector preserves best, and clean it up by taking the s
 vertices with the most neighbors inside it.  That cluster is removed and the
 round repeats on the rest.
 
-A round on m vertices with rank r = floor(m/s) costs one dense
-eigendecomposition plus O(m^2 r) ranking: the projector is kept as its m x r
-eigenvector basis V, its columns are formed a block at a time, each column's
-s-1 largest entries are found by partial selection, and a set's mass
-||P 1_W|| is computed as ||V^T 1_W||.
+A round on m vertices with rank r = floor(m/s) costs one solve for the top r
+eigenpairs (LAPACK dsyevr: a tridiagonal reduction, O(m^3), and r
+eigenvectors, with no m x m eigenvector matrix; see
+:func:`~plantrec.spectral.eigh_descending`) plus O(m^2 r) ranking: the
+projector is kept as its m x r eigenvector basis V, its columns are formed a
+block at a time, each column's s-1 largest entries are found by partial
+selection, and a set's mass ||P 1_W|| is computed as ||V^T 1_W||.
 
 All tie-breaks (column-entry ranking, pivot choice, neighbor counts) prefer
 the smaller vertex index, so runs are reproducible.  Masses within a relative

@@ -1,7 +1,14 @@
-"""Dense symmetric eigendecomposition, top-rank projectors, and matrix norms."""
+"""Dense symmetric eigendecomposition, top-rank projectors, and matrix norms.
+
+A solve for the top r eigenpairs calls LAPACK's ``dsyevr`` for those r
+only, through the LAPACK that numpy itself links (looked up once, at import,
+with ctypes).  Where numpy's LAPACK exports no ``dsyevr`` under a known name,
+it runs numpy's full ``eigh`` and keeps the top r.
+"""
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +49,8 @@ def _require_finite(a: np.ndarray) -> np.ndarray:
 class SpectralDecomposition:
     """Eigenvalues in descending order with aligned orthonormal eigenvectors.
 
-    `eigenvectors[:, i]` belongs to `eigenvalues[i]`; there may be fewer
-    eigenvectors than eigenvalues (the leading ones only).
+    `eigenvectors[:, i]` belongs to `eigenvalues[i]`: all m pairs of a full
+    solve, or the leading r of a rank-r one.
     """
 
     eigenvalues: np.ndarray
@@ -154,21 +161,113 @@ def projector_operand(p) -> Projector | _DenseOperator:
 
 
 def eigh_descending(a: np.ndarray, rank: int | None = None) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition, eigenvalues sorted descending.
+    """Symmetric eigendecomposition, eigenvalues sorted descending.
 
-    Deterministic for a fixed input: the order is the exact reverse of the
-    LAPACK ascending output, so degenerate eigenvalues keep a stable layout.
-    With `rank`, every eigenvalue is kept but only the top `rank`
-    eigenvectors are copied out of the solve.
+    Without `rank`, every eigenpair, from numpy's full ``eigh``: the order is
+    the exact reverse of the LAPACK ascending output, so degenerate
+    eigenvalues keep a stable layout.  With `rank`, only the top `rank`
+    eigenvalues and their eigenvectors, from LAPACK ``dsyevr`` (or the full
+    solve, sliced, where numpy's LAPACK has no ``dsyevr``).  Either way the
+    result is deterministic for a fixed input, LAPACK and BLAS thread count.
     """
     a = np.asarray(a)
     m = a.shape[0]
-    if rank is None:
-        rank = m
-    elif not 1 <= rank <= m:
+    if rank is not None and not 1 <= rank <= m:
         raise RankOutOfRangeError(f"rank must be in 1..{m}, got {rank}")
-    w, v = np.linalg.eigh(as_symmetric(_require_finite(a)))
-    return SpectralDecomposition(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1][:, :rank].copy())
+    a = as_symmetric(_require_finite(a))
+    if rank is None:
+        w, v = np.linalg.eigh(a)
+        return SpectralDecomposition(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
+    w, v = _solve_top(a, rank)
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+
+
+# numpy's LAPACK dsyevr as (function, Fortran integer type), tried in order:
+# numpy >= 2 wheels (scipy-openblas, 64-bit integers), numpy 1.2x wheels
+# (64-bit), then a distribution or conda LAPACK (32-bit).  dlsym on the handle
+# of numpy's own extension module also searches the libraries it links.
+_DSYEVR_SYMBOLS = (
+    ("scipy_dsyevr_64_", ctypes.c_int64),
+    ("dsyevr_64_", ctypes.c_int64),
+    ("dsyevr_", ctypes.c_int32),
+)
+
+
+def _dsyevr_argtypes(int_type) -> list:
+    integer, double = ctypes.POINTER(int_type), ctypes.POINTER(ctypes.c_double)
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+    integers = np.ctypeslib.ndpointer(int_type, flags="C_CONTIGUOUS,WRITEABLE")
+    return [
+        *[ctypes.c_char_p] * 3,  # JOBZ, RANGE, UPLO
+        integer, doubles, integer,  # N, A, LDA
+        double, double, integer, integer, double,  # VL, VU, IL, IU, ABSTOL
+        integer, doubles, doubles, integer, integers,  # M, W, Z, LDZ, ISUPPZ
+        doubles, integer, integers, integer, integer,  # WORK, LWORK, IWORK, LIWORK, INFO
+        *[ctypes.c_size_t] * 3,  # the hidden lengths of the three strings
+    ]
+
+
+def _resolve_dsyevr():
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name, int_type in _DSYEVR_SYMBOLS:
+        func = getattr(lib, name, None)
+        if func is not None:
+            func.argtypes = _dsyevr_argtypes(int_type)
+            func.restype = None
+            return func, int_type
+    return None
+
+
+_DSYEVR = _resolve_dsyevr()
+
+
+def _solve_top(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top `rank` eigenvalues (descending) and eigenvectors (m x rank, C
+    order) of the exactly symmetric float64 C-order matrix `a`, which the
+    solve may overwrite."""
+    if _DSYEVR is None:
+        w, v = np.linalg.eigh(a)
+        return w[::-1][:rank].copy(), v[:, ::-1][:, :rank].copy()
+    return _dsyevr(a, rank)
+
+
+def _dsyevr(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_solve_top` by LAPACK dsyevr with RANGE='I' (eigenvalues
+    m-rank+1..m of the ascending order).
+
+    `a` is symmetric, so its C-order buffer is also the column-major matrix
+    LAPACK expects; LAPACK destroys it.  Eigenvector j comes back as row j of
+    a rank x m array, which is column j of a column-major m x rank one.
+    """
+    func, int_type = _DSYEVR
+    m = a.shape[0]
+    dim, found, info = int_type(m), int_type(0), int_type(0)
+    # the most accurate bisection tolerance, 2 * LAPACK's safe minimum
+    abstol = ctypes.c_double(2.0 * np.finfo(np.float64).tiny)
+    unused = ctypes.c_double(0.0)  # VL, VU are not read with RANGE='I'
+    w = np.empty(m, dtype=np.float64)
+    z = np.empty((rank, m), dtype=np.float64)
+    isuppz = np.empty(2 * rank, dtype=int_type)
+
+    def call(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int) -> None:
+        func(
+            b"V", b"I", b"L", dim, a, dim, unused, unused,
+            int_type(m - rank + 1), int_type(m), abstol, found, w, z, dim, isuppz,
+            work, int_type(lwork), iwork, int_type(liwork), info, 1, 1, 1,
+        )
+        if info.value != 0:
+            raise np.linalg.LinAlgError(f"LAPACK dsyevr failed (info = {info.value})")
+
+    work, iwork = np.empty(1, dtype=np.float64), np.empty(1, dtype=int_type)
+    call(work, -1, iwork, -1)  # workspace query: the sizes come back in work[0], iwork[0]
+    lwork, liwork = int(work[0]), int(iwork[0])
+    call(np.empty(lwork, dtype=np.float64), lwork, np.empty(liwork, dtype=int_type), liwork)
+    if found.value != rank:
+        raise np.linalg.LinAlgError(f"LAPACK dsyevr found {found.value} of {rank} eigenpairs")
+    return w[rank - 1 :: -1].copy(), np.ascontiguousarray(z[::-1].T)
 
 
 def top_projector(a: np.ndarray, rank: int) -> Projector:

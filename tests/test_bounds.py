@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from plantrec import spectral
 from plantrec.bounds import (
     BoundReport,
     Constants,
@@ -69,6 +70,11 @@ class TestConstants:
     def test_epsilon_decreases_in_c(self):
         eps = [Constants.from_params(0.8, 0.2, c).epsilon for c in np.linspace(30, 300, 16)]
         assert all(a > b for a, b in zip(eps, eps[1:]))
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_c_must_be_finite_and_positive(self, c):
+        with pytest.raises(ValueError, match="c must be finite and positive"):
+            Constants.from_params(0.7, 0.2, c)
 
 
 class TestTheoreticalSpectrum:
@@ -190,10 +196,10 @@ class TestProjectorDeviation:
         expected = expectation_matrix(part, params)
         diff = top_projector(sampled, 3).matrix - top_projector(expected, 3).matrix
         instance_dev = spectral_norm(sampled - expected)
-        gap = float(eigh_descending(expected).eigenvalues[2]) - instance_dev
+        gap = float(eigh_descending(expected, 3).eigenvalues[2]) - instance_dev
         solves = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(a) or eigh(a))
+        solve_top = spectral._solve_top
+        monkeypatch.setattr(spectral, "_solve_top", lambda a, rank: solves.append(a) or solve_top(a, rank))
         spec, frob = check_projector_deviation(sampled, expected, 3)
         assert len(solves) == 2  # one of the sampled matrix, one of the expected
         assert spec.lhs == spectral_norm(diff)

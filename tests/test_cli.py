@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from plantrec import spectral
 from plantrec.cli import main
 from plantrec.experiment import KNOWN_CHECKS, run_checks
 from plantrec.io import read_graph, read_partition, write_reports_csv
@@ -149,29 +150,36 @@ class TestVerify:
 
     # checks that read no epsilon and no projector solve nothing but their norms
     @pytest.mark.parametrize(
-        "checks,epsilon,eigh_calls,eigvalsh_calls",
+        "checks,epsilon,top_calls,eigvalsh_calls",
         [("norm", "auto", 0, 1), ("fk", "auto", 0, 15), ("conc", "0.1", 0, 0),
          ("conc", "auto", 1, 1), ("norm,proj,goodcol", "auto", 1, 2)],
     )
     def test_solves_only_what_the_checks_read(
-        self, capsys, instance, monkeypatch, checks, epsilon, eigh_calls, eigvalsh_calls
+        self, capsys, instance, monkeypatch, checks, epsilon, top_calls, eigvalsh_calls
     ):
         graph, truth = instance
-        calls = {"eigh": 0, "eigvalsh": 0}
-        for name in calls:
-            solver = getattr(np.linalg, name)
+        calls = {"top": 0, "eigh": 0, "eigvalsh": 0}
 
-            def counted(a, solver=solver, name=name):
+        def counted(module, attr, name):
+            solver = getattr(module, attr)
+
+            def call(*args):
                 calls[name] += 1
-                return solver(a)
+                return solver(*args)
 
-            monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(module, attr, call)
+
+        counted(spectral, "_solve_top", "top")
+        counted(np.linalg, "eigh", "eigh")
+        counted(np.linalg, "eigvalsh", "eigvalsh")
         code, _, err = run_cli(
             capsys, "verify", "--graph", str(graph), "--truth", str(truth),
             "--p", "0.8", "--q", "0.2", "--checks", checks, "--epsilon", epsilon,
         )
         assert code == 0, err
-        assert calls == {"eigh": eigh_calls, "eigvalsh": eigvalsh_calls}
+        # a full solve runs only inside the top-r one, where LAPACK has no dsyevr
+        full_calls = 0 if spectral._DSYEVR else top_calls
+        assert calls == {"top": top_calls, "eigh": full_calls, "eigvalsh": eigvalsh_calls}
 
     def test_csv_is_the_pipelines_reports(self, capsys, instance, tmp_path):
         graph, truth = instance
@@ -288,3 +296,10 @@ class TestConstants:
     def test_degenerate_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "constants", "--p", "0.5", "--q", "0.5")
         assert code == 2
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf", "0", "-3"])
+    def test_non_finite_or_non_positive_c_exit_2(self, capsys, c):
+        code, out, err = run_cli(capsys, "constants", "--p", "0.7", "--q", "0.2", f"--c={c}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid input: c must be finite and positive")

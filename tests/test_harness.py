@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plantrec import bounds
+from plantrec import bounds, spectral
 from plantrec.baseline import baseline_common_neighbors
 from plantrec.errors import DimensionMismatchError, EpsilonOutOfRangeError, ZeroSizeError
 from plantrec.experiment import (
@@ -207,13 +207,18 @@ class TestRunChecks:
 
     def test_one_solve_of_the_graph_per_trial(self, monkeypatch):
         cell = Cell(index=0, n=60, k=3, s=20, p=0.8, q=0.2)
-        eigh_sizes, eigvalsh_calls = [], []
-        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        solve_sizes, eigh_sizes, eigvalsh_calls = [], [], []
+        solve_top, eigh, eigvalsh = spectral._solve_top, np.linalg.eigh, np.linalg.eigvalsh
+        monkeypatch.setattr(
+            spectral, "_solve_top", lambda a, rank: solve_sizes.append(len(a)) or solve_top(a, rank)
+        )
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_sizes.append(len(a)) or eigh(a))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh_calls.append(len(a)) or eigvalsh(a))
         run_trial(cell, seed=3, checks=KNOWN_CHECKS, epsilon=None, baseline=True)
-        # one per recovery round on the shrinking graph, none on E
-        assert eigh_sizes == [60, 40, 20]
+        # one top-r solve per recovery round on the shrinking graph, none on E
+        assert solve_sizes == [60, 40, 20]
+        # and no full solve, except inside the top-r solve where LAPACK has no dsyevr
+        assert eigh_sizes == ([] if spectral._DSYEVR else solve_sizes)
         # ||A - E||, ||P_A - P_E||, then the 7 cluster unions of the FK check
         assert len(eigvalsh_calls) == 2 + 7
 

@@ -1,6 +1,11 @@
+import ctypes
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from plantrec import spectral
 from plantrec.errors import NonFiniteError, RankOutOfRangeError
 from plantrec.model import ModelParams, make_partition, expectation_matrix, sample_graph, true_cluster_matrix
 from plantrec.spectral import (
@@ -74,10 +79,14 @@ class TestEighDescending:
         assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
 
     def test_rank_keeps_leading_eigenvectors_only(self):
+        # the top 4 eigenpairs only, equal to the full solve's leading ones up
+        # to rounding (eigenvalues) and sign (eigenvectors: distinct eigenvalues)
         a = random_symmetric(25, 3)
         full, top = eigh_descending(a), eigh_descending(a, 4)
-        assert np.array_equal(top.eigenvalues, full.eigenvalues)
-        assert np.array_equal(top.eigenvectors, full.eigenvectors[:, :4])
+        assert top.eigenvalues.shape == (4,) and top.eigenvectors.shape == (25, 4)
+        assert np.abs(top.eigenvalues - full.eigenvalues[:4]).max() <= 1e-12
+        overlaps = np.abs((top.eigenvectors * full.eigenvectors[:, :4]).sum(axis=0))
+        assert np.abs(overlaps - 1.0).max() <= 1e-12
         with pytest.raises(RankOutOfRangeError):
             eigh_descending(a, 26)
 
@@ -85,13 +94,20 @@ class TestEighDescending:
 class TestTopProjector:
     @pytest.mark.parametrize("m,rank", [(40, 3), (97, 12), (60, 60)])
     def test_matrix_is_symmetrized_outer_product_of_full_solve(self, m, rank):
-        # the bound checks read .matrix; it must match the projector built
-        # from the leading columns of the full eigendecomposition bit for bit
+        # the bound checks read .matrix: bit for bit the symmetrized V V^T of
+        # the rank-r solve's basis, and within rounding of the projector built
+        # from the leading columns of numpy's full eigendecomposition
         a = random_symmetric(m, rank)
-        v = eigh_descending(a).eigenvectors[:, :rank]
+        dec = eigh_descending(a, rank)
+        v = dec.eigenvectors
         p = top_projector(a, rank)
         assert (p.dim, p.rank) == (m, rank)
+        assert np.array_equal(p.basis, v)
         assert np.array_equal(p.matrix, as_symmetric(v @ v.T))
+        w_full, v_full = np.linalg.eigh(a)
+        w_full, v_full = w_full[::-1][:rank], v_full[:, ::-1][:, :rank]
+        assert np.abs(dec.eigenvalues - w_full).max() <= 1e-12
+        assert np.abs(p.matrix - v_full @ v_full.T).max() <= 1e-12
 
     def test_full_rank_is_identity(self):
         a = random_symmetric(6, 0)
@@ -128,6 +144,105 @@ class TestTopProjector:
         assert abs(np.trace(p) - rank) <= 1e-6
         eigs = np.linalg.eigvalsh(p)
         assert (np.minimum(np.abs(eigs), np.abs(eigs - 1)) <= 1e-8).all()
+
+
+@st.composite
+def partial_solve_cases(draw):
+    """A symmetric matrix and a rank: Gaussian, 0/1 adjacency, an expected
+    matrix E (repeated eigenvalues; p = 1 with q = 0 among them), zero,
+    identity or complete graph; the rank is 1, m - 1, m or any in between."""
+    kind = draw(st.sampled_from(["gaussian", "adjacency", "expected", "zero", "identity", "complete"]))
+    if kind == "expected":
+        s, k = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+        p, q = draw(st.sampled_from([(1.0, 0.0), (0.7, 0.3), (0.5, 0.0), (0.9, 0.1)]))
+        a = expectation_matrix(make_partition(s * k, s), ModelParams(p=p, q=q, seed=0))
+    else:
+        m = draw(st.integers(1, 24))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "gaussian":
+            a = as_symmetric(rng.standard_normal((m, m)))
+        elif kind == "adjacency":
+            upper = np.triu(rng.random((m, m)) < draw(st.sampled_from([0.1, 0.5, 0.9])), 1)
+            a = (upper | upper.T).astype(np.float64)
+        else:
+            a = {"zero": np.zeros((m, m)), "identity": np.eye(m), "complete": 1.0 - np.eye(m)}[kind]
+    m = a.shape[0]
+    rank = draw(st.sampled_from([1, max(1, m - 1), m]) | st.integers(1, m))
+    return a, rank
+
+
+def assert_matches_full_solve(dec, a, rank):
+    """Eigenvalues within 1e-12 * max(1, ||a||) of numpy's full solve, an
+    orthonormal basis, and the full solve's projector wherever the rank-th
+    eigenvalue is separated from the next one."""
+    m = a.shape[0]
+    w_full, v_full = np.linalg.eigh(as_symmetric(a))
+    w_full, v_full = w_full[::-1], v_full[:, ::-1]
+    scale = max(1.0, float(np.abs(w_full).max()))
+    assert dec.eigenvalues.shape == (rank,) and dec.eigenvectors.shape == (m, rank)
+    assert np.abs(dec.eigenvalues - w_full[:rank]).max() <= 1e-12 * scale
+    v = dec.eigenvectors
+    assert np.abs(v.T @ v - np.eye(rank)).max() <= 1e-12
+    # a gap within rounding of zero is a repeated eigenvalue: no unique projector
+    gap = w_full[rank - 1] - w_full[rank] if rank < m else np.inf
+    if gap > 1e-6 * scale:
+        top = v_full[:, :rank]
+        assert np.abs(v @ v.T - top @ top.T).max() <= 1e-12 * scale / min(gap, scale)
+
+
+class TestPartialSolve:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(partial_solve_cases())
+    def test_agrees_with_full_solve(self, case):
+        a, rank = case
+        assert_matches_full_solve(eigh_descending(a, rank), a, rank)
+
+    def test_two_calls_give_identical_bases(self):
+        part = make_partition(200, 40)
+        a = sample_graph(part, ModelParams(p=0.7, q=0.3, seed=2)).dense()
+        d1, d2 = eigh_descending(a, 5), eigh_descending(a, 5)
+        assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
+        assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+
+    def test_non_finite_rejected_before_the_solve(self, monkeypatch):
+        def solve(a, rank):
+            raise AssertionError("solver reached")
+
+        monkeypatch.setattr(spectral, "_solve_top", solve)
+        a = np.eye(3)
+        a[2, 2] = np.nan
+        with pytest.raises(NonFiniteError):
+            eigh_descending(a, 2)
+
+    @pytest.mark.parametrize("rank", [1, 7, 29, 30])
+    def test_fallback_is_the_sliced_full_solve(self, monkeypatch, rank):
+        # where no dsyevr resolves: numpy's full solve, sliced, which the
+        # kernel matches within the property test's tolerance
+        a = random_symmetric(30, rank)
+        kernel = eigh_descending(a, rank)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda x: calls.append(len(x)) or eigh(x))
+        monkeypatch.setattr(spectral, "_DSYEVR", None)
+        fallback = eigh_descending(a, rank)
+        assert calls == [30]
+        w, v = eigh(a)
+        assert np.array_equal(fallback.eigenvalues, w[::-1][:rank])
+        assert np.array_equal(fallback.eigenvectors, v[:, ::-1][:, :rank])
+        assert_matches_full_solve(kernel, a, rank)
+
+    @pytest.mark.parametrize("info,found,message", [(2, 4, "info = 2"), (0, 3, "found 3 of 4")])
+    def test_lapack_failure_raises_linalg_error(self, monkeypatch, info, found, message):
+        # a stand-in for dsyevr, given JOBZ, RANGE, UPLO, N, A, LDA, VL, VU,
+        # IL, IU, ABSTOL, M, W, Z, LDZ, ISUPPZ, WORK, LWORK, IWORK, LIWORK,
+        # INFO and the three string lengths as the kernel passes them
+        def fake(*args):
+            args[16][0], args[18][0] = 1.0, 1  # workspace sizes
+            args[11].value, args[20].value = found, info
+
+        monkeypatch.setattr(spectral, "_DSYEVR", (fake, ctypes.c_int64))
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            eigh_descending(random_symmetric(10, 0), 4)
 
 
 class TestNorms:
