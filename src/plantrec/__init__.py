@@ -47,6 +47,7 @@ from .spectral import (
     Projector,
     SpectralDecomposition,
     eigh_descending,
+    eigvals_descending,
     frobenius_norm,
     projector_column_mass,
     spectral_norm,

@@ -33,6 +33,7 @@ from .recovery import all_candidate_sets, select_pivot
 from .spectral import (
     Projector,
     eigh_descending,
+    eigvals_descending,
     frobenius_norm,
     projector_operand,
     spectral_norm,
@@ -162,7 +163,7 @@ def check_separation(
     m = sampled.shape[0]
     if not 1 <= l <= m:
         raise DimensionMismatchError(f"l must be in 1..{m}, got {l}")
-    w = eigh_descending(sampled).eigenvalues
+    w = eigvals_descending(sampled)
     root_m = math.sqrt(m)
     lower = (constants.c_prime - 8.0) * root_m
     ctx = dict(context)
@@ -388,8 +389,8 @@ def check_fk_submatrices(
 def check_weyl(a: np.ndarray, b: np.ndarray, **context) -> BoundReport:
     """Worst eigenvalue displacement between a and b against ||a - b||_2."""
     a, b = _require_same_shape(a, b)
-    wa = eigh_descending(a).eigenvalues
-    wb = eigh_descending(b).eigenvalues
+    wa = eigvals_descending(a)
+    wb = eigvals_descending(b)
     return BoundReport.of(
         "weyl", float(np.abs(wa - wb).max()), spectral_norm(a - b), **context
     )

@@ -38,6 +38,7 @@ from .model import (
     expectation_matrix,
     make_partition,
     permute_partition,
+    require_adjacency_memory,
     sample_graph,
     true_cluster_matrix,
 )
@@ -153,6 +154,7 @@ class ExperimentConfig:
         out = []
         index = 0
         for n in self.ns:
+            require_adjacency_memory(n, f"config n = {n}")
             divisors = self.ks if self.ks is not None else self.ss
             for d in divisors:
                 if d < 1 or n % d != 0:
@@ -208,7 +210,7 @@ def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
     on noiseless instances); it is resolved only when conc or goodcol runs,
     and taken from the proj report when proj runs.
 
-    `projector`, when given, must be the rank-k projector of `g.dense()`,
+    `projector`, when given, must be the rank-k projector of `g.adj`,
     such as recovery's round 0 (`traces[0].projector`); without it the graph
     is solved once, and only when proj, goodcol or a measured epsilon needs
     it.  The expected side is taken in closed form: P_k(E) = Z Z^T / s and
@@ -233,7 +235,7 @@ def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
     }
     measure_epsilon = epsilon is None and bool({"conc", "goodcol"} & checks)
     if projector is None and ({"proj", "goodcol"} & checks or measure_epsilon):
-        projector = top_projector(g.dense(), k)
+        projector = top_projector(g.adj, k)
     if "proj" in checks or measure_epsilon:
         expected_projector = Projector(basis=np.eye(k)[part.assignment] / math.sqrt(s))
 

@@ -16,12 +16,11 @@ Reports:    CSV with columns name,lhs,rhs,satisfied,n,k,s,p,q,seed,J_or_S.
 from __future__ import annotations
 
 import csv
-import os
 from io import BytesIO
 
 import numpy as np
 
-from .model import Graph, PlantedPartition
+from .model import Graph, PlantedPartition, require_adjacency_memory
 
 __all__ = [
     "write_graph",
@@ -110,14 +109,7 @@ def _graph_header(line: str) -> tuple[int, int]:
     n, m = int(parts[0]), int(parts[1])
     if m > n * (n - 1) // 2:
         raise ValueError(f"graph header: m = {m} exceeds n(n-1)/2 = {n * (n - 1) // 2}")
-    try:
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, OSError, ValueError):  # the platform does not say
-        memory = None
-    if memory is not None and n * n > memory:
-        raise ValueError(
-            f"graph header: the {n} x {n} adjacency needs {n * n} bytes, over the {memory} of physical memory"
-        )
+    require_adjacency_memory(n, "graph header")
     return n, m
 
 

@@ -4,11 +4,14 @@ A model instance places n = k*s vertices into k hidden clusters of size s and
 draws each edge independently: probability p inside a cluster, q across.
 Sampling is counter-based (Philox), with the draw for a vertex pair addressed
 purely by (seed, i, j), so any induced subgraph of one sample can be replayed
-without generating the rest of the graph.
+without generating the rest of the graph.  The sampler builds the adjacency
+one column at a time and holds only the n x n bytes plus O(n); an n whose
+adjacency exceeds physical memory is rejected before anything is allocated.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,7 @@ __all__ = [
     "true_cluster_matrix",
     "principal_submatrix",
     "permute_partition",
+    "require_adjacency_memory",
 ]
 
 _SEED_MAX = 2**64
@@ -135,33 +139,57 @@ def permute_partition(part: PlantedPartition, perm: np.ndarray) -> PlantedPartit
     return PlantedPartition(assignment=assignment, k=part.k, s=part.s)
 
 
-def _pair_index(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    # Column-major upper-triangle numbering: depends on (i, j) only, not on n,
-    # which is what makes induced subgraphs replayable.
-    return j * (j - 1) // 2 + i
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
 
 
-def _uniform_stream(seed: int, count: int) -> np.ndarray:
-    """First `count` uniforms of the pair-draw stream for `seed`."""
-    if count == 0:
-        return np.empty(0, dtype=np.float64)
-    raw = np.random.Philox(key=np.uint64(seed)).random_raw(count)
-    return (raw >> np.uint64(11)) * 2.0**-53
+def require_adjacency_memory(n: int, where: str) -> None:
+    """Raise ValueError, naming `where`, if an n x n byte adjacency would not
+    fit in physical memory; call it before anything of size n is allocated."""
+    memory = _physical_memory()
+    if memory is not None and n * n > memory:
+        raise ValueError(
+            f"{where}: the {n} x {n} adjacency needs {n * n} bytes, over the {memory} of physical memory"
+        )
 
 
 def _sample_adjacency(part: PlantedPartition, params: ModelParams, vertices: np.ndarray) -> np.ndarray:
+    """The sample's adjacency on the ascending original ids `vertices`, one
+    column at a time.
+
+    The draw for the pair i < j is number j(j-1)/2 + i of the Philox stream
+    keyed by the seed (column-major upper-triangle order, which does not
+    depend on n).  Column j reads the stretch from its first pair to its last
+    earlier selected vertex, keeps the draws at the earlier selected
+    vertices, and writes row j and column j.  Where that stretch does not
+    continue the previous one, the stream is positioned by advancing its
+    counter (one step is 4 raw draws) and skipping the remainder, so no
+    unneeded prefix is generated; memory is the m x m bytes plus O(j).
+    """
     m = vertices.size
+    require_adjacency_memory(m, "sample")
     adj = np.zeros((m, m), dtype=np.uint8)
-    if m < 2:
-        return adj
-    iu, ju = np.triu_indices(m, k=1)
-    orig_i, orig_j = vertices[iu], vertices[ju]
-    draws = _uniform_stream(params.seed, int(_pair_index(orig_i[-1], orig_j[-1])) + 1)
-    u = draws[_pair_index(orig_i, orig_j)]
-    same = part.assignment[orig_i] == part.assignment[orig_j]
-    edge = u < np.where(same, params.p, params.q)
-    adj[iu, ju] = edge
-    adj[ju, iu] = edge
+    labels = part.assignment[vertices]
+    key = np.uint64(params.seed)
+    position = None  # stream position after the previous column's read
+    for b in range(1, m):
+        j, earlier = int(vertices[b]), vertices[:b]
+        start = j * (j - 1) // 2
+        if start != position:
+            stream = np.random.Philox(key=key)
+            stream.advance(start // 4)
+            stream.random_raw(start % 4)
+        count = int(earlier[-1]) + 1
+        raw = stream.random_raw(count)[earlier]
+        position = start + count
+        u = (raw >> np.uint64(11)) * 2.0**-53
+        edge = u < np.where(labels[:b] == labels[b], params.p, params.q)
+        adj[b, :b] = edge
+        adj[:b, b] = edge
     return adj
 
 

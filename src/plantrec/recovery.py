@@ -10,7 +10,8 @@ round repeats on the rest.
 A round on m vertices with rank r = floor(m/s) costs one solve for the top r
 eigenpairs (LAPACK dsyevr: a tridiagonal reduction, O(m^3), and r
 eigenvectors, with no m x m eigenvector matrix; see
-:func:`~plantrec.spectral.eigh_descending`) plus O(m^2 r) ranking: the
+:func:`~plantrec.spectral.eigh_descending`) on one m x m float64 copy of the
+remaining uint8 adjacency, plus O(m^2 r) ranking: the
 projector is kept as its m x r eigenvector basis V, its columns are formed a
 block at a time, each column's s-1 largest entries are found by partial
 selection, and a set's mass ||P 1_W|| is computed as ||V^T 1_W||.
@@ -201,7 +202,7 @@ def recover_with_trace(g: Graph, s: int) -> tuple[RecoveryResult, list[PivotTrac
     level = 0
     while active.size // s >= 1:
         rank = active.size // s
-        p_hat = top_projector(adj.astype(np.float64), rank)
+        p_hat = top_projector(adj, rank)
         sets = all_candidate_sets(p_hat, s)
         j_star = select_pivot(p_hat, sets)
         members = _extract(adj, sets[j_star].members, s)

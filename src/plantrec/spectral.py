@@ -4,6 +4,11 @@ A solve for the top r eigenpairs calls LAPACK's ``dsyevr`` for those r
 only, through the LAPACK that numpy itself links (looked up once, at import,
 with ctypes).  Where numpy's LAPACK exports no ``dsyevr`` under a known name,
 it runs numpy's full ``eigh`` and keeps the top r.
+
+Such a solve makes one m x m float64 copy of its input, which LAPACK
+overwrites: an integer or bool matrix (a graph's uint8 adjacency) that
+equals its transpose is converted straight into it, and any other matrix is
+copied, checked finite and symmetrized only if it is not exactly symmetric.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ __all__ = [
     "Projector",
     "as_symmetric",
     "eigh_descending",
+    "eigvals_descending",
     "top_projector",
     "spectral_norm",
     "frobenius_norm",
@@ -43,6 +49,27 @@ def _require_finite(a: np.ndarray) -> np.ndarray:
     if not np.isfinite(a).all():
         raise NonFiniteError("matrix has non-finite entries")
     return a
+
+
+def _finite_symmetric(a: np.ndarray, private: bool) -> np.ndarray:
+    """Square `a` as a finite, exactly symmetric C-order float64 matrix.
+
+    With `private` the result is a new array, which the caller may
+    overwrite; otherwise it may be `a` itself.  An integer or bool `a` equal
+    to its transpose (compared in its own dtype) cannot be non-finite, so
+    its conversion is the result.  Any other `a` is checked finite and, if
+    not exactly symmetric, replaced by :func:`as_symmetric` of it; as
+    (x + x) / 2 = x, the values are as_symmetric's either way.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    if a.dtype.kind in "biu" and (a == a.T).all():
+        return a.astype(np.float64, order="C")
+    a = (np.array if private else np.asarray)(a, dtype=np.float64, order="C")
+    if not np.isfinite(a).all():
+        raise NonFiniteError("matrix has non-finite entries")
+    return a if (a == a.T).all() else as_symmetric(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,19 +194,26 @@ def eigh_descending(a: np.ndarray, rank: int | None = None) -> SpectralDecomposi
     the exact reverse of the LAPACK ascending output, so degenerate
     eigenvalues keep a stable layout.  With `rank`, only the top `rank`
     eigenvalues and their eigenvectors, from LAPACK ``dsyevr`` (or the full
-    solve, sliced, where numpy's LAPACK has no ``dsyevr``).  Either way the
-    result is deterministic for a fixed input, LAPACK and BLAS thread count.
+    solve, sliced, where numpy's LAPACK has no ``dsyevr``), on one float64
+    copy of `a`, which may be an integer or bool matrix such as a graph's
+    adjacency.  Either way the result is deterministic for a fixed input,
+    LAPACK and BLAS thread count.
     """
     a = np.asarray(a)
     m = a.shape[0]
     if rank is not None and not 1 <= rank <= m:
         raise RankOutOfRangeError(f"rank must be in 1..{m}, got {rank}")
-    a = as_symmetric(_require_finite(a))
-    if rank is None:
-        w, v = np.linalg.eigh(a)
+    if rank is None:  # numpy's eigh solves a copy of its own
+        w, v = np.linalg.eigh(_finite_symmetric(a, private=False))
         return SpectralDecomposition(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
-    w, v = _solve_top(a, rank)
+    w, v = _solve_top(_finite_symmetric(a, private=True), rank)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+
+
+def eigvals_descending(a: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, descending, with no eigenvectors
+    (numpy's ``eigvalsh``); validated as :func:`eigh_descending` validates."""
+    return np.linalg.eigvalsh(_finite_symmetric(a, private=False))[::-1].copy()
 
 
 # numpy's LAPACK dsyevr as (function, Fortran integer type), tried in order:
@@ -277,11 +311,8 @@ def top_projector(a: np.ndarray, rank: int) -> Projector:
 
 def spectral_norm(a: np.ndarray) -> float:
     """Largest absolute eigenvalue of a symmetric matrix."""
-    a = _require_finite(a)
-    if a.shape[0] == 0:
-        return 0.0
-    w = np.linalg.eigvalsh(as_symmetric(a))
-    return float(max(abs(w[0]), abs(w[-1])))
+    w = eigvals_descending(a)
+    return float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
 
 
 def frobenius_norm(a: np.ndarray) -> float:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import plantrec.model
 from plantrec import spectral
 from plantrec.cli import main
 from plantrec.experiment import KNOWN_CHECKS, run_checks
@@ -263,6 +264,64 @@ class TestExperiment:
         cfg.write_text(json.dumps({"n": [8], "k": [2], "p": [0.9], "q": [0.1]}))
         code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg))
         assert code == 2
+
+
+class TestAdjacencyOverMemory:
+    """An n whose n x n byte adjacency exceeds physical memory is invalid
+    input, rejected before anything of size n is allocated: with 8 GiB of
+    memory, n = 200000 (40 GB); with any memory, n = 10^8 (10^16 bytes)."""
+
+    @pytest.fixture()
+    def eight_gib(self, monkeypatch):
+        monkeypatch.setattr(plantrec.model, "_physical_memory", lambda: 8 * 2**30)
+
+    @pytest.fixture()
+    def nothing_allocated(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("reached past the memory check")
+
+        for name in ("plantrec.cli.make_partition", "plantrec.cli.run_grid"):
+            monkeypatch.setattr(name, fail)
+
+    @staticmethod
+    def assert_one_invalid_input_line(err):
+        assert err.startswith("invalid input: ")
+        assert err.count("\n") == 1
+        assert "adjacency needs" in err
+
+    @pytest.mark.parametrize("n", [200_000, 10**8])
+    def test_generate_exit_2(self, capsys, tmp_path, eight_gib, nothing_allocated, n):
+        code, _, err = run_cli(
+            capsys, "generate", "--n", str(n), "--s", "1000", "--p", "0.7", "--q", "0.3",
+            "--out", str(tmp_path / "g"), "--truth", str(tmp_path / "t"),
+        )
+        assert code == 2
+        self.assert_one_invalid_input_line(err)
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("n", [200_000, 10**8])
+    def test_experiment_config_exit_2(self, capsys, tmp_path, eight_gib, nothing_allocated, n):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": [800, n], "s": [200], "p": [0.7], "q": [0.3]}))
+        out_dir = tmp_path / "o"
+        code, _, err = run_cli(capsys, "experiment", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 2
+        self.assert_one_invalid_input_line(err)
+        assert f"config n = {n}" in err
+        assert not out_dir.exists()
+
+    def test_within_memory_still_runs(self, capsys, tmp_path, monkeypatch):
+        # the limit is n^2 bytes against the reported memory, nothing more
+        monkeypatch.setattr(plantrec.model, "_physical_memory", lambda: 12 * 12)
+        code, _, err = run_cli(
+            capsys, "generate", "--n", "12", "--s", "4", "--p", "0.7", "--q", "0.3",
+            "--out", str(tmp_path / "g"), "--truth", str(tmp_path / "t"),
+        )
+        assert code == 0, err
+        monkeypatch.setattr(plantrec.model, "_physical_memory", lambda: 12 * 12 - 1)
+        code, _, err = run_cli(capsys, "recover", "--graph", str(tmp_path / "g"), "--s", "4")
+        assert code == 2
+        assert err.startswith("invalid input: graph header: the 12 x 12 adjacency needs 144 bytes")
 
 
 class TestConstants:

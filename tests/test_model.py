@@ -1,6 +1,12 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import plantrec.model
 from plantrec.errors import EmptySetError, NonDivisibleError, ZeroSizeError
 from plantrec.model import (
     Graph,
@@ -14,6 +20,43 @@ from plantrec.model import (
     sample_induced,
     true_cluster_matrix,
 )
+
+
+def _reference_sample_adjacency(part, params, vertices) -> np.ndarray:
+    """The sampler's definition over the whole upper triangle at once: the
+    stream's first draws up to the last selected pair, gathered by pair index
+    j(j-1)/2 + i (test oracle; about 33 bytes per vertex pair)."""
+    m = vertices.size
+    adj = np.zeros((m, m), dtype=np.uint8)
+    if m < 2:
+        return adj
+    iu, ju = np.triu_indices(m, k=1)
+    orig_i, orig_j = vertices[iu], vertices[ju]
+    pair = orig_j * (orig_j - 1) // 2 + orig_i
+    raw = np.random.Philox(key=np.uint64(params.seed)).random_raw(int(pair[-1]) + 1)
+    u = ((raw >> np.uint64(11)) * 2.0**-53)[pair]
+    same = part.assignment[orig_i] == part.assignment[orig_j]
+    edge = u < np.where(same, params.p, params.q)
+    adj[iu, ju] = edge
+    adj[ju, iu] = edge
+    return adj
+
+
+@st.composite
+def sampler_cases(draw):
+    """A shuffled partition with n = k*s in 0..60, model parameters (p = 1
+    with q = 0 among them; seeds 0, 2^64 - 1 or any), and a vertex list that
+    may be unsorted, repeat ids or hold one id."""
+    s = draw(st.integers(1, 12))
+    k = draw(st.integers(0, 60 // s))
+    n = k * s
+    part = make_partition(n, s)
+    if n:
+        part = permute_partition(part, np.asarray(draw(st.permutations(range(n))), dtype=np.int64))
+    p, q = draw(st.sampled_from([(1.0, 0.0), (0.7, 0.3), (0.5, 0.1), (0.05, 0.0), (1.0, 0.99)]))
+    seed = draw(st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1))
+    vertices = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)) if n else []
+    return part, ModelParams(p=p, q=q, seed=seed), vertices
 
 
 class TestMakePartition:
@@ -92,6 +135,71 @@ class TestSampleGraph:
         band = 3.0 * np.sqrt(probs * (1 - probs) / n_rep)
         off = ~np.eye(12, dtype=bool)
         assert (np.abs(freq - probs)[off] <= band[off]).all()
+
+
+class TestSamplerOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(sampler_cases())
+    def test_column_sampler_equals_whole_triangle_definition(self, case):
+        part, params, vertices = case
+        g = sample_graph(part, params)
+        assert np.array_equal(g.adj, _reference_sample_adjacency(part, params, np.arange(part.n)))
+        if vertices:
+            replay = sample_induced(part, params, np.array(vertices))
+            chosen = np.unique(vertices)
+            assert np.array_equal(replay.adj, _reference_sample_adjacency(part, params, chosen))
+            assert np.array_equal(replay.adj, g.adj[np.ix_(chosen, chosen)])
+
+    def test_golden_hash(self):
+        # pins numpy's Philox stream and the pair numbering: a change in
+        # either changes every sample
+        g = sample_graph(make_partition(500, 100), ModelParams(p=0.7, q=0.3, seed=2015))
+        digest = hashlib.sha256(np.packbits(g.adj).tobytes()).hexdigest()
+        assert digest == "aad24c8e263b82e424f50448a16b301d4e22ef098d507a1ec622845540193587"
+        assert g.edge_count == 47276
+
+    def test_replay_reads_only_the_columns_it_needs(self):
+        # two vertices near n = 10^5 need one pair draw: the stream is
+        # advanced to it, not generated from the start (about 5e9 draws)
+        part = PlantedPartition(assignment=np.repeat(np.arange(2), 50_000), k=2, s=50_000)
+        params = ModelParams(p=0.7, q=0.3, seed=9)
+        replay = sample_induced(part, params, np.array([99_998, 99_999]))
+        start = 99_999 * 99_998 // 2 + 99_998
+        stream = np.random.Philox(key=np.uint64(9))
+        stream.advance(start // 4)
+        u = (stream.random_raw(start % 4 + 1)[-1] >> np.uint64(11)) * 2.0**-53
+        assert replay.adj[0, 1] == replay.adj[1, 0] == (u < 0.7)
+
+    def test_sample_graph_memory_is_the_adjacency(self):
+        # n^2 bytes of adjacency plus Graph's n^2-byte symmetry check, and
+        # O(n) per column; the whole-triangle sampler takes about 33 n^2
+        n = 800
+        part = make_partition(n, 200)
+        params = ModelParams(p=0.7, q=0.3, seed=4)
+        sample_graph(make_partition(4, 2), params)  # first use imports numpy.random
+        tracemalloc.start()
+        try:
+            sample_graph(part, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n + 64 * n
+
+    def test_adjacency_over_physical_memory_rejected_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(plantrec.model, "_physical_memory", lambda: 10**6)
+        part = make_partition(2000, 1000)
+        params = ModelParams(p=0.7, q=0.3, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="adjacency needs 4000000 bytes"):
+                sample_graph(part, params)
+            with pytest.raises(ValueError, match="adjacency needs"):
+                sample_induced(part, params, np.arange(1500))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+        assert sample_induced(part, params, np.arange(1000)).n == 1000
 
 
 class TestExpectationAndClusterMatrix:

@@ -1,4 +1,5 @@
 import ctypes
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from plantrec.model import ModelParams, make_partition, expectation_matrix, samp
 from plantrec.spectral import (
     as_symmetric,
     eigh_descending,
+    eigvals_descending,
     frobenius_norm,
     projector_column_mass,
     spectral_norm,
@@ -243,6 +245,84 @@ class TestPartialSolve:
         monkeypatch.setattr(spectral, "_DSYEVR", (fake, ctypes.c_int64))
         with pytest.raises(np.linalg.LinAlgError, match=message):
             eigh_descending(random_symmetric(10, 0), 4)
+
+
+def _graph_adjacency(m: int, seed: int) -> np.ndarray:
+    upper = np.triu(np.random.default_rng(seed).random((m, m)) < 0.4, 1)
+    return (upper | upper.T).astype(np.uint8)
+
+
+def assert_same_decomposition(got, want):
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert np.array_equal(got.eigenvectors, want.eigenvectors)
+
+
+class TestOneCopy:
+    """The solve converts a symmetric integer or bool matrix straight into its
+    one float64 copy and symmetrizes other input only when needed: the
+    result is bit for bit that of the float64 path (an exactly symmetric
+    float matrix) and of the as_symmetric copy the solve once always made."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int64])
+    @pytest.mark.parametrize("rank", [1, 20, 40, None])
+    def test_integer_and_bool_input_equals_the_float_path(self, dtype, rank):
+        adj = _graph_adjacency(40, 3)
+        want = eigh_descending(adj.astype(np.float64), rank)
+        assert_same_decomposition(eigh_descending(adj.astype(dtype), rank), want)
+        if rank is not None:
+            w, v = spectral._solve_top(as_symmetric(adj), rank)
+            assert_same_decomposition(want, spectral.SpectralDecomposition(w, v))
+
+    @pytest.mark.parametrize("kind", ["int", "float"])
+    @pytest.mark.parametrize("rank", [1, 9, 17, None])
+    def test_non_symmetric_input_equals_the_as_symmetric_path(self, kind, rank):
+        rng = np.random.default_rng(11)
+        a = rng.integers(-5, 6, (17, 17)) if kind == "int" else rng.standard_normal((17, 17))
+        assert not np.array_equal(a, a.T)
+        assert_same_decomposition(eigh_descending(a, rank), eigh_descending(as_symmetric(a), rank))
+        assert np.array_equal(eigvals_descending(a), eigvals_descending(as_symmetric(a)))
+
+    def test_input_is_left_unchanged(self):
+        a = random_symmetric(12, 4)
+        before = a.copy()
+        eigh_descending(a, 3)
+        eigh_descending(a.T, 3)  # an F-order view of the same buffer
+        assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("rank", [2, None])
+    def test_non_finite_input_raises(self, bad, symmetric, rank):
+        a = random_symmetric(6, 1)
+        a[1, 4] = bad
+        if symmetric:
+            a[4, 1] = bad
+        with pytest.raises(NonFiniteError):
+            eigh_descending(a, rank)
+        with pytest.raises(NonFiniteError):
+            eigvals_descending(a)
+        with pytest.raises(NonFiniteError):
+            spectral_norm(a)
+
+    def test_values_only_solve_is_eigvalsh_descending(self):
+        a = random_symmetric(30, 8)
+        w = eigvals_descending(a)
+        assert np.array_equal(w, np.linalg.eigvalsh(a)[::-1])
+        assert np.abs(w - eigh_descending(a).eigenvalues).max() <= 1e-12 * np.abs(w).max()
+
+    def test_rank_solve_of_uint8_holds_one_float_copy(self):
+        # one 8 m^2 float64 copy and the m^2-byte symmetry check; the solve
+        # once also held an as_symmetric copy and its caller's astype copy
+        m = 600
+        adj = _graph_adjacency(m, 5)
+        eigh_descending(adj[:20, :20], 2)  # warm up: lazy imports and first-call caches
+        tracemalloc.start()
+        try:
+            eigh_descending(adj, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * m * m
 
 
 class TestNorms:
