@@ -36,7 +36,6 @@ from .recovery import (
     CandidateSet,
     RecoveryResult,
     all_candidate_sets,
-    candidate_set,
     extract_cluster,
     identify_clusters,
     recover_with_trace,
@@ -48,7 +47,6 @@ from .spectral import (
     SpectralDecomposition,
     eigh_descending,
     eigvals_descending,
-    frobenius_norm,
     projector_column_mass,
     spectral_norm,
     top_projector,

@@ -11,7 +11,9 @@ projector-deviation reports are built by one private core from their inputs
 :func:`check_projector_deviation` and :func:`empirical_epsilon` solve both
 matrices numerically and call it, while
 :func:`plantrec.experiment.run_checks` calls it with recovery's round-0
-projector and the expected side in closed form.
+projector and the expected side in closed form.  ||P_A - P_E|| is read from
+the principal angles between the two m x l bases (Davis-Kahan's sin theta),
+in O(m l^2); no m x m projector is formed.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .spectral import (
     Projector,
     eigh_descending,
     eigvals_descending,
-    frobenius_norm,
     projector_operand,
     spectral_norm,
     top_projector,
@@ -193,10 +194,12 @@ def check_projector_deviation(
     The spectral report compares against 8*sqrt(m) / gap, where the gap is the
     l-th eigenvalue of the expected matrix minus the measured norm deviation
     (infinite rhs when that gap closes).  The Frobenius report checks the
-    deterministic rank inequality ||D||_F^2 <= 2l * ||D||_2^2.  Both matrices
-    are solved numerically here; a caller that has the sampled projector, or
-    the expected side in closed form, gets the same reports from the same
-    arithmetic without these solves.
+    deterministic rank inequality ||D||_F^2 <= 2l * ||D||_2^2.  Both norms of
+    D = P_A - P_E come from the sines of the principal angles between the
+    two rank-l eigenspaces: ||D||_2 is the largest, ||D||_F^2 is twice the sum
+    of their squares.  Both matrices are solved numerically here; a caller
+    that has the sampled projector, or the expected side in closed form, gets
+    the same reports from the same arithmetic without these solves.
     """
     sampled, expected = _require_same_shape(sampled, expected)
     m = sampled.shape[0]
@@ -214,10 +217,17 @@ def check_projector_deviation(
     )
 
 
-def _projector_distance(p_a: Projector, p_e: Projector) -> tuple[float, float]:
-    """Spectral and Frobenius norms of P_a - P_e."""
-    diff = p_a.matrix - p_e.matrix
-    return spectral_norm(diff), frobenius_norm(diff)
+def _projector_distance(p_a: Projector, p_e: Projector) -> np.ndarray:
+    """Sines of the principal angles between the ranges of two projectors of
+    equal rank l, descending: the singular values of V_a - V_e (V_e^T V_a).
+
+    ||P_a - P_e||_2 is the first and ||P_a - P_e||_F^2 twice the sum of their
+    squares.  This form keeps tiny angles accurate, where sqrt(1 - cos^2)
+    from the singular values of V_e^T V_a would cancel to zero; only m x l
+    arrays are formed.
+    """
+    a, e = p_a.basis, p_e.basis
+    return np.linalg.svd(a - e @ (e.T @ a), compute_uv=False)
 
 
 def _projector_deviation(
@@ -226,36 +236,39 @@ def _projector_deviation(
     """The reports of :func:`check_projector_deviation` from their inputs: the
     rank-l projectors of the sampled and expected matrices, the expected
     matrix's l-th eigenvalue and ||sampled - expected||_2."""
-    dev_spec, dev_frob = _projector_distance(p_a, p_e)
+    sines = _projector_distance(p_a, p_e)
     gap = float(lambda_l) - instance_dev
     rhs = 8.0 * math.sqrt(p_a.dim) / gap if gap > 0 else math.inf
     spec_report = BoundReport.of(
-        "projector_deviation", dev_spec, rhs, gap=gap, instance_deviation=instance_dev, **context
+        "projector_deviation", sines[0], rhs, gap=gap, instance_deviation=instance_dev, **context
     )
+    # both sides from the same squares, so at l = 1 they are one expression
+    squares = sines**2
     frob_report = BoundReport.of(
-        "projector_frobenius_rank", dev_frob**2, 2.0 * l * dev_spec**2, **context
+        "projector_frobenius_rank", 2.0 * squares.sum(), 2.0 * l * squares[0], **context
     )
     return spec_report, frob_report
 
 
-def check_good_column(p_hat, coassign: np.ndarray, s: int, epsilon: float, **context) -> BoundReport:
+def check_good_column(p_hat, part: PlantedPartition, epsilon: float, **context) -> BoundReport:
     """Existence of a column whose candidate set keeps mass (1 - 8e^2 - e)sqrt(s).
 
-    `p_hat` is a Projector or a square matrix; the best column is the one
-    :func:`~plantrec.recovery.select_pivot` picks.  `coassign` is the 0-1 co-membership matrix on the same vertices; it is
-    used to report how concentrated the best candidate set is on one cluster.
-    s is recorded in the report context, so callers must not pass it there.
+    `p_hat` is a Projector or a square matrix on the vertices of `part`; the
+    best column is the one :func:`~plantrec.recovery.select_pivot` picks, and
+    its candidate set's largest single-cluster overlap is reported as
+    `best_overlap`.  s is recorded in the report context, so callers must not
+    pass it there.
     """
     if not 0.0 < epsilon <= 0.1:
         raise EpsilonOutOfRangeError(f"epsilon must be in (0, 0.1], got {epsilon}")
+    s = part.s
     context = {"s": int(s), **context}
     op = projector_operand(p_hat)
-    coassign = np.asarray(coassign, dtype=np.float64)
-    if coassign.shape != (op.dim, op.dim):
-        raise DimensionMismatchError("co-membership matrix shape differs from projector")
+    if part.n != op.dim:
+        raise DimensionMismatchError(f"partition has {part.n} vertices, projector {op.dim}")
     sets = all_candidate_sets(op, s)
     best = sets[select_pivot(op, sets)]
-    overlap = coassign[np.ix_(best.members, best.members)].sum(axis=1).max()
+    overlap = np.bincount(part.assignment[best.members], minlength=part.k).max()
     threshold = (1.0 - 8.0 * epsilon**2 - epsilon) * math.sqrt(s)
     return BoundReport.of(
         "good_column",
@@ -441,4 +454,4 @@ def centered_adjacency(g: Graph, part: PlantedPartition, params: ModelParams) ->
 def empirical_epsilon(sampled: np.ndarray, expected: np.ndarray, l: int) -> float:
     """Measured projector deviation ||P_l(sampled) - P_l(expected)||_2."""
     sampled, expected = _require_same_shape(sampled, expected)
-    return _projector_distance(top_projector(sampled, l), top_projector(expected, l))[0]
+    return float(_projector_distance(top_projector(sampled, l), top_projector(expected, l))[0])

@@ -23,7 +23,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,7 +41,6 @@ from .model import (
     permute_partition,
     require_adjacency_memory,
     sample_graph,
-    true_cluster_matrix,
 )
 from .recovery import recover_with_trace, same_partition
 from .spectral import Projector, top_projector
@@ -260,7 +260,7 @@ def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
         if "proj" in checks:
             measured = spec_rep.lhs
         else:
-            measured = bounds._projector_distance(projector, expected_projector)[0]
+            measured = float(bounds._projector_distance(projector, expected_projector)[0])
         epsilon = max(measured, 1e-12)
     if "conc" in checks:
         conc_ctx = {key: v for key, v in ctx.items() if key not in ("p", "q")}
@@ -285,8 +285,7 @@ def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
         reports.append(
             bounds.check_good_column(
                 projector,
-                true_cluster_matrix(part),
-                s,
+                part,
                 eps_gc,
                 epsilon_measured=epsilon,
                 epsilon_clamped=eps_gc != epsilon,
@@ -425,35 +424,15 @@ def run_grid(
         for t in range(config.trials)
     ]
 
-    results: dict[tuple[int, int], TrialReport] = {}
-    order = [(cell.index, t) for cell in cells for t in range(config.trials)]
-    next_pos = 0
-    with open(out / "trials.jsonl", "w", newline="\n") as jsonl:
+    runner = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
+    ordered = []
+    with runner as pool, open(out / "trials.jsonl", "w", newline="\n") as jsonl:
+        # either map yields the reports in task order
+        for report in (map if pool is None else pool.map)(_run_task, tasks):
+            jsonl.write(json.dumps(report.json_row()) + "\n")
+            jsonl.flush()
+            ordered.append(report)
 
-        def flush_ready() -> None:
-            nonlocal next_pos
-            while next_pos < len(order) and order[next_pos] in results:
-                row = results[order[next_pos]].json_row()
-                jsonl.write(json.dumps(row) + "\n")
-                jsonl.flush()
-                next_pos += 1
-
-        if jobs <= 1:
-            for task in tasks:
-                report = _run_task(task)
-                results[(report.cell.index, report.trial_index)] = report
-                flush_ready()
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                pending = {pool.submit(_run_task, task) for task in tasks}
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        report = fut.result()
-                        results[(report.cell.index, report.trial_index)] = report
-                    flush_ready()
-
-    ordered = [results[key] for key in order]
     all_reports = []
     for r in ordered:
         for rep in r.reports:

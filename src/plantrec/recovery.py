@@ -40,7 +40,6 @@ __all__ = [
     "CandidateSet",
     "RecoveryResult",
     "PivotTrace",
-    "candidate_set",
     "all_candidate_sets",
     "select_pivot",
     "extract_cluster",
@@ -99,11 +98,6 @@ BLOCK_ENTRIES = 1 << 20
 MASS_TIE_REL = 1e-12
 
 
-def _check_size(m: int, s: int) -> None:
-    if not 1 <= s <= m:
-        raise SizeOutOfRangeError(f"size must be in 1..{m}, got {s}")
-
-
 def _candidate_members(op, pivots: np.ndarray, s: int) -> np.ndarray:
     """Sorted candidate sets of the columns `pivots`, one row each.
 
@@ -129,25 +123,18 @@ def _candidate_members(op, pivots: np.ndarray, s: int) -> np.ndarray:
     return np.sort(np.concatenate([top, pivots[:, None]], axis=1), axis=1)
 
 
-def candidate_set(p_hat, j: int, s: int) -> CandidateSet:
-    """Column j's candidate set: j plus the s-1 largest other entries of column j."""
-    op = projector_operand(p_hat)
-    _check_size(op.dim, s)
-    if not 0 <= j < op.dim:
-        raise ValueError(f"vertex {j} out of range")
-    members = _candidate_members(op, np.array([j], dtype=np.int64), s)
-    return CandidateSet(pivot=j, members=members[0], mass=float(op.masses(members)[0]))
-
-
 def all_candidate_sets(p_hat, s: int) -> list[CandidateSet]:
     """Candidate sets for every column, ranked and weighed block by block.
+
+    Set j holds vertex j plus the s-1 largest other entries of column j.
 
     `p_hat` is a Projector, whose mass of a set W is ||V^T 1_W||, or a square
     matrix, whose mass of W is the norm of its column sum over W.
     """
     op = projector_operand(p_hat)
     m = op.dim
-    _check_size(m, s)
+    if not 1 <= s <= m:
+        raise SizeOutOfRangeError(f"size must be in 1..{m}, got {s}")
     step = max(1, BLOCK_ENTRIES // m)
     sets = []
     for start in range(0, m, step):

@@ -28,7 +28,6 @@ __all__ = [
     "eigvals_descending",
     "top_projector",
     "spectral_norm",
-    "frobenius_norm",
     "projector_column_mass",
     "projector_operand",
 ]
@@ -42,13 +41,6 @@ def as_symmetric(a: np.ndarray) -> np.ndarray:
     out = a + a.T
     out /= 2.0
     return out
-
-
-def _require_finite(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if not np.isfinite(a).all():
-        raise NonFiniteError("matrix has non-finite entries")
-    return a
 
 
 def _finite_symmetric(a: np.ndarray, private: bool) -> np.ndarray:
@@ -95,7 +87,8 @@ class Projector:
     `basis` (V, m x r) must have orthonormal columns, as the eigenvectors
     from :func:`top_projector` do; nothing checks this, and with any other
     V the masses below are not ||V V^T 1_W||.  The m x m matrix is never
-    stored: columns and set masses are computed from V.
+    stored: columns and set masses are computed from V, and no check or
+    pipeline path reads :attr:`matrix`, the dense form kept for reference.
     """
 
     basis: np.ndarray
@@ -124,11 +117,6 @@ class Projector:
         is equal because V has orthonormal columns.
         """
         return _row_sum_norms(self.basis, sets)
-
-    def idempotency_defect(self) -> float:
-        """Frobenius norm of P@P - P; near zero for a true projector."""
-        p = self.matrix
-        return float(np.linalg.norm(p @ p - p, "fro"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,11 +301,6 @@ def spectral_norm(a: np.ndarray) -> float:
     """Largest absolute eigenvalue of a symmetric matrix."""
     w = eigvals_descending(a)
     return float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    """Entrywise 2-norm."""
-    return float(np.linalg.norm(_require_finite(a), "fro"))
 
 
 def projector_column_mass(p, members) -> float:

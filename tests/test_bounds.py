@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from plantrec import spectral
+from plantrec import bounds, spectral
 from plantrec.bounds import (
     BoundReport,
     Constants,
@@ -32,10 +32,12 @@ from plantrec.model import (
     ModelParams,
     expectation_matrix,
     make_partition,
+    permute_partition,
     sample_graph,
     true_cluster_matrix,
 )
-from plantrec.spectral import as_symmetric, eigh_descending, spectral_norm, top_projector
+from plantrec.recovery import all_candidate_sets, select_pivot
+from plantrec.spectral import Projector, as_symmetric, eigh_descending, spectral_norm, top_projector
 
 
 class TestConstants:
@@ -194,7 +196,9 @@ class TestProjectorDeviation:
         params = ModelParams(p=0.7, q=0.3, seed=4)
         sampled = sample_graph(part, params).dense()
         expected = expectation_matrix(part, params)
-        diff = top_projector(sampled, 3).matrix - top_projector(expected, 3).matrix
+        v_a, v_e = top_projector(sampled, 3).basis, top_projector(expected, 3).basis
+        sines = np.linalg.svd(v_a - v_e @ (v_e.T @ v_a), compute_uv=False)
+        diff = v_a @ v_a.T - v_e @ v_e.T
         instance_dev = spectral_norm(sampled - expected)
         gap = float(eigh_descending(expected, 3).eigenvalues[2]) - instance_dev
         solves = []
@@ -202,10 +206,63 @@ class TestProjectorDeviation:
         monkeypatch.setattr(spectral, "_solve_top", lambda a, rank: solves.append(a) or solve_top(a, rank))
         spec, frob = check_projector_deviation(sampled, expected, 3)
         assert len(solves) == 2  # one of the sampled matrix, one of the expected
-        assert spec.lhs == spectral_norm(diff)
+        assert spec.lhs == sines[0]
+        assert frob.lhs == 2.0 * (sines**2).sum()
+        assert spec.lhs == pytest.approx(spectral_norm(diff), rel=1e-12, abs=1e-12)
+        assert frob.lhs == pytest.approx(np.linalg.norm(diff, "fro") ** 2, rel=1e-12, abs=1e-12)
         assert spec.context["gap"] == gap
         assert spec.rhs == 8.0 * math.sqrt(60) / gap
-        assert frob.lhs == np.linalg.norm(diff, "fro") ** 2
+
+    @pytest.mark.parametrize("l", [1, 3, 16])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_principal_angles_match_the_dense_difference(self, l, seed):
+        # ||P_a - P_e||_2 and ||P_a - P_e||_F^2 from the sines against the
+        # same norms of the m x m difference of the two projectors
+        rng = np.random.default_rng(seed)
+        m = 16
+        p_a = Projector(basis=np.linalg.qr(rng.standard_normal((m, l)))[0])
+        p_e = Projector(basis=np.linalg.qr(rng.standard_normal((m, l)))[0])
+        self._assert_matches_dense(p_a, p_e)
+
+    def test_principal_angles_match_the_dense_difference_on_a_sample(self):
+        part = permute_partition(make_partition(120, 40), np.random.default_rng(5).permutation(120))
+        params = ModelParams(p=0.7, q=0.3, seed=5)
+        sampled = sample_graph(part, params).dense()
+        p_e = Projector(basis=np.eye(3)[part.assignment] / math.sqrt(40))
+        self._assert_matches_dense(top_projector(sampled, 3), p_e)
+
+    @staticmethod
+    def _assert_matches_dense(p_a, p_e):
+        sines = bounds._projector_distance(p_a, p_e)
+        assert sines.shape == (p_a.rank,)
+        assert (np.diff(sines) <= 0).all()
+        diff = p_a.matrix - p_e.matrix
+        assert sines[0] == pytest.approx(spectral_norm(diff), rel=1e-12, abs=1e-12)
+        assert 2.0 * (sines**2).sum() == pytest.approx(
+            np.linalg.norm(diff, "fro") ** 2, rel=1e-12, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("route", ["matrices", "closed_form"])
+    def test_frobenius_rank_at_rank_one_is_equality(self, route):
+        # at l = 1 the Frobenius rank inequality holds with equality; both
+        # sides come from the one principal angle, so the verdict cannot hang
+        # on rounding
+        part = make_partition(12, 12)
+        params = ModelParams(p=0.7, q=0.2, seed=3)
+        sampled = sample_graph(part, params).dense()
+        expected = expectation_matrix(part, params)
+        if route == "matrices":
+            _, frob = check_projector_deviation(sampled, expected, 1)
+        else:
+            _, frob = bounds._projector_deviation(
+                top_projector(sampled, 1),
+                Projector(basis=np.full((12, 1), 1 / math.sqrt(12))),
+                theoretical_spectrum(1, 12, 0.7, 0.2)[0],
+                spectral_norm(sampled - expected),
+                1,
+            )
+        assert frob.lhs == frob.rhs > 0
+        assert frob.satisfied
 
     def test_monte_carlo_deviation_below_half(self):
         part = make_partition(400, 200)
@@ -233,26 +290,43 @@ class TestGoodColumn:
     def test_exact_projector(self):
         part = make_partition(12, 4)
         p = true_cluster_matrix(part) / 4
-        rep = check_good_column(p, true_cluster_matrix(part), 4, 0.05)
+        rep = check_good_column(p, part, 0.05)
         assert rep.rhs == pytest.approx(2.0)
         assert rep.satisfied
 
     def test_threshold_arithmetic_at_point_one(self):
         part = make_partition(8, 4)
         p = true_cluster_matrix(part) / 4
-        rep = check_good_column(p, true_cluster_matrix(part), 4, 0.1)
+        rep = check_good_column(p, part, 0.1)
         assert rep.lhs == pytest.approx(0.82 * 2.0)
 
     def test_epsilon_out_of_range(self):
         p = np.eye(4)
         with pytest.raises(EpsilonOutOfRangeError):
-            check_good_column(p, np.eye(4), 2, 0.2)
+            check_good_column(p, make_partition(4, 2), 0.2)
         with pytest.raises(EpsilonOutOfRangeError):
-            check_good_column(p, np.eye(4), 2, 0.0)
+            check_good_column(p, make_partition(4, 2), 0.0)
+
+    def test_partition_of_another_size_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            check_good_column(np.eye(4), make_partition(6, 2), 0.05)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_overlap_is_the_co_membership_row_sum(self, seed):
+        # the largest single-cluster overlap of the best set is the largest
+        # row sum of the co-membership matrix restricted to that set
+        part = permute_partition(make_partition(60, 10), np.random.default_rng(seed).permutation(60))
+        sampled = sample_graph(part, ModelParams(p=0.6, q=0.4, seed=seed)).dense()
+        p_hat = top_projector(sampled, 6)
+        sets = all_candidate_sets(p_hat, 10)
+        best = sets[select_pivot(p_hat, sets)].members
+        rep = check_good_column(p_hat, part, 0.1)
+        coassign = true_cluster_matrix(part)
+        assert rep.context["best_overlap"] == coassign[np.ix_(best, best)].sum(axis=1).max()
+        assert rep.context["s"] == 10
 
     def test_monte_carlo_in_model(self):
         part = make_partition(400, 200)
-        h = true_cluster_matrix(part)
         hits = 0
         for seed in range(100):
             params = ModelParams(p=0.8, q=0.2, seed=seed)
@@ -261,7 +335,7 @@ class TestGoodColumn:
             p_hat = top_projector(sampled, 2)
             p_exp = top_projector(expected, 2)
             eps = spectral_norm(p_hat.matrix - p_exp.matrix)
-            rep = check_good_column(p_hat, h, 200, min(max(eps, 1e-12), 0.1))
+            rep = check_good_column(p_hat, part, min(max(eps, 1e-12), 0.1))
             hits += rep.satisfied
         assert hits >= 95
 

@@ -153,7 +153,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "checks,epsilon,top_calls,eigvalsh_calls",
         [("norm", "auto", 0, 1), ("fk", "auto", 0, 15), ("conc", "0.1", 0, 0),
-         ("conc", "auto", 1, 1), ("norm,proj,goodcol", "auto", 1, 2)],
+         ("conc", "auto", 1, 0), ("norm,proj,goodcol", "auto", 1, 1)],
     )
     def test_solves_only_what_the_checks_read(
         self, capsys, instance, monkeypatch, checks, epsilon, top_calls, eigvalsh_calls

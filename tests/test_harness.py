@@ -25,7 +25,6 @@ from plantrec.model import (
     make_partition,
     permute_partition,
     sample_graph,
-    true_cluster_matrix,
 )
 from plantrec.recovery import identify_clusters, recover_with_trace, same_partition
 from plantrec.spectral import top_projector
@@ -146,7 +145,7 @@ def oracle_checks(g, part, params, checks, epsilon):
     if "goodcol" in checks:
         gc_ctx = {key: v for key, v in ctx.items() if key != "s"}
         reports.append(bounds.check_good_column(
-            top_projector(sampled, part.k), true_cluster_matrix(part), part.s, min(eps, 0.1),
+            top_projector(sampled, part.k), part, min(eps, 0.1),
             epsilon_measured=eps, epsilon_clamped=min(eps, 0.1) != eps, **gc_ctx,
         ))
     return reports
@@ -162,8 +161,7 @@ def assert_same_reports(got, want):
     assert [r.name for r in got] == [r.name for r in want]
     for g, w in zip(got, want):
         assert close(g.lhs, w.lhs) and close(g.rhs, w.rhs), (g, w)
-        # a verdict decided by rounding (lhs and rhs equal up to it, as in
-        # the Frobenius rank report at k = 1, where equality holds) may differ
+        # a verdict decided by rounding (lhs and rhs equal up to it) may differ
         if not close(w.lhs, w.rhs):
             assert g.satisfied == w.satisfied, (g, w)
         assert g.context.keys() == w.context.keys()
@@ -219,8 +217,22 @@ class TestRunChecks:
         assert solve_sizes == [60, 40, 20]
         # and no full solve, except inside the top-r solve where LAPACK has no dsyevr
         assert eigh_sizes == ([] if spectral._DSYEVR else solve_sizes)
-        # ||A - E||, ||P_A - P_E||, then the 7 cluster unions of the FK check
-        assert len(eigvalsh_calls) == 2 + 7
+        # ||A - E||, then the 7 cluster unions of the FK check; ||P_A - P_E||
+        # comes from the principal angles, with no m x m solve
+        assert len(eigvalsh_calls) == 1 + 7
+
+    @pytest.mark.parametrize("round0", [False, True])
+    def test_frobenius_rank_at_k_one_is_equality(self, round0):
+        # both sides come from the one principal angle, so the verdict of an
+        # inequality that holds with equality does not hang on rounding
+        part = make_partition(12, 12)
+        params = ModelParams(p=0.7, q=0.2, seed=3)
+        g = sample_graph(part, params)
+        projector = recover_with_trace(g, part.s)[1][0].projector if round0 else None
+        reports = run_checks(g, part, params, ("proj",), None, projector=projector)
+        (frob,) = [r for r in reports if r.name == "projector_frobenius_rank"]
+        assert frob.lhs == frob.rhs > 0
+        assert frob.satisfied
 
     def test_report_order_ignores_the_order_asked(self):
         part = make_partition(12, 4)

@@ -171,10 +171,11 @@ class TestSamplerOracle:
         assert replay.adj[0, 1] == replay.adj[1, 0] == (u < 0.7)
 
     def test_sample_graph_memory_is_the_adjacency(self):
-        # n^2 bytes of adjacency plus Graph's n^2-byte symmetry check, and
-        # O(n) per column; the whole-triangle sampler takes about 33 n^2
-        n = 800
-        part = make_partition(n, 200)
+        # n^2 bytes of adjacency, O(n) per column and Graph's symmetry check
+        # one 512 x 512 tile at a time; the whole-triangle sampler takes about
+        # 33 n^2, and a whole-matrix symmetry check another n^2
+        n = 2000
+        part = make_partition(n, 500)
         params = ModelParams(p=0.7, q=0.3, seed=4)
         sample_graph(make_partition(4, 2), params)  # first use imports numpy.random
         tracemalloc.start()
@@ -183,7 +184,7 @@ class TestSamplerOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * n * n + 64 * n
+        assert peak <= 1.5 * n * n
 
     def test_adjacency_over_physical_memory_rejected_before_allocation(self, monkeypatch):
         monkeypatch.setattr(plantrec.model, "_physical_memory", lambda: 10**6)
@@ -316,6 +317,17 @@ class TestGraphType:
         adj[0, 1] = 1
         with pytest.raises(ValueError):
             Graph(adj=adj)
+
+    @pytest.mark.parametrize("i,j", [(0, 1), (1, 0), (1500, 3), (3, 1999), (1998, 1999)])
+    def test_rejects_asymmetric_in_any_row_block(self, i, j):
+        # 512 x 512 tiles: on the diagonal (first and last), above it and
+        # below it
+        adj = np.zeros((2000, 2000), dtype=np.uint8)
+        adj[i, j] = 1
+        with pytest.raises(ValueError, match="symmetric"):
+            Graph(adj=adj)
+        adj[j, i] = 1
+        assert Graph(adj=adj).edge_count == 1
 
     def test_rejects_self_loops(self):
         adj = np.eye(3, dtype=np.uint8)

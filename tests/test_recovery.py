@@ -23,7 +23,6 @@ from plantrec.recovery import (
     PivotTrace,
     RecoveryResult,
     all_candidate_sets,
-    candidate_set,
     extract_cluster,
     identify_clusters,
     recover_with_trace,
@@ -42,14 +41,14 @@ class TestCandidateSet:
     def test_exact_projector_gives_true_cluster(self):
         part = make_partition(12, 4)
         p = true_cluster_matrix(part) / 4
+        sets = all_candidate_sets(p, 4)
         for j in range(12):
-            cand = candidate_set(p, j, 4)
-            assert set(cand.members) == set(part.clusters()[part.assignment[j]])
-            assert cand.pivot == j
+            assert set(sets[j].members) == set(part.clusters()[part.assignment[j]])
+            assert sets[j].pivot == j
 
     def test_size_one(self):
         p = true_cluster_matrix(make_partition(6, 3)) / 3
-        cand = candidate_set(p, 4, 1)
+        cand = all_candidate_sets(p, 1)[4]
         assert list(cand.members) == [4]
 
     def test_robust_to_small_noise(self):
@@ -59,31 +58,21 @@ class TestCandidateSet:
         rng = np.random.default_rng(3)
         noise = rng.uniform(-1, 1, size=(12, 12)) * (0.49 / 4)
         noisy = (noise + noise.T) / 2 + clean
+        sets = all_candidate_sets(noisy, 4)
         for j in range(12):
-            cand = candidate_set(noisy, j, 4)
-            assert set(cand.members) == set(part.clusters()[part.assignment[j]])
+            assert set(sets[j].members) == set(part.clusters()[part.assignment[j]])
 
     def test_size_out_of_range(self):
         p = np.eye(4)
         with pytest.raises(SizeOutOfRangeError):
-            candidate_set(p, 0, 5)
+            all_candidate_sets(p, 5)
         with pytest.raises(SizeOutOfRangeError):
-            candidate_set(p, 0, 0)
+            all_candidate_sets(p, 0)
 
     def test_tie_break_prefers_smaller_index(self):
         p = np.zeros((5, 5))
-        cand = candidate_set(p, 3, 3)
+        cand = all_candidate_sets(p, 3)[3]
         assert list(cand.members) == [0, 1, 3]
-
-    def test_matches_batch_construction(self):
-        part = make_partition(20, 5)
-        g = sample_graph(part, ModelParams(p=0.9, q=0.1, seed=4))
-        p = top_projector(g.dense(), 4)
-        batch = all_candidate_sets(p, 5)
-        for j in (0, 7, 19):
-            single = candidate_set(p, j, 5)
-            assert np.array_equal(single.members, batch[j].members)
-            assert single.mass == pytest.approx(batch[j].mass, rel=1e-12)
 
 
 def brute_force_sets(matrix: np.ndarray, s: int) -> list[np.ndarray]:

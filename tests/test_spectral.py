@@ -13,7 +13,6 @@ from plantrec.spectral import (
     as_symmetric,
     eigh_descending,
     eigvals_descending,
-    frobenius_norm,
     projector_column_mass,
     spectral_norm,
     top_projector,
@@ -341,22 +340,6 @@ class TestNorms:
     def test_spectral_norm_negative_dominant(self):
         a = np.diag([2.0, -5.0, 1.0])
         assert spectral_norm(a) == 5.0
-
-    def test_frobenius_identity(self):
-        assert frobenius_norm(np.eye(4)) == pytest.approx(2.0)
-
-    def test_frobenius_zero(self):
-        assert frobenius_norm(np.zeros((3, 3))) == 0.0
-
-    def test_frobenius_of_adjacency_counts_edges(self):
-        part = make_partition(30, 10)
-        g = sample_graph(part, ModelParams(p=0.7, q=0.2, seed=11))
-        assert frobenius_norm(g.dense()) == pytest.approx(np.sqrt(2 * g.edge_count))
-
-    def test_frobenius_equals_eigenvalue_norm(self):
-        a = random_symmetric(20, 3)
-        lam = eigh_descending(a).eigenvalues
-        assert frobenius_norm(a) == pytest.approx(np.sqrt((lam**2).sum()), rel=1e-8)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_spectral_norm_at_most_max_row_sum(self, seed):
