@@ -23,10 +23,10 @@ def baseline_common_neighbors(g: Graph, s: int) -> RecoveryResult:
     if s <= 0:
         raise ZeroSizeError("cluster size must be positive")
     active = np.arange(g.n, dtype=np.int64)
-    adj = g.adj.astype(np.int64)
+    adj = g.adj
     clusters: list[np.ndarray] = []
     while active.size >= s:
-        common = adj @ adj[:, 0]
+        common = adj[:, adj[:, 0] == 1].sum(axis=1, dtype=np.int64)
         common[0] = -1  # seed vertex joins unconditionally
         order = np.argsort(-common, kind="stable")
         members = np.sort(np.append(order[: s - 1], 0))

@@ -13,7 +13,9 @@ matrices numerically and call it, while
 :func:`plantrec.experiment.run_checks` calls it with recovery's round-0
 projector and the expected side in closed form.  ||P_A - P_E|| is read from
 the principal angles between the two m x l bases (Davis-Kahan's sin theta),
-in O(m l^2); no m x m projector is formed.
+in O(m l^2); no m x m projector is formed.  The norm report has a private
+core too, :func:`_norm_deviation`.  The noise matrix A - E has one builder,
+:func:`centered_adjacency`, which ``run_checks`` calls once per instance.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     EpsilonOutOfRangeError,
     SizeOutOfRangeError,
 )
-from .model import Graph, ModelParams, PlantedPartition, expectation_matrix
+from .model import Graph, ModelParams, PlantedPartition
 from .recovery import all_candidate_sets, select_pivot
 from .spectral import (
     Projector,
@@ -141,10 +143,12 @@ def _require_same_shape(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
 def check_norm_deviation(sampled: np.ndarray, expected: np.ndarray, **context) -> BoundReport:
     """Spectral norm of (sampled - expected) against 8*sqrt(m)."""
     sampled, expected = _require_same_shape(sampled, expected)
-    m = sampled.shape[0]
-    return BoundReport.of(
-        "norm_deviation", spectral_norm(sampled - expected), 8.0 * math.sqrt(m), **context
-    )
+    return _norm_deviation(spectral_norm(sampled - expected), sampled.shape[0], **context)
+
+
+def _norm_deviation(dev: float, m: int, **context) -> BoundReport:
+    """The report of :func:`check_norm_deviation` from ||sampled - expected||_2."""
+    return BoundReport.of("norm_deviation", dev, 8.0 * math.sqrt(m), **context)
 
 
 def check_separation(
@@ -306,9 +310,7 @@ def check_concentration(
         raise EpsilonOutOfRangeError("epsilon must be positive")
     context = {"p": p, "q": q, **context}
     s = part.s
-    onehot = np.zeros((part.n, part.k), dtype=np.int64)
-    onehot[np.arange(part.n), part.assignment] = 1
-    counts = g.adj.astype(np.int64) @ onehot
+    counts = np.stack([g.adj[:, c].sum(axis=1, dtype=np.int64) for c in part.clusters()], axis=1)
     own = counts[np.arange(part.n), part.assignment]
     in_floor = (p - epsilon) * s
     out_ceil = (q + epsilon) * s
@@ -446,9 +448,20 @@ def cluster_unions(
 
 
 def centered_adjacency(g: Graph, part: PlantedPartition, params: ModelParams) -> np.ndarray:
-    """Sampled adjacency minus its entrywise expectation (zero diagonal kept)."""
-    expected_edges = expectation_matrix(part, params) - params.p * np.eye(part.n)
-    return g.dense() - expected_edges
+    """Sampled adjacency minus its entrywise expectation (zero diagonal kept).
+
+    One n x n float64 array, written from the uint8 adjacency: a - q
+    everywhere, then a - p on each cluster's block, then a zero diagonal.
+    Each entry is one subtraction, so the bits equal those of the float64
+    adjacency minus (E - p I), with E from `expectation_matrix`.  Setting
+    the diagonal to -p gives A - E exactly.
+    """
+    noise = np.subtract(g.adj, params.q, dtype=np.float64)
+    for cluster in part.clusters():
+        block = np.ix_(cluster, cluster)
+        noise[block] = np.subtract(g.adj[block], params.p, dtype=np.float64)
+    np.fill_diagonal(noise, 0.0)
+    return noise
 
 
 def empirical_epsilon(sampled: np.ndarray, expected: np.ndarray, l: int) -> float:

@@ -3,9 +3,9 @@
 A grid is the product of (n, k) x p x q cells with a fixed number of trials
 per cell.  Trial seeds come from a 64-bit mix of (seed0, cell index, trial
 index), so any trial can be reproduced in isolation and no two trials in a
-grid share a seed.  Each trial shuffles the canonical partition with a
-seed-derived permutation before sampling, so nothing downstream can exploit
-the contiguous layout.
+grid share a seed.  Every trial relabels the canonical partition with a
+seed-derived random permutation before sampling, so nothing downstream can
+exploit the contiguous layout.
 
 Outputs are deterministic byte-for-byte for a fixed config: trials.jsonl (raw
 per-trial rows, wall times excluded), bounds.csv (every bound report), and
@@ -20,6 +20,7 @@ its k-th eigenvalue are taken in closed form.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -36,7 +37,6 @@ from .errors import DimensionMismatchError, EpsilonOutOfRangeError, PlantrecErro
 from .io import write_reports_csv
 from .model import (
     ModelParams,
-    expectation_matrix,
     make_partition,
     permute_partition,
     require_adjacency_memory,
@@ -110,12 +110,11 @@ class ExperimentConfig:
     checks: tuple
     epsilon: float | None = None  # None: measure the projector deviation per trial
     baseline: bool = False
-    shuffle: bool = True
     out: str | None = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {"n", "k", "s", "p", "q", "trials", "seed0", "checks", "epsilon", "baseline", "shuffle", "out"}
+        known = {"n", "k", "s", "p", "q", "trials", "seed0", "checks", "epsilon", "baseline", "out"}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -141,7 +140,6 @@ class ExperimentConfig:
             checks=tuple(raw.get("checks", list(DEFAULT_CHECKS))),
             epsilon=None if raw.get("epsilon") in (None, "auto") else float(raw["epsilon"]),
             baseline=bool(raw.get("baseline", False)),
-            shuffle=bool(raw.get("shuffle", True)),
             out=raw.get("out"),
         )
         cfg.cells()  # validates every cell
@@ -214,8 +212,10 @@ def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
     such as recovery's round 0 (`traces[0].projector`); without it the graph
     is solved once, and only when proj, goodcol or a measured epsilon needs
     it.  The expected side is taken in closed form: P_k(E) = Z Z^T / s and
-    lambda_k(E) from `theoretical_spectrum`.  ||A - E||_2 is solved once and
-    shared by norm and proj.
+    lambda_k(E) from `theoretical_spectrum`.  The noise matrix A - E is the
+    one n x n float64 matrix the checks hold, built once when norm, proj or
+    fk runs: ||A - E||_2 is solved once on it for norm and proj, fk reads
+    its principal submatrices, and it is dropped before goodcol.
     """
     _validate_checks(checks, epsilon)
     checks = set(checks)
@@ -240,16 +240,14 @@ def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
         expected_projector = Projector(basis=np.eye(k)[part.assignment] / math.sqrt(s))
 
     reports = []
+    if {"norm", "proj", "fk"} & checks:
+        noise = bounds.centered_adjacency(g, part, params)
     if {"norm", "proj"} & checks:
-        sampled = g.dense()
-        expected = expectation_matrix(part, params)
+        np.fill_diagonal(noise, -params.p)  # exactly A - E
+        instance_dev = bounds.spectral_norm(noise)
+        np.fill_diagonal(noise, 0.0)
         if "norm" in checks:
-            norm_rep = bounds.check_norm_deviation(sampled, expected, **ctx)
-            reports.append(norm_rep)
-            instance_dev = norm_rep.lhs
-        else:
-            instance_dev = bounds.spectral_norm(sampled - expected)
-        del sampled, expected  # fk builds its own n x n matrices
+            reports.append(bounds._norm_deviation(instance_dev, n, **ctx))
     if "proj" in checks:
         lambda_k = bounds.theoretical_spectrum(k, s, params.p, params.q)[k - 1]
         spec_rep, frob_rep = bounds._projector_deviation(
@@ -270,13 +268,13 @@ def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
     if "fk" in checks:
         unions = bounds.cluster_unions(part, seed=params.seed)
         sigma = bounds.Constants.from_params(params.p, params.q, c=1.0).sigma
-        noise = bounds.centered_adjacency(g, part, params)
         fk_ctx = {key: ctx[key] for key in ("n", "k", "s", "p", "q", "seed")}
         reports.extend(
             bounds.check_fk_submatrices(
                 noise, [v for _, v in unions], sigma, labels=[m for m, _ in unions], **fk_ctx
             )
         )
+    noise = None  # goodcol ranks its candidates without it
     if "goodcol" in checks:
         # the mass threshold is only meaningful for epsilon <= 0.1; clamp
         # and record the measured value so the report stays interpretable
@@ -302,7 +300,6 @@ def run_trial(
     checks: tuple = DEFAULT_CHECKS,
     epsilon: float | None = None,
     baseline: bool = False,
-    shuffle: bool = True,
 ) -> TrialReport:
     """Generate, recover, compare, and run the requested bound checks.
 
@@ -310,10 +307,8 @@ def run_trial(
     eigendecomposition of the full graph.
     """
     start = time.perf_counter()
-    part = make_partition(cell.n, cell.s)
-    if shuffle:
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
-        part = permute_partition(part, rng.permutation(cell.n))
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+    part = permute_partition(make_partition(cell.n, cell.s), rng.permutation(cell.n))
     params = ModelParams(p=cell.p, q=cell.q, seed=seed)
     g = sample_graph(part, params)
 
@@ -379,19 +374,6 @@ def _summarize(cell: Cell, rows: list) -> CellSummary:
     )
 
 
-def _run_task(args) -> TrialReport:
-    cell, trial_index, seed, checks, epsilon, baseline, shuffle = args
-    return run_trial(
-        cell,
-        seed,
-        trial_index=trial_index,
-        checks=checks,
-        epsilon=epsilon,
-        baseline=baseline,
-        shuffle=shuffle,
-    )
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -410,25 +392,19 @@ def run_grid(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = config.cells()
-    tasks = [
-        (
-            cell,
-            t,
-            trial_seed(config.seed0, cell.index, t, config.trials),
-            config.checks,
-            config.epsilon,
-            config.baseline,
-            config.shuffle,
-        )
-        for cell in cells
-        for t in range(config.trials)
-    ]
+    trial = functools.partial(
+        run_trial, checks=config.checks, epsilon=config.epsilon, baseline=config.baseline
+    )
+    units = [(cell, t) for cell in cells for t in range(config.trials)]
+    seeds = [trial_seed(config.seed0, cell.index, t, config.trials) for cell, t in units]
 
     runner = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
     ordered = []
     with runner as pool, open(out / "trials.jsonl", "w", newline="\n") as jsonl:
         # either map yields the reports in task order
-        for report in (map if pool is None else pool.map)(_run_task, tasks):
+        for report in (map if pool is None else pool.map)(
+            trial, [cell for cell, _ in units], seeds, [t for _, t in units]
+        ):
             jsonl.write(json.dumps(report.json_row()) + "\n")
             jsonl.flush()
             ordered.append(report)

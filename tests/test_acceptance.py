@@ -57,7 +57,7 @@ def test_criterion_01_noiseless_oracle():
         cell = Cell(index=idx, n=k * s, k=k, s=s, p=1.0, q=0.0)
         for t in range(20):
             seed = trial_seed(1, idx, t, 20)
-            rep = run_trial(cell, seed, checks=(), shuffle=True)
+            rep = run_trial(cell, seed, checks=())
             runs += 1
             if not rep.recovered_exactly:
                 failures.append((k, s, seed))
@@ -180,7 +180,7 @@ def test_criterion_07_end_to_end_recovery():
     cell = Cell(index=0, n=800, k=4, s=200, p=0.7, q=0.3)
     exact = 0
     for t in range(50):
-        rep = run_trial(cell, trial_seed(7, 0, t, 50), checks=(), shuffle=True)
+        rep = run_trial(cell, trial_seed(7, 0, t, 50), checks=())
         exact += rep.recovered_exactly
     elapsed = time.perf_counter() - start
     rate = exact / 50

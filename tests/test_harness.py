@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,9 @@ class TestConfig:
             ExperimentConfig.from_dict(
                 {"n": [10], "s": [5], "p": [0.8], "q": [0.2], "checks": ["bogus"]}
             )
+        # every trial shuffles its labels, and no key turns that off
+        with pytest.raises(ValueError, match="shuffle"):
+            ExperimentConfig.from_dict({"n": [10], "s": [5], "p": [0.8], "q": [0.2], "shuffle": False})
 
     def test_requires_exactly_one_of_k_or_s(self):
         with pytest.raises(ValueError):
@@ -234,6 +238,22 @@ class TestRunChecks:
         assert frob.lhs == frob.rhs > 0
         assert frob.satisfied
 
+    def test_checks_hold_one_noise_matrix(self):
+        # A - E is the one n x n float64 matrix that norm and proj build; the
+        # solve's own copy is LAPACK's, which tracemalloc does not see
+        n = 600
+        part = make_partition(n, 200)
+        params = ModelParams(p=0.7, q=0.3, seed=1)
+        g = sample_graph(part, params)
+        round0 = recover_with_trace(g, part.s)[1][0].projector
+        tracemalloc.start()
+        try:
+            run_checks(g, part, params, ("norm", "proj"), 0.1, projector=round0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n * n
+
     def test_report_order_ignores_the_order_asked(self):
         part = make_partition(12, 4)
         params = ModelParams(p=0.8, q=0.2, seed=5)
@@ -337,6 +357,67 @@ class TestRunGrid:
         rows = [json.loads(line) for line in (tmp_path / "trials.jsonl").read_text().splitlines()]
         recomputed = sum(1 for r in rows if r["exact"]) / len(rows)
         assert summaries[0].success_rate == recomputed
+
+
+def _reference_counts(g, part):
+    """Neighbor counts into each cluster by an int64 product with the
+    one-hot cluster matrix."""
+    onehot = np.zeros((part.n, part.k), dtype=np.int64)
+    onehot[np.arange(part.n), part.assignment] = 1
+    return g.adj.astype(np.int64) @ onehot
+
+
+def _reference_baseline(g, s):
+    """The common-neighbor baseline on an int64 copy of the adjacency."""
+    active = np.arange(g.n, dtype=np.int64)
+    adj = g.adj.astype(np.int64)
+    clusters = []
+    while active.size >= s:
+        common = adj @ adj[:, 0]
+        common[0] = -1
+        members = np.sort(np.append(np.argsort(-common, kind="stable")[: s - 1], 0))
+        clusters.append(active[members])
+        keep = np.setdiff1d(np.arange(active.size), members)
+        active = active[keep]
+        adj = adj[np.ix_(keep, keep)]
+    return clusters, active
+
+
+class TestAgainstIntegerProducts:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(instances())
+    def test_centered_adjacency_is_sampled_minus_expected(self, instance):
+        part, params = instance
+        g = sample_graph(part, params)
+        want = g.dense() - (expectation_matrix(part, params) - params.p * np.eye(part.n))
+        assert np.array_equal(bounds.centered_adjacency(g, part, params), want)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(instances())
+    def test_concentration_counts(self, instance):
+        part, params = instance
+        g = sample_graph(part, params)
+        counts = _reference_counts(g, part)
+        # a floor of about 2s and a ceiling of -1/2 make every count a
+        # violation (the checker marks own entries -1 when it looks for the
+        # others), so the reports carry them all: own counts first, then
+        # the others in row-major order
+        reps = bounds.check_concentration(g, part, 2.0, -0.01 - 0.5 / part.s, 0.01)[2:]
+        own = counts[np.arange(part.n), part.assignment]
+        others = counts[np.arange(part.k) != part.assignment[:, None]]
+        assert [r.rhs for r in reps[: part.n]] == own.tolist()
+        assert [r.lhs for r in reps[part.n :]] == others.tolist()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(instances())
+    def test_baseline_clusters(self, instance):
+        part, params = instance
+        g = sample_graph(part, params)
+        for s in {1, part.s, max(1, part.n // 2)}:
+            result = baseline_common_neighbors(g, s)
+            clusters, leftover = _reference_baseline(g, s)
+            assert [c.tolist() for c in result.clusters] == [c.tolist() for c in clusters]
+            assert result.leftover.tolist() == leftover.tolist()
 
 
 class TestBaseline:
