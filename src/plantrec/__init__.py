@@ -29,11 +29,9 @@ from .model import (
     permute_partition,
     principal_submatrix,
     sample_graph,
-    sample_induced,
     true_cluster_matrix,
 )
 from .recovery import (
-    CandidateSet,
     RecoveryResult,
     all_candidate_sets,
     extract_cluster,
@@ -47,7 +45,6 @@ from .spectral import (
     SpectralDecomposition,
     eigh_descending,
     eigvals_descending,
-    projector_column_mass,
     spectral_norm,
     top_projector,
 )

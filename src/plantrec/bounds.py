@@ -85,14 +85,13 @@ class BoundReport:
 class Constants:
     """Derived per-instance constants: cluster-size constant c, its gap-scaled
     form c_prime = (p-q)c, the deviation parameter epsilon = 8/(c_prime - 8)
-    (defined only once c_prime > 16), the entry standard-deviation bound sigma,
-    and the absolute entry bound (1 for 0-1 noise)."""
+    (defined only once c_prime > 16) and the entry standard-deviation bound
+    sigma."""
 
     c: float
     c_prime: float
     epsilon: float | None
     sigma: float
-    entry_bound: float = 1.0
 
     @classmethod
     def from_params(cls, p: float, q: float, c: float) -> "Constants":
@@ -270,15 +269,15 @@ def check_good_column(p_hat, part: PlantedPartition, epsilon: float, **context) 
     op = projector_operand(p_hat)
     if part.n != op.dim:
         raise DimensionMismatchError(f"partition has {part.n} vertices, projector {op.dim}")
-    sets = all_candidate_sets(op, s)
-    best = sets[select_pivot(op, sets)]
-    overlap = np.bincount(part.assignment[best.members], minlength=part.k).max()
+    members, masses = all_candidate_sets(op, s)
+    best = select_pivot(masses)
+    overlap = np.bincount(part.assignment[members[best]], minlength=part.k).max()
     threshold = (1.0 - 8.0 * epsilon**2 - epsilon) * math.sqrt(s)
     return BoundReport.of(
         "good_column",
         threshold,
-        best.mass,
-        best_pivot=int(best.pivot),
+        masses[best],
+        best_pivot=best,
         best_overlap=float(overlap),
         epsilon=float(epsilon),
         **context,
@@ -369,13 +368,14 @@ def check_fk_submatrices(
     x: np.ndarray,
     family,
     sigma: float,
-    entry_bound: float = 1.0,
     labels=None,
     **context,
 ) -> list[BoundReport]:
-    """Spectral norm of every principal submatrix x[S] against 2(sigma + 3K)sqrt(|S|).
+    """Spectral norm of every principal submatrix x[S] against 2(sigma + 3K)sqrt(|S|),
+    with the entry bound K = 1 of 0-1 noise.
 
     `labels`, when given, supplies a cluster bitmask per set for reporting.
+    A set of every vertex in order reads x itself, with no n x n copy.
     """
     x = np.asarray(x, dtype=np.float64)
     family = list(family)
@@ -386,7 +386,8 @@ def check_fk_submatrices(
         vertices = np.asarray(vertices, dtype=np.int64)
         if vertices.size == 0:
             raise EmptyFamilyError("vertex sets must be nonempty")
-        sub = x[np.ix_(vertices, vertices)]
+        whole = np.array_equal(vertices, np.arange(x.shape[0]))
+        sub = x if whole else x[np.ix_(vertices, vertices)]
         ctx = dict(context)
         if labels is not None:
             ctx["mask"] = int(labels[idx])
@@ -394,7 +395,7 @@ def check_fk_submatrices(
             BoundReport.of(
                 "fk_submatrix",
                 spectral_norm(sub),
-                2.0 * (sigma + 3.0 * entry_bound) * math.sqrt(vertices.size),
+                2.0 * (sigma + 3.0) * math.sqrt(vertices.size),
                 **ctx,
             )
         )

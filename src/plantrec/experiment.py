@@ -34,7 +34,7 @@ import numpy as np
 from . import bounds
 from .baseline import baseline_common_neighbors
 from .errors import DimensionMismatchError, EpsilonOutOfRangeError, PlantrecError
-from .io import write_reports_csv
+from .io import _format_cell, write_reports_csv
 from .model import (
     ModelParams,
     make_partition,
@@ -86,6 +86,16 @@ def _validate_checks(checks, epsilon) -> None:
         raise EpsilonOutOfRangeError(f"epsilon must be finite and positive, or 'auto'; got {epsilon}")
 
 
+def _typed(key: str, value, kind):
+    """A JSON config number as `kind`: an integer for int, an integer or
+    float for float.  A bool is refused although Python counts it as an int,
+    and so is 10.9 for an int, which int() would truncate."""
+    allowed, what = ((int, float), "a number") if kind is float else (int, "an integer")
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ValueError(f"config {key} must be {what}, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class Cell:
     index: int
@@ -114,6 +124,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {raw!r}")
         known = {"n", "k", "s", "p", "q", "trials", "seed0", "checks", "epsilon", "baseline", "out"}
         unknown = set(raw) - known
         if unknown:
@@ -127,20 +139,30 @@ class ExperimentConfig:
             value = raw[key]
             if not isinstance(value, (list, tuple)):
                 value = [value]
-            return tuple(kind(v) for v in value)
+            return tuple(_typed(key, v, kind) for v in value)
 
+        checks = raw.get("checks", DEFAULT_CHECKS)
+        epsilon = raw.get("epsilon")
+        baseline = raw.get("baseline", False)
+        out = raw.get("out")
+        if not isinstance(checks, (list, tuple)) or not all(isinstance(c, str) for c in checks):
+            raise ValueError(f"config checks must be a list of names, got {checks!r}")
+        if not isinstance(baseline, bool):
+            raise ValueError(f"config baseline must be true or false, got {baseline!r}")
+        if not (out is None or isinstance(out, str)):
+            raise ValueError(f"config out must be a path, got {out!r}")
         cfg = cls(
             ns=as_tuple("n", int),
             ks=as_tuple("k", int) if "k" in raw else None,
             ss=as_tuple("s", int) if "s" in raw else None,
             ps=as_tuple("p", float),
             qs=as_tuple("q", float),
-            trials=int(raw.get("trials", 1)),
-            seed0=int(raw.get("seed0", 0)),
-            checks=tuple(raw.get("checks", list(DEFAULT_CHECKS))),
-            epsilon=None if raw.get("epsilon") in (None, "auto") else float(raw["epsilon"]),
-            baseline=bool(raw.get("baseline", False)),
-            out=raw.get("out"),
+            trials=_typed("trials", raw.get("trials", 1), int),
+            seed0=_typed("seed0", raw.get("seed0", 0), int),
+            checks=tuple(checks),
+            epsilon=None if epsilon in (None, "auto") else _typed("epsilon", epsilon, float),
+            baseline=baseline,
+            out=out,
         )
         cfg.cells()  # validates every cell
         return cfg
@@ -374,14 +396,6 @@ def _summarize(cell: Cell, rows: list) -> CellSummary:
     )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def run_grid(
     config: ExperimentConfig,
     out_dir,
@@ -428,20 +442,11 @@ def run_grid(
         header += [f"rate_{c}" for c in rate_cols]
         f.write(",".join(header) + "\n")
         for s in summaries:
-            row = [
-                str(s.cell.index),
-                str(s.cell.n),
-                str(s.cell.k),
-                str(s.cell.s),
-                repr(s.cell.p),
-                repr(s.cell.q),
-                str(s.trials),
-                repr(s.success_rate),
-                _fmt(s.baseline_success_rate),
-                _fmt(s.mean_projector_deviation),
-            ]
-            row += [_fmt(s.check_rates.get(c)) for c in rate_cols]
-            f.write(",".join(row) + "\n")
+            c = s.cell
+            row = [c.index, c.n, c.k, c.s, c.p, c.q, s.trials, s.success_rate]
+            row += [s.baseline_success_rate, s.mean_projector_deviation]
+            row += [s.check_rates.get(check) for check in rate_cols]
+            f.write(",".join(map(_format_cell, row)) + "\n")
 
     if emit_plot_data:
         with open(out / "plotdata.csv", "w", newline="\n") as f:

@@ -3,10 +3,9 @@
 A model instance places n = k*s vertices into k hidden clusters of size s and
 draws each edge independently: probability p inside a cluster, q across.
 Sampling is counter-based (Philox), with the draw for a vertex pair addressed
-purely by (seed, i, j), so any induced subgraph of one sample can be replayed
-without generating the rest of the graph.  The sampler builds the adjacency
-one column at a time and holds only the n x n bytes plus O(n); an n whose
-adjacency exceeds physical memory is rejected before anything is allocated.
+purely by (seed, i, j).  The sampler builds the adjacency one column at a
+time and holds only the n x n bytes plus O(n); an n whose adjacency exceeds
+physical memory is rejected before anything is allocated.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "Graph",
     "make_partition",
     "sample_graph",
-    "sample_induced",
     "expectation_matrix",
     "true_cluster_matrix",
     "principal_submatrix",
@@ -165,59 +163,25 @@ def require_adjacency_memory(n: int, where: str) -> None:
         )
 
 
-def _sample_adjacency(part: PlantedPartition, params: ModelParams, vertices: np.ndarray) -> np.ndarray:
-    """The sample's adjacency on the ascending original ids `vertices`, one
-    column at a time.
+def sample_graph(part: PlantedPartition, params: ModelParams) -> Graph:
+    """Draw one random graph from the model; a pure function of (part, params).
 
     The draw for the pair i < j is number j(j-1)/2 + i of the Philox stream
     keyed by the seed (column-major upper-triangle order, which does not
-    depend on n).  Column j reads the stretch from its first pair to its last
-    earlier selected vertex, keeps the draws at the earlier selected
-    vertices, and writes row j and column j.  Where that stretch does not
-    continue the previous one, the stream is positioned by advancing its
-    counter (one step is 4 raw draws) and skipping the remainder, so no
-    unneeded prefix is generated; memory is the m x m bytes plus O(j).
+    depend on n), so column j reads the next j draws of one stream and
+    writes row j and column j; memory is the n x n bytes plus O(n).
     """
-    m = vertices.size
-    require_adjacency_memory(m, "sample")
-    adj = np.zeros((m, m), dtype=np.uint8)
-    labels = part.assignment[vertices]
-    key = np.uint64(params.seed)
-    position = None  # stream position after the previous column's read
-    for b in range(1, m):
-        j, earlier = int(vertices[b]), vertices[:b]
-        start = j * (j - 1) // 2
-        if start != position:
-            stream = np.random.Philox(key=key)
-            stream.advance(start // 4)
-            stream.random_raw(start % 4)
-        count = int(earlier[-1]) + 1
-        raw = stream.random_raw(count)[earlier]
-        position = start + count
-        u = (raw >> np.uint64(11)) * 2.0**-53
-        edge = u < np.where(labels[:b] == labels[b], params.p, params.q)
-        adj[b, :b] = edge
-        adj[:b, b] = edge
-    return adj
-
-
-def sample_graph(part: PlantedPartition, params: ModelParams) -> Graph:
-    """Draw one random graph from the model; a pure function of (part, params)."""
-    return Graph(adj=_sample_adjacency(part, params, np.arange(part.n, dtype=np.int64)))
-
-
-def sample_induced(part: PlantedPartition, params: ModelParams, vertices: np.ndarray) -> Graph:
-    """Replay the sample restricted to `vertices` (original ids, ascending).
-
-    Uses the same per-pair draws as :func:`sample_graph`, so the result equals
-    the corresponding principal submatrix of the full sample.
-    """
-    vertices = np.unique(np.asarray(vertices, dtype=np.int64))
-    if vertices.size == 0:
-        raise EmptySetError("vertex set must be nonempty")
-    if vertices[0] < 0 or vertices[-1] >= part.n:
-        raise ValueError("vertex ids out of range")
-    return Graph(adj=_sample_adjacency(part, params, vertices))
+    n = part.n
+    require_adjacency_memory(n, "sample")
+    adj = np.zeros((n, n), dtype=np.uint8)
+    labels = part.assignment
+    stream = np.random.Philox(key=np.uint64(params.seed))
+    for j in range(1, n):
+        u = (stream.random_raw(j) >> np.uint64(11)) * 2.0**-53
+        edge = u < np.where(labels[:j] == labels[j], params.p, params.q)
+        adj[j, :j] = edge
+        adj[:j, j] = edge
+    return Graph(adj=adj)
 
 
 def expectation_matrix(part: PlantedPartition, params: ModelParams) -> np.ndarray:

@@ -37,7 +37,6 @@ from .model import Graph, PlantedPartition
 from .spectral import Projector, projector_operand, top_projector
 
 __all__ = [
-    "CandidateSet",
     "RecoveryResult",
     "PivotTrace",
     "all_candidate_sets",
@@ -47,15 +46,6 @@ __all__ = [
     "recover_with_trace",
     "same_partition",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class CandidateSet:
-    """A pivot vertex, its size-s candidate set, and the set's projector mass."""
-
-    pivot: int
-    members: np.ndarray
-    mass: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,43 +113,42 @@ def _candidate_members(op, pivots: np.ndarray, s: int) -> np.ndarray:
     return np.sort(np.concatenate([top, pivots[:, None]], axis=1), axis=1)
 
 
-def all_candidate_sets(p_hat, s: int) -> list[CandidateSet]:
-    """Candidate sets for every column, ranked and weighed block by block.
+def all_candidate_sets(p_hat, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate sets and their masses for every column, ranked and weighed
+    block by block.
 
-    Set j holds vertex j plus the s-1 largest other entries of column j.
-
-    `p_hat` is a Projector, whose mass of a set W is ||V^T 1_W||, or a square
-    matrix, whose mass of W is the norm of its column sum over W.
+    Returns `members` (m x s), whose row j is vertex j plus the s-1 largest
+    other entries of column j, ascending, and `masses` (m), whose entry j is
+    the mass of row j's set.  `p_hat` is a Projector, whose mass of a set W
+    is ||V^T 1_W||, or a square matrix, whose mass of W is the norm of its
+    column sum over W.
     """
     op = projector_operand(p_hat)
     m = op.dim
     if not 1 <= s <= m:
         raise SizeOutOfRangeError(f"size must be in 1..{m}, got {s}")
     step = max(1, BLOCK_ENTRIES // m)
-    sets = []
+    members, masses = [], []
     for start in range(0, m, step):
         pivots = np.arange(start, min(start + step, m), dtype=np.int64)
-        members = _candidate_members(op, pivots, s)
-        masses = op.masses(members)
-        sets.extend(
-            CandidateSet(pivot=int(j), members=w, mass=float(x))
-            for j, w, x in zip(pivots, members, masses)
-        )
-    return sets
+        members.append(_candidate_members(op, pivots, s))
+        masses.append(op.masses(members[-1]))
+    # joined after the blocks, not written into arrays allocated before
+    # them: with glibc malloc those split the freed heap, and the later
+    # rounds' solves raised the peak RSS of sampling and recovering n=2000,
+    # s=100 from 98 to 114 MB
+    return np.concatenate(members), np.concatenate(masses)
 
 
-def select_pivot(p_hat, sets: list[CandidateSet]) -> int:
-    """Pivot with the largest candidate-set mass; ties go to the smaller vertex.
+def select_pivot(masses: np.ndarray) -> int:
+    """Index of the largest mass; ties go to the smaller index.
 
     Masses within MASS_TIE_REL (relative) of the largest count as tied, so
     the choice does not hang on the summation order of the masses.
     """
-    dim = projector_operand(p_hat).dim
-    if {c.pivot for c in sets} != set(range(dim)):
-        raise ValueError("candidate sets must cover every vertex exactly once")
-    best = max(c.mass for c in sets)
-    floor = best - MASS_TIE_REL * abs(best)
-    return min(c.pivot for c in sets if c.mass >= floor)
+    masses = np.asarray(masses, dtype=np.float64)
+    best = masses.max()
+    return int(np.argmax(masses >= best - MASS_TIE_REL * abs(best)))
 
 
 def extract_cluster(g: Graph, w: np.ndarray, s: int) -> np.ndarray:
@@ -190,16 +179,16 @@ def recover_with_trace(g: Graph, s: int) -> tuple[RecoveryResult, list[PivotTrac
     while active.size // s >= 1:
         rank = active.size // s
         p_hat = top_projector(adj, rank)
-        sets = all_candidate_sets(p_hat, s)
-        j_star = select_pivot(p_hat, sets)
-        members = _extract(adj, sets[j_star].members, s)
+        candidates, masses = all_candidate_sets(p_hat, s)
+        j_star = select_pivot(masses)
+        members = _extract(adj, candidates[j_star], s)
         clusters.append(active[members])
         traces.append(
             PivotTrace(
                 level=level,
                 rank=rank,
                 pivot=int(active[j_star]),
-                mass=sets[j_star].mass,
+                mass=float(masses[j_star]),
                 projector=p_hat,
             )
         )

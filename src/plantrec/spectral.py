@@ -28,7 +28,6 @@ __all__ = [
     "eigvals_descending",
     "top_projector",
     "spectral_norm",
-    "projector_column_mass",
     "projector_operand",
 ]
 
@@ -165,13 +164,17 @@ def projector_operand(p) -> Projector | _DenseOperator:
     """`p` as an operand with `dim`, `columns` and `masses`.
 
     A Projector, or an operand this function returned, passes through;
-    anything else is read as a dense square float64 matrix.
+    anything else is read as a dense square float64 matrix, which must be
+    finite: a NaN entry would make NaN masses, and the pivot choice would
+    fall to vertex 0 without a word.
     """
     if isinstance(p, (Projector, _DenseOperator)):
         return p
     matrix = np.asarray(p, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(matrix).all():
+        raise NonFiniteError("matrix has non-finite entries")
     return _DenseOperator(np.ascontiguousarray(matrix.T))
 
 
@@ -302,11 +305,3 @@ def spectral_norm(a: np.ndarray) -> float:
     w = eigvals_descending(a)
     return float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
 
-
-def projector_column_mass(p, members) -> float:
-    """2-norm of P applied to the indicator vector of `members`.
-
-    `p` is a Projector or a square matrix (see :func:`projector_operand`).
-    """
-    members = np.asarray(members, dtype=np.int64)
-    return float(projector_operand(p).masses(members[None, :])[0])

@@ -59,7 +59,6 @@ class TestConstants:
         assert consts.c_prime == 88.0
         assert consts.epsilon == pytest.approx(0.1)
         assert consts.sigma == 0.0
-        assert consts.entry_bound == 1.0
 
     def test_epsilon_undefined_below_separation(self):
         consts = Constants.from_params(0.6, 0.2, 10.0)  # c_prime = 4
@@ -318,9 +317,11 @@ class TestGoodColumn:
         part = permute_partition(make_partition(60, 10), np.random.default_rng(seed).permutation(60))
         sampled = sample_graph(part, ModelParams(p=0.6, q=0.4, seed=seed)).dense()
         p_hat = top_projector(sampled, 6)
-        sets = all_candidate_sets(p_hat, 10)
-        best = sets[select_pivot(p_hat, sets)].members
+        members, masses = all_candidate_sets(p_hat, 10)
+        pivot = select_pivot(masses)
+        best = members[pivot]
         rep = check_good_column(p_hat, part, 0.1)
+        assert (rep.context["best_pivot"], rep.rhs) == (pivot, masses[pivot])
         coassign = true_cluster_matrix(part)
         assert rep.context["best_overlap"] == coassign[np.ix_(best, best)].sum(axis=1).max()
         assert rep.context["s"] == 10
@@ -439,6 +440,17 @@ class TestFkSubmatrices:
     def test_empty_family_rejected(self):
         with pytest.raises(EmptyFamilyError):
             check_fk_submatrices(np.zeros((4, 4)), [], sigma=0.5)
+
+    def test_whole_vertex_set_reads_the_matrix_itself(self):
+        # in order it is x itself, in another order a gathered copy; the
+        # norms agree, and the first is the norm of x bit for bit
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((30, 30))
+        x = (x + x.T) / 2
+        in_order, shuffled = check_fk_submatrices(x, [np.arange(30), rng.permutation(30)], sigma=0.5)
+        assert in_order.lhs == spectral_norm(x.copy())
+        assert shuffled.lhs == pytest.approx(in_order.lhs, rel=1e-12)
+        assert in_order.rhs == shuffled.rhs == 2.0 * 3.5 * math.sqrt(30)
 
     def test_union_enumeration(self):
         part = make_partition(8, 2)

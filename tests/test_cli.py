@@ -235,6 +235,22 @@ class TestExperiment:
         cfg.write_text(json.dumps({"n": [12], "k": [5], "p": [0.9], "q": [0.1]}))
         code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 2
+        # values of the wrong JSON type: none is converted, truncated or
+        # read as true, and none reaches the grid
+        base = {"n": [12], "k": [2], "p": [0.9], "q": [0.1]}
+        for raw in (
+            {**base, "p": [None]},
+            {**base, "checks": 5},
+            7,
+            {**base, "out": 5},
+            {**base, "n": [10.9]},
+            {**base, "epsilon": True},
+            {**base, "baseline": "no"},
+        ):
+            cfg.write_text(json.dumps(raw))
+            code, _, err = run_cli(capsys, "experiment", "--config", str(cfg), "--out", str(tmp_path / "o"))
+            assert (code, err.startswith("invalid input: config")) == (2, True), raw
+            assert not (tmp_path / "o").exists()
 
     def test_nan_epsilon_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -254,6 +254,20 @@ class TestRunChecks:
             tracemalloc.stop()
         assert peak <= 1.5 * 8 * n * n
 
+    def test_fk_reads_the_all_cluster_union_in_place(self):
+        # the union of every cluster is A - E itself, not an n x n copy of it
+        n = 600
+        part = make_partition(n, 200)
+        params = ModelParams(p=0.7, q=0.3, seed=1)
+        g = sample_graph(part, params)
+        tracemalloc.start()
+        try:
+            run_checks(g, part, params, ("fk",), 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 8 * n * n
+
     def test_report_order_ignores_the_order_asked(self):
         part = make_partition(12, 4)
         params = ModelParams(p=0.8, q=0.2, seed=5)

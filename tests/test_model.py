@@ -17,7 +17,6 @@ from plantrec.model import (
     permute_partition,
     principal_submatrix,
     sample_graph,
-    sample_induced,
     true_cluster_matrix,
 )
 
@@ -145,10 +144,10 @@ class TestSamplerOracle:
         g = sample_graph(part, params)
         assert np.array_equal(g.adj, _reference_sample_adjacency(part, params, np.arange(part.n)))
         if vertices:
-            replay = sample_induced(part, params, np.array(vertices))
-            chosen = np.unique(vertices)
-            assert np.array_equal(replay.adj, _reference_sample_adjacency(part, params, chosen))
-            assert np.array_equal(replay.adj, g.adj[np.ix_(chosen, chosen)])
+            # a pair's draw depends on the pair alone, so any restriction of
+            # the sample is the definition on those vertices
+            sub = principal_submatrix(g, np.array(vertices))
+            assert np.array_equal(sub.adj, _reference_sample_adjacency(part, params, np.unique(vertices)))
 
     def test_golden_hash(self):
         # pins numpy's Philox stream and the pair numbering: a change in
@@ -157,18 +156,6 @@ class TestSamplerOracle:
         digest = hashlib.sha256(np.packbits(g.adj).tobytes()).hexdigest()
         assert digest == "aad24c8e263b82e424f50448a16b301d4e22ef098d507a1ec622845540193587"
         assert g.edge_count == 47276
-
-    def test_replay_reads_only_the_columns_it_needs(self):
-        # two vertices near n = 10^5 need one pair draw: the stream is
-        # advanced to it, not generated from the start (about 5e9 draws)
-        part = PlantedPartition(assignment=np.repeat(np.arange(2), 50_000), k=2, s=50_000)
-        params = ModelParams(p=0.7, q=0.3, seed=9)
-        replay = sample_induced(part, params, np.array([99_998, 99_999]))
-        start = 99_999 * 99_998 // 2 + 99_998
-        stream = np.random.Philox(key=np.uint64(9))
-        stream.advance(start // 4)
-        u = (stream.random_raw(start % 4 + 1)[-1] >> np.uint64(11)) * 2.0**-53
-        assert replay.adj[0, 1] == replay.adj[1, 0] == (u < 0.7)
 
     def test_sample_graph_memory_is_the_adjacency(self):
         # n^2 bytes of adjacency, O(n) per column and Graph's symmetry check
@@ -194,13 +181,13 @@ class TestSamplerOracle:
         try:
             with pytest.raises(ValueError, match="adjacency needs 4000000 bytes"):
                 sample_graph(part, params)
-            with pytest.raises(ValueError, match="adjacency needs"):
-                sample_induced(part, params, np.arange(1500))
+            with pytest.raises(ValueError, match="adjacency needs 2250000 bytes"):
+                sample_graph(make_partition(1500, 500), params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 10**6
-        assert sample_induced(part, params, np.arange(1000)).n == 1000
+        assert sample_graph(make_partition(1000, 500), params).n == 1000
 
 
 class TestExpectationAndClusterMatrix:
@@ -268,26 +255,24 @@ class TestPrincipalSubmatrix:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_replay_union_of_clusters(self, seed):
-        # restriction of one sample equals resampling only those clusters
-        # under the same per-pair draws
+        # restriction of one sample equals drawing only those clusters' pairs
+        # from the same per-pair draws
         part = make_partition(30, 10)
         params = ModelParams(p=0.7, q=0.2, seed=seed)
         g = sample_graph(part, params)
         union = np.flatnonzero((part.assignment == 0) | (part.assignment == 2))
         sub = principal_submatrix(g, union)
-        replay = sample_induced(part, params, union)
-        assert (sub.adj == replay.adj).all()
+        assert (sub.adj == _reference_sample_adjacency(part, params, union)).all()
 
     def test_replay_arbitrary_subset(self):
-        # pair draws are addressed by (seed, i, j) alone, so replay works for
+        # pair draws are addressed by (seed, i, j) alone, so this holds for
         # any vertex subset, not just cluster unions
         part = make_partition(30, 10)
         params = ModelParams(p=0.6, q=0.4, seed=17)
         g = sample_graph(part, params)
         subset = np.array([0, 3, 7, 11, 13, 22, 29])
         sub = principal_submatrix(g, subset)
-        replay = sample_induced(part, params, subset)
-        assert (sub.adj == replay.adj).all()
+        assert (sub.adj == _reference_sample_adjacency(part, params, subset)).all()
 
     def test_commutes_with_expectation_matrix(self):
         part = make_partition(24, 6)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from plantrec import recovery
 
-from plantrec.errors import GraphTooSmallError, SizeOutOfRangeError, ZeroSizeError
+from plantrec.errors import GraphTooSmallError, NonFiniteError, SizeOutOfRangeError, ZeroSizeError
 from plantrec.model import (
     Graph,
     ModelParams,
@@ -19,7 +19,6 @@ from plantrec.model import (
     true_cluster_matrix,
 )
 from plantrec.recovery import (
-    CandidateSet,
     PivotTrace,
     RecoveryResult,
     all_candidate_sets,
@@ -29,7 +28,7 @@ from plantrec.recovery import (
     same_partition,
     select_pivot,
 )
-from plantrec.spectral import Projector, projector_column_mass, top_projector
+from plantrec.spectral import Projector, top_projector
 
 
 def noiseless_graph(n: int, s: int) -> Graph:
@@ -41,15 +40,15 @@ class TestCandidateSet:
     def test_exact_projector_gives_true_cluster(self):
         part = make_partition(12, 4)
         p = true_cluster_matrix(part) / 4
-        sets = all_candidate_sets(p, 4)
+        members, _ = all_candidate_sets(p, 4)
+        assert members.shape == (12, 4)
         for j in range(12):
-            assert set(sets[j].members) == set(part.clusters()[part.assignment[j]])
-            assert sets[j].pivot == j
+            assert set(members[j]) == set(part.clusters()[part.assignment[j]])
 
     def test_size_one(self):
         p = true_cluster_matrix(make_partition(6, 3)) / 3
-        cand = all_candidate_sets(p, 1)[4]
-        assert list(cand.members) == [4]
+        members, _ = all_candidate_sets(p, 1)
+        assert members.tolist() == [[j] for j in range(6)]
 
     def test_robust_to_small_noise(self):
         # entries gap is 1/s, so symmetric noise below 1/(2s) cannot reorder
@@ -58,9 +57,9 @@ class TestCandidateSet:
         rng = np.random.default_rng(3)
         noise = rng.uniform(-1, 1, size=(12, 12)) * (0.49 / 4)
         noisy = (noise + noise.T) / 2 + clean
-        sets = all_candidate_sets(noisy, 4)
+        members, _ = all_candidate_sets(noisy, 4)
         for j in range(12):
-            assert set(sets[j].members) == set(part.clusters()[part.assignment[j]])
+            assert set(members[j]) == set(part.clusters()[part.assignment[j]])
 
     def test_size_out_of_range(self):
         p = np.eye(4)
@@ -71,8 +70,8 @@ class TestCandidateSet:
 
     def test_tie_break_prefers_smaller_index(self):
         p = np.zeros((5, 5))
-        cand = all_candidate_sets(p, 3)[3]
-        assert list(cand.members) == [0, 1, 3]
+        members, _ = all_candidate_sets(p, 3)
+        assert list(members[3]) == [0, 1, 3]
 
 
 def brute_force_sets(matrix: np.ndarray, s: int) -> list[np.ndarray]:
@@ -121,71 +120,80 @@ class TestRanking:
     @given(sized_matrices())
     def test_members_equal_stable_argsort_definition(self, case):
         matrix, s = case
-        got = all_candidate_sets(matrix, s)
+        members, masses = all_candidate_sets(matrix, s)
         want = brute_force_sets(matrix, s)
-        assert [c.pivot for c in got] == list(range(matrix.shape[0]))
-        for c, w in zip(got, want):
-            assert np.array_equal(c.members, w)
-            assert c.mass == pytest.approx(brute_force_mass(matrix, w), rel=1e-12, abs=1e-12)
+        assert np.array_equal(members, want)
+        for x, w in zip(masses, want):
+            assert x == pytest.approx(brute_force_mass(matrix, w), rel=1e-12, abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(sized_matrices(), st.integers(1, 5))
     def test_small_blocks_give_the_same_sets(self, case, block):
         matrix, s = case
-        whole = all_candidate_sets(matrix, s)
+        members, masses = all_candidate_sets(matrix, s)
         with mock.patch.object(recovery, "BLOCK_ENTRIES", block * matrix.shape[0]):
-            blocked = all_candidate_sets(matrix, s)
-        for a, b in zip(whole, blocked):
-            assert np.array_equal(a.members, b.members)
-            # a raw matrix's masses come from one BLAS product per block,
-            # whose rounding may follow the block's shape
-            assert a.mass == pytest.approx(b.mass, rel=1e-12, abs=1e-12)
+            blocked_members, blocked_masses = all_candidate_sets(matrix, s)
+        assert np.array_equal(members, blocked_members)
+        # a raw matrix's masses come from one BLAS product per block, whose
+        # rounding may follow the block's shape
+        assert blocked_masses == pytest.approx(masses, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("m,r,s", [(30, 3, 10), (41, 5, 8), (12, 12, 12), (9, 1, 1)])
     def test_basis_masses_equal_matrix_masses(self, m, r, s):
         proj = random_projector(m, r, seed=m * r)
         dense = proj.matrix
-        for c in all_candidate_sets(proj, s):
-            assert c.mass == pytest.approx(brute_force_mass(dense, c.members), rel=1e-12)
-            assert c.mass == projector_column_mass(proj, c.members)
+        members, masses = all_candidate_sets(proj, s)
+        for w, x in zip(members, masses):
+            assert x == pytest.approx(brute_force_mass(dense, w), rel=1e-12)
+            assert x == proj.masses(w[None, :])[0]
 
     def test_basis_ranking_small_blocks(self, monkeypatch):
         proj = random_projector(50, 4, seed=7)
-        whole = all_candidate_sets(proj, 9)
-        assert [list(c.members) for c in whole] == [list(w) for w in brute_force_sets(proj.matrix, 9)]
+        members, masses = all_candidate_sets(proj, 9)
+        assert np.array_equal(members, brute_force_sets(proj.matrix, 9))
         monkeypatch.setattr(recovery, "BLOCK_ENTRIES", 3 * 50)
-        blocked = all_candidate_sets(proj, 9)
-        for a, b in zip(whole, blocked):
-            assert np.array_equal(a.members, b.members)
-            assert a.mass == b.mass
+        blocked_members, blocked_masses = all_candidate_sets(proj, 9)
+        assert np.array_equal(members, blocked_members)
+        assert np.array_equal(masses, blocked_masses)
 
 
 class TestSelectPivot:
     def test_masses_one_ulp_apart_tie_to_smaller_vertex(self):
-        members = np.array([0, 1])
         low, high = 2.0, np.nextafter(2.0, 3.0)
-        sets = [CandidateSet(0, members, low), CandidateSet(1, members, high)]
-        assert select_pivot(np.zeros((2, 2)), sets) == 0
-        sets = [CandidateSet(0, members, low), CandidateSet(1, members, low * (1 + 1e-9))]
-        assert select_pivot(np.zeros((2, 2)), sets) == 1
+        assert select_pivot(np.array([low, high])) == 0
+        assert select_pivot(np.array([low, low * (1 + 1e-9)])) == 1
+        # a relative 1e-12 below the largest counts as tied, 1e-11 does not
+        masses = np.array([-1.0, 5.0 * (1 - 1e-11), 0.0, 5.0 * (1 - 1e-13), 5.0, 5.0])
+        assert select_pivot(masses) == 3
+        assert select_pivot(-np.array([3.0, 1.0 * (1 + 1e-13), 1.0])) == 1
 
     def test_all_tie_returns_vertex_zero(self):
         part = make_partition(12, 4)
         p = true_cluster_matrix(part) / 4
-        sets = all_candidate_sets(p, 4)
-        assert select_pivot(p, sets) == 0
-        assert all(c.mass == pytest.approx(2.0) for c in sets)
+        _, masses = all_candidate_sets(p, 4)
+        assert select_pivot(masses) == 0
+        assert masses == pytest.approx(np.full(12, 2.0))
 
     def test_single_vertex(self):
-        p = np.zeros((1, 1))
-        sets = all_candidate_sets(p, 1)
-        assert select_pivot(p, sets) == 0
+        _, masses = all_candidate_sets(np.zeros((1, 1)), 1)
+        assert select_pivot(masses) == 0
 
-    def test_requires_full_coverage(self):
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from([0.0, 1.0, -2.0, 2.0, 2.0 * (1 - 1e-13), 2.0 * (1 - 1e-11)])
+                    | st.floats(-1e3, 1e3), min_size=1, max_size=12))
+    def test_equals_smallest_index_within_the_tie_floor(self, masses):
+        # the rule as a loop over (index, mass) pairs
+        best = max(masses)
+        floor = best - recovery.MASS_TIE_REL * abs(best)
+        assert select_pivot(np.array(masses)) == min(j for j, x in enumerate(masses) if x >= floor)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        # a NaN mass would lose every comparison and leave pivot 0 unseen
         p = true_cluster_matrix(make_partition(8, 4)) / 4
-        sets = all_candidate_sets(p, 4)
-        with pytest.raises(ValueError):
-            select_pivot(p, sets[:-1])
+        p[5, 6] = p[6, 5] = bad
+        with pytest.raises(NonFiniteError):
+            all_candidate_sets(p, 4)
 
 
 class TestExtractCluster:
