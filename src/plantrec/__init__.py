@@ -46,6 +46,7 @@ from .spectral import (
     eigh_descending,
     eigvals_descending,
     spectral_norm,
+    submatrix_norms,
     top_projector,
 )
 

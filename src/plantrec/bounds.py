@@ -14,8 +14,12 @@ matrices numerically and call it, while
 projector and the expected side in closed form.  ||P_A - P_E|| is read from
 the principal angles between the two m x l bases (Davis-Kahan's sin theta),
 in O(m l^2); no m x m projector is formed.  The norm report has a private
-core too, :func:`_norm_deviation`.  The noise matrix A - E has one builder,
-:func:`centered_adjacency`, which ``run_checks`` calls once per instance.
+core too, :func:`_norm_deviation`, and so has the FK report,
+:func:`_fk_report`, which ``run_checks`` uses for the union of every
+cluster, read from its one solve of A - E.  :func:`check_fk_submatrices`
+solves its other sets in one :func:`~plantrec.spectral.submatrix_norms`
+batch.  The noise matrix A - E has one builder, :func:`centered_adjacency`,
+which ``run_checks`` calls once per instance.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .spectral import (
     eigvals_descending,
     projector_operand,
     spectral_norm,
+    submatrix_norms,
     top_projector,
 )
 
@@ -375,31 +380,28 @@ def check_fk_submatrices(
     with the entry bound K = 1 of 0-1 noise.
 
     `labels`, when given, supplies a cluster bitmask per set for reporting.
-    A set of every vertex in order reads x itself, with no n x n copy.
+    The norms come from one :func:`~plantrec.spectral.submatrix_norms`
+    batch, which gathers a copy of each x[S] and never writes to x.
     """
-    x = np.asarray(x, dtype=np.float64)
-    family = list(family)
+    family = [np.asarray(vertices, dtype=np.int64) for vertices in family]
     if not family:
         raise EmptyFamilyError("family of vertex sets is empty")
+    if any(vertices.size == 0 for vertices in family):
+        raise EmptyFamilyError("vertex sets must be nonempty")
+    norms = submatrix_norms(np.asarray(x, dtype=np.float64), family)
     reports = []
-    for idx, vertices in enumerate(family):
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if vertices.size == 0:
-            raise EmptyFamilyError("vertex sets must be nonempty")
-        whole = np.array_equal(vertices, np.arange(x.shape[0]))
-        sub = x if whole else x[np.ix_(vertices, vertices)]
+    for idx, (vertices, norm) in enumerate(zip(family, norms)):
         ctx = dict(context)
         if labels is not None:
             ctx["mask"] = int(labels[idx])
-        reports.append(
-            BoundReport.of(
-                "fk_submatrix",
-                spectral_norm(sub),
-                2.0 * (sigma + 3.0) * math.sqrt(vertices.size),
-                **ctx,
-            )
-        )
+        reports.append(_fk_report(norm, vertices.size, sigma, **ctx))
     return reports
+
+
+def _fk_report(norm: float, size: int, sigma: float, **context) -> BoundReport:
+    """The report of :func:`check_fk_submatrices` for one set of `size`
+    vertices from the norm of its submatrix."""
+    return BoundReport.of("fk_submatrix", norm, 2.0 * (sigma + 3.0) * math.sqrt(size), **context)
 
 
 def check_weyl(a: np.ndarray, b: np.ndarray, **context) -> BoundReport:

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds
+from . import bounds, spectral
 from .baseline import baseline_common_neighbors
 from .errors import DimensionMismatchError, EpsilonOutOfRangeError, PlantrecError
 from .io import _format_cell, write_reports_csv
@@ -236,8 +236,11 @@ def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
     it.  The expected side is taken in closed form: P_k(E) = Z Z^T / s and
     lambda_k(E) from `theoretical_spectrum`.  The noise matrix A - E is the
     one n x n float64 matrix the checks hold, built once when norm, proj or
-    fk runs: ||A - E||_2 is solved once on it for norm and proj, fk reads
-    its principal submatrices, and it is dropped before goodcol.
+    fk runs.  fk first solves the submatrices of its proper cluster unions
+    (copies, one BLAS thread per core at once).  Then A - E itself is solved
+    once, in place, which consumes it: its extreme eigenvalues give
+    ||A - E||_2 for norm and proj, and, shifted by p (A - E has -p on its
+    diagonal where fk's noise has 0), fk's union of every cluster.
     """
     _validate_checks(checks, epsilon)
     checks = set(checks)
@@ -264,12 +267,28 @@ def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
     reports = []
     if {"norm", "proj", "fk"} & checks:
         noise = bounds.centered_adjacency(g, part, params)
-    if {"norm", "proj"} & checks:
+        if "fk" in checks:
+            unions = bounds.cluster_unions(part, seed=params.seed)
+            sigma = bounds.Constants.from_params(params.p, params.q, c=1.0).sigma
+            fk_ctx = {key: ctx[key] for key in ("n", "k", "s", "p", "q", "seed")}
+            # the union of every cluster is read from the solve below
+            proper = [(mask, v) for mask, v in unions if v.size < n]
+            fk_reports = []
+            if proper:
+                fk_reports = bounds.check_fk_submatrices(
+                    noise, [v for _, v in proper], sigma, labels=[m for m, _ in proper], **fk_ctx
+                )
         np.fill_diagonal(noise, -params.p)  # exactly A - E
-        instance_dev = bounds.spectral_norm(noise)
-        np.fill_diagonal(noise, 0.0)
-        if "norm" in checks:
-            reports.append(bounds._norm_deviation(instance_dev, n, **ctx))
+        mu = spectral._solve_values(noise)  # ascending; overwrites the noise matrix
+        noise = None
+        instance_dev = float(max(abs(mu[0]), abs(mu[-1])))
+        if "fk" in checks and len(proper) < len(unions):
+            # the noise matrix with its zero diagonal is A - E + pI, whose
+            # eigenvalues are mu + p; the full mask sorts last among the unions
+            whole = float(max(abs(mu[0] + params.p), abs(mu[-1] + params.p)))
+            fk_reports.append(bounds._fk_report(whole, n, sigma, **fk_ctx, mask=ctx["mask"]))
+    if "norm" in checks:
+        reports.append(bounds._norm_deviation(instance_dev, n, **ctx))
     if "proj" in checks:
         lambda_k = bounds.theoretical_spectrum(k, s, params.p, params.q)[k - 1]
         spec_rep, frob_rep = bounds._projector_deviation(
@@ -288,15 +307,7 @@ def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
             bounds.check_concentration(g, part, params.p, params.q, epsilon, **conc_ctx)
         )
     if "fk" in checks:
-        unions = bounds.cluster_unions(part, seed=params.seed)
-        sigma = bounds.Constants.from_params(params.p, params.q, c=1.0).sigma
-        fk_ctx = {key: ctx[key] for key in ("n", "k", "s", "p", "q", "seed")}
-        reports.extend(
-            bounds.check_fk_submatrices(
-                noise, [v for _, v in unions], sigma, labels=[m for m, _ in unions], **fk_ctx
-            )
-        )
-    noise = None  # goodcol ranks its candidates without it
+        reports.extend(fk_reports)
     if "goodcol" in checks:
         # the mass threshold is only meaningful for epsilon <= 0.1; clamp
         # and record the measured value so the report stays interpretable
@@ -402,7 +413,10 @@ def run_grid(
     jobs: int = 1,
     emit_plot_data: bool = False,
 ) -> list[CellSummary]:
-    """Run every cell x trial, writing outputs in deterministic order."""
+    """Run every cell x trial, writing outputs in deterministic order;
+    `jobs` > 1 runs the trials in that many worker processes."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = config.cells()

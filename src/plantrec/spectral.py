@@ -9,11 +9,20 @@ Such a solve makes one m x m float64 copy of its input, which LAPACK
 overwrites: an integer or bool matrix (a graph's uint8 adjacency) that
 equals its transpose is converted straight into it, and any other matrix is
 copied, checked finite and symmetrized only if it is not exactly symmetric.
+
+The norms of many principal submatrices of one matrix
+(:func:`submatrix_norms`) are values-only LAPACK ``dsyevd`` solves, one per
+core at once on a thread pool, with OpenBLAS held at one thread (through its
+``openblas_set_num_threads``, looked up the same way) for the batch.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
+import threading
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +37,7 @@ __all__ = [
     "eigvals_descending",
     "top_projector",
     "spectral_norm",
+    "submatrix_norms",
     "projector_operand",
 ]
 
@@ -207,14 +217,31 @@ def eigvals_descending(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_finite_symmetric(a, private=False))[::-1].copy()
 
 
-# numpy's LAPACK dsyevr as (function, Fortran integer type), tried in order:
-# numpy >= 2 wheels (scipy-openblas, 64-bit integers), numpy 1.2x wheels
-# (64-bit), then a distribution or conda LAPACK (32-bit).  dlsym on the handle
-# of numpy's own extension module also searches the libraries it links.
+# numpy's LAPACK routines and OpenBLAS thread controls as (name, integer
+# type), each tuple tried in order: numpy >= 2 wheels (scipy-openblas, 64-bit
+# integers), numpy 1.2x wheels (64-bit), then a distribution or conda build
+# (32-bit).  The integer type is LAPACK's Fortran integer; OpenBLAS takes its
+# thread count as a C int under every name.  dlsym on the handle of numpy's
+# own extension module also searches the libraries it links.
 _DSYEVR_SYMBOLS = (
     ("scipy_dsyevr_64_", ctypes.c_int64),
     ("dsyevr_64_", ctypes.c_int64),
     ("dsyevr_", ctypes.c_int32),
+)
+_DSYEVD_SYMBOLS = (
+    ("scipy_dsyevd_64_", ctypes.c_int64),
+    ("dsyevd_64_", ctypes.c_int64),
+    ("dsyevd_", ctypes.c_int32),
+)
+_SET_THREADS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", ctypes.c_int),
+    ("openblas_set_num_threads64_", ctypes.c_int),
+    ("openblas_set_num_threads", ctypes.c_int),
+)
+_GET_THREADS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", ctypes.c_int),
+    ("openblas_get_num_threads64_", ctypes.c_int),
+    ("openblas_get_num_threads", ctypes.c_int),
 )
 
 
@@ -232,21 +259,42 @@ def _dsyevr_argtypes(int_type) -> list:
     ]
 
 
-def _resolve_dsyevr():
+def _dsyevd_argtypes(int_type) -> list:
+    integer = ctypes.POINTER(int_type)
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+    integers = np.ctypeslib.ndpointer(int_type, flags="C_CONTIGUOUS,WRITEABLE")
+    return [
+        *[ctypes.c_char_p] * 2,  # JOBZ, UPLO
+        integer, doubles, integer, doubles,  # N, A, LDA, W
+        doubles, integer, integers, integer, integer,  # WORK, LWORK, IWORK, LIWORK, INFO
+        *[ctypes.c_size_t] * 2,  # the hidden lengths of the two strings
+    ]
+
+
+def _resolve(symbols, argtypes, restype=None):
+    """(function, integer type) for the first of `symbols` that numpy's
+    LAPACK exports, declared with `argtypes(int_type)`; None if none is."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
         return None
-    for name, int_type in _DSYEVR_SYMBOLS:
+    for name, int_type in symbols:
         func = getattr(lib, name, None)
         if func is not None:
-            func.argtypes = _dsyevr_argtypes(int_type)
-            func.restype = None
+            func.argtypes = argtypes(int_type)
+            func.restype = restype
             return func, int_type
     return None
 
 
-_DSYEVR = _resolve_dsyevr()
+_DSYEVR = _resolve(_DSYEVR_SYMBOLS, _dsyevr_argtypes)
+_DSYEVD = _resolve(_DSYEVD_SYMBOLS, _dsyevd_argtypes)
+_SET_THREADS = _resolve(_SET_THREADS_SYMBOLS, lambda int_type: [int_type])
+_GET_THREADS = _resolve(_GET_THREADS_SYMBOLS, lambda int_type: [], restype=ctypes.c_int)
+
+# Held while a batch of submatrix norms keeps OpenBLAS at one thread, so two
+# batches in different threads cannot interleave the save and the restore.
+_BLAS_THREADS_LOCK = threading.Lock()
 
 
 def _solve_top(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
@@ -293,6 +341,102 @@ def _dsyevr(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
     if found.value != rank:
         raise np.linalg.LinAlgError(f"LAPACK dsyevr found {found.value} of {rank} eigenpairs")
     return w[rank - 1 :: -1].copy(), np.ascontiguousarray(z[::-1].T)
+
+
+def _solve_values(a: np.ndarray) -> np.ndarray:
+    """All eigenvalues, ascending, of the exactly symmetric float64 C-order
+    matrix `a`, which the solve may overwrite: LAPACK dsyevd (JOBZ='N',
+    UPLO='L') in place where numpy's LAPACK exports it, else numpy's
+    ``eigvalsh``, which calls the same routine on a copy, so both give the
+    same bits at the same BLAS thread count."""
+    if _DSYEVD is None:
+        return np.linalg.eigvalsh(a)
+    func, int_type = _DSYEVD
+    m = a.shape[0]
+    dim, info = int_type(m), int_type(0)
+    w = np.empty(m, dtype=np.float64)
+
+    def call(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int) -> None:
+        func(b"N", b"L", dim, a, dim, w, work, int_type(lwork), iwork, int_type(liwork), info, 1, 1)
+        if info.value != 0:
+            raise np.linalg.LinAlgError(f"LAPACK dsyevd failed (info = {info.value})")
+
+    work, iwork = np.empty(1, dtype=np.float64), np.empty(1, dtype=int_type)
+    call(work, -1, iwork, -1)  # workspace query: the sizes come back in work[0], iwork[0]
+    lwork, liwork = int(work[0]), int(iwork[0])
+    call(np.empty(lwork, dtype=np.float64), lwork, np.empty(liwork, dtype=int_type), liwork)
+    return w
+
+
+@contextmanager
+def _one_blas_thread():
+    """OpenBLAS at one thread inside the block, its old count restored after.
+
+    The count is process-wide: a BLAS call another thread makes meanwhile
+    also runs on one thread.  Requires `_SET_THREADS` and `_GET_THREADS`.
+    """
+    with _BLAS_THREADS_LOCK:
+        old = _GET_THREADS[0]()
+        _SET_THREADS[0](1)
+        try:
+            yield
+        finally:
+            _SET_THREADS[0](old)
+
+
+def _workers() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def submatrix_norms(a: np.ndarray, sets) -> np.ndarray:
+    """Spectral norm of each principal submatrix a[S, S], S in `sets`.
+
+    Equal to :func:`spectral_norm` of each gathered submatrix, but `a` is
+    checked (finite, and symmetrized unless exactly symmetric) once.  Where
+    numpy's LAPACK exports dsyevd and OpenBLAS's thread controls, the sets
+    are solved largest first, one solve per core at once, with OpenBLAS at
+    one thread for the batch; the calling thread gathers each copy, and
+    starts a set only while the copies in flight fit in a.nbytes (or none is
+    in flight).  Elsewhere they are solved one at a time on the calling
+    thread.  An empty set has norm 0.
+    """
+    a = _finite_symmetric(a, private=False)
+    sets = [np.asarray(v, dtype=np.int64) for v in sets]
+    norms = np.zeros(len(sets), dtype=np.float64)
+
+    def gather(i: int) -> np.ndarray:
+        return a[np.ix_(sets[i], sets[i])]
+
+    def record(i: int, w: np.ndarray) -> None:
+        norms[i] = max(abs(w[0]), abs(w[-1]))
+
+    pending = sorted((i for i, v in enumerate(sets) if v.size), key=lambda i: -sets[i].size)
+    if _DSYEVD is None or _SET_THREADS is None or _GET_THREADS is None:
+        for i in pending:
+            record(i, _solve_values(gather(i)))
+        return norms
+    nbytes = [8 * v.size**2 for v in sets]  # of each set's float64 copy
+    workers = _workers()
+    in_flight: dict = {}  # future -> set index
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+        while pending or in_flight:
+            held = sum(nbytes[i] for i in in_flight.values())
+            while pending and len(in_flight) < workers:
+                # the largest pending set whose copy fits beside those in flight
+                fits = (i for i in pending if held + nbytes[i] <= a.nbytes)
+                i = next(fits, None if in_flight else pending[0])
+                if i is None:
+                    break
+                pending.remove(i)
+                in_flight[pool.submit(_solve_values, gather(i))] = i
+                held += nbytes[i]
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                record(in_flight.pop(future), future.result())
+    return norms
 
 
 def top_projector(a: np.ndarray, rank: int) -> Projector:

@@ -442,12 +442,14 @@ class TestFkSubmatrices:
             check_fk_submatrices(np.zeros((4, 4)), [], sigma=0.5)
 
     def test_whole_vertex_set_reads_the_matrix_itself(self):
-        # in order it is x itself, in another order a gathered copy; the
+        # either order is a gathered copy, and x is left as it was; the
         # norms agree, and the first is the norm of x bit for bit
         rng = np.random.default_rng(2)
         x = rng.standard_normal((30, 30))
         x = (x + x.T) / 2
+        before = x.copy()
         in_order, shuffled = check_fk_submatrices(x, [np.arange(30), rng.permutation(30)], sigma=0.5)
+        assert np.array_equal(x, before)
         assert in_order.lhs == spectral_norm(x.copy())
         assert shuffled.lhs == pytest.approx(in_order.lhs, rel=1e-12)
         assert in_order.rhs == shuffled.rhs == 2.0 * 3.5 * math.sqrt(30)

@@ -149,28 +149,30 @@ class TestVerify:
         assert out == ""
         assert err.startswith("invalid input: epsilon")
 
-    # checks that read no epsilon and no projector solve nothing but their norms
+    # checks that read no epsilon and no projector solve nothing but their
+    # norms: fk the 14 proper unions of 4 clusters, and A - E once in place
     @pytest.mark.parametrize(
-        "checks,epsilon,top_calls,eigvalsh_calls",
+        "checks,epsilon,top_calls,value_calls",
         [("norm", "auto", 0, 1), ("fk", "auto", 0, 15), ("conc", "0.1", 0, 0),
          ("conc", "auto", 1, 0), ("norm,proj,goodcol", "auto", 1, 1)],
     )
     def test_solves_only_what_the_checks_read(
-        self, capsys, instance, monkeypatch, checks, epsilon, top_calls, eigvalsh_calls
+        self, capsys, instance, monkeypatch, checks, epsilon, top_calls, value_calls
     ):
         graph, truth = instance
-        calls = {"top": 0, "eigh": 0, "eigvalsh": 0}
+        log = []
 
         def counted(module, attr, name):
             solver = getattr(module, attr)
 
             def call(*args):
-                calls[name] += 1
+                log.append(name)  # one atomic append, also from the FK worker threads
                 return solver(*args)
 
             monkeypatch.setattr(module, attr, call)
 
         counted(spectral, "_solve_top", "top")
+        counted(spectral, "_solve_values", "values")
         counted(np.linalg, "eigh", "eigh")
         counted(np.linalg, "eigvalsh", "eigvalsh")
         code, _, err = run_cli(
@@ -178,9 +180,14 @@ class TestVerify:
             "--p", "0.8", "--q", "0.2", "--checks", checks, "--epsilon", epsilon,
         )
         assert code == 0, err
-        # a full solve runs only inside the top-r one, where LAPACK has no dsyevr
+        # a full solve runs only inside the top-r one, where LAPACK has no
+        # dsyevr, and eigvalsh only inside a values solve, where it has no dsyevd
         full_calls = 0 if spectral._DSYEVR else top_calls
-        assert calls == {"top": top_calls, "eigh": full_calls, "eigvalsh": eigvalsh_calls}
+        eigvalsh_calls = 0 if spectral._DSYEVD else value_calls
+        calls = {name: log.count(name) for name in ("top", "eigh", "values", "eigvalsh")}
+        assert calls == {
+            "top": top_calls, "eigh": full_calls, "values": value_calls, "eigvalsh": eigvalsh_calls
+        }
 
     def test_csv_is_the_pipelines_reports(self, capsys, instance, tmp_path):
         graph, truth = instance
@@ -229,6 +236,17 @@ class TestExperiment:
         rows = (out_dir / "bounds.csv").read_text().splitlines()[1:]
         assert len(rows) == 4096
         assert max(int(row.rsplit(",", 1)[1], 16) for row in rows).bit_length() <= 70
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exit_2(self, capsys, tmp_path, jobs):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": [12], "k": [2], "p": [0.9], "q": [0.1]}))
+        code, out, err = run_cli(
+            capsys, "experiment", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", jobs
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid input: jobs")
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -209,21 +209,30 @@ class TestRunChecks:
 
     def test_one_solve_of_the_graph_per_trial(self, monkeypatch):
         cell = Cell(index=0, n=60, k=3, s=20, p=0.8, q=0.2)
-        solve_sizes, eigh_sizes, eigvalsh_calls = [], [], []
+        solve_sizes, eigh_sizes, value_sizes, eigvalsh_sizes = [], [], [], []
         solve_top, eigh, eigvalsh = spectral._solve_top, np.linalg.eigh, np.linalg.eigvalsh
+        solve_values = spectral._solve_values
         monkeypatch.setattr(
             spectral, "_solve_top", lambda a, rank: solve_sizes.append(len(a)) or solve_top(a, rank)
         )
+        monkeypatch.setattr(
+            spectral, "_solve_values", lambda a: value_sizes.append(len(a)) or solve_values(a)
+        )
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_sizes.append(len(a)) or eigh(a))
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh_calls.append(len(a)) or eigvalsh(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh_sizes.append(len(a)) or eigvalsh(a))
         run_trial(cell, seed=3, checks=KNOWN_CHECKS, epsilon=None, baseline=True)
         # one top-r solve per recovery round on the shrinking graph, none on E
         assert solve_sizes == [60, 40, 20]
         # and no full solve, except inside the top-r solve where LAPACK has no dsyevr
         assert eigh_sizes == ([] if spectral._DSYEVR else solve_sizes)
-        # ||A - E||, then the 7 cluster unions of the FK check; ||P_A - P_E||
-        # comes from the principal angles, with no m x m solve
-        assert len(eigvalsh_calls) == 1 + 7
+        # the 6 proper cluster unions of the FK check (solved concurrently,
+        # so in any order), then A - E in place for ||A - E|| and the union of
+        # all 3 clusters; ||P_A - P_E|| comes from the principal angles, with
+        # no m x m solve
+        assert sorted(value_sizes[:-1], reverse=True) == [40, 40, 40, 20, 20, 20]
+        assert value_sizes[-1] == 60
+        # eigvalsh runs only where LAPACK has no dsyevd
+        assert eigvalsh_sizes == ([] if spectral._DSYEVD else value_sizes)
 
     @pytest.mark.parametrize("round0", [False, True])
     def test_frobenius_rank_at_k_one_is_equality(self, round0):

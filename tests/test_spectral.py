@@ -1,4 +1,8 @@
+import contextlib
 import ctypes
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -345,6 +349,185 @@ class TestNorms:
     def test_spectral_norm_at_most_max_row_sum(self, seed):
         a = random_symmetric(15, seed)
         assert spectral_norm(a) <= np.abs(a).sum(axis=1).max() + 1e-12
+
+
+thread_control = pytest.mark.skipif(
+    spectral._SET_THREADS is None or spectral._GET_THREADS is None or spectral._DSYEVD is None,
+    reason="numpy's LAPACK exports no dsyevd or OpenBLAS thread control: the sets are solved serially",
+)
+
+
+def gathered_norms(a: np.ndarray, sets) -> list:
+    """spectral_norm of each gathered submatrix, one at a time, under one
+    BLAS thread where OpenBLAS's thread count can be set."""
+    one_thread = spectral._one_blas_thread() if spectral._SET_THREADS else contextlib.nullcontext()
+    with one_thread:
+        return [spectral_norm(a[np.ix_(v, v)]) if len(v) else 0.0 for v in sets]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS at 2 threads for the test, so a count left at 1 shows."""
+    if spectral._SET_THREADS is None or spectral._GET_THREADS is None:
+        pytest.skip("OpenBLAS's thread count cannot be set here")
+    old = spectral._GET_THREADS[0]()
+    spectral._SET_THREADS[0](2)
+    try:
+        yield
+    finally:
+        spectral._SET_THREADS[0](old)
+
+
+class TestSubmatrixNorms:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
+    def test_norms_are_those_of_the_gathered_submatrices(self, m, seed):
+        rng = np.random.default_rng(seed)
+        a = random_symmetric(m, seed)
+        sets = [np.array([i]) for i in range(m)]
+        sets += [np.arange(m), rng.permutation(m), rng.permutation(m)[: rng.integers(1, m + 1)]]
+        got = spectral.submatrix_norms(a, sets)
+        assert got.tolist() == gathered_norms(a, sets)  # bit for bit
+
+    def test_input_checked_as_spectral_norm_checks_it(self):
+        a = np.random.default_rng(3).standard_normal((12, 12))
+        sets = [np.arange(12), np.arange(0, 12, 2)]
+        assert spectral.submatrix_norms(a, sets).tolist() == gathered_norms(as_symmetric(a), sets)
+        a[3, 5] = np.nan
+        with pytest.raises(NonFiniteError):
+            spectral.submatrix_norms(a, sets)
+
+    def test_empty_set_has_norm_zero(self):
+        a = random_symmetric(5, 1)
+        assert spectral.submatrix_norms(a, [np.array([], dtype=np.int64), np.arange(5)])[0] == 0.0
+
+    @thread_control
+    def test_copies_in_flight_fit_in_the_matrix(self, monkeypatch):
+        # eight workers on fewer cores, and sets of 4/9 of the matrix's bytes:
+        # three at once would not fit, and the whole set only fits alone
+        n = 60
+        a = random_symmetric(n, 7)
+        sets = [np.arange(n)] + [np.arange(n)[np.arange(n) % 3 != c] for c in range(3)] * 3
+        sets += [np.arange(c, n, 3) for c in range(3)] * 3
+        lock, running, peaks = threading.Lock(), [0], []
+        solve = spectral._solve_values
+
+        def recorded(x):
+            with lock:
+                running[0] += x.nbytes
+                peaks.append(running[0])
+            try:
+                time.sleep(0.002)
+                return solve(x)
+            finally:
+                with lock:
+                    running[0] -= x.nbytes
+
+        monkeypatch.setattr(spectral, "_workers", lambda: 8)
+        monkeypatch.setattr(spectral, "_solve_values", recorded)
+        got = spectral.submatrix_norms(a, sets)
+        assert len(peaks) == len(sets)
+        assert max(peaks) <= a.nbytes
+        assert max(peaks) > 8 * 40 * 40  # solves did overlap
+        assert got.tolist() == gathered_norms(a, sets)
+
+    @thread_control
+    def test_set_larger_than_the_matrix_runs_alone(self):
+        # a repeated index makes a copy bigger than the matrix: it cannot fit
+        # the budget, so it starts once nothing else is in flight
+        a = random_symmetric(4, 3)
+        sets = [np.array([0, 1, 2, 3, 3, 1]), np.arange(4), np.array([2, 0])]
+        results = []
+        worker = threading.Thread(
+            target=lambda: results.append(spectral.submatrix_norms(a, sets)), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert results[0].tolist() == gathered_norms(a, sets)
+
+    @thread_control
+    def test_stress_more_workers_than_cores(self, monkeypatch):
+        # every norm lands at its own set's index, whatever order the many
+        # workers finish in, with thread switches as often as they can be
+        rng = np.random.default_rng(5)
+        a = random_symmetric(80, 5)
+        sets = [rng.permutation(80)[: rng.integers(1, 81)] for _ in range(120)]
+        want = gathered_norms(a, sets)
+        workers = 4 * spectral._workers() + 3
+        monkeypatch.setattr(spectral, "_workers", lambda: workers)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(
+                target=lambda: results.extend(spectral.submatrix_norms(a, sets) for _ in range(5)),
+                daemon=True,
+            )
+            worker.start()
+            worker.join(timeout=120)
+            assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 5
+        assert all(r.tolist() == want for r in results)
+
+    def test_blas_threads_restored_after_return(self, two_blas_threads):
+        spectral.submatrix_norms(random_symmetric(30, 2), [np.arange(30), np.arange(10)])
+        assert spectral._GET_THREADS[0]() == 2
+
+    def test_blas_threads_restored_after_a_failed_solve(self, two_blas_threads, monkeypatch):
+        def failing(x):
+            raise np.linalg.LinAlgError("stand-in solve failed")
+
+        monkeypatch.setattr(spectral, "_solve_values", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="stand-in"):
+            spectral.submatrix_norms(random_symmetric(30, 2), [np.arange(30), np.arange(10)])
+        assert spectral._GET_THREADS[0]() == 2
+
+    def test_blas_threads_restored_after_concurrent_checks(self, two_blas_threads, monkeypatch):
+        # two trials' checks in two threads, their FK batches made slow enough
+        # to overlap: every FK solve runs on one BLAS thread, and the count
+        # is 2 again once both are done
+        from plantrec.experiment import run_checks
+
+        n = 120
+        part = make_partition(n, 30)
+        params = ModelParams(p=0.7, q=0.3, seed=4)
+        g = sample_graph(part, params)
+        want = run_checks(g, part, params, ("fk",), 0.1)
+        solve, seen = spectral._solve_values, []
+
+        def slow(x):
+            if len(x) < n:  # an FK union, not the in-place solve of A - E
+                seen.append(spectral._GET_THREADS[0]())
+                first_solving.set()
+                time.sleep(0.002)
+            return solve(x)
+
+        monkeypatch.setattr(spectral, "_solve_values", slow)
+        first_solving, results = threading.Event(), []
+
+        def check(after=None):
+            if after is not None:
+                assert after.wait(timeout=60)
+            results.append(run_checks(g, part, params, ("fk",), 0.1))
+
+        # the second thread starts its checks once the first's FK batch runs
+        threads = [
+            threading.Thread(target=check, daemon=True),
+            threading.Thread(target=check, args=(first_solving,), daemon=True),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert spectral._GET_THREADS[0]() == 2
+        assert seen == [1] * 2 * 14
+        assert len(results) == 2
+        for got in results:
+            assert [(r.name, r.lhs) for r in got] == [(r.name, r.lhs) for r in want]
 
 
 class TestWeylRandomPairs:
