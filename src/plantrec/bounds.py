@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -67,6 +68,10 @@ __all__ = [
 ]
 
 VIOLATION_CAP = 10**6
+# cluster_unions lists every union for k up to MAX_ENUMERATE_K clusters, and
+# samples UNION_SAMPLE_LIMIT of them beyond that
+MAX_ENUMERATE_K = 12
+UNION_SAMPLE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,6 @@ def check_separation(
     sampled: np.ndarray,
     l: int,
     constants: Constants,
-    expected: np.ndarray | None = None,
     **context,
 ) -> tuple[BoundReport, BoundReport]:
     """Eigenvalue separation of the sampled matrix at rank l.
@@ -178,11 +182,6 @@ def check_separation(
     ctx = dict(context)
     ctx["lambda_1"] = float(w[0])
     ctx["lambda_l"] = float(w[l - 1])
-    if expected is not None:
-        _, expected = _require_same_shape(sampled, expected)
-        ctx["norm_bound_held"] = bool(
-            spectral_norm(sampled - expected) <= 8.0 * root_m
-        )
     top = BoundReport.of(
         "separation_top_interval",
         max(lower - w[l - 1], w[0] - m),
@@ -340,30 +339,15 @@ def check_concentration(
             **context,
         )
     )
-    budget = VIOLATION_CAP
-    for j in in_bad[:budget]:
+    # (name, lhs, rhs, vertex, cluster): every in-row, then the out-rows
+    in_rows = (("concentration_in", in_floor, float(own[j]), j, part.assignment[j]) for j in in_bad)
+    out_rows = (
+        ("concentration_out", float(counts[j, i]), out_ceil, j, i) for j, i in zip(out_bad_j, out_bad_i)
+    )
+    for name, lhs, rhs, vertex, cluster in islice(chain(in_rows, out_rows), VIOLATION_CAP):
         reports.append(
             BoundReport.of(
-                "concentration_in",
-                in_floor,
-                float(own[j]),
-                vertex=int(j),
-                cluster=int(part.assignment[j]),
-                epsilon=float(epsilon),
-                **context,
-            )
-        )
-    budget -= min(int(in_bad.size), budget)
-    for j, i in zip(out_bad_j[:budget], out_bad_i[:budget]):
-        reports.append(
-            BoundReport.of(
-                "concentration_out",
-                float(counts[j, i]),
-                out_ceil,
-                vertex=int(j),
-                cluster=int(i),
-                epsilon=float(epsilon),
-                **context,
+                name, lhs, rhs, vertex=int(vertex), cluster=int(cluster), epsilon=float(epsilon), **context
             )
         )
     return reports
@@ -416,26 +400,24 @@ def check_weyl(a: np.ndarray, b: np.ndarray, **context) -> BoundReport:
 
 def cluster_unions(
     part: PlantedPartition,
-    max_enumerate_k: int = 12,
-    sample_limit: int = 4096,
     seed: int = 0,
 ) -> list[tuple[int, np.ndarray]]:
     """All nonempty unions of clusters as (bitmask, vertex ids) pairs.
 
-    Exhaustive for k <= max_enumerate_k; beyond that, a seeded uniform sample
-    of at most sample_limit distinct masks, ascending.  Masks are Python
-    ints, so any k works.
+    Exhaustive for k <= MAX_ENUMERATE_K; beyond that, a seeded uniform sample
+    of at most UNION_SAMPLE_LIMIT distinct masks, ascending.  Masks are
+    Python ints, so any k works.
     """
     k = part.k
-    if k <= max_enumerate_k:
+    if k <= MAX_ENUMERATE_K:
         masks = range(1, 2**k)
     else:
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, 2], dtype=np.uint64)))
-        target = min(sample_limit, 2**k - 1)
+        target = min(UNION_SAMPLE_LIMIT, 2**k - 1)
         chosen: set[int] = set()
         while len(chosen) < target:
             # each mask is k fair bits; the empty mask is redrawn
-            bits = rng.integers(0, 2, size=(sample_limit, k), dtype=np.uint8)
+            bits = rng.integers(0, 2, size=(UNION_SAMPLE_LIMIT, k), dtype=np.uint8)
             for row in np.packbits(bits, axis=1, bitorder="little"):
                 mask = int.from_bytes(row.tobytes(), "little")
                 if mask:

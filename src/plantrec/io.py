@@ -9,7 +9,6 @@ Graph:      header line "n m", then m distinct lines "u v" with 0-based
             vectorized with numpy (the reader over runs of lines of about
             64K characters), O(n^2 + m), with no Python step per edge.
 Partition:  one line of n space-separated 0-based cluster ids.
-Matrix:     header "m", then m lines of m decimal floats (debugging dumps).
 Reports:    CSV with columns name,lhs,rhs,satisfied,n,k,s,p,q,seed,J_or_S.
 """
 
@@ -27,8 +26,6 @@ __all__ = [
     "read_graph",
     "write_partition",
     "read_partition",
-    "write_matrix",
-    "read_matrix",
     "write_reports_csv",
     "REPORT_COLUMNS",
 ]
@@ -146,24 +143,6 @@ def read_partition(path) -> PlantedPartition:
     if assignment.min() < 0 or (counts != counts[0]).any():
         raise ValueError("partition must use ids 0..k-1 with equal cluster sizes")
     return PlantedPartition(assignment=assignment, k=k, s=int(counts[0]))
-
-
-def write_matrix(path, a: np.ndarray) -> None:
-    a = np.asarray(a, dtype=np.float64)
-    with open(path, "w", newline="\n") as f:
-        f.write(f"{a.shape[0]}\n")
-        for row in a:
-            f.write(" ".join(repr(float(x)) for x in row) + "\n")
-
-
-def read_matrix(path) -> np.ndarray:
-    with open(path) as f:
-        m = int(f.readline())
-        rows = [[float(tok) for tok in f.readline().split()] for _ in range(m)]
-    a = np.asarray(rows, dtype=np.float64)
-    if a.shape != (m, m):
-        raise ValueError("matrix body does not match header size")
-    return a
 
 
 def _format_cell(value) -> str:

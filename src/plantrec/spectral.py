@@ -1,9 +1,10 @@
 """Dense symmetric eigendecomposition, top-rank projectors, and matrix norms.
 
-A solve for the top r eigenpairs calls LAPACK's ``dsyevr`` for those r
-only, through the LAPACK that numpy itself links (looked up once, at import,
-with ctypes).  Where numpy's LAPACK exports no ``dsyevr`` under a known name,
-it runs numpy's full ``eigh`` and keeps the top r.
+Every solve goes through one driver (workspace query, call, INFO check) into
+the LAPACK that numpy itself links, looked up once, at import, with ctypes:
+``dsyevr`` for the top r eigenpairs only, ``dsyevd`` in place for values
+only.  Where one is not exported under a known name, numpy's full ``eigh``
+(keeping the top r) or ``eigvalsh`` (the same bits) runs in its place.
 
 Such a solve makes one m x m float64 copy of its input, which LAPACK
 overwrites: an integer or bool matrix (a graph's uint8 adjacency) that
@@ -11,9 +12,10 @@ equals its transpose is converted straight into it, and any other matrix is
 copied, checked finite and symmetrized only if it is not exactly symmetric.
 
 The norms of many principal submatrices of one matrix
-(:func:`submatrix_norms`) are values-only LAPACK ``dsyevd`` solves, one per
-core at once on a thread pool, with OpenBLAS held at one thread (through its
-``openblas_set_num_threads``, looked up the same way) for the batch.
+(:func:`submatrix_norms`) are solved on a thread pool, one solve per core at
+once with OpenBLAS held at one thread (through its
+``openblas_set_num_threads``, looked up the same way), or one at a time where
+``dsyevd`` or the thread controls do not resolve.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import ctypes
 import os
 import threading
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,35 +215,27 @@ def eigh_descending(a: np.ndarray, rank: int | None = None) -> SpectralDecomposi
 
 def eigvals_descending(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, descending, with no eigenvectors
-    (numpy's ``eigvalsh``); validated as :func:`eigh_descending` validates."""
-    return np.linalg.eigvalsh(_finite_symmetric(a, private=False))[::-1].copy()
+    (one values-only solve of a float64 copy, bit for bit numpy's
+    ``eigvalsh``); validated as :func:`eigh_descending` validates."""
+    return _solve_values(_finite_symmetric(a, private=True))[::-1]
 
 
-# numpy's LAPACK routines and OpenBLAS thread controls as (name, integer
-# type), each tuple tried in order: numpy >= 2 wheels (scipy-openblas, 64-bit
-# integers), numpy 1.2x wheels (64-bit), then a distribution or conda build
-# (32-bit).  The integer type is LAPACK's Fortran integer; OpenBLAS takes its
-# thread count as a C int under every name.  dlsym on the handle of numpy's
-# own extension module also searches the libraries it links.
-_DSYEVR_SYMBOLS = (
-    ("scipy_dsyevr_64_", ctypes.c_int64),
-    ("dsyevr_64_", ctypes.c_int64),
-    ("dsyevr_", ctypes.c_int32),
+# Name templates of numpy's LAPACK routines and OpenBLAS thread controls,
+# each with its integer type, tried in order: numpy >= 2 wheels
+# (scipy-openblas, 64-bit integers), numpy 1.2x wheels (64-bit), then a
+# distribution or conda build (32-bit).  The integer type is LAPACK's Fortran
+# integer; OpenBLAS takes its thread count as a C int under every name.
+# dlsym on the handle of numpy's own extension module also searches the
+# libraries it links.
+_LAPACK_NAMES = (
+    ("scipy_{}_64_", ctypes.c_int64),
+    ("{}_64_", ctypes.c_int64),
+    ("{}_", ctypes.c_int32),
 )
-_DSYEVD_SYMBOLS = (
-    ("scipy_dsyevd_64_", ctypes.c_int64),
-    ("dsyevd_64_", ctypes.c_int64),
-    ("dsyevd_", ctypes.c_int32),
-)
-_SET_THREADS_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", ctypes.c_int),
-    ("openblas_set_num_threads64_", ctypes.c_int),
-    ("openblas_set_num_threads", ctypes.c_int),
-)
-_GET_THREADS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", ctypes.c_int),
-    ("openblas_get_num_threads64_", ctypes.c_int),
-    ("openblas_get_num_threads", ctypes.c_int),
+_OPENBLAS_NAMES = (
+    ("scipy_openblas_{}64_", ctypes.c_int),
+    ("openblas_{}64_", ctypes.c_int),
+    ("openblas_{}", ctypes.c_int),
 )
 
 
@@ -271,15 +265,16 @@ def _dsyevd_argtypes(int_type) -> list:
     ]
 
 
-def _resolve(symbols, argtypes, restype=None):
-    """(function, integer type) for the first of `symbols` that numpy's
-    LAPACK exports, declared with `argtypes(int_type)`; None if none is."""
+def _resolve(routine: str, names, argtypes, restype=None):
+    """(function, integer type) for the first of `names`, filled in with
+    `routine`, that numpy's LAPACK exports, declared with
+    `argtypes(int_type)`; None if none is."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
         return None
-    for name, int_type in symbols:
-        func = getattr(lib, name, None)
+    for name, int_type in names:
+        func = getattr(lib, name.format(routine), None)
         if func is not None:
             func.argtypes = argtypes(int_type)
             func.restype = restype
@@ -287,14 +282,33 @@ def _resolve(symbols, argtypes, restype=None):
     return None
 
 
-_DSYEVR = _resolve(_DSYEVR_SYMBOLS, _dsyevr_argtypes)
-_DSYEVD = _resolve(_DSYEVD_SYMBOLS, _dsyevd_argtypes)
-_SET_THREADS = _resolve(_SET_THREADS_SYMBOLS, lambda int_type: [int_type])
-_GET_THREADS = _resolve(_GET_THREADS_SYMBOLS, lambda int_type: [], restype=ctypes.c_int)
+_DSYEVR = _resolve("dsyevr", _LAPACK_NAMES, _dsyevr_argtypes)
+_DSYEVD = _resolve("dsyevd", _LAPACK_NAMES, _dsyevd_argtypes)
+_SET_THREADS = _resolve("set_num_threads", _OPENBLAS_NAMES, lambda int_type: [int_type])
+_GET_THREADS = _resolve("get_num_threads", _OPENBLAS_NAMES, lambda int_type: [], restype=ctypes.c_int)
 
 # Held while a batch of submatrix norms keeps OpenBLAS at one thread, so two
 # batches in different threads cannot interleave the save and the restore.
 _BLAS_THREADS_LOCK = threading.Lock()
+
+
+def _lapack(routine: str, resolved, head: tuple, lengths: tuple) -> None:
+    """Call the LAPACK `routine`, `resolved` as (function, integer type),
+    with the arguments `head`, then WORK, LWORK, IWORK, LIWORK and INFO, then
+    the hidden string `lengths`: once as the workspace query, then with
+    workspaces of the sizes it returned.  A nonzero INFO raises LinAlgError."""
+    func, int_type = resolved
+    info = int_type(0)
+
+    def call(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int) -> None:
+        func(*head, work, int_type(lwork), iwork, int_type(liwork), info, *lengths)
+        if info.value != 0:
+            raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info = {info.value})")
+
+    work, iwork = np.empty(1, dtype=np.float64), np.empty(1, dtype=int_type)
+    call(work, -1, iwork, -1)  # workspace query: the sizes come back in work[0], iwork[0]
+    lwork, liwork = int(work[0]), int(iwork[0])
+    call(np.empty(lwork, dtype=np.float64), lwork, np.empty(liwork, dtype=int_type), liwork)
 
 
 def _solve_top(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
@@ -315,29 +329,20 @@ def _dsyevr(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
     LAPACK expects; LAPACK destroys it.  Eigenvector j comes back as row j of
     a rank x m array, which is column j of a column-major m x rank one.
     """
-    func, int_type = _DSYEVR
+    int_type = _DSYEVR[1]
     m = a.shape[0]
-    dim, found, info = int_type(m), int_type(0), int_type(0)
+    dim, found = int_type(m), int_type(0)
     # the most accurate bisection tolerance, 2 * LAPACK's safe minimum
     abstol = ctypes.c_double(2.0 * np.finfo(np.float64).tiny)
     unused = ctypes.c_double(0.0)  # VL, VU are not read with RANGE='I'
     w = np.empty(m, dtype=np.float64)
     z = np.empty((rank, m), dtype=np.float64)
     isuppz = np.empty(2 * rank, dtype=int_type)
-
-    def call(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int) -> None:
-        func(
-            b"V", b"I", b"L", dim, a, dim, unused, unused,
-            int_type(m - rank + 1), int_type(m), abstol, found, w, z, dim, isuppz,
-            work, int_type(lwork), iwork, int_type(liwork), info, 1, 1, 1,
-        )
-        if info.value != 0:
-            raise np.linalg.LinAlgError(f"LAPACK dsyevr failed (info = {info.value})")
-
-    work, iwork = np.empty(1, dtype=np.float64), np.empty(1, dtype=int_type)
-    call(work, -1, iwork, -1)  # workspace query: the sizes come back in work[0], iwork[0]
-    lwork, liwork = int(work[0]), int(iwork[0])
-    call(np.empty(lwork, dtype=np.float64), lwork, np.empty(liwork, dtype=int_type), liwork)
+    head = (
+        b"V", b"I", b"L", dim, a, dim, unused, unused,
+        int_type(m - rank + 1), int_type(m), abstol, found, w, z, dim, isuppz,
+    )
+    _lapack("dsyevr", _DSYEVR, head, (1, 1, 1))
     if found.value != rank:
         raise np.linalg.LinAlgError(f"LAPACK dsyevr found {found.value} of {rank} eigenpairs")
     return w[rank - 1 :: -1].copy(), np.ascontiguousarray(z[::-1].T)
@@ -351,20 +356,11 @@ def _solve_values(a: np.ndarray) -> np.ndarray:
     same bits at the same BLAS thread count."""
     if _DSYEVD is None:
         return np.linalg.eigvalsh(a)
-    func, int_type = _DSYEVD
+    int_type = _DSYEVD[1]
     m = a.shape[0]
-    dim, info = int_type(m), int_type(0)
     w = np.empty(m, dtype=np.float64)
-
-    def call(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int) -> None:
-        func(b"N", b"L", dim, a, dim, w, work, int_type(lwork), iwork, int_type(liwork), info, 1, 1)
-        if info.value != 0:
-            raise np.linalg.LinAlgError(f"LAPACK dsyevd failed (info = {info.value})")
-
-    work, iwork = np.empty(1, dtype=np.float64), np.empty(1, dtype=int_type)
-    call(work, -1, iwork, -1)  # workspace query: the sizes come back in work[0], iwork[0]
-    lwork, liwork = int(work[0]), int(iwork[0])
-    call(np.empty(lwork, dtype=np.float64), lwork, np.empty(liwork, dtype=int_type), liwork)
+    # LAPACK requires LDA >= 1, also for the 0 x 0 matrix
+    _lapack("dsyevd", _DSYEVD, (b"N", b"L", int_type(m), a, int_type(max(m, 1)), w), (1, 1))
     return w
 
 
@@ -395,33 +391,23 @@ def submatrix_norms(a: np.ndarray, sets) -> np.ndarray:
     """Spectral norm of each principal submatrix a[S, S], S in `sets`.
 
     Equal to :func:`spectral_norm` of each gathered submatrix, but `a` is
-    checked (finite, and symmetrized unless exactly symmetric) once.  Where
-    numpy's LAPACK exports dsyevd and OpenBLAS's thread controls, the sets
-    are solved largest first, one solve per core at once, with OpenBLAS at
-    one thread for the batch; the calling thread gathers each copy, and
-    starts a set only while the copies in flight fit in a.nbytes (or none is
-    in flight).  Elsewhere they are solved one at a time on the calling
-    thread.  An empty set has norm 0.
+    checked (finite, and symmetrized unless exactly symmetric) once.  The
+    sets are solved largest first on a thread pool: one solve per core at
+    once, with OpenBLAS at one thread for the batch, where numpy's LAPACK
+    exports dsyevd and OpenBLAS's thread controls, else one at a time at
+    the current BLAS thread count.  The calling thread gathers each copy,
+    and starts a set only while the copies in flight fit in a.nbytes (or
+    none is in flight).  An empty set has norm 0.
     """
     a = _finite_symmetric(a, private=False)
     sets = [np.asarray(v, dtype=np.int64) for v in sets]
     norms = np.zeros(len(sets), dtype=np.float64)
-
-    def gather(i: int) -> np.ndarray:
-        return a[np.ix_(sets[i], sets[i])]
-
-    def record(i: int, w: np.ndarray) -> None:
-        norms[i] = max(abs(w[0]), abs(w[-1]))
-
     pending = sorted((i for i, v in enumerate(sets) if v.size), key=lambda i: -sets[i].size)
-    if _DSYEVD is None or _SET_THREADS is None or _GET_THREADS is None:
-        for i in pending:
-            record(i, _solve_values(gather(i)))
-        return norms
     nbytes = [8 * v.size**2 for v in sets]  # of each set's float64 copy
-    workers = _workers()
+    pinned = _DSYEVD is not None and _SET_THREADS is not None and _GET_THREADS is not None
+    workers = _workers() if pinned else 1
     in_flight: dict = {}  # future -> set index
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+    with _one_blas_thread() if pinned else nullcontext(), ThreadPoolExecutor(max_workers=workers) as pool:
         while pending or in_flight:
             held = sum(nbytes[i] for i in in_flight.values())
             while pending and len(in_flight) < workers:
@@ -431,11 +417,12 @@ def submatrix_norms(a: np.ndarray, sets) -> np.ndarray:
                 if i is None:
                     break
                 pending.remove(i)
-                in_flight[pool.submit(_solve_values, gather(i))] = i
+                in_flight[pool.submit(_solve_values, a[np.ix_(sets[i], sets[i])])] = i
                 held += nbytes[i]
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
             for future in done:
-                record(in_flight.pop(future), future.result())
+                w = future.result()
+                norms[in_flight.pop(future)] = max(abs(w[0]), abs(w[-1]))
     return norms
 
 

@@ -151,8 +151,7 @@ class TestSeparation:
         params = ModelParams(p=0.9, q=0.1, seed=0)
         expected = expectation_matrix(part, params)
         consts = Constants.from_params(0.9, 0.1, c=100.0)
-        top, bulk = check_separation(expected, 2, consts, expected=expected)
-        assert top.context["norm_bound_held"] is True
+        top, bulk = check_separation(expected, 2, consts)
         assert top.context["lambda_l"] == pytest.approx(8.0)
         assert bulk.lhs == pytest.approx(0.0, abs=1e-9)
 
@@ -422,6 +421,38 @@ class TestConcentration:
         assert reps[1].context["overflow"] is True
         assert len(reps) == 2 + 3
 
+    def test_violation_cap_inside_the_out_rows(self, monkeypatch):
+        # every in-row comes first, ascending by vertex, then the out-rows by
+        # (vertex, cluster), and the cap cuts that stream where it falls
+        part = make_partition(40, 10)
+        g = sample_graph(part, ModelParams(p=0.7, q=0.3, seed=1))
+        counts = np.stack([g.adj[:, c].sum(axis=1) for c in part.clusters()], axis=1)
+        want = [
+            ("concentration_in", j, int(part.assignment[j]))
+            for j in range(40)
+            if counts[j, part.assignment[j]] < (0.7 - 0.05) * 10
+        ]
+        n_in = len(want)
+        want += [
+            ("concentration_out", j, i)
+            for j in range(40)
+            for i in range(4)
+            if i != part.assignment[j] and counts[j, i] > (0.3 + 0.05) * 10
+        ]
+        assert 0 < n_in < len(want) - 2
+        monkeypatch.setattr(bounds, "VIOLATION_CAP", n_in + 2)
+        reps = check_concentration(g, part, 0.7, 0.3, epsilon=0.05)
+        assert reps[1].lhs == len(want)
+        assert reps[1].context["overflow"] is True
+        got = [(r.name, r.context["vertex"], r.context["cluster"]) for r in reps[2:]]
+        assert got == want[: n_in + 2]
+        for r in reps[2:]:
+            j, c = r.context["vertex"], r.context["cluster"]
+            if r.name == "concentration_in":
+                assert (r.lhs, r.rhs) == ((0.7 - 0.05) * 10, counts[j, c])
+            else:
+                assert (r.lhs, r.rhs) == (counts[j, c], (0.3 + 0.05) * 10)
+
 
 class TestFkSubmatrices:
     def test_zero_noise_trivially_satisfied(self):
@@ -461,19 +492,21 @@ class TestFkSubmatrices:
         mask, verts = unions[4]  # mask 5 = clusters 0 and 2
         assert list(verts) == [0, 1, 4, 5]
 
-    def test_union_sampling_beyond_enumeration_cutoff(self):
+    def test_union_sampling_beyond_enumeration_cutoff(self, monkeypatch):
+        monkeypatch.setattr(bounds, "UNION_SAMPLE_LIMIT", 64)
         part = make_partition(28, 2)  # k = 14 > 12
-        unions = cluster_unions(part, sample_limit=64, seed=5)
+        unions = cluster_unions(part, seed=5)
         masks = [m for m, _ in unions]
         assert len(masks) == 64
         assert len(set(masks)) == 64
         assert all(1 <= m < 2**14 for m in masks)
-        again = cluster_unions(part, sample_limit=64, seed=5)
+        again = cluster_unions(part, seed=5)
         assert masks == [m for m, _ in again]
 
-    def test_union_sampling_past_64_clusters(self):
+    def test_union_sampling_past_64_clusters(self, monkeypatch):
+        monkeypatch.setattr(bounds, "UNION_SAMPLE_LIMIT", 64)
         part = make_partition(140, 2)  # k = 70: masks no longer fit in int64
-        unions = cluster_unions(part, sample_limit=64, seed=5)
+        unions = cluster_unions(part, seed=5)
         masks = [m for m, _ in unions]
         assert len(set(masks)) == 64
         assert masks == sorted(masks)
@@ -482,11 +515,12 @@ class TestFkSubmatrices:
         for mask, verts in unions:
             want = [v for v in range(140) if mask >> int(part.assignment[v]) & 1]
             assert list(verts) == want
-        assert masks == [m for m, _ in cluster_unions(part, sample_limit=64, seed=5)]
+        assert masks == [m for m, _ in cluster_unions(part, seed=5)]
 
-    def test_union_sampling_covers_small_mask_space(self):
+    def test_union_sampling_covers_small_mask_space(self, monkeypatch):
+        monkeypatch.setattr(bounds, "UNION_SAMPLE_LIMIT", 10**4)
         part = make_partition(26, 2)  # k = 13: 8191 masks, sample every one
-        unions = cluster_unions(part, sample_limit=10**4)
+        unions = cluster_unions(part)
         assert [m for m, _ in unions] == list(range(1, 2**13))
 
     def test_monte_carlo_all_unions(self):

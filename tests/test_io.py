@@ -10,10 +10,8 @@ import plantrec.io
 from plantrec.bounds import BoundReport
 from plantrec.io import (
     read_graph,
-    read_matrix,
     read_partition,
     write_graph,
-    write_matrix,
     write_partition,
     write_reports_csv,
 )
@@ -278,20 +276,6 @@ class TestPartitionFormat:
         path.write_text("0 0 0 1\n")
         with pytest.raises(ValueError):
             read_partition(path)
-
-
-class TestMatrixFormat:
-    def test_roundtrip_exact(self, tmp_path):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((5, 5))
-        path = tmp_path / "m.txt"
-        write_matrix(path, a)
-        assert (read_matrix(path) == a).all()  # repr() is lossless for float64
-
-    def test_header(self, tmp_path):
-        path = tmp_path / "m.txt"
-        write_matrix(path, np.zeros((2, 2)))
-        assert path.read_text().splitlines()[0] == "2"
 
 
 class TestReportsCsv:

@@ -249,6 +249,18 @@ class TestPartialSolve:
         with pytest.raises(np.linalg.LinAlgError, match=message):
             eigh_descending(random_symmetric(10, 0), 4)
 
+    def test_values_solve_failure_raises_linalg_error(self, monkeypatch):
+        # a stand-in for dsyevd, given JOBZ, UPLO, N, A, LDA, W, WORK, LWORK,
+        # IWORK, LIWORK, INFO and the two string lengths as the kernel passes
+        # them; it fails the solve, after answering the workspace query
+        def fake(*args):
+            args[6][0], args[8][0] = 1.0, 1  # workspace sizes
+            args[10].value = 0 if args[7].value == -1 else 2
+
+        monkeypatch.setattr(spectral, "_DSYEVD", (fake, ctypes.c_int64))
+        with pytest.raises(np.linalg.LinAlgError, match=r"dsyevd failed \(info = 2\)"):
+            eigvals_descending(random_symmetric(10, 0))
+
 
 def _graph_adjacency(m: int, seed: int) -> np.ndarray:
     upper = np.triu(np.random.default_rng(seed).random((m, m)) < 0.4, 1)
@@ -290,6 +302,8 @@ class TestOneCopy:
         before = a.copy()
         eigh_descending(a, 3)
         eigh_descending(a.T, 3)  # an F-order view of the same buffer
+        eigvals_descending(a)
+        eigvals_descending(a.T)
         assert np.array_equal(a, before)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -307,9 +321,12 @@ class TestOneCopy:
         with pytest.raises(NonFiniteError):
             spectral_norm(a)
 
-    def test_values_only_solve_is_eigvalsh_descending(self):
+    def test_values_only_solve_is_eigvalsh_descending(self, monkeypatch):
         a = random_symmetric(30, 8)
+        calls, solve = [], spectral._solve_values
+        monkeypatch.setattr(spectral, "_solve_values", lambda x: calls.append(x.shape) or solve(x))
         w = eigvals_descending(a)
+        assert calls == [(30, 30)]  # the one values seam
         assert np.array_equal(w, np.linalg.eigvalsh(a)[::-1])
         assert np.abs(w - eigh_descending(a).eigenvalues).max() <= 1e-12 * np.abs(w).max()
 
@@ -331,6 +348,7 @@ class TestOneCopy:
 class TestNorms:
     def test_spectral_norm_zero(self):
         assert spectral_norm(np.zeros((4, 4))) == 0.0
+        assert spectral_norm(np.zeros((0, 0))) == 0.0
 
     def test_spectral_norm_cluster_matrix(self):
         h = true_cluster_matrix(make_partition(6, 3))
@@ -353,7 +371,7 @@ class TestNorms:
 
 thread_control = pytest.mark.skipif(
     spectral._SET_THREADS is None or spectral._GET_THREADS is None or spectral._DSYEVD is None,
-    reason="numpy's LAPACK exports no dsyevd or OpenBLAS thread control: the sets are solved serially",
+    reason="numpy's LAPACK exports no dsyevd or OpenBLAS thread control: the sets are solved one at a time on one pool worker",
 )
 
 
@@ -370,12 +388,13 @@ def two_blas_threads():
     """OpenBLAS at 2 threads for the test, so a count left at 1 shows."""
     if spectral._SET_THREADS is None or spectral._GET_THREADS is None:
         pytest.skip("OpenBLAS's thread count cannot be set here")
+    set_threads = spectral._SET_THREADS[0]  # a test may set _SET_THREADS to None
     old = spectral._GET_THREADS[0]()
-    spectral._SET_THREADS[0](2)
+    set_threads(2)
     try:
         yield
     finally:
-        spectral._SET_THREADS[0](old)
+        set_threads(old)
 
 
 class TestSubmatrixNorms:
@@ -471,6 +490,40 @@ class TestSubmatrixNorms:
             sys.setswitchinterval(interval)
         assert len(results) == 5
         assert all(r.tolist() == want for r in results)
+
+    @pytest.mark.parametrize("missing", ["_DSYEVD", "_SET_THREADS", "_GET_THREADS"])
+    def test_without_dsyevd_or_thread_control_one_set_at_a_time(
+        self, two_blas_threads, monkeypatch, missing
+    ):
+        # one pool worker and no pinning: each norm is spectral_norm's at the
+        # current BLAS thread count, and the count is never touched
+        get_threads = spectral._GET_THREADS[0]
+        monkeypatch.setattr(spectral, missing, None)
+        a = random_symmetric(40, 6)
+        sets = [np.arange(40), np.arange(0, 40, 2), np.array([3]), np.arange(39, 14, -1)]
+        sets.append(np.array([], dtype=np.int64))
+        want = [spectral_norm(a[np.ix_(v, v)]) if len(v) else 0.0 for v in sets]
+        lock, running, peaks, threads = threading.Lock(), [0], [], []
+        solve = spectral._solve_values
+
+        def recorded(x):
+            with lock:
+                running[0] += 1
+                peaks.append(running[0])
+            threads.append(get_threads())
+            try:
+                time.sleep(0.002)
+                return solve(x)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(spectral, "_workers", lambda: 8)
+        monkeypatch.setattr(spectral, "_solve_values", recorded)
+        assert spectral.submatrix_norms(a, sets).tolist() == want  # bit for bit
+        assert peaks == [1] * 4
+        assert threads == [2] * 4
+        assert get_threads() == 2
 
     def test_blas_threads_restored_after_return(self, two_blas_threads):
         spectral.submatrix_norms(random_symmetric(30, 2), [np.arange(30), np.arange(10)])
