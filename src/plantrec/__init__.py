@@ -27,9 +27,7 @@ from .model import (
     expectation_matrix,
     make_partition,
     permute_partition,
-    principal_submatrix,
     sample_graph,
-    true_cluster_matrix,
 )
 from .recovery import (
     RecoveryResult,

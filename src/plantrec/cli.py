@@ -52,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--config", required=True)
     e.add_argument("--jobs", type=int, default=1)
     e.add_argument("--out", help="output directory (falls back to the config's 'out')")
-    e.add_argument("--emit-plot-data", action="store_true")
 
     c = sub.add_parser("constants", help="print the guarantee constants for p, q")
     c.add_argument("--p", type=float, required=True)
@@ -105,7 +104,7 @@ def _cmd_experiment(args) -> int:
     out_dir = args.out or config.out
     if out_dir is None:
         raise ValueError("no output directory: pass --out or set 'out' in the config")
-    summaries = run_grid(config, out_dir, jobs=args.jobs, emit_plot_data=args.emit_plot_data)
+    summaries = run_grid(config, out_dir, jobs=args.jobs)
     for s in summaries:
         extra = ""
         if s.baseline_success_rate is not None:

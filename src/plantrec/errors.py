@@ -13,10 +13,6 @@ class ZeroSizeError(PlantrecError):
     """A size parameter that must be positive was zero."""
 
 
-class EmptySetError(PlantrecError):
-    """A vertex set that must be nonempty was empty."""
-
-
 class NonFiniteError(PlantrecError):
     """Matrix input contains NaN or infinity."""
 

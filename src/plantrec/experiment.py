@@ -8,7 +8,7 @@ seed-derived random permutation before sampling, so nothing downstream can
 exploit the contiguous layout.
 
 Outputs are deterministic byte-for-byte for a fixed config: trials.jsonl (raw
-per-trial rows, wall times excluded), bounds.csv (every bound report), and
+per-trial rows, with no wall times), bounds.csv (every bound report), and
 aggregate.csv (per-cell success and satisfaction rates).
 
 `run_checks` is the one bound-check pipeline, used by `run_trial` and by
@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -174,6 +173,8 @@ class ExperimentConfig:
         out = []
         index = 0
         for n in self.ns:
+            if n < 1:
+                raise ValueError(f"config n must be at least 1, got {n}")
             require_adjacency_memory(n, f"config n = {n}")
             divisors = self.ks if self.ks is not None else self.ss
             for d in divisors:
@@ -198,10 +199,8 @@ class TrialReport:
     pivot_masses: list
     baseline_exactly: bool | None
     reports: list
-    wall_time: float
 
     def json_row(self) -> dict:
-        # wall_time is deliberately excluded so reruns are byte-identical
         return {
             "cell": self.cell.index,
             "n": self.cell.n,
@@ -339,7 +338,6 @@ def run_trial(
     The checks reuse recovery's round-0 projector, so the trial makes one
     eigendecomposition of the full graph.
     """
-    start = time.perf_counter()
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
     part = permute_partition(make_partition(cell.n, cell.s), rng.permutation(cell.n))
     params = ModelParams(p=cell.p, q=cell.q, seed=seed)
@@ -365,7 +363,6 @@ def run_trial(
         pivot_masses=[t.mass for t in traces],
         baseline_exactly=baseline_exact,
         reports=reports,
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -411,15 +408,14 @@ def run_grid(
     config: ExperimentConfig,
     out_dir,
     jobs: int = 1,
-    emit_plot_data: bool = False,
 ) -> list[CellSummary]:
     """Run every cell x trial, writing outputs in deterministic order;
     `jobs` > 1 runs the trials in that many worker processes."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    cells = config.cells()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = config.cells()
     trial = functools.partial(
         run_trial, checks=config.checks, epsilon=config.epsilon, baseline=config.baseline
     )
@@ -462,17 +458,4 @@ def run_grid(
             row += [s.check_rates.get(check) for check in rate_cols]
             f.write(",".join(map(_format_cell, row)) + "\n")
 
-    if emit_plot_data:
-        with open(out / "plotdata.csv", "w", newline="\n") as f:
-            f.write("n,k,s,p,q,seed,metric,value\n")
-            for r in ordered:
-                base = f"{r.cell.n},{r.cell.k},{r.cell.s},{repr(r.cell.p)},{repr(r.cell.q)},{r.seed}"
-                f.write(f"{base},exact,{int(r.recovered_exactly)}\n")
-                if r.baseline_exactly is not None:
-                    f.write(f"{base},baseline_exact,{int(r.baseline_exactly)}\n")
-                if r.pivot_masses:
-                    f.write(f"{base},min_pivot_mass,{repr(min(r.pivot_masses))}\n")
-                for rep in r.reports:
-                    if rep.name == "projector_deviation":
-                        f.write(f"{base},projector_deviation,{repr(rep.lhs)}\n")
     return summaries

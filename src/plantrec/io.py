@@ -166,18 +166,6 @@ def write_reports_csv(file, reports) -> None:
     for r in reports:
         ctx = r.context
         mask = ctx.get("mask")
-        writer.writerow(
-            [
-                r.name,
-                repr(float(r.lhs)),
-                repr(float(r.rhs)),
-                "true" if r.satisfied else "false",
-                _format_cell(ctx.get("n")),
-                _format_cell(ctx.get("k")),
-                _format_cell(ctx.get("s")),
-                _format_cell(ctx.get("p")),
-                _format_cell(ctx.get("q")),
-                _format_cell(ctx.get("seed")),
-                hex(mask) if mask is not None else "",
-            ]
-        )
+        values = [float(r.lhs), float(r.rhs), bool(r.satisfied)]
+        values += [ctx.get(key) for key in ("n", "k", "s", "p", "q", "seed")]
+        writer.writerow([r.name, *map(_format_cell, values), hex(mask) if mask is not None else ""])

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    EmptySetError,
     NonDivisibleError,
     ZeroSizeError,
 )
@@ -28,8 +27,6 @@ __all__ = [
     "make_partition",
     "sample_graph",
     "expectation_matrix",
-    "true_cluster_matrix",
-    "principal_submatrix",
     "permute_partition",
     "require_adjacency_memory",
 ]
@@ -120,10 +117,6 @@ class Graph:
     def edge_count(self) -> int:
         return int(self.adj.sum()) // 2
 
-    def dense(self) -> np.ndarray:
-        """Adjacency as float64, for spectral work."""
-        return self.adj.astype(np.float64)
-
 
 def make_partition(n: int, s: int) -> PlantedPartition:
     """Canonical contiguous partition: vertices i*s..(i+1)*s-1 form cluster i."""
@@ -189,22 +182,3 @@ def expectation_matrix(part: PlantedPartition, params: ModelParams) -> np.ndarra
     same = part.assignment[:, None] == part.assignment[None, :]
     return np.where(same, params.p, params.q)
 
-
-def true_cluster_matrix(part: PlantedPartition) -> np.ndarray:
-    """0-1 co-membership matrix: entry (i, j) is 1 iff i and j share a cluster."""
-    return (part.assignment[:, None] == part.assignment[None, :]).astype(np.float64)
-
-
-def principal_submatrix(g, vertices: np.ndarray):
-    """Restrict a Graph or square matrix to `vertices`, ascending, same kind out."""
-    vertices = np.unique(np.asarray(vertices, dtype=np.int64))
-    if vertices.size == 0:
-        raise EmptySetError("vertex set must be nonempty")
-    if isinstance(g, Graph):
-        if vertices[0] < 0 or vertices[-1] >= g.n:
-            raise ValueError("vertex ids out of range")
-        return Graph(adj=g.adj[np.ix_(vertices, vertices)])
-    a = np.asarray(g)
-    if vertices[0] < 0 or vertices[-1] >= a.shape[0]:
-        raise ValueError("vertex ids out of range")
-    return a[np.ix_(vertices, vertices)]

@@ -98,8 +98,7 @@ class Projector:
     `basis` (V, m x r) must have orthonormal columns, as the eigenvectors
     from :func:`top_projector` do; nothing checks this, and with any other
     V the masses below are not ||V V^T 1_W||.  The m x m matrix is never
-    stored: columns and set masses are computed from V, and no check or
-    pipeline path reads :attr:`matrix`, the dense form kept for reference.
+    formed: columns and set masses are computed from V.
     """
 
     basis: np.ndarray
@@ -111,11 +110,6 @@ class Projector:
     @property
     def rank(self) -> int:
         return int(self.basis.shape[1])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The m x m projector, exactly symmetric; built anew on each access."""
-        return as_symmetric(self.basis @ self.basis.T)
 
     def columns(self, idx: np.ndarray) -> np.ndarray:
         """New len(idx) x m array whose row i is the projector's column idx[i]."""

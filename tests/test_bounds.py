@@ -34,10 +34,11 @@ from plantrec.model import (
     make_partition,
     permute_partition,
     sample_graph,
-    true_cluster_matrix,
 )
 from plantrec.recovery import all_candidate_sets, select_pivot
 from plantrec.spectral import Projector, as_symmetric, eigh_descending, spectral_norm, top_projector
+
+from oracles import cluster_matrix, dense_projector
 
 
 class TestConstants:
@@ -113,7 +114,7 @@ class TestNormDeviation:
         part = make_partition(12, 4)
         params = ModelParams(p=1.0, q=0.0, seed=0)
         g = sample_graph(part, params)
-        rep = check_norm_deviation(g.dense(), expectation_matrix(part, params))
+        rep = check_norm_deviation(g.adj, expectation_matrix(part, params))
         assert rep.lhs == pytest.approx(1.0)
         assert rep.satisfied
 
@@ -132,7 +133,7 @@ class TestNormDeviation:
         for seed in range(100):
             params = ModelParams(p=0.7, q=0.3, seed=seed)
             g = sample_graph(part, params)
-            hits += check_norm_deviation(g.dense(), expectation_matrix(part, params)).satisfied
+            hits += check_norm_deviation(g.adj, expectation_matrix(part, params)).satisfied
         assert hits == 100
 
 
@@ -141,7 +142,7 @@ class TestSeparation:
         part = make_partition(12, 4)
         g = sample_graph(part, ModelParams(p=1.0, q=0.0, seed=0))
         consts = Constants.from_params(1.0, 0.0, c=4 / math.sqrt(12))
-        top, bulk = check_separation(g.dense(), 3, consts)
+        top, bulk = check_separation(g.adj, 3, consts)
         assert top.context["lambda_l"] == pytest.approx(3.0)  # s - 1
         assert bulk.lhs == pytest.approx(1.0)
         assert bulk.satisfied
@@ -159,7 +160,7 @@ class TestSeparation:
     def test_weyl_subcheck_on_instances(self, seed):
         part = make_partition(60, 20)
         params = ModelParams(p=0.8, q=0.2, seed=seed)
-        sampled = sample_graph(part, params).dense()
+        sampled = sample_graph(part, params).adj
         expected = expectation_matrix(part, params)
         rep = check_weyl(sampled, expected)
         assert rep.satisfied
@@ -192,7 +193,7 @@ class TestProjectorDeviation:
     def test_expected_matrix_solved_once_with_the_same_floats(self, monkeypatch):
         part = make_partition(60, 20)
         params = ModelParams(p=0.7, q=0.3, seed=4)
-        sampled = sample_graph(part, params).dense()
+        sampled = sample_graph(part, params).adj
         expected = expectation_matrix(part, params)
         v_a, v_e = top_projector(sampled, 3).basis, top_projector(expected, 3).basis
         sines = np.linalg.svd(v_a - v_e @ (v_e.T @ v_a), compute_uv=False)
@@ -225,7 +226,7 @@ class TestProjectorDeviation:
     def test_principal_angles_match_the_dense_difference_on_a_sample(self):
         part = permute_partition(make_partition(120, 40), np.random.default_rng(5).permutation(120))
         params = ModelParams(p=0.7, q=0.3, seed=5)
-        sampled = sample_graph(part, params).dense()
+        sampled = sample_graph(part, params).adj
         p_e = Projector(basis=np.eye(3)[part.assignment] / math.sqrt(40))
         self._assert_matches_dense(top_projector(sampled, 3), p_e)
 
@@ -234,7 +235,7 @@ class TestProjectorDeviation:
         sines = bounds._projector_distance(p_a, p_e)
         assert sines.shape == (p_a.rank,)
         assert (np.diff(sines) <= 0).all()
-        diff = p_a.matrix - p_e.matrix
+        diff = dense_projector(p_a) - dense_projector(p_e)
         assert sines[0] == pytest.approx(spectral_norm(diff), rel=1e-12, abs=1e-12)
         assert 2.0 * (sines**2).sum() == pytest.approx(
             np.linalg.norm(diff, "fro") ** 2, rel=1e-12, abs=1e-12
@@ -247,7 +248,7 @@ class TestProjectorDeviation:
         # on rounding
         part = make_partition(12, 12)
         params = ModelParams(p=0.7, q=0.2, seed=3)
-        sampled = sample_graph(part, params).dense()
+        sampled = sample_graph(part, params).adj
         expected = expectation_matrix(part, params)
         if route == "matrices":
             _, frob = check_projector_deviation(sampled, expected, 1)
@@ -267,7 +268,7 @@ class TestProjectorDeviation:
         hits = 0
         for seed in range(100):
             params = ModelParams(p=0.8, q=0.2, seed=seed)
-            sampled = sample_graph(part, params).dense()
+            sampled = sample_graph(part, params).adj
             expected = expectation_matrix(part, params)
             spec, frob = check_projector_deviation(sampled, expected, 2)
             assert frob.satisfied
@@ -279,7 +280,7 @@ class TestProjectorDeviation:
             part = make_partition(40, 10)
             params = ModelParams(p=0.6, q=0.3, seed=seed)
             eps = empirical_epsilon(
-                sample_graph(part, params).dense(), expectation_matrix(part, params), 4
+                sample_graph(part, params).adj, expectation_matrix(part, params), 4
             )
             assert eps <= 2.0 + 1e-8
 
@@ -287,14 +288,14 @@ class TestProjectorDeviation:
 class TestGoodColumn:
     def test_exact_projector(self):
         part = make_partition(12, 4)
-        p = true_cluster_matrix(part) / 4
+        p = cluster_matrix(part) / 4
         rep = check_good_column(p, part, 0.05)
         assert rep.rhs == pytest.approx(2.0)
         assert rep.satisfied
 
     def test_threshold_arithmetic_at_point_one(self):
         part = make_partition(8, 4)
-        p = true_cluster_matrix(part) / 4
+        p = cluster_matrix(part) / 4
         rep = check_good_column(p, part, 0.1)
         assert rep.lhs == pytest.approx(0.82 * 2.0)
 
@@ -314,14 +315,14 @@ class TestGoodColumn:
         # the largest single-cluster overlap of the best set is the largest
         # row sum of the co-membership matrix restricted to that set
         part = permute_partition(make_partition(60, 10), np.random.default_rng(seed).permutation(60))
-        sampled = sample_graph(part, ModelParams(p=0.6, q=0.4, seed=seed)).dense()
+        sampled = sample_graph(part, ModelParams(p=0.6, q=0.4, seed=seed)).adj
         p_hat = top_projector(sampled, 6)
         members, masses = all_candidate_sets(p_hat, 10)
         pivot = select_pivot(masses)
         best = members[pivot]
         rep = check_good_column(p_hat, part, 0.1)
         assert (rep.context["best_pivot"], rep.rhs) == (pivot, masses[pivot])
-        coassign = true_cluster_matrix(part)
+        coassign = cluster_matrix(part)
         assert rep.context["best_overlap"] == coassign[np.ix_(best, best)].sum(axis=1).max()
         assert rep.context["s"] == 10
 
@@ -330,11 +331,11 @@ class TestGoodColumn:
         hits = 0
         for seed in range(100):
             params = ModelParams(p=0.8, q=0.2, seed=seed)
-            sampled = sample_graph(part, params).dense()
+            sampled = sample_graph(part, params).adj
             expected = expectation_matrix(part, params)
             p_hat = top_projector(sampled, 2)
             p_exp = top_projector(expected, 2)
-            eps = spectral_norm(p_hat.matrix - p_exp.matrix)
+            eps = spectral_norm(dense_projector(p_hat) - dense_projector(p_exp))
             rep = check_good_column(p_hat, part, min(max(eps, 1e-12), 0.1))
             hits += rep.satisfied
         assert hits >= 95
@@ -571,7 +572,7 @@ class TestDeterministicInequalitiesEverywhere:
         part = make_partition(n, n // k)
         p, q = 0.75, 0.25
         params = ModelParams(p=p, q=q, seed=seed)
-        sampled = sample_graph(part, params).dense()
+        sampled = sample_graph(part, params).adj
         expected = expectation_matrix(part, params)
 
         assert check_weyl(sampled, expected).satisfied

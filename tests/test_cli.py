@@ -264,11 +264,24 @@ class TestExperiment:
             {**base, "n": [10.9]},
             {**base, "epsilon": True},
             {**base, "baseline": "no"},
+            # n below 1; with s = 3, 0 % 3 == 0 would give k = 0 and a trial with no round
+            {"n": [0], "s": [3], "p": [0.7], "q": [0.3]},
+            {"n": [0], "k": [3], "p": [0.7], "q": [0.3]},
+            {"n": [-6], "k": [3], "p": [0.7], "q": [0.3]},
+            {"n": [-6], "s": [3], "p": [0.7], "q": [0.3]},
         ):
             cfg.write_text(json.dumps(raw))
             code, _, err = run_cli(capsys, "experiment", "--config", str(cfg), "--out", str(tmp_path / "o"))
             assert (code, err.startswith("invalid input: config")) == (2, True), raw
             assert not (tmp_path / "o").exists()
+
+    def test_unknown_option_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": [12], "k": [2], "p": [0.9], "q": [0.1]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o"), "--emit-plot-data"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_nan_epsilon_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

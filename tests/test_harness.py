@@ -123,7 +123,7 @@ def oracle_checks(g, part, params, checks, epsilon):
     own matrices numerically (the expected matrix included)."""
     ctx = {"n": part.n, "k": part.k, "s": part.s, "p": params.p, "q": params.q,
            "seed": params.seed, "mask": (1 << part.k) - 1}
-    sampled, expected = g.dense(), expectation_matrix(part, params)
+    sampled, expected = g.adj, expectation_matrix(part, params)
     reports = []
     eps = epsilon
     if "norm" in checks:
@@ -291,7 +291,7 @@ class TestRunChecks:
         params = ModelParams(p=0.8, q=0.2, seed=5)
         g = sample_graph(part, params)
         with pytest.raises(DimensionMismatchError):
-            run_checks(g, part, params, ("proj",), None, projector=top_projector(g.dense(), 2))
+            run_checks(g, part, params, ("proj",), None, projector=top_projector(g.adj, 2))
 
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, -math.inf, math.nan])
     def test_epsilon_must_be_finite_and_positive(self, epsilon):
@@ -319,6 +319,15 @@ class TestRunGrid:
         assert row["n"] == 12 and row["trial"] == 0
         agg = (tmp_path / "aggregate.csv").read_text().splitlines()
         assert len(agg) == 2  # header + one cell
+
+    def test_invalid_cell_rejected_before_the_output_directory(self, tmp_path):
+        # built directly, so from_dict's validation does not run first
+        cfg = ExperimentConfig(
+            ns=(0,), ks=None, ss=(3,), ps=(0.7,), qs=(0.3,), trials=1, seed0=0, checks=()
+        )
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            run_grid(cfg, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         raw = {
@@ -362,16 +371,6 @@ class TestRunGrid:
         assert all(b <= a + 0.04 for a, b in zip(rates, rates[1:]))
         assert rates[-1] < rates[0] - 0.5
 
-    def test_plot_data_emitted(self, tmp_path):
-        cfg = ExperimentConfig.from_dict(
-            {"n": [12], "k": [2], "p": [0.9], "q": [0.1], "trials": 2, "seed0": 3}
-        )
-        run_grid(cfg, tmp_path, emit_plot_data=True)
-        lines = (tmp_path / "plotdata.csv").read_text().splitlines()
-        assert lines[0] == "n,k,s,p,q,seed,metric,value"
-        metrics = {line.split(",")[6] for line in lines[1:]}
-        assert {"exact", "min_pivot_mass", "projector_deviation"} <= metrics
-
     def test_aggregate_is_pure_fold_of_trials(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             {"n": [20], "k": [2], "p": [0.9], "q": [0.1], "trials": 4, "seed0": 5}
@@ -412,7 +411,7 @@ class TestAgainstIntegerProducts:
     def test_centered_adjacency_is_sampled_minus_expected(self, instance):
         part, params = instance
         g = sample_graph(part, params)
-        want = g.dense() - (expectation_matrix(part, params) - params.p * np.eye(part.n))
+        want = g.adj - (expectation_matrix(part, params) - params.p * np.eye(part.n))
         assert np.array_equal(bounds.centered_adjacency(g, part, params), want)
 
     @settings(max_examples=100, deadline=None, derandomize=True)

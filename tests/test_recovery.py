@@ -16,7 +16,6 @@ from plantrec.model import (
     make_partition,
     permute_partition,
     sample_graph,
-    true_cluster_matrix,
 )
 from plantrec.recovery import (
     PivotTrace,
@@ -30,6 +29,8 @@ from plantrec.recovery import (
 )
 from plantrec.spectral import Projector, top_projector
 
+from oracles import cluster_matrix, dense_projector
+
 
 def noiseless_graph(n: int, s: int) -> Graph:
     part = make_partition(n, s)
@@ -39,21 +40,21 @@ def noiseless_graph(n: int, s: int) -> Graph:
 class TestCandidateSet:
     def test_exact_projector_gives_true_cluster(self):
         part = make_partition(12, 4)
-        p = true_cluster_matrix(part) / 4
+        p = cluster_matrix(part) / 4
         members, _ = all_candidate_sets(p, 4)
         assert members.shape == (12, 4)
         for j in range(12):
             assert set(members[j]) == set(part.clusters()[part.assignment[j]])
 
     def test_size_one(self):
-        p = true_cluster_matrix(make_partition(6, 3)) / 3
+        p = cluster_matrix(make_partition(6, 3)) / 3
         members, _ = all_candidate_sets(p, 1)
         assert members.tolist() == [[j] for j in range(6)]
 
     def test_robust_to_small_noise(self):
         # entries gap is 1/s, so symmetric noise below 1/(2s) cannot reorder
         part = make_partition(12, 4)
-        clean = true_cluster_matrix(part) / 4
+        clean = cluster_matrix(part) / 4
         rng = np.random.default_rng(3)
         noise = rng.uniform(-1, 1, size=(12, 12)) * (0.49 / 4)
         noisy = (noise + noise.T) / 2 + clean
@@ -141,7 +142,7 @@ class TestRanking:
     @pytest.mark.parametrize("m,r,s", [(30, 3, 10), (41, 5, 8), (12, 12, 12), (9, 1, 1)])
     def test_basis_masses_equal_matrix_masses(self, m, r, s):
         proj = random_projector(m, r, seed=m * r)
-        dense = proj.matrix
+        dense = dense_projector(proj)
         members, masses = all_candidate_sets(proj, s)
         for w, x in zip(members, masses):
             assert x == pytest.approx(brute_force_mass(dense, w), rel=1e-12)
@@ -150,7 +151,7 @@ class TestRanking:
     def test_basis_ranking_small_blocks(self, monkeypatch):
         proj = random_projector(50, 4, seed=7)
         members, masses = all_candidate_sets(proj, 9)
-        assert np.array_equal(members, brute_force_sets(proj.matrix, 9))
+        assert np.array_equal(members, brute_force_sets(dense_projector(proj), 9))
         monkeypatch.setattr(recovery, "BLOCK_ENTRIES", 3 * 50)
         blocked_members, blocked_masses = all_candidate_sets(proj, 9)
         assert np.array_equal(members, blocked_members)
@@ -169,7 +170,7 @@ class TestSelectPivot:
 
     def test_all_tie_returns_vertex_zero(self):
         part = make_partition(12, 4)
-        p = true_cluster_matrix(part) / 4
+        p = cluster_matrix(part) / 4
         _, masses = all_candidate_sets(p, 4)
         assert select_pivot(masses) == 0
         assert masses == pytest.approx(np.full(12, 2.0))
@@ -190,7 +191,7 @@ class TestSelectPivot:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_rejected(self, bad):
         # a NaN mass would lose every comparison and leave pivot 0 unseen
-        p = true_cluster_matrix(make_partition(8, 4)) / 4
+        p = cluster_matrix(make_partition(8, 4)) / 4
         p[5, 6] = p[6, 5] = bad
         with pytest.raises(NonFiniteError):
             all_candidate_sets(p, 4)
@@ -272,7 +273,7 @@ class TestIdentifyClusters:
         assert [(t.projector.dim, t.projector.rank) for t in traces] == [
             (60, 5), (48, 4), (36, 3), (24, 2), (12, 1)
         ]
-        assert np.array_equal(traces[0].projector.basis, top_projector(g.dense(), 5).basis)
+        assert np.array_equal(traces[0].projector.basis, top_projector(g.adj, 5).basis)
 
     def test_trace_equality_and_hash_ignore_the_projector(self):
         a = PivotTrace(level=0, rank=2, pivot=3, mass=1.5, projector=Projector(np.eye(4)[:, :2]))

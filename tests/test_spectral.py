@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from plantrec import spectral
 from plantrec.errors import NonFiniteError, RankOutOfRangeError
-from plantrec.model import ModelParams, make_partition, expectation_matrix, sample_graph, true_cluster_matrix
+from plantrec.model import ModelParams, make_partition, expectation_matrix, sample_graph
 from plantrec.spectral import (
     as_symmetric,
     eigh_descending,
@@ -21,6 +21,8 @@ from plantrec.spectral import (
     spectral_norm,
     top_projector,
 )
+
+from oracles import cluster_matrix, dense_projector
 
 
 def power_iteration_norm(a: np.ndarray, iters: int = 5000) -> float:
@@ -99,39 +101,38 @@ class TestEighDescending:
 class TestTopProjector:
     @pytest.mark.parametrize("m,rank", [(40, 3), (97, 12), (60, 60)])
     def test_matrix_is_symmetrized_outer_product_of_full_solve(self, m, rank):
-        # the bound checks read .matrix: bit for bit the symmetrized V V^T of
-        # the rank-r solve's basis, and within rounding of the projector built
-        # from the leading columns of numpy's full eigendecomposition
+        # the basis is the rank-r solve's eigenvectors, and its projector is
+        # within rounding of the one built from the leading columns of
+        # numpy's full eigendecomposition
         a = random_symmetric(m, rank)
         dec = eigh_descending(a, rank)
         v = dec.eigenvectors
         p = top_projector(a, rank)
         assert (p.dim, p.rank) == (m, rank)
         assert np.array_equal(p.basis, v)
-        assert np.array_equal(p.matrix, as_symmetric(v @ v.T))
         w_full, v_full = np.linalg.eigh(a)
         w_full, v_full = w_full[::-1][:rank], v_full[:, ::-1][:, :rank]
         assert np.abs(dec.eigenvalues - w_full).max() <= 1e-12
-        assert np.abs(p.matrix - v_full @ v_full.T).max() <= 1e-12
+        assert np.abs(dense_projector(p) - v_full @ v_full.T).max() <= 1e-12
 
     def test_full_rank_is_identity(self):
         a = random_symmetric(6, 0)
         p = top_projector(a, 6)
-        assert np.allclose(p.matrix, np.eye(6), atol=1e-10)
+        assert np.allclose(dense_projector(p), np.eye(6), atol=1e-10)
 
     def test_expectation_projector_is_scaled_cluster_matrix(self):
         part = make_partition(20, 10)
         g = expectation_matrix(part, ModelParams(p=0.9, q=0.1, seed=0))
         p = top_projector(g, 2)
-        h = true_cluster_matrix(part)
-        assert np.linalg.norm(p.matrix - h / 10, "fro") <= 1e-8
+        h = cluster_matrix(part)
+        assert np.linalg.norm(dense_projector(p) - h / 10, "fro") <= 1e-8
 
     def test_cluster_matrix_projector_is_itself_scaled(self):
         # oracle: direct eigensolve of the 0-1 co-membership matrix
         part = make_partition(12, 4)
-        h = true_cluster_matrix(part)
+        h = cluster_matrix(part)
         p = top_projector(h, 3)
-        assert np.linalg.norm(p.matrix - h / 4, "fro") <= 1e-8
+        assert np.linalg.norm(dense_projector(p) - h / 4, "fro") <= 1e-8
 
     def test_rank_out_of_range(self):
         a = np.eye(4)
@@ -143,7 +144,7 @@ class TestTopProjector:
     @pytest.mark.parametrize("seed,rank", [(0, 1), (1, 3), (2, 7), (3, 10)])
     def test_projector_algebra(self, seed, rank):
         a = random_symmetric(10, seed)
-        p = top_projector(a, rank).matrix
+        p = dense_projector(top_projector(a, rank))
         assert np.array_equal(p, p.T)
         assert np.linalg.norm(p @ p - p, "fro") <= 10 * 1e-9
         assert abs(np.trace(p) - rank) <= 1e-6
@@ -204,7 +205,7 @@ class TestPartialSolve:
 
     def test_two_calls_give_identical_bases(self):
         part = make_partition(200, 40)
-        a = sample_graph(part, ModelParams(p=0.7, q=0.3, seed=2)).dense()
+        a = sample_graph(part, ModelParams(p=0.7, q=0.3, seed=2)).adj
         d1, d2 = eigh_descending(a, 5), eigh_descending(a, 5)
         assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
         assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
@@ -351,7 +352,7 @@ class TestNorms:
         assert spectral_norm(np.zeros((0, 0))) == 0.0
 
     def test_spectral_norm_cluster_matrix(self):
-        h = true_cluster_matrix(make_partition(6, 3))
+        h = cluster_matrix(make_partition(6, 3))
         assert spectral_norm(h) == pytest.approx(3.0, abs=1e-12)
 
     def test_spectral_norm_vs_power_iteration(self):
@@ -595,7 +596,7 @@ class TestWeylRandomPairs:
     def test_weyl_on_model_pairs(self, seed):
         part = make_partition(40, 10)
         params = ModelParams(p=0.8, q=0.2, seed=seed)
-        sampled = sample_graph(part, params).dense()
+        sampled = sample_graph(part, params).adj
         expected = expectation_matrix(part, params)
         wa = eigh_descending(sampled).eigenvalues
         wb = eigh_descending(expected).eigenvalues
@@ -610,7 +611,7 @@ def column_mass(p, members) -> float:
 class TestProjectorColumnMass:
     def test_full_cluster_mass(self):
         part = make_partition(12, 4)
-        p = true_cluster_matrix(part) / 4
+        p = cluster_matrix(part) / 4
         assert column_mass(p, part.clusters()[1]) == pytest.approx(2.0)
 
     def test_empty_set(self):
@@ -620,7 +621,7 @@ class TestProjectorColumnMass:
     def test_split_set(self):
         # two vertices from each of two clusters of size 4: ||P 1_W||^2 = 2
         part = make_partition(8, 4)
-        p = true_cluster_matrix(part) / 4
+        p = cluster_matrix(part) / 4
         w = [0, 1, 4, 5]
         assert column_mass(p, w) == pytest.approx(np.sqrt(2.0))
 
