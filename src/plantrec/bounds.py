@@ -263,13 +263,12 @@ def check_good_column(p_hat, part: PlantedPartition, epsilon: float, **context) 
     `p_hat` is a Projector or a square matrix on the vertices of `part`; the
     best column is the one :func:`~plantrec.recovery.select_pivot` picks, and
     its candidate set's largest single-cluster overlap is reported as
-    `best_overlap`.  s is recorded in the report context, so callers must not
-    pass it there.
+    `best_overlap`.  s is recorded in the report context.
     """
     if not 0.0 < epsilon <= 0.1:
         raise EpsilonOutOfRangeError(f"epsilon must be in (0, 0.1], got {epsilon}")
     s = part.s
-    context = {"s": int(s), **context}
+    context = {**context, "s": int(s)}
     op = projector_operand(p_hat)
     if part.n != op.dim:
         raise DimensionMismatchError(f"partition has {part.n} vertices, projector {op.dim}")

@@ -70,12 +70,20 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _read_truth(path, g):
+    """The partition file at `path`, which must cover the vertices of `g`."""
+    part = io.read_partition(path)
+    if part.n != g.n:
+        raise ValueError("graph and partition sizes differ")
+    return part
+
+
 def _cmd_recover(args) -> int:
     g = io.read_graph(args.graph)
+    truth = _read_truth(args.truth, g) if args.truth else None
     result = identify_clusters(g, args.s)
     payload = result.as_dict(args.s)
-    if args.truth:
-        truth = io.read_partition(args.truth)
+    if truth is not None:
         payload["exact"] = same_partition(result, truth)
     print(json.dumps(payload))
     return 0
@@ -83,9 +91,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = io.read_graph(args.graph)
-    part = io.read_partition(args.truth)
-    if part.n != g.n:
-        raise ValueError("graph and partition sizes differ")
+    part = _read_truth(args.truth, g)
     checks = tuple(c for c in args.checks.split(",") if c)
     epsilon = None if args.epsilon == "auto" else float(args.epsilon)
     params = ModelParams(p=args.p, q=args.q, seed=args.seed)

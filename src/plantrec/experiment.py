@@ -187,6 +187,8 @@ class ExperimentConfig:
                             raise ValueError(f"need 0 <= q < p <= 1, got p={p}, q={q}")
                         out.append(Cell(index=index, n=n, k=k, s=s, p=p, q=q))
                         index += 1
+        if not out:
+            raise ValueError("config names no cell: its n, k or s, p and q lists must not be empty")
         return out
 
 
@@ -226,8 +228,8 @@ def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
     Reports come in KNOWN_CHECKS order whatever the order of `checks`.
     `epsilon` is a finite positive number, or None to use the measured
     projector deviation ||P_k(A) - P_k(E)||_2 (floored at 1e-12, as it is 0
-    on noiseless instances); it is resolved only when conc or goodcol runs,
-    and taken from the proj report when proj runs.
+    on noiseless instances), the proj report's lhs; it is resolved only when
+    conc or goodcol runs.
 
     `projector`, when given, must be the rank-k projector of `g.adj`,
     such as recovery's round 0 (`traces[0].projector`); without it the graph
@@ -269,13 +271,12 @@ def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
         if "fk" in checks:
             unions = bounds.cluster_unions(part, seed=params.seed)
             sigma = bounds.Constants.from_params(params.p, params.q, c=1.0).sigma
-            fk_ctx = {key: ctx[key] for key in ("n", "k", "s", "p", "q", "seed")}
             # the union of every cluster is read from the solve below
             proper = [(mask, v) for mask, v in unions if v.size < n]
             fk_reports = []
             if proper:
                 fk_reports = bounds.check_fk_submatrices(
-                    noise, [v for _, v in proper], sigma, labels=[m for m, _ in proper], **fk_ctx
+                    noise, [v for _, v in proper], sigma, labels=[m for m, _ in proper], **ctx
                 )
         np.fill_diagonal(noise, -params.p)  # exactly A - E
         mu = spectral._solve_values(noise)  # ascending; overwrites the noise matrix
@@ -285,21 +286,16 @@ def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
             # the noise matrix with its zero diagonal is A - E + pI, whose
             # eigenvalues are mu + p; the full mask sorts last among the unions
             whole = float(max(abs(mu[0] + params.p), abs(mu[-1] + params.p)))
-            fk_reports.append(bounds._fk_report(whole, n, sigma, **fk_ctx, mask=ctx["mask"]))
+            fk_reports.append(bounds._fk_report(whole, n, sigma, **ctx))
     if "norm" in checks:
         reports.append(bounds._norm_deviation(instance_dev, n, **ctx))
     if "proj" in checks:
         lambda_k = bounds.theoretical_spectrum(k, s, params.p, params.q)[k - 1]
-        spec_rep, frob_rep = bounds._projector_deviation(
-            projector, expected_projector, lambda_k, instance_dev, k, **ctx
+        reports.extend(
+            bounds._projector_deviation(projector, expected_projector, lambda_k, instance_dev, k, **ctx)
         )
-        reports.extend((spec_rep, frob_rep))
     if measure_epsilon:
-        if "proj" in checks:
-            measured = spec_rep.lhs
-        else:
-            measured = float(bounds._projector_distance(projector, expected_projector)[0])
-        epsilon = max(measured, 1e-12)
+        epsilon = max(float(bounds._projector_distance(projector, expected_projector)[0]), 1e-12)
     if "conc" in checks:
         conc_ctx = {key: v for key, v in ctx.items() if key not in ("p", "q")}
         reports.extend(
@@ -311,7 +307,6 @@ def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
         # the mass threshold is only meaningful for epsilon <= 0.1; clamp
         # and record the measured value so the report stays interpretable
         eps_gc = min(epsilon, 0.1)
-        gc_ctx = {key: v for key, v in ctx.items() if key != "s"}
         reports.append(
             bounds.check_good_column(
                 projector,
@@ -319,7 +314,7 @@ def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
                 eps_gc,
                 epsilon_measured=epsilon,
                 epsilon_clamped=eps_gc != epsilon,
-                **gc_ctx,
+                **ctx,
             )
         )
     return reports

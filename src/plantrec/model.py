@@ -19,6 +19,7 @@ from .errors import (
     NonDivisibleError,
     ZeroSizeError,
 )
+from .spectral import _is_symmetric
 
 __all__ = [
     "PlantedPartition",
@@ -32,11 +33,6 @@ __all__ = [
 ]
 
 _SEED_MAX = 2**64
-
-# Side of the square tiles the symmetry check compares with their mirror
-# images: the temporary stays small beside the n x n adjacency, and a tile's
-# transpose is read from cache.
-_SYMMETRY_TILE = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +99,8 @@ class Graph:
             raise ValueError("adjacency entries must be 0 or 1")
         if (np.diag(adj) != 0).any():
             raise ValueError("diagonal must be zero")
-        b = _SYMMETRY_TILE
-        for i in range(0, adj.shape[0], b):
-            for j in range(i, adj.shape[0], b):
-                if not (adj[i : i + b, j : j + b] == adj[j : j + b, i : i + b].T).all():
-                    raise ValueError("adjacency matrix must be symmetric")
+        if not _is_symmetric(adj):
+            raise ValueError("adjacency matrix must be symmetric")
 
     @property
     def n(self) -> int:

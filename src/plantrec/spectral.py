@@ -1,21 +1,22 @@
 """Dense symmetric eigendecomposition, top-rank projectors, and matrix norms.
 
 Every solve goes through one driver (workspace query, call, INFO check) into
-the LAPACK that numpy itself links, looked up once, at import, with ctypes:
-``dsyevr`` for the top r eigenpairs only, ``dsyevd`` in place for values
-only.  Where one is not exported under a known name, numpy's full ``eigh``
-(keeping the top r) or ``eigvalsh`` (the same bits) runs in its place.
+LAPACK ``dsyevr`` of the LAPACK that numpy itself links, looked up once, at
+import, with ctypes: the top r eigenpairs, or all eigenvalues only (the same
+bits as numpy's ``eigvalsh``).  Where it is not exported under a known name,
+numpy's full ``eigh`` (keeping the top r) or ``eigvalsh`` runs in its place.
 
-Such a solve makes one m x m float64 copy of its input, which LAPACK
-overwrites: an integer or bool matrix (a graph's uint8 adjacency) that
-equals its transpose is converted straight into it, and any other matrix is
-copied, checked finite and symmetrized only if it is not exactly symmetric.
+Every matrix input passes one check: square, finite, and read as
+(a + a^T) / 2 unless exactly symmetric, compared one tile pair at a time.  A
+solve makes one m x m float64 copy of its input, which LAPACK overwrites: an
+integer or bool matrix (a graph's uint8 adjacency) is converted straight
+into it.
 
 The norms of many principal submatrices of one matrix
 (:func:`submatrix_norms`) are solved on a thread pool, one solve per core at
 once with OpenBLAS held at one thread (through its
 ``openblas_set_num_threads``, looked up the same way), or one at a time where
-``dsyevd`` or the thread controls do not resolve.
+``dsyevr`` or the thread controls do not resolve.
 """
 
 from __future__ import annotations
@@ -54,6 +55,22 @@ def as_symmetric(a: np.ndarray) -> np.ndarray:
     return out
 
 
+# Side of the square tiles the symmetry check compares with their mirror
+# images: the temporary stays small beside the m x m matrix, and a tile's
+# transpose is read from cache.
+_SYMMETRY_TILE = 512
+
+
+def _is_symmetric(a: np.ndarray) -> bool:
+    """Whether the square `a` equals its transpose, one tile pair at a time."""
+    b, m = _SYMMETRY_TILE, a.shape[0]
+    return all(
+        (a[i : i + b, j : j + b] == a[j : j + b, i : i + b].T).all()
+        for i in range(0, m, b)
+        for j in range(i, m, b)
+    )
+
+
 def _finite_symmetric(a: np.ndarray, private: bool) -> np.ndarray:
     """Square `a` as a finite, exactly symmetric C-order float64 matrix.
 
@@ -67,12 +84,12 @@ def _finite_symmetric(a: np.ndarray, private: bool) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if a.dtype.kind in "biu" and (a == a.T).all():
+    if a.dtype.kind in "biu" and _is_symmetric(a):
         return a.astype(np.float64, order="C")
     a = (np.array if private else np.asarray)(a, dtype=np.float64, order="C")
     if not np.isfinite(a).all():
         raise NonFiniteError("matrix has non-finite entries")
-    return a if (a == a.T).all() else as_symmetric(a)
+    return a if _is_symmetric(a) else as_symmetric(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,33 +143,22 @@ class Projector:
 
 @dataclass(frozen=True, eq=False)
 class _DenseOperator:
-    """A square matrix read where a projector is expected: its columns are
-    read as stored, and the mass of a set is the norm of its column sum.
+    """A symmetric matrix read where a projector is expected: column j is
+    row j, and the mass of a set is the norm of its column sum."""
 
-    `transposed` is A^T in C order, so a column of A is a contiguous row.
-    """
-
-    transposed: np.ndarray
+    matrix: np.ndarray
 
     @property
     def dim(self) -> int:
-        return int(self.transposed.shape[0])
+        return int(self.matrix.shape[0])
 
     def columns(self, idx: np.ndarray) -> np.ndarray:
         """New len(idx) x m array whose row i is the matrix's column idx[i]."""
-        return self.transposed[idx]
+        return self.matrix[idx]
 
     def masses(self, sets: np.ndarray) -> np.ndarray:
-        """||A 1_W|| for each row W of the 2-D index array `sets`.
-
-        Summing s rows of width m per set would cost more than one BLAS
-        product of the sets' indicator rows with A^T, so that is used here;
-        a repeated member counts twice.
-        """
-        sets = np.asarray(sets, dtype=np.int64)
-        counts = np.zeros((sets.shape[0], self.dim), dtype=np.float64)
-        np.add.at(counts, (np.arange(sets.shape[0])[:, None], sets), 1.0)
-        return np.linalg.norm(counts @ self.transposed, axis=1)
+        """||A 1_W|| for each row W of the 2-D index array `sets`."""
+        return _row_sum_norms(self.matrix, sets)
 
 
 def _row_sum_norms(factor: np.ndarray, sets: np.ndarray) -> np.ndarray:
@@ -170,40 +176,31 @@ def projector_operand(p) -> Projector | _DenseOperator:
     """`p` as an operand with `dim`, `columns` and `masses`.
 
     A Projector, or an operand this function returned, passes through;
-    anything else is read as a dense square float64 matrix, which must be
-    finite: a NaN entry would make NaN masses, and the pivot choice would
-    fall to vertex 0 without a word.
+    anything else is read as every solve reads its input: a square finite
+    matrix (a NaN entry would make NaN masses, and the pivot choice would
+    fall to vertex 0 without a word), taken as (a + a^T) / 2 unless exactly
+    symmetric.  The operand may hold `p` itself and never writes to it.
     """
     if isinstance(p, (Projector, _DenseOperator)):
         return p
-    matrix = np.asarray(p, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.isfinite(matrix).all():
-        raise NonFiniteError("matrix has non-finite entries")
-    return _DenseOperator(np.ascontiguousarray(matrix.T))
+    return _DenseOperator(_finite_symmetric(p, private=False))
 
 
 def eigh_descending(a: np.ndarray, rank: int | None = None) -> SpectralDecomposition:
     """Symmetric eigendecomposition, eigenvalues sorted descending.
 
-    Without `rank`, every eigenpair, from numpy's full ``eigh``: the order is
-    the exact reverse of the LAPACK ascending output, so degenerate
-    eigenvalues keep a stable layout.  With `rank`, only the top `rank`
-    eigenvalues and their eigenvectors, from LAPACK ``dsyevr`` (or the full
-    solve, sliced, where numpy's LAPACK has no ``dsyevr``), on one float64
-    copy of `a`, which may be an integer or bool matrix such as a graph's
-    adjacency.  Either way the result is deterministic for a fixed input,
-    LAPACK and BLAS thread count.
+    The top `rank` eigenvalues and their eigenvectors, or every eigenpair
+    without `rank`, from LAPACK ``dsyevr`` (or numpy's full ``eigh``,
+    sliced, where numpy's LAPACK has no ``dsyevr``), on one float64 copy of
+    `a`, which may be an integer or bool matrix such as a graph's adjacency.
+    The result is deterministic for a fixed input, LAPACK and BLAS thread
+    count.
     """
     a = np.asarray(a)
     m = a.shape[0]
     if rank is not None and not 1 <= rank <= m:
         raise RankOutOfRangeError(f"rank must be in 1..{m}, got {rank}")
-    if rank is None:  # numpy's eigh solves a copy of its own
-        w, v = np.linalg.eigh(_finite_symmetric(a, private=False))
-        return SpectralDecomposition(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
-    w, v = _solve_top(_finite_symmetric(a, private=True), rank)
+    w, v = _solve_top(_finite_symmetric(a, private=True), m if rank is None else rank)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
@@ -247,18 +244,6 @@ def _dsyevr_argtypes(int_type) -> list:
     ]
 
 
-def _dsyevd_argtypes(int_type) -> list:
-    integer = ctypes.POINTER(int_type)
-    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
-    integers = np.ctypeslib.ndpointer(int_type, flags="C_CONTIGUOUS,WRITEABLE")
-    return [
-        *[ctypes.c_char_p] * 2,  # JOBZ, UPLO
-        integer, doubles, integer, doubles,  # N, A, LDA, W
-        doubles, integer, integers, integer, integer,  # WORK, LWORK, IWORK, LIWORK, INFO
-        *[ctypes.c_size_t] * 2,  # the hidden lengths of the two strings
-    ]
-
-
 def _resolve(routine: str, names, argtypes, restype=None):
     """(function, integer type) for the first of `names`, filled in with
     `routine`, that numpy's LAPACK exports, declared with
@@ -277,7 +262,6 @@ def _resolve(routine: str, names, argtypes, restype=None):
 
 
 _DSYEVR = _resolve("dsyevr", _LAPACK_NAMES, _dsyevr_argtypes)
-_DSYEVD = _resolve("dsyevd", _LAPACK_NAMES, _dsyevd_argtypes)
 _SET_THREADS = _resolve("set_num_threads", _OPENBLAS_NAMES, lambda int_type: [int_type])
 _GET_THREADS = _resolve("get_num_threads", _OPENBLAS_NAMES, lambda int_type: [], restype=ctypes.c_int)
 
@@ -286,11 +270,11 @@ _GET_THREADS = _resolve("get_num_threads", _OPENBLAS_NAMES, lambda int_type: [],
 _BLAS_THREADS_LOCK = threading.Lock()
 
 
-def _lapack(routine: str, resolved, head: tuple, lengths: tuple) -> None:
+def _lapack(routine: str, resolved, head: tuple, lengths: tuple, extra_work: int = 0) -> None:
     """Call the LAPACK `routine`, `resolved` as (function, integer type),
-    with the arguments `head`, then WORK, LWORK, IWORK, LIWORK and INFO, then
-    the hidden string `lengths`: once as the workspace query, then with
-    workspaces of the sizes it returned.  A nonzero INFO raises LinAlgError."""
+    with the arguments `head`, WORK, LWORK, IWORK, LIWORK, INFO and the
+    hidden string `lengths`: once as the workspace query, then with the sizes
+    it returned (WORK `extra_work` longer).  A nonzero INFO raises LinAlgError."""
     func, int_type = resolved
     info = int_type(0)
 
@@ -301,7 +285,7 @@ def _lapack(routine: str, resolved, head: tuple, lengths: tuple) -> None:
 
     work, iwork = np.empty(1, dtype=np.float64), np.empty(1, dtype=int_type)
     call(work, -1, iwork, -1)  # workspace query: the sizes come back in work[0], iwork[0]
-    lwork, liwork = int(work[0]), int(iwork[0])
+    lwork, liwork = int(work[0]) + extra_work, int(iwork[0])
     call(np.empty(lwork, dtype=np.float64), lwork, np.empty(liwork, dtype=int_type), liwork)
 
 
@@ -312,50 +296,47 @@ def _solve_top(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
     if _DSYEVR is None:
         w, v = np.linalg.eigh(a)
         return w[::-1][:rank].copy(), v[:, ::-1][:, :rank].copy()
-    return _dsyevr(a, rank)
-
-
-def _dsyevr(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_solve_top` by LAPACK dsyevr with RANGE='I' (eigenvalues
-    m-rank+1..m of the ascending order).
-
-    `a` is symmetric, so its C-order buffer is also the column-major matrix
-    LAPACK expects; LAPACK destroys it.  Eigenvector j comes back as row j of
-    a rank x m array, which is column j of a column-major m x rank one.
-    """
-    int_type = _DSYEVR[1]
-    m = a.shape[0]
-    dim, found = int_type(m), int_type(0)
-    # the most accurate bisection tolerance, 2 * LAPACK's safe minimum
-    abstol = ctypes.c_double(2.0 * np.finfo(np.float64).tiny)
-    unused = ctypes.c_double(0.0)  # VL, VU are not read with RANGE='I'
-    w = np.empty(m, dtype=np.float64)
-    z = np.empty((rank, m), dtype=np.float64)
-    isuppz = np.empty(2 * rank, dtype=int_type)
-    head = (
-        b"V", b"I", b"L", dim, a, dim, unused, unused,
-        int_type(m - rank + 1), int_type(m), abstol, found, w, z, dim, isuppz,
-    )
-    _lapack("dsyevr", _DSYEVR, head, (1, 1, 1))
-    if found.value != rank:
-        raise np.linalg.LinAlgError(f"LAPACK dsyevr found {found.value} of {rank} eigenpairs")
-    return w[rank - 1 :: -1].copy(), np.ascontiguousarray(z[::-1].T)
+    w, z = _dsyevr(a, rank, vectors=True)
+    return w[::-1].copy(), np.ascontiguousarray(z[::-1].T)
 
 
 def _solve_values(a: np.ndarray) -> np.ndarray:
     """All eigenvalues, ascending, of the exactly symmetric float64 C-order
-    matrix `a`, which the solve may overwrite: LAPACK dsyevd (JOBZ='N',
-    UPLO='L') in place where numpy's LAPACK exports it, else numpy's
-    ``eigvalsh``, which calls the same routine on a copy, so both give the
-    same bits at the same BLAS thread count."""
-    if _DSYEVD is None:
+    matrix `a`, which the solve may overwrite: LAPACK dsyevr in place where
+    numpy's LAPACK exports it, else numpy's ``eigvalsh`` of a copy; both
+    give the same bits at the same BLAS thread count."""
+    if _DSYEVR is None:
         return np.linalg.eigvalsh(a)
-    int_type = _DSYEVD[1]
+    return _dsyevr(a, a.shape[0], vectors=False)[0]
+
+
+def _dsyevr(a: np.ndarray, count: int, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(w, z): the top `count` eigenvalues, ascending, by LAPACK dsyevr with
+    RANGE='I', and with `vectors` their eigenvectors (else z is empty).
+
+    `a` is symmetric, so its C-order buffer is also the column-major matrix
+    LAPACK expects; LAPACK destroys it.  Eigenvector j comes back as row j of
+    a count x m array, which is column j of a column-major m x count one.
+    """
+    int_type = _DSYEVR[1]
     m = a.shape[0]
+    # LAPACK requires LDA, LDZ >= 1, also for the 0 x 0 matrix
+    lead, found = int_type(max(m, 1)), int_type(0)
+    # the most accurate bisection tolerance, 2 * LAPACK's safe minimum
+    abstol = ctypes.c_double(2.0 * np.finfo(np.float64).tiny)
+    unused = ctypes.c_double(0.0)  # VL, VU are not read with RANGE='I'
     w = np.empty(m, dtype=np.float64)
-    # LAPACK requires LDA >= 1, also for the 0 x 0 matrix
-    _lapack("dsyevd", _DSYEVD, (b"N", b"L", int_type(m), a, int_type(max(m, 1)), w), (1, 1))
-    return w
+    z = np.empty((count if vectors else 0, m), dtype=np.float64)
+    isuppz = np.empty(2 * count, dtype=int_type)
+    head = (
+        b"V" if vectors else b"N", b"I", b"L", int_type(m), a, lead, unused, unused,
+        int_type(m - count + 1), int_type(m), abstol, found, w, z, lead, isuppz,
+    )
+    # dsyevr keeps 5m of WORK: 5m more than queried gives its dsytrd dsyevd's blocking, and eigvalsh's bits
+    _lapack("dsyevr", _DSYEVR, head, (1, 1, 1), extra_work=0 if vectors else 5 * m)
+    if found.value != count:
+        raise np.linalg.LinAlgError(f"LAPACK dsyevr found {found.value} of {count} eigenpairs")
+    return w[:count], z
 
 
 @contextmanager
@@ -388,7 +369,7 @@ def submatrix_norms(a: np.ndarray, sets) -> np.ndarray:
     checked (finite, and symmetrized unless exactly symmetric) once.  The
     sets are solved largest first on a thread pool: one solve per core at
     once, with OpenBLAS at one thread for the batch, where numpy's LAPACK
-    exports dsyevd and OpenBLAS's thread controls, else one at a time at
+    exports dsyevr and OpenBLAS's thread controls, else one at a time at
     the current BLAS thread count.  The calling thread gathers each copy,
     and starts a set only while the copies in flight fit in a.nbytes (or
     none is in flight).  An empty set has norm 0.
@@ -398,7 +379,7 @@ def submatrix_norms(a: np.ndarray, sets) -> np.ndarray:
     norms = np.zeros(len(sets), dtype=np.float64)
     pending = sorted((i for i, v in enumerate(sets) if v.size), key=lambda i: -sets[i].size)
     nbytes = [8 * v.size**2 for v in sets]  # of each set's float64 copy
-    pinned = _DSYEVD is not None and _SET_THREADS is not None and _GET_THREADS is not None
+    pinned = _DSYEVR is not None and _SET_THREADS is not None and _GET_THREADS is not None
     workers = _workers() if pinned else 1
     in_flight: dict = {}  # future -> set index
     with _one_blas_thread() if pinned else nullcontext(), ThreadPoolExecutor(max_workers=workers) as pool:

@@ -50,6 +50,20 @@ class TestGenerateRecover:
         assert code == 0
         assert "exact" not in json.loads(out)
 
+    def test_truth_of_another_size_exit_2(self, capsys, tmp_path):
+        # an 8-vertex graph against a 12-vertex partition: rejected before
+        # recovery, so nothing is printed, as verify rejects it
+        graph, truth = tmp_path / "g8.txt", tmp_path / "t12.txt"
+        for n, out, part in ((8, graph, tmp_path / "t8.txt"), (12, tmp_path / "g12.txt", truth)):
+            run_cli(
+                capsys, "generate", "--n", str(n), "--s", "4", "--p", "0.9", "--q", "0.1",
+                "--out", str(out), "--truth", str(part),
+            )
+        for command in (["recover", "--s", "4"], ["verify", "--p", "0.9", "--q", "0.1"]):
+            code, out, err = run_cli(capsys, *command, "--graph", str(graph), "--truth", str(truth))
+            assert (code, out) == (2, ""), command
+            assert err == "invalid input: graph and partition sizes differ\n"
+
     def test_generate_invalid_params_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "generate", "--n", "12", "--s", "5", "--p", "0.9", "--q", "0.1",
@@ -181,9 +195,9 @@ class TestVerify:
         )
         assert code == 0, err
         # a full solve runs only inside the top-r one, where LAPACK has no
-        # dsyevr, and eigvalsh only inside a values solve, where it has no dsyevd
+        # dsyevr, and eigvalsh only inside a values solve, where it has none either
         full_calls = 0 if spectral._DSYEVR else top_calls
-        eigvalsh_calls = 0 if spectral._DSYEVD else value_calls
+        eigvalsh_calls = 0 if spectral._DSYEVR else value_calls
         calls = {name: log.count(name) for name in ("top", "eigh", "values", "eigvalsh")}
         assert calls == {
             "top": top_calls, "eigh": full_calls, "values": value_calls, "eigvalsh": eigvalsh_calls
@@ -269,6 +283,12 @@ class TestExperiment:
             {"n": [0], "k": [3], "p": [0.7], "q": [0.3]},
             {"n": [-6], "k": [3], "p": [0.7], "q": [0.3]},
             {"n": [-6], "s": [3], "p": [0.7], "q": [0.3]},
+            # an empty list names no cell
+            {"n": [], "k": [2], "p": [0.7], "q": [0.3]},
+            {"n": [12], "k": [], "p": [0.7], "q": [0.3]},
+            {"n": [12], "s": [], "p": [0.7], "q": [0.3]},
+            {"n": [12], "k": [2], "p": [], "q": [0.3]},
+            {"n": [12], "k": [2], "p": [0.7], "q": []},
         ):
             cfg.write_text(json.dumps(raw))
             code, _, err = run_cli(capsys, "experiment", "--config", str(cfg), "--out", str(tmp_path / "o"))

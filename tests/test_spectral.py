@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from plantrec import spectral
 from plantrec.errors import NonFiniteError, RankOutOfRangeError
 from plantrec.model import ModelParams, make_partition, expectation_matrix, sample_graph
+from plantrec.recovery import all_candidate_sets
 from plantrec.spectral import (
     as_symmetric,
     eigh_descending,
@@ -251,15 +252,15 @@ class TestPartialSolve:
             eigh_descending(random_symmetric(10, 0), 4)
 
     def test_values_solve_failure_raises_linalg_error(self, monkeypatch):
-        # a stand-in for dsyevd, given JOBZ, UPLO, N, A, LDA, W, WORK, LWORK,
-        # IWORK, LIWORK, INFO and the two string lengths as the kernel passes
-        # them; it fails the solve, after answering the workspace query
+        # the dsyevr stand-in above, called by a values-only solve (JOBZ='N'):
+        # it fails the solve, after answering the workspace query
         def fake(*args):
-            args[6][0], args[8][0] = 1.0, 1  # workspace sizes
-            args[10].value = 0 if args[7].value == -1 else 2
+            assert args[0] == b"N"
+            args[16][0], args[18][0] = 1.0, 1  # workspace sizes
+            args[20].value = 0 if args[17].value == -1 else 2
 
-        monkeypatch.setattr(spectral, "_DSYEVD", (fake, ctypes.c_int64))
-        with pytest.raises(np.linalg.LinAlgError, match=r"dsyevd failed \(info = 2\)"):
+        monkeypatch.setattr(spectral, "_DSYEVR", (fake, ctypes.c_int64))
+        with pytest.raises(np.linalg.LinAlgError, match=r"dsyevr failed \(info = 2\)"):
             eigvals_descending(random_symmetric(10, 0))
 
 
@@ -271,6 +272,13 @@ def _graph_adjacency(m: int, seed: int) -> np.ndarray:
 def assert_same_decomposition(got, want):
     assert np.array_equal(got.eigenvalues, want.eigenvalues)
     assert np.array_equal(got.eigenvectors, want.eigenvectors)
+
+
+def assert_same_candidates(a, b):
+    """The raw-matrix ranking of `a` is bit for bit that of `b`."""
+    (members_a, masses_a), (members_b, masses_b) = all_candidate_sets(a, 5), all_candidate_sets(b, 5)
+    assert np.array_equal(members_a, members_b)
+    assert np.array_equal(masses_a, masses_b)
 
 
 class TestOneCopy:
@@ -285,6 +293,7 @@ class TestOneCopy:
         adj = _graph_adjacency(40, 3)
         want = eigh_descending(adj.astype(np.float64), rank)
         assert_same_decomposition(eigh_descending(adj.astype(dtype), rank), want)
+        assert_same_candidates(adj.astype(dtype), adj.astype(np.float64))
         if rank is not None:
             w, v = spectral._solve_top(as_symmetric(adj), rank)
             assert_same_decomposition(want, spectral.SpectralDecomposition(w, v))
@@ -294,9 +303,14 @@ class TestOneCopy:
     def test_non_symmetric_input_equals_the_as_symmetric_path(self, kind, rank):
         rng = np.random.default_rng(11)
         a = rng.integers(-5, 6, (17, 17)) if kind == "int" else rng.standard_normal((17, 17))
-        assert not np.array_equal(a, a.T)
-        assert_same_decomposition(eigh_descending(a, rank), eigh_descending(as_symmetric(a), rank))
-        assert np.array_equal(eigvals_descending(a), eigvals_descending(as_symmetric(a)))
+        # and one asymmetric entry in an off-diagonal tile of the symmetry check
+        big = random_symmetric(700, 12)
+        big[3, 600] += 1.0
+        for x in (a, big) if kind == "float" else (a,):
+            assert not np.array_equal(x, x.T)
+            assert_same_decomposition(eigh_descending(x, rank), eigh_descending(as_symmetric(x), rank))
+            assert np.array_equal(eigvals_descending(x), eigvals_descending(as_symmetric(x)))
+            assert_same_candidates(x, as_symmetric(x))
 
     def test_input_is_left_unchanged(self):
         a = random_symmetric(12, 4)
@@ -305,6 +319,7 @@ class TestOneCopy:
         eigh_descending(a.T, 3)  # an F-order view of the same buffer
         eigvals_descending(a)
         eigvals_descending(a.T)
+        all_candidate_sets(a, 3)  # its operand may hold `a` itself
         assert np.array_equal(a, before)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -323,12 +338,22 @@ class TestOneCopy:
             spectral_norm(a)
 
     def test_values_only_solve_is_eigvalsh_descending(self, monkeypatch):
-        a = random_symmetric(30, 8)
+        # bit for bit at the current BLAS thread count and at one thread; from
+        # m = 64 on, dsyevr's tridiagonal reduction blocks as eigvalsh's only
+        # with the workspace it is given beyond its query
         calls, solve = [], spectral._solve_values
         monkeypatch.setattr(spectral, "_solve_values", lambda x: calls.append(x.shape) or solve(x))
+        pinned = spectral._SET_THREADS is not None and spectral._GET_THREADS is not None
+        thread_counts = (contextlib.nullcontext, spectral._one_blas_thread)[: 1 + pinned]
+        sizes = (1, 30, 64, 200, 601)
+        for m in sizes:
+            a = random_symmetric(m, 8)
+            for threads in thread_counts:
+                with threads():
+                    assert np.array_equal(eigvals_descending(a), np.linalg.eigvalsh(a)[::-1]), m
+        assert calls == [(m, m) for m in sizes for _ in thread_counts]  # the one values seam
+        a = random_symmetric(30, 8)
         w = eigvals_descending(a)
-        assert calls == [(30, 30)]  # the one values seam
-        assert np.array_equal(w, np.linalg.eigvalsh(a)[::-1])
         assert np.abs(w - eigh_descending(a).eigenvalues).max() <= 1e-12 * np.abs(w).max()
 
     def test_rank_solve_of_uint8_holds_one_float_copy(self):
@@ -371,8 +396,8 @@ class TestNorms:
 
 
 thread_control = pytest.mark.skipif(
-    spectral._SET_THREADS is None or spectral._GET_THREADS is None or spectral._DSYEVD is None,
-    reason="numpy's LAPACK exports no dsyevd or OpenBLAS thread control: the sets are solved one at a time on one pool worker",
+    spectral._SET_THREADS is None or spectral._GET_THREADS is None or spectral._DSYEVR is None,
+    reason="numpy's LAPACK exports no dsyevr or OpenBLAS thread control: the sets are solved one at a time on one pool worker",
 )
 
 
@@ -492,7 +517,7 @@ class TestSubmatrixNorms:
         assert len(results) == 5
         assert all(r.tolist() == want for r in results)
 
-    @pytest.mark.parametrize("missing", ["_DSYEVD", "_SET_THREADS", "_GET_THREADS"])
+    @pytest.mark.parametrize("missing", ["_DSYEVR", "_SET_THREADS", "_GET_THREADS"])
     def test_without_dsyevd_or_thread_control_one_set_at_a_time(
         self, two_blas_threads, monkeypatch, missing
     ):
