@@ -8,10 +8,16 @@ vertices with the most neighbors inside it.  That cluster is removed and the
 round repeats on the rest.
 
 A round on m vertices with rank r = floor(m/s) costs one solve for the top r
-eigenpairs (LAPACK dsyevr: a tridiagonal reduction, O(m^3), and r
-eigenvectors, with no m x m eigenvector matrix; see
-:func:`~plantrec.spectral.eigh_descending`) on one m x m float64 copy of the
-remaining uint8 adjacency, plus O(m^2 r) ranking: the
+eigenpairs on one m x m float64 copy of the remaining uint8 adjacency (see
+:func:`~plantrec.spectral.eigh_descending`), plus O(m^2 r) ranking.  Where
+m >= 1500 and sqrt(m)/r >= 4, the solve first tries a Chebyshev-filtered
+block iteration, O(m^2 r) per step, and keeps its basis only when a Cholesky
+factorization (m^3 / 3 flops) certifies it within sin theta <= 1e-10 of the
+top-r eigenspace; otherwise, and in every other round, LAPACK dsyevr solves
+it (a tridiagonal reduction, O(m^3)), with bit for bit the result it gives
+alone.  Either way the round's clusters and pivots are the same on every
+tested instance, and the masses move in their last digits (at most 2e-15
+relative, measured at n = 1600 to 3000).  The
 projector is kept as its m x r eigenvector basis V, its columns are formed a
 block at a time, each column's s-1 largest entries are found by partial
 selection, and a set's mass ||P 1_W|| is computed as ||V^T 1_W||.
@@ -34,7 +40,7 @@ from .errors import (
     ZeroSizeError,
 )
 from .model import Graph, PlantedPartition
-from .spectral import Projector, projector_operand, top_projector
+from .spectral import Projector, SolveRecord, projector_operand, top_projector
 
 __all__ = [
     "RecoveryResult",
@@ -70,7 +76,8 @@ class PivotTrace:
 
     `projector` is the round's rank-`rank` projector of the remaining graph's
     adjacency (round 0: of the whole graph), kept so the bound checks need
-    not solve the graph again; equality and hashing ignore it.
+    not solve the graph again; equality and hashing ignore it, and so its
+    `solve` record, which no output file holds.
     """
 
     level: int
@@ -78,6 +85,11 @@ class PivotTrace:
     pivot: int
     mass: float
     projector: Projector = field(compare=False, repr=False)
+
+    @property
+    def solve(self) -> SolveRecord | None:
+        """How the round's basis was found: solver, steps, certified sin theta bound."""
+        return self.projector.solve
 
 
 # Entries of one block of b projector columns (b x m) ranked at a time; the

@@ -1,0 +1,22 @@
+import sys
+
+import pytest
+
+from plantrec import spectral
+
+
+@pytest.fixture
+def iterative_on(monkeypatch):
+    """The certified block iteration tried on every top-r solve it can run:
+    no size floor, no threshold rule, and a budget of m products."""
+    if spectral._DPOTRF is None or spectral._DTRSM is None:
+        pytest.skip("numpy's LAPACK exports no dpotrf or dtrsm: every top-r solve is dsyevr's")
+    monkeypatch.setattr(spectral, "_ITERATIVE_MIN_DIM", 0)
+    monkeypatch.setattr(spectral, "_ITERATIVE_MIN_C", 0.0)
+    monkeypatch.setattr(spectral, "_DIM_PER_PRODUCT", 1)
+
+
+@pytest.fixture
+def iterative_off(monkeypatch):
+    """Every top-r solve goes straight to dsyevr."""
+    monkeypatch.setattr(spectral, "_ITERATIVE_MIN_DIM", sys.maxsize)

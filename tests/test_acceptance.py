@@ -10,6 +10,7 @@ the criterion's own five-minute cap.
 import itertools
 import json
 import math
+import sys
 import time
 
 import numpy as np
@@ -24,7 +25,9 @@ from plantrec.model import (
     make_partition,
     sample_graph,
 )
-from plantrec.recovery import identify_clusters, same_partition
+from plantrec import spectral
+from plantrec.model import permute_partition
+from plantrec.recovery import identify_clusters, recover_with_trace, same_partition
 from plantrec.spectral import eigh_descending, spectral_norm, top_projector
 from plantrec.bounds import theoretical_spectrum
 
@@ -260,3 +263,40 @@ def test_criterion_10_experiment_determinism(tmp_path):
         for name in ("trials.jsonl", "bounds.csv", "aggregate.csv")
     )
     _record(10, "repeated experiment runs produce byte-identical CSV/JSON outputs", identical)
+
+
+@pytest.mark.parametrize(
+    "criterion",
+    [test_criterion_03_projector_identity, test_criterion_06_projector_concentration_trend, test_criterion_07_end_to_end_recovery,
+     test_criterion_08_small_instance_ml_oracle],
+    ids=lambda f: f.__name__[len("test_"):],
+)
+def test_criteria_hold_with_the_iterative_solve_forced_on(iterative_on, criterion):
+    # every criterion that makes a top-r solve, each top-r solve first tried
+    # by the certified block iteration
+    criterion()
+
+
+def test_acceptance_instances_recover_as_with_dsyevr(iterative_on):
+    # criterion 1's shapes (one seed each), criterion 7's cell (ten seeds)
+    # and criterion 8's graphs: the same clusters, pivots and masses (within
+    # 1e-9 relative) with the iteration forced on as with dsyevr alone
+    instances = [(k * s, s, 1.0, 0.0, idx) for idx, (k, s) in enumerate(NOISELESS_PAIRS)]
+    instances += [(800, 200, 0.7, 0.3, 100 + t) for t in range(10)]
+    instances += [(8, 4, 0.95, 0.05, seed) for seed in range(50)]
+    iterative = 0
+    for n, s, p, q, seed in instances:
+        rng = np.random.default_rng(seed)
+        part = permute_partition(make_partition(n, s), rng.permutation(n))
+        g = sample_graph(part, ModelParams(p=p, q=q, seed=seed))
+        result, traces = recover_with_trace(g, s)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "_ITERATIVE_MIN_DIM", sys.maxsize)
+            want, want_traces = recover_with_trace(g, s)
+        assert [c.tolist() for c in result.clusters] == [c.tolist() for c in want.clusters], (n, s, seed)
+        assert [t.pivot for t in traces] == [t.pivot for t in want_traces], (n, s, seed)
+        for t, w in zip(traces, want_traces):
+            assert abs(t.mass - w.mass) <= 1e-9 * w.mass, (n, s, seed)
+        iterative += sum(t.solve.solver == "iterative" for t in traces)
+    _record(11, "recovery with the iterative solve forced on equals dsyevr's on the acceptance instances",
+            iterative > 0, f"{len(instances)} instances, {iterative} iterative rounds")

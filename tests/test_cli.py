@@ -171,7 +171,7 @@ class TestVerify:
          ("conc", "auto", 1, 0), ("norm,proj,goodcol", "auto", 1, 1)],
     )
     def test_solves_only_what_the_checks_read(
-        self, capsys, instance, monkeypatch, checks, epsilon, top_calls, value_calls
+        self, capsys, instance, iterative_off, monkeypatch, checks, epsilon, top_calls, value_calls
     ):
         graph, truth = instance
         log = []

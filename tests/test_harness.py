@@ -207,7 +207,7 @@ class TestRunChecks:
         got = run_checks(g, part, params, checks, epsilon, projector=projector)
         assert_same_reports(got, oracle_checks(g, part, params, checks, epsilon))
 
-    def test_one_solve_of_the_graph_per_trial(self, monkeypatch):
+    def test_one_solve_of_the_graph_per_trial(self, iterative_off, monkeypatch):
         cell = Cell(index=0, n=60, k=3, s=20, p=0.8, q=0.2)
         solve_sizes, eigh_sizes, value_sizes, eigvalsh_sizes = [], [], [], []
         solve_top, eigh, eigvalsh = spectral._solve_top, np.linalg.eigh, np.linalg.eigvalsh

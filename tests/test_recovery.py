@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plantrec import recovery
+from plantrec import recovery, spectral
 
 from plantrec.errors import GraphTooSmallError, NonFiniteError, SizeOutOfRangeError, ZeroSizeError
 from plantrec.model import (
@@ -27,7 +28,7 @@ from plantrec.recovery import (
     same_partition,
     select_pivot,
 )
-from plantrec.spectral import Projector, top_projector
+from plantrec.spectral import Projector, SolveRecord, top_projector
 
 from oracles import cluster_matrix, dense_projector
 
@@ -283,6 +284,16 @@ class TestIdentifyClusters:
         assert "projector" not in repr(a)
         assert a != PivotTrace(level=0, rank=2, pivot=3, mass=2.5, projector=a.projector)
 
+    def test_trace_equality_and_hash_ignore_the_solve_record(self):
+        basis = np.eye(4)[:, :2]
+        a = PivotTrace(level=0, rank=2, pivot=3, mass=1.5,
+                       projector=Projector(basis, solve=SolveRecord("dsyevr", 0, None)))
+        b = PivotTrace(level=0, rank=2, pivot=3, mass=1.5,
+                       projector=Projector(basis, solve=SolveRecord("iterative", 9, 1e-10)))
+        assert a.solve.solver == "dsyevr" and b.solve.solver == "iterative"
+        assert a == b and hash(a) == hash(b)
+        assert "solve" not in repr(a)
+
     def test_matches_maximum_likelihood_on_tiny_instances(self):
         # oracle: brute-force ML over all 35 balanced bipartitions of 8 vertices
         def ml_bipartition(adj, p, q):
@@ -358,3 +369,62 @@ class TestSamePartition:
             clusters=[np.array([1, 0])], leftover=np.array([2], dtype=np.int64)
         )
         assert result.as_dict(2) == {"s": 2, "clusters": [[1, 0]], "leftover": [2]}
+
+
+def recover_with_dsyevr_only(g: Graph, s: int):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_ITERATIVE_MIN_DIM", sys.maxsize)
+        return recover_with_trace(g, s)
+
+
+def assert_same_recovery(got, want):
+    """Clusters, leftover and pivots equal; masses within 1e-9 relative."""
+    (result, traces), (want_result, want_traces) = got, want
+    assert len(result.clusters) == len(want_result.clusters)
+    assert all(np.array_equal(c, w) for c, w in zip(result.clusters, want_result.clusters))
+    assert np.array_equal(result.leftover, want_result.leftover)
+    assert [(t.level, t.rank, t.pivot) for t in traces] == [(t.level, t.rank, t.pivot) for t in want_traces]
+    for t, w in zip(traces, want_traces):
+        assert t.mass == pytest.approx(w.mass, rel=1e-9)
+    assert all(t.solve == SolveRecord("dsyevr", 0, None) for t in want_traces)
+
+
+class TestIterativeRounds:
+    """Recovery with the certified block iteration forced on every round it
+    can run: the clusters and pivots are dsyevr's."""
+
+    @pytest.mark.parametrize(
+        "n,s,p,q,seed",
+        [
+            (240, 60, 0.7, 0.3, 1),
+            (300, 30, 0.8, 0.2, 2),
+            (400, 100, 0.9, 0.5, 3),
+            (200, 20, 1.0, 0.0, 4),  # noiseless: repeated top eigenvalues, tied masses
+            (250, 60, 0.8, 0.2, 5),  # 10 vertices left over
+            (600, 40, 0.7, 0.3, 6),  # c = 1.6: most rounds give way
+        ],
+    )
+    def test_clusters_and_pivots_equal_dsyevr(self, iterative_on, n, s, p, q, seed):
+        rng = np.random.default_rng(seed)
+        part = permute_partition(make_partition(n - n % s, s), rng.permutation(n - n % s))
+        g = sample_graph(part, ModelParams(p=p, q=q, seed=seed))
+        if n % s:
+            g = Graph(adj=np.pad(g.adj, (0, n % s)))  # isolated extra vertices
+        got = recover_with_trace(g, s)
+        assert_same_recovery(got, recover_with_dsyevr_only(g, s))
+        solvers = {t.solve.solver for t in got[1]}
+        assert "iterative" in solvers
+        for t in got[1]:
+            assert t.solve.sin_theta == (1e-10 if t.solve.solver == "iterative" else None)
+
+    def test_default_rules_solve_large_rounds_iteratively(self):
+        # round 0 (m = 1600, r = 2) is iterative; round 1 (m = 800) is below
+        # the size floor and goes straight to dsyevr
+        part = permute_partition(make_partition(1600, 800), np.random.default_rng(7).permutation(1600))
+        g = sample_graph(part, ModelParams(p=0.7, q=0.3, seed=7))
+        got = recover_with_trace(g, 800)
+        assert same_partition(got[0], part)
+        want_solver = "iterative" if spectral._DPOTRF and spectral._DTRSM else "dsyevr"
+        assert got[1][0].solve.solver == want_solver
+        assert got[1][1].solve == SolveRecord("dsyevr", 0, None)
+        assert_same_recovery(got, recover_with_dsyevr_only(g, 800))

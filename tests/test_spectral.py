@@ -1,5 +1,6 @@
 import contextlib
 import ctypes
+import math
 import sys
 import threading
 import time
@@ -7,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from plantrec import spectral
@@ -222,7 +223,7 @@ class TestPartialSolve:
             eigh_descending(a, 2)
 
     @pytest.mark.parametrize("rank", [1, 7, 29, 30])
-    def test_fallback_is_the_sliced_full_solve(self, monkeypatch, rank):
+    def test_fallback_is_the_sliced_full_solve(self, iterative_off, monkeypatch, rank):
         # where no dsyevr resolves: numpy's full solve, sliced, which the
         # kernel matches within the property test's tolerance
         a = random_symmetric(30, rank)
@@ -239,7 +240,7 @@ class TestPartialSolve:
         assert_matches_full_solve(kernel, a, rank)
 
     @pytest.mark.parametrize("info,found,message", [(2, 4, "info = 2"), (0, 3, "found 3 of 4")])
-    def test_lapack_failure_raises_linalg_error(self, monkeypatch, info, found, message):
+    def test_lapack_failure_raises_linalg_error(self, iterative_off, monkeypatch, info, found, message):
         # a stand-in for dsyevr, given JOBZ, RANGE, UPLO, N, A, LDA, VL, VU,
         # IL, IU, ABSTOL, M, W, Z, LDZ, ISUPPZ, WORK, LWORK, IWORK, LIWORK,
         # INFO and the three string lengths as the kernel passes them
@@ -264,6 +265,192 @@ class TestPartialSolve:
             eigvals_descending(random_symmetric(10, 0))
 
 
+def dsyevr_only(solve, *args):
+    """`solve(*args)` with every top-r solve going straight to dsyevr."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_ITERATIVE_MIN_DIM", sys.maxsize)
+        return solve(*args)
+
+
+def sin_theta(v: np.ndarray, u: np.ndarray) -> float:
+    """Sine of the largest principal angle between two orthonormal bases."""
+    return float(np.linalg.norm(v - u @ (u.T @ v), 2)) if v.size else 0.0
+
+
+def assert_certified_or_dsyevr(dec, a, rank):
+    """An iterative solve holds its certificate against numpy's full solve:
+    eigenvalues within 1e-12 * ||a|| and the basis within the certified
+    sin theta (plus the full solve's own rounding); a dsyevr solve is bit for
+    bit the solve that never tries the iteration."""
+    if dec.solve.solver == "dsyevr":
+        assert dec.solve.sin_theta is None
+        assert_same_decomposition(dec, dsyevr_only(eigh_descending, a, rank))
+        return
+    assert dec.solve.steps > 0
+    assert dec.solve == spectral.SolveRecord("iterative", dec.solve.steps, 1e-10)
+    w_full, v_full = np.linalg.eigh(as_symmetric(a))
+    w_full, v_full = w_full[::-1], v_full[:, ::-1]
+    scale = max(1.0, float(np.abs(w_full).max()))
+    gap = w_full[rank - 1] - w_full[rank]
+    assert gap > 0  # the certificate proved lambda_{r+1} < sigma <= theta_r
+    assert np.abs(dec.eigenvalues - w_full[:rank]).max() <= 1e-12 * scale
+    v = dec.eigenvectors
+    assert v.flags.c_contiguous and np.abs(v.T @ v - np.eye(rank)).max() <= 1e-12
+    assert sin_theta(v, v_full[:, :rank]) <= 1e-10 + 1e-13 * scale / gap
+
+
+def assert_failing_factorization(monkeypatch, tiles: int, calls: list) -> None:
+    """dpotrf factors the first tiles - 1 diagonal tiles of the certificate
+    and fails on the last one (INFO = 1), and each call is appended to `calls`."""
+    potrf, int_type = spectral._DPOTRF
+
+    def fake(uplo, n, a, lda, info, length):
+        assert uplo == b"L"
+        calls.append(n.value)
+        if len(calls) < tiles:
+            potrf(uplo, n, a, lda, info, length)
+        else:
+            info.value = 1
+
+    monkeypatch.setattr(spectral, "_DPOTRF", (fake, int_type))
+
+
+def complete_bipartite(half: int) -> np.ndarray:
+    """K_{half,half}: eigenvalues half, -half and 0."""
+    a = np.zeros((2 * half, 2 * half), dtype=np.uint8)
+    a[:half, half:] = a[half:, :half] = 1
+    return a
+
+
+def disjoint_cliques(k: int, s: int) -> np.ndarray:
+    """k disjoint s-cliques: eigenvalue s - 1 k times, the rest -1 (or 0)."""
+    a = np.kron(np.eye(k, dtype=np.uint8), np.ones((s, s), dtype=np.uint8))
+    np.fill_diagonal(a, 0)
+    return a
+
+
+class TestIterativeSolve:
+    """The certified block iteration, forced on every solve it can run: a
+    certified basis is within its sin theta bound, and a solve it gives way
+    on is bit for bit dsyevr's."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(partial_solve_cases())
+    def test_certified_or_bit_for_bit_dsyevr(self, iterative_on, case):
+        a, rank = case
+        try:
+            dsyevr_only(eigh_descending, a, rank)
+        except np.linalg.LinAlgError as failed:
+            # dsyevr's bisection may find fewer pairs than asked for where
+            # IL cuts a repeated eigenvalue (1 - I at m = 17, rank 3): no gap
+            # there, so the iteration gives way and dsyevr fails alike
+            with pytest.raises(np.linalg.LinAlgError, match=str(failed)):
+                eigh_descending(a, rank)
+            return
+        assert_certified_or_dsyevr(eigh_descending(a, rank), a, rank)
+
+    @pytest.mark.parametrize("m,rank", [(60, 1), (60, 3), (200, 5), (401, 4)])
+    def test_planted_graphs_are_certified(self, iterative_on, m, rank):
+        part = make_partition(m - m % rank, (m - m % rank) // rank)
+        adj = sample_graph(part, ModelParams(p=0.9, q=0.1, seed=m)).adj
+        dec = eigh_descending(adj, rank)
+        assert dec.solve.solver == "iterative" and dec.solve.steps > 0
+        assert_certified_or_dsyevr(dec, adj, rank)
+
+    def test_ranks_by_value_not_magnitude(self, iterative_on):
+        # K_{a,a}: lambda_min = -lambda_max, so the top pair by magnitude is
+        # +-a; by value it is a with the constant vector
+        a = complete_bipartite(40)
+        dec = eigh_descending(a, 1)
+        assert dec.solve.solver == "iterative"
+        assert dec.eigenvalues[0] == pytest.approx(40.0, rel=1e-14)
+        assert sin_theta(dec.eigenvectors, np.full((80, 1), 80**-0.5)) <= 1e-10
+        assert_certified_or_dsyevr(dec, a, 1)
+
+    @pytest.mark.parametrize("case", ["tied", "empty", "bipartite zero"])
+    def test_no_gap_gives_dsyevr_bits(self, iterative_on, case):
+        # r + 1 equal cliques at rank r (lambda_r = lambda_{r+1}); the empty
+        # graph (theta_r = 0); K_{a,a} at rank 2 (lambda_2 = 0 many times)
+        a, rank = {
+            "tied": (disjoint_cliques(4, 15), 3),
+            "empty": (np.zeros((40, 40), dtype=np.uint8), 2),
+            "bipartite zero": (complete_bipartite(20), 2),
+        }[case]
+        dec = eigh_descending(a, rank)
+        assert dec.solve.solver == "dsyevr" and dec.solve.steps > 0
+        assert_same_decomposition(dec, dsyevr_only(eigh_descending, a, rank))
+
+    def test_degenerate_top_pair_has_the_same_projector(self, iterative_on):
+        # two equal cliques: lambda_1 = lambda_2, so only the projector is unique
+        a = disjoint_cliques(2, 30)
+        dec, want = eigh_descending(a, 2), dsyevr_only(eigh_descending, a, 2)
+        assert dec.solve.solver == "iterative"
+        assert np.abs(dec.eigenvalues - want.eigenvalues).max() <= 1e-12 * 29
+        got = dense_projector(top_projector(a, 2))
+        assert np.abs(got - dense_projector(spectral.Projector(want.eigenvectors))).max() <= 1e-10
+
+    @pytest.mark.parametrize("m", [60, 702])
+    def test_failed_factorization_gives_dsyevr_bits(self, iterative_on, monkeypatch, m):
+        # a dpotrf stand-in that factors every diagonal tile but the last,
+        # where it reports a non-positive leading minor: the matrix, written
+        # over by the tiles before, is put back and dsyevr runs
+        adj = sample_graph(make_partition(m, m // 3), ModelParams(p=0.9, q=0.1, seed=1)).adj
+        tiles, calls = math.ceil(m / spectral._CERTIFICATE_TILE), []
+        assert_failing_factorization(monkeypatch, tiles, calls)
+        dec = eigh_descending(adj, 3)
+        assert len(calls) == tiles
+        assert dec.solve.solver == "dsyevr" and dec.solve.steps > 0
+        assert_same_decomposition(dec, dsyevr_only(eigh_descending, adj, 3))
+
+    def test_budget_exhausted_gives_dsyevr_bits(self, iterative_on, monkeypatch):
+        adj = sample_graph(make_partition(300, 100), ModelParams(p=0.9, q=0.1, seed=2)).adj
+        monkeypatch.setattr(spectral, "_DIM_PER_PRODUCT", 300 // 12)  # 12 products
+        dec = eigh_descending(adj, 3)
+        assert dec.solve.solver == "dsyevr" and 0 < dec.solve.steps <= 12
+        assert_same_decomposition(dec, dsyevr_only(eigh_descending, adj, 3))
+
+    @pytest.mark.parametrize("path", ["certified", "certificate failed", "budget exhausted"])
+    def test_iterative_solve_of_uint8_holds_one_float_copy(self, iterative_on, monkeypatch, path):
+        # the iteration's blocks and the certificate's tiles fit in 5% of the
+        # one 8 m^2 copy, which the certificate writes in place and puts back
+        m = 2000
+        adj = sample_graph(make_partition(m, 500), ModelParams(p=0.7, q=0.3, seed=6)).adj
+        if path == "certificate failed":
+            assert_failing_factorization(monkeypatch, math.ceil(m / spectral._CERTIFICATE_TILE), [])
+        elif path == "budget exhausted":
+            monkeypatch.setattr(spectral, "_DIM_PER_PRODUCT", m // 12)
+        eigh_descending(adj[:40, :40], 2)  # warm up: lazy imports and first-call caches
+        tracemalloc.start()
+        try:
+            dec = eigh_descending(adj, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dec.solve.solver == ("iterative" if path == "certified" else "dsyevr")
+        assert dec.solve.steps > 0
+        assert peak <= 1.05 * 8 * m * m
+        if path != "certified":
+            assert_same_decomposition(dec, dsyevr_only(eigh_descending, adj, 4))
+
+    def test_default_rules(self):
+        # tried from m = 1500 on, where sqrt(m) / r >= 4 and dpotrf resolves
+        applies = spectral._iterative_applies
+        if spectral._DPOTRF is None or spectral._DTRSM is None:
+            assert not applies(4000, 2)
+            return
+        assert applies(1500, 9) and applies(3000, 3) and applies(12000, 4)
+        assert not applies(1499, 1)  # the size floor
+        assert not applies(2000, 20) and not applies(1600, 11)  # sqrt(m) / r < 4
+        assert applies(1600, 10)
+
+    def test_deterministic(self, iterative_on):
+        adj = sample_graph(make_partition(400, 100), ModelParams(p=0.8, q=0.2, seed=3)).adj
+        first, second = eigh_descending(adj, 4), eigh_descending(adj, 4)
+        assert first.solve.solver == "iterative"
+        assert_same_decomposition(first, second)
+
+
 def _graph_adjacency(m: int, seed: int) -> np.ndarray:
     upper = np.triu(np.random.default_rng(seed).random((m, m)) < 0.4, 1)
     return (upper | upper.T).astype(np.uint8)
@@ -281,6 +468,7 @@ def assert_same_candidates(a, b):
     assert np.array_equal(masses_a, masses_b)
 
 
+@pytest.mark.usefixtures("iterative_off")
 class TestOneCopy:
     """The solve converts a symmetric integer or bool matrix straight into its
     one float64 copy and symmetrizes other input only when needed: the
@@ -295,7 +483,7 @@ class TestOneCopy:
         assert_same_decomposition(eigh_descending(adj.astype(dtype), rank), want)
         assert_same_candidates(adj.astype(dtype), adj.astype(np.float64))
         if rank is not None:
-            w, v = spectral._solve_top(as_symmetric(adj), rank)
+            w, v, _ = spectral._solve_top(as_symmetric(adj), rank)
             assert_same_decomposition(want, spectral.SpectralDecomposition(w, v))
 
     @pytest.mark.parametrize("kind", ["int", "float"])
@@ -369,6 +557,26 @@ class TestOneCopy:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * m * m
+
+    def test_finiteness_check_holds_no_matrix_sized_temporary(self):
+        # min and max find a NaN or an infinity without the m^2-byte bool
+        # array of np.isfinite(a).all(), once the peak of a small norm batch
+        m = 2000
+        a = random_symmetric(m, 9)
+        sets = [np.arange(10)]
+        spectral.submatrix_norms(a, sets)  # warm up
+        tracemalloc.start()
+        try:
+            spectral.submatrix_norms(a, sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * m * m  # 0.1 here: a 512 x 512 bool tile pair and the pool
+        for bad in (np.nan, np.inf, -np.inf):
+            b = a.copy()
+            b[m - 1, m - 2] = b[m - 2, m - 1] = bad
+            with pytest.raises(NonFiniteError):
+                spectral.submatrix_norms(b, sets)
 
 
 class TestNorms:
