@@ -6,16 +6,23 @@ Graph:      header line "n m", then m distinct lines "u v" with 0-based
             physical memory, checked before it is allocated.  Numbers are
             plain decimal digits, fields are separated by spaces or tabs,
             and CRLF or CR also end a line.  Both directions are
-            vectorized with numpy (the reader over runs of lines of about
-            64K characters), O(n^2 + m), with no Python step per edge.
-Partition:  one line of n space-separated 0-based cluster ids.
+            vectorized with numpy, O(n^2 + m), with no Python step per
+            edge.  The writer takes row u's neighbors v > u in one call
+            per vertex.  The reader takes runs of lines of about 64K
+            characters: a run must hold only digits, spaces, tabs and line
+            breaks; the ends of its numbers (a digit followed by a
+            non-digit) are counted, and the k-th line break must come
+            after exactly 2k of them, so each line is "u v"; then one
+            np.fromstring call parses the run.  A number too large for
+            int64 reads as its maximum and so fails v < n.
+Partition:  one line of n space-separated 0-based cluster ids, each plain
+            ASCII decimal digits, as graph numbers are.
 Reports:    CSV with columns name,lhs,rhs,satisfied,n,k,s,p,q,seed,J_or_S.
 """
 
 from __future__ import annotations
 
 import csv
-from io import BytesIO
 
 import numpy as np
 
@@ -37,14 +44,13 @@ REPORT_COLUMNS = ("name", "lhs", "rhs", "satisfied", "n", "k", "s", "p", "q", "s
 
 
 def write_graph(path, g: Graph) -> None:
-    rows, cols = np.nonzero(np.triu(g.adj, k=1))
     names = np.array([str(v) for v in range(g.n)], dtype=object)
-    # row u's edges are cols[first[u]:first[u + 1]], v ascending
-    first = np.searchsorted(rows, np.arange(g.n + 1))
     with open(path, "w", newline="\n") as f:
-        f.write(f"{g.n} {cols.size}\n")
+        # a Graph is symmetric with a zero diagonal: each edge sets two entries
+        f.write(f"{g.n} {np.count_nonzero(g.adj) // 2}\n")
         for u in range(g.n):
-            neighbors = names[cols[first[u]:first[u + 1]]]
+            # row u's edges u < v, v ascending
+            neighbors = names[np.flatnonzero(g.adj[u, u + 1 :]) + (u + 1)]
             if neighbors.size:
                 prefix = f"{u} "
                 f.write(prefix + f"\n{prefix}".join(neighbors) + "\n")
@@ -58,10 +64,10 @@ def read_graph(path) -> Graph:
         for text in _runs_of_lines(f):
             block = text.encode("ascii")
             if done < m:
+                breaks = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
                 # the block's edge lines end at its (m - done)-th line break, or with the block
-                ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n")) + 1
-                cut = int(ends[m - done - 1]) if m - done <= ends.size else len(block)
-                u, v = _edge_lines(block[:cut], first_line=done + 2).T
+                cut = int(breaks[m - done - 1]) + 1 if m - done <= breaks.size else len(block)
+                u, v = _edge_lines(block[:cut], breaks[: m - done], first_line=done + 2).T
                 bad = ~((u < v) & (v < n))  # u >= 0: no sign passes _edge_lines
                 if bad.any():
                     raise ValueError(f"edge line {done + int(np.argmax(bad)) + 2}: need 0 <= u < v < n")
@@ -110,21 +116,31 @@ def _graph_header(line: str) -> tuple[int, int]:
     return n, m
 
 
-def _edge_lines(block: bytes, first_line: int) -> np.ndarray:
-    """The k x 2 int64 array of `block`, k lines that must each be 'u v'."""
+def _edge_lines(block: bytes, breaks: np.ndarray, first_line: int) -> np.ndarray:
+    """The k x 2 int64 array of `block`, k lines that must each be 'u v';
+    `breaks` holds the positions of its line breaks."""
     if block.translate(None, _EDGE_LINE_BYTES):
         raise ValueError("edge lines may hold only decimal digits, spaces and tabs")
-    lines = block.count(b"\n") + (not block.endswith(b"\n"))
-    # loadtxt skips blank lines, so a blank line shows as a missing row
-    if block.strip():
-        edges = np.loadtxt(BytesIO(block), dtype=np.int64, comments=None, ndmin=2)
-    else:  # loadtxt warns on a block with no data
-        edges = np.empty((0, 2), dtype=np.int64)
-    if edges.shape != (lines, 2):
+    if not block.endswith(b"\n"):  # the file's last line, unterminated
+        breaks = np.append(breaks, len(block))
+        block += b"\n"
+    lines = breaks.size
+    # the bytes left besides digits are spaces, tabs and LF, all below "0"
+    digit = np.frombuffer(block, dtype=np.uint8) >= ord("0")
+    # where a number ends: a digit followed by a non-digit
+    number_ends = np.flatnonzero(digit[:-1] > digit[1:])
+    # the k-th line break must come after exactly 2k number ends: the 2k-th
+    # before it and the (2k+1)-th after it
+    if not (
+        number_ends.size == 2 * lines
+        and (number_ends[1::2] < breaks).all()
+        and (number_ends[2::2] > breaks[:-1]).all()
+    ):
         raise ValueError(
             f"edge lines {first_line}..{first_line + lines - 1}: each must hold 'u v', and none may be blank"
         )
-    return edges
+    # a number too large for int64 reads as its maximum, and then fails v < n
+    return np.fromstring(block, dtype=np.int64, sep=" ").reshape(lines, 2)
 
 
 def write_partition(path, part: PlantedPartition) -> None:
@@ -133,14 +149,21 @@ def write_partition(path, part: PlantedPartition) -> None:
 
 
 def read_partition(path) -> PlantedPartition:
-    with open(path) as f:
-        ids = [int(tok) for tok in f.read().split()]
+    with open(path, encoding="ascii") as f:
+        tokens = f.read().split()
+    # int() would also take a sign, digit separators and non-ASCII digits
+    if not all(tok.isdigit() for tok in tokens):
+        raise ValueError("partition ids must be plain decimal digits")
+    ids = [int(tok) for tok in tokens]
     if not ids:
         raise ValueError("partition file is empty")
+    k = max(ids) + 1
+    # k <= n clusters: a larger id is invalid before it sizes the counts
+    if k > len(ids):
+        raise ValueError("partition must use ids 0..k-1 with equal cluster sizes")
     assignment = np.asarray(ids, dtype=np.int64)
-    k = int(assignment.max()) + 1
     counts = np.bincount(assignment, minlength=k)
-    if assignment.min() < 0 or (counts != counts[0]).any():
+    if (counts != counts[0]).any():
         raise ValueError("partition must use ids 0..k-1 with equal cluster sizes")
     return PlantedPartition(assignment=assignment, k=k, s=int(counts[0]))
 

@@ -20,7 +20,10 @@ tested instance, and the masses move in their last digits (at most 2e-15
 relative, measured at n = 1600 to 3000).  The
 projector is kept as its m x r eigenvector basis V, its columns are formed a
 block at a time, each column's s-1 largest entries are found by partial
-selection, and a set's mass ||P 1_W|| is computed as ||V^T 1_W||.
+selection, and a set's mass ||P 1_W|| is computed as ||V^T 1_W||, once
+per distinct set of the block: columns whose sets are equal member for
+member share the mass (3 sets among 3000 columns in round 0 at n = 3000,
+s = 1000).
 
 All tie-breaks (column-entry ranking, pivot choice, neighbor counts) prefer
 the smaller vertex index, so runs are reproducible.  Masses within a relative

@@ -15,14 +15,17 @@ by value, not magnitude), with Rayleigh-Ritz after each step, until the
 residual ||A V - V Theta|| is small.  The lower end is the Gershgorin bound,
 -(max degree) for an adjacency, except while a tighter guess holds.  Its
 basis is kept only when a Cholesky factorization of
-sigma I - A + V Theta V^T succeeds in place (LAPACK ``dpotrf`` on 128 x 128
-diagonal tiles, BLAS ``dtrsm`` beside them, both looked up as ``dsyevr``
-is), which proves lambda_{r+1} < sigma and so, by Davis-Kahan,
+sigma I - A + V Theta V^T succeeds in place (by row blocks of 128: BLAS
+``dsyrk`` and ``dgemm`` update a block, LAPACK ``dpotrf`` factors its
+diagonal tile and one ``dtrsm`` solves the rest, all looked up as
+``dsyevr`` is), which proves lambda_{r+1} < sigma and so, by Davis-Kahan,
 sin theta <= 1e-10 against the exact top-r eigenspace.  If the
 factorization fails, the step budget runs out, or the first steps show the
 wanted part is not separating, the matrix is put back and ``dsyevr`` solves
 it, bit for bit as it would alone.  Either way the result is deterministic
-for a fixed input, LAPACK build and BLAS thread count.
+for a fixed input, LAPACK build and BLAS thread count.  Where a rank cuts a
+repeated eigenvalue and ``dsyevr`` finds fewer than the top r pairs, the
+matrix is put back the same way and solved for all pairs.
 
 Every matrix input passes one check: square, finite, and read as
 (a + a^T) / 2 unless exactly symmetric, compared one tile pair at a time,
@@ -123,12 +126,15 @@ class SolveRecord:
     of an iteration that gave way to dsyevr (0 where none ran).
     `sin_theta` is the certified bound on the sine of the largest principal
     angle between the returned basis and the exact top-r eigenspace, for an
-    iterative solve; None for dsyevr.
+    iterative solve; None for dsyevr.  `all_pairs` is True where dsyevr,
+    asked for the top r pairs, found fewer (r cuts a repeated eigenvalue)
+    and the top r were kept from its solve of all m pairs.
     """
 
     solver: str
     steps: int
     sin_theta: float | None
+    all_pairs: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,10 +211,30 @@ class _DenseOperator:
 
 
 def _row_sum_norms(factor: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Norm of the sum of the rows of `factor` in each row of `sets`.
+
+    Each distinct set is weighed once: rows are grouped by :func:`_set_key`,
+    and a group shares its first row's mass only if every row in it equals
+    that row; on any key collision every row is weighed.  A mass depends on
+    its own set only, so it is the same bits either way.
+    """
+    sets = np.asarray(sets, dtype=np.int64)
+    _, first, group = np.unique(_set_key(sets), return_index=True, return_inverse=True)
+    if first.size < len(sets) and np.array_equal(sets[first][group], sets):
+        return _weigh(factor, sets[first])[group]
+    return _weigh(factor, sets)
+
+
+def _set_key(sets: np.ndarray) -> np.ndarray:
+    """A cheap int64 key per row of `sets`, equal for equal rows: the sum of
+    the squared members, wrapping on overflow."""
+    return np.einsum("ij,ij->i", sets, sets)
+
+
+def _weigh(factor: np.ndarray, sets: np.ndarray) -> np.ndarray:
     # One len(sets) x width accumulator, added to once per set position, so
     # the temporary never holds a row of `factor` per member, and each mass
     # depends on its own set only.
-    sets = np.asarray(sets, dtype=np.int64)
     acc = np.zeros((sets.shape[0], factor.shape[1]), dtype=np.float64)
     for position in sets.T:
         acc += factor[position]
@@ -288,7 +314,8 @@ def _dsyevr_argtypes(int_type) -> list:
     ]
 
 
-# dpotrf and dtrsm work on tiles inside a matrix: A and B are addresses.
+# dpotrf, dtrsm, dsyrk and dgemm work on blocks inside a matrix: A, B and C
+# are addresses.
 def _dpotrf_argtypes(int_type) -> list:
     integer = ctypes.POINTER(int_type)
     # UPLO, N, A, LDA, INFO and the hidden length of UPLO
@@ -302,6 +329,28 @@ def _dtrsm_argtypes(int_type) -> list:
         integer, integer, ctypes.POINTER(ctypes.c_double),  # M, N, ALPHA
         ctypes.c_void_p, integer, ctypes.c_void_p, integer,  # A, LDA, B, LDB
         *[ctypes.c_size_t] * 4,  # the hidden lengths of the four strings
+    ]
+
+
+def _dsyrk_argtypes(int_type) -> list:
+    integer, double = ctypes.POINTER(int_type), ctypes.POINTER(ctypes.c_double)
+    return [
+        *[ctypes.c_char_p] * 2,  # UPLO, TRANS
+        integer, integer, double,  # N, K, ALPHA
+        ctypes.c_void_p, integer, double,  # A, LDA, BETA
+        ctypes.c_void_p, integer,  # C, LDC
+        *[ctypes.c_size_t] * 2,  # the hidden lengths of the two strings
+    ]
+
+
+def _dgemm_argtypes(int_type) -> list:
+    integer, double = ctypes.POINTER(int_type), ctypes.POINTER(ctypes.c_double)
+    return [
+        *[ctypes.c_char_p] * 2,  # TRANSA, TRANSB
+        integer, integer, integer, double,  # M, N, K, ALPHA
+        ctypes.c_void_p, integer, ctypes.c_void_p, integer,  # A, LDA, B, LDB
+        double, ctypes.c_void_p, integer,  # BETA, C, LDC
+        *[ctypes.c_size_t] * 2,  # the hidden lengths of the two strings
     ]
 
 
@@ -325,6 +374,8 @@ def _resolve(routine: str, names, argtypes, restype=None):
 _DSYEVR = _resolve("dsyevr", _LAPACK_NAMES, _dsyevr_argtypes)
 _DPOTRF = _resolve("dpotrf", _LAPACK_NAMES, _dpotrf_argtypes)
 _DTRSM = _resolve("dtrsm", _LAPACK_NAMES, _dtrsm_argtypes)
+_DSYRK = _resolve("dsyrk", _LAPACK_NAMES, _dsyrk_argtypes)
+_DGEMM = _resolve("dgemm", _LAPACK_NAMES, _dgemm_argtypes)
 _SET_THREADS = _resolve("set_num_threads", _OPENBLAS_NAMES, lambda int_type: [int_type])
 _GET_THREADS = _resolve("get_num_threads", _OPENBLAS_NAMES, lambda int_type: [], restype=ctypes.c_int)
 
@@ -370,7 +421,20 @@ def _solve_top(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, SolveR
     if _DSYEVR is None:
         w, v = np.linalg.eigh(a)
         return w[::-1][:rank].copy(), v[:, ::-1][:, :rank].copy(), record
+    m, diagonal = a.shape[0], a.diagonal().copy()
     w, z = _dsyevr(a, rank, vectors=True)
+    if w.size < rank:
+        # RANGE='I' can find fewer pairs than asked where IL cuts a repeated
+        # eigenvalue (1 - I at m = 17, rank 3): put the matrix back from the
+        # triangle dsyevr does not touch and its diagonal, and solve for all m pairs
+        _put_back(a, diagonal)
+        w_all, z = _dsyevr(a, m, vectors=True)
+        if w_all.size < m:
+            raise np.linalg.LinAlgError(
+                f"LAPACK dsyevr found {w.size} of {rank} eigenpairs, and {w_all.size} of {m} solving for all"
+            )
+        w, z = w_all[m - rank :], z[m - rank :]
+        record = SolveRecord("dsyevr", steps, None, all_pairs=True)
     return w[::-1].copy(), np.ascontiguousarray(z[::-1].T), record
 
 
@@ -405,8 +469,7 @@ _CERTIFICATE_TILE = 128
 
 def _iterative_applies(m: int, rank: int) -> bool:
     return (
-        _DPOTRF is not None
-        and _DTRSM is not None
+        all(routine is not None for routine in (_DPOTRF, _DTRSM, _DSYRK, _DGEMM))
         and m >= _ITERATIVE_MIN_DIM
         and math.sqrt(m) >= _ITERATIVE_MIN_C * rank
         and rank + 1 < m
@@ -553,18 +616,30 @@ def _certify(a: np.ndarray, theta: np.ndarray, v: np.ndarray, rank: int, residua
     m, tile = a.shape[0], _CERTIFICATE_TILE
     diagonal = a.diagonal().copy()
     scaled = v * theta[:rank]
-    tiles = [(i, j) for i in range(0, m, tile) for j in range(i, m, tile)]
-    for i, j in tiles:
+    for i, j in _upper_tiles(m):
         block = a[i : i + tile, j : j + tile]
         outer = scaled[i : i + tile] @ v[j : j + tile].T
         _write_upper(block, np.subtract(outer, block, out=outer), i == j)
     a.flat[:: m + 1] += sigma
     if _cholesky_upper(a):
         return True
-    for i, j in tiles:
-        _write_upper(a[i : i + tile, j : j + tile], a[j : j + tile, i : i + tile].T, i == j)
-    a.flat[:: m + 1] = diagonal
+    _put_back(a, diagonal)
     return False
+
+
+def _upper_tiles(m: int) -> list:
+    """(i, j) corners of the _CERTIFICATE_TILE tiles on and above the diagonal."""
+    tile = _CERTIFICATE_TILE
+    return [(i, j) for i in range(0, m, tile) for j in range(i, m, tile)]
+
+
+def _put_back(a: np.ndarray, diagonal: np.ndarray) -> None:
+    """Restore the symmetric `a`, whose upper triangle was written over, from
+    its strict lower triangle and a copy of its `diagonal`, a tile at a time."""
+    tile = _CERTIFICATE_TILE
+    for i, j in _upper_tiles(a.shape[0]):
+        _write_upper(a[i : i + tile, j : j + tile], a[j : j + tile, i : i + tile].T, i == j)
+    a.flat[:: a.shape[0] + 1] = diagonal
 
 
 def _write_upper(block: np.ndarray, value: np.ndarray, diagonal: bool) -> None:
@@ -579,35 +654,41 @@ def _cholesky_upper(a: np.ndarray) -> bool:
     definite); U overwrites that triangle, and the strict lower triangle is
     not touched.
 
-    Left-looking by row blocks of _CERTIFICATE_TILE rows: a block is
-    updated by the rows above it one tile at a time (numpy products), its
-    diagonal tile factored by LAPACK dpotrf, and the rest of the block
-    solved against that tile by BLAS dtrsm, one tile at a time.  Every call
-    sees tile-sized operands: one dpotrf of a whole m = 3000 matrix makes
-    OpenBLAS touch 9 MB more of its buffers, which then stay resident.
+    Left-looking by row blocks of _CERTIFICATE_TILE rows.  On the
+    column-major view of `a`, where U^T is the lower triangle, row block k
+    is column block k, and three BLAS calls update it in place from the rows
+    above it: dsyrk on its diagonal tile's triangle, dgemm on the rest, and,
+    after LAPACK dpotrf has factored the diagonal tile, one dtrsm that
+    solves the rest against it.  Nothing is copied: a numpy product of the
+    row block would hold a temporary as large as the block.  dpotrf sees one
+    tile at a time: one dpotrf of a whole m = 3000 matrix makes OpenBLAS
+    touch 9 MB more of its buffers, which then stay resident.
     """
     m, tile = a.shape[0], _CERTIFICATE_TILE
-    (potrf, int_type), trsm = _DPOTRF, _DTRSM[0]
-    lead, info, one = int_type(m), int_type(0), ctypes.c_double(1.0)
+    (potrf, int_type), trsm, syrk, gemm = _DPOTRF, _DTRSM[0], _DSYRK[0], _DGEMM[0]
+    lead, info = int_type(m), int_type(0)
+    one, minus_one = ctypes.c_double(1.0), ctypes.c_double(-1.0)
 
     def address(i: int, j: int) -> int:
         return a.ctypes.data + a.itemsize * (i * m + j)
 
     for k in range(0, m, tile):
-        rows = min(tile, m - k)
-        for j in range(k, m, tile) if k else ():
-            block = a[k : k + tile, j : j + tile]
-            update = a[:k, k : k + tile].T @ a[:k, j : j + tile]
-            _write_upper(block, np.subtract(block, update, out=update), j == k)
+        rows, rest = min(tile, m - k), int_type(max(0, m - k - tile))
+        if k:
+            # M_kk -= U_:k,k^T U_:k,k, and M_kj -= U_:k,k^T U_:k,j for j past the tile
+            syrk(b"L", b"N", int_type(rows), int_type(k), minus_one, address(0, k), lead,
+                 one, address(k, k), lead, 1, 1)
+            if rest.value:
+                gemm(b"N", b"T", rest, int_type(rows), int_type(k), minus_one, address(0, k + tile),
+                     lead, address(0, k), lead, one, address(k, k + tile), lead, 1, 1)
         # the tile's upper triangle is the lower one of its column-major view
         potrf(b"L", int_type(rows), address(k, k), lead, info, 1)
         if info.value != 0:
             return False
-        for j in range(k + tile, m, tile):
+        if rest.value:
             # U_kk^T X = M_kj, as X_cm L^T = M_cm on the column-major views
-            cols = int_type(min(tile, m - j))
-            trsm(b"R", b"L", b"T", b"N", cols, int_type(rows), one,
-                 address(k, k), lead, address(k, j), lead, 1, 1, 1, 1)
+            trsm(b"R", b"L", b"T", b"N", rest, int_type(rows), one,
+                 address(k, k), lead, address(k, k + tile), lead, 1, 1, 1, 1)
     return True
 
 
@@ -618,12 +699,17 @@ def _solve_values(a: np.ndarray) -> np.ndarray:
     give the same bits at the same BLAS thread count."""
     if _DSYEVR is None:
         return np.linalg.eigvalsh(a)
-    return _dsyevr(a, a.shape[0], vectors=False)[0]
+    w = _dsyevr(a, a.shape[0], vectors=False)[0]
+    if w.size < a.shape[0]:
+        raise np.linalg.LinAlgError(f"LAPACK dsyevr found {w.size} of {a.shape[0]} eigenvalues")
+    return w
 
 
 def _dsyevr(a: np.ndarray, count: int, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
     """(w, z): the top `count` eigenvalues, ascending, by LAPACK dsyevr with
-    RANGE='I', and with `vectors` their eigenvectors (else z is empty).
+    RANGE='I', and with `vectors` their eigenvectors (else z is empty); fewer
+    where dsyevr finds fewer.  With count = m (IL = 1, IU = m) dsyevr takes
+    its RANGE='A' path.
 
     `a` is symmetric, so its C-order buffer is also the column-major matrix
     LAPACK expects; LAPACK destroys it.  Eigenvector j comes back as row j of
@@ -645,9 +731,7 @@ def _dsyevr(a: np.ndarray, count: int, vectors: bool) -> tuple[np.ndarray, np.nd
     )
     # dsyevr keeps 5m of WORK: 5m more than queried gives its dsytrd dsyevd's blocking, and eigvalsh's bits
     _lapack("dsyevr", _DSYEVR, head, (1, 1, 1), extra_work=0 if vectors else 5 * m)
-    if found.value != count:
-        raise np.linalg.LinAlgError(f"LAPACK dsyevr found {found.value} of {count} eigenpairs")
-    return w[:count], z
+    return w[: found.value], z[: found.value]
 
 
 @contextmanager

@@ -9,8 +9,9 @@ from plantrec import spectral
 def iterative_on(monkeypatch):
     """The certified block iteration tried on every top-r solve it can run:
     no size floor, no threshold rule, and a budget of m products."""
-    if spectral._DPOTRF is None or spectral._DTRSM is None:
-        pytest.skip("numpy's LAPACK exports no dpotrf or dtrsm: every top-r solve is dsyevr's")
+    routines = (spectral._DPOTRF, spectral._DTRSM, spectral._DSYRK, spectral._DGEMM)
+    if any(routine is None for routine in routines):
+        pytest.skip("numpy's LAPACK exports no dpotrf, dtrsm, dsyrk or dgemm: every top-r solve is dsyevr's")
     monkeypatch.setattr(spectral, "_ITERATIVE_MIN_DIM", 0)
     monkeypatch.setattr(spectral, "_ITERATIVE_MIN_C", 0.0)
     monkeypatch.setattr(spectral, "_DIM_PER_PRODUCT", 1)

@@ -80,6 +80,30 @@ class TestGenerateRecover:
         assert code == 2
         assert "invalid input" in err
 
+    def test_complete_graph_with_a_rank_that_cuts_a_repeated_eigenvalue(self, capsys, tmp_path):
+        # K_17 at s = 5: rank 3 cuts the eigenvalue -1, which is repeated 16 times
+        graph = tmp_path / "k17.txt"
+        graph.write_text("17 136\n" + "".join(f"{u} {v}\n" for u in range(17) for v in range(u + 1, 17)))
+        code, out, err = run_cli(capsys, "recover", "--graph", str(graph), "--s", "5")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert [len(c) for c in payload["clusters"]] == [5, 5, 5] and len(payload["leftover"]) == 2
+
+    # int() takes a sign and non-ASCII digits; partition ids, as graph numbers,
+    # are plain ASCII digits, and below n
+    @pytest.mark.parametrize(
+        "body", ["+1 0 1 0\n", "\u0661 0 1 0\n", "99999999999999999999 0 1 0\n"],
+        ids=["sign", "arabic-indic", "beyond-int64"],
+    )
+    def test_malformed_truth_exit_2(self, capsys, tmp_path, body):
+        graph, truth = tmp_path / "g.txt", tmp_path / "t.txt"
+        graph.write_text("4 2\n0 1\n2 3\n")
+        truth.write_bytes(body.encode())
+        for command in (["recover", "--s", "2"], ["verify", "--p", "0.9", "--q", "0.1"]):
+            code, out, err = run_cli(capsys, *command, "--graph", str(graph), "--truth", str(truth))
+            assert (code, out) == (2, ""), command
+            assert err.startswith("invalid input: ")
+
     def test_missing_graph_exit_3(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "recover", "--graph", str(tmp_path / "nope"), "--s", "2")
         assert code == 3

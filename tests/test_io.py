@@ -277,6 +277,22 @@ class TestPartitionFormat:
         with pytest.raises(ValueError):
             read_partition(path)
 
+    # ids are plain ASCII digits, as graph numbers are; and an id of n or
+    # more cannot be one of k <= n clusters, so it is rejected before it
+    # sizes any count
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "+1 0 1 0\n", "-1 0 1 0\n", "1_0 0\n", "\u0661 0 1 0\n",
+            "4 0 1 0\n", "10000000000 0 1 0\n", "99999999999999999999 0 1 0\n",
+        ],
+    )
+    def test_rejects_bad_ids(self, tmp_path, body):
+        path = tmp_path / "p.txt"
+        path.write_bytes(body.encode())
+        with pytest.raises(ValueError):
+            read_partition(path)
+
 
 class TestReportsCsv:
     def test_columns_and_values(self):

@@ -251,6 +251,17 @@ class TestIdentifyClusters:
         with pytest.raises(ZeroSizeError):
             identify_clusters(noiseless_graph(4, 2), 0)
 
+    @pytest.mark.parametrize("n,s", [(17, 5), (21, 10), (25, 6)])
+    def test_complete_graph_with_a_rank_that_cuts_a_repeated_eigenvalue(self, n, s):
+        # K_n has eigenvalue n - 1 once and -1 n - 1 times: round 0's rank
+        # n // s cuts the -1s, where dsyevr's RANGE='I' solve comes up short
+        g = Graph(adj=(1 - np.eye(n)).astype(np.uint8))
+        result, traces = recover_with_trace(g, s)
+        assert [len(c) for c in result.clusters] == [s] * (n // s)
+        assert result.leftover.size == n % s
+        if spectral._DSYEVR is not None:
+            assert traces[0].solve.all_pairs
+
     def test_non_multiple_reports_leftover(self):
         # 8 vertices, s=3: two clusters recovered, 2 vertices left over
         g = noiseless_graph(8, 4)
@@ -424,7 +435,8 @@ class TestIterativeRounds:
         g = sample_graph(part, ModelParams(p=0.7, q=0.3, seed=7))
         got = recover_with_trace(g, 800)
         assert same_partition(got[0], part)
-        want_solver = "iterative" if spectral._DPOTRF and spectral._DTRSM else "dsyevr"
+        routines = (spectral._DPOTRF, spectral._DTRSM, spectral._DSYRK, spectral._DGEMM)
+        want_solver = "iterative" if all(routines) else "dsyevr"
         assert got[1][0].solve.solver == want_solver
         assert got[1][1].solve == SolveRecord("dsyevr", 0, None)
         assert_same_recovery(got, recover_with_dsyevr_only(g, 800))

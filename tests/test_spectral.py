@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from plantrec import spectral
 from plantrec.errors import NonFiniteError, RankOutOfRangeError
-from plantrec.model import ModelParams, make_partition, expectation_matrix, sample_graph
+from plantrec.model import ModelParams, make_partition, expectation_matrix, permute_partition, sample_graph
 from plantrec.recovery import all_candidate_sets
 from plantrec.spectral import (
     as_symmetric,
@@ -329,6 +329,10 @@ def disjoint_cliques(k: int, s: int) -> np.ndarray:
     return a
 
 
+# the routines the certificate's Cholesky factorization calls
+CERTIFICATE_ROUTINES = ("_DPOTRF", "_DTRSM", "_DSYRK", "_DGEMM")
+
+
 class TestIterativeSolve:
     """The certified block iteration, forced on every solve it can run: a
     certified basis is within its sin theta bound, and a solve it gives way
@@ -339,15 +343,6 @@ class TestIterativeSolve:
     @given(partial_solve_cases())
     def test_certified_or_bit_for_bit_dsyevr(self, iterative_on, case):
         a, rank = case
-        try:
-            dsyevr_only(eigh_descending, a, rank)
-        except np.linalg.LinAlgError as failed:
-            # dsyevr's bisection may find fewer pairs than asked for where
-            # IL cuts a repeated eigenvalue (1 - I at m = 17, rank 3): no gap
-            # there, so the iteration gives way and dsyevr fails alike
-            with pytest.raises(np.linalg.LinAlgError, match=str(failed)):
-                eigh_descending(a, rank)
-            return
         assert_certified_or_dsyevr(eigh_descending(a, rank), a, rank)
 
     @pytest.mark.parametrize("m,rank", [(60, 1), (60, 3), (200, 5), (401, 4)])
@@ -434,9 +429,9 @@ class TestIterativeSolve:
             assert_same_decomposition(dec, dsyevr_only(eigh_descending, adj, 4))
 
     def test_default_rules(self):
-        # tried from m = 1500 on, where sqrt(m) / r >= 4 and dpotrf resolves
+        # tried from m = 1500 on, where sqrt(m) / r >= 4 and the certificate's routines resolve
         applies = spectral._iterative_applies
-        if spectral._DPOTRF is None or spectral._DTRSM is None:
+        if any(getattr(spectral, name) is None for name in CERTIFICATE_ROUTINES):
             assert not applies(4000, 2)
             return
         assert applies(1500, 9) and applies(3000, 3) and applies(12000, 4)
@@ -444,11 +439,103 @@ class TestIterativeSolve:
         assert not applies(2000, 20) and not applies(1600, 11)  # sqrt(m) / r < 4
         assert applies(1600, 10)
 
+    @pytest.mark.parametrize("name", CERTIFICATE_ROUTINES)
+    def test_not_tried_without_a_certificate_routine(self, monkeypatch, name):
+        monkeypatch.setattr(spectral, name, None)
+        assert not spectral._iterative_applies(3000, 3)
+
     def test_deterministic(self, iterative_on):
         adj = sample_graph(make_partition(400, 100), ModelParams(p=0.8, q=0.2, seed=3)).adj
         first, second = eigh_descending(adj, 4), eigh_descending(adj, 4)
         assert first.solve.solver == "iterative"
         assert_same_decomposition(first, second)
+
+
+@pytest.mark.skipif(
+    any(getattr(spectral, name) is None for name in CERTIFICATE_ROUTINES),
+    reason="numpy's LAPACK exports no dpotrf, dtrsm, dsyrk or dgemm",
+)
+class TestCertificate:
+    """The tiled Cholesky factorization behind the certificate, in place on
+    the upper triangle, and the certificate's put-back when it fails."""
+
+    @staticmethod
+    def upper_and_noise(m: int, upper: np.ndarray, seed: int) -> np.ndarray:
+        """`upper`'s upper triangle over an unrelated strict lower triangle."""
+        noise = np.random.default_rng(seed).standard_normal((m, m))
+        return np.triu(upper) + np.tril(noise, -1)
+
+    @pytest.mark.parametrize("m", [1, 127, 128, 129, 300, 702])
+    def test_matches_numpy_and_keeps_the_lower_triangle(self, m):
+        x = np.random.default_rng(m).standard_normal((m, m + 5))
+        spd = x @ x.T / m + np.eye(m)
+        a = self.upper_and_noise(m, spd, seed=1)
+        lower = np.tril(a, -1).copy()
+        assert spectral._cholesky_upper(a)
+        assert np.array_equal(np.tril(a, -1), lower)
+        want = np.linalg.cholesky(spd).T
+        assert np.abs(np.triu(a) - want).max() <= 1e-12 * np.abs(want).max()
+
+    @staticmethod
+    def spiked(m: int, at: int) -> np.ndarray:
+        """Small symmetric noise plus a spike of 100 at (at, at)."""
+        a = as_symmetric(np.random.default_rng(at).standard_normal((m, m))) / (4 * math.sqrt(m))
+        a[at, at] += 100.0
+        return a
+
+    def test_fails_in_a_middle_row_block(self, monkeypatch):
+        # 50 I - A is indefinite through the spike at row 400, in row block 3
+        # of 6: dpotrf factors the three diagonal tiles above it, then fails
+        m, at = 702, 400
+        a = self.upper_and_noise(m, 50.0 * np.eye(m) - self.spiked(m, at), seed=2)
+        lower = np.tril(a, -1).copy()
+        potrf, int_type = spectral._DPOTRF
+        infos = []
+
+        def counted(uplo, n, tile, lda, info, length):
+            potrf(uplo, n, tile, lda, info, length)
+            infos.append(info.value)
+
+        monkeypatch.setattr(spectral, "_DPOTRF", (counted, int_type))
+        assert not spectral._cholesky_upper(a)
+        assert infos[:3] == [0, 0, 0] and len(infos) == 4 and infos[3] > 0
+        assert np.array_equal(np.tril(a, -1), lower)
+
+    def test_certify_puts_the_matrix_back(self):
+        # Ritz values 50 and 0.5 for the vector e_0: sigma is about 50, and
+        # sigma I - A + 50 e_0 e_0^T fails at the spike in row block 3
+        m, at = 702, 400
+        a = self.spiked(m, at)
+        before = a.copy()
+        theta, v = np.array([50.0, 0.5]), np.eye(m)[:, :1]
+        assert not spectral._certify(a, theta, v, 1, 1e-12)
+        assert np.array_equal(a, before)
+
+
+class TestDsyevrShortfall:
+    """dsyevr's RANGE='I' solve finds fewer pairs than asked where the rank
+    cuts a repeated eigenvalue; the top r then come from a solve of all
+    pairs of the matrix put back."""
+
+    @pytest.mark.parametrize("m,rank", [(17, 3), (21, 2), (25, 4)])
+    def test_ones_minus_identity(self, m, rank):
+        # 1 - I: eigenvalue m - 1 once, -1 m - 1 times
+        a = 1.0 - np.eye(m)
+        dec = eigh_descending(a, rank)
+        if spectral._DSYEVR is not None:
+            assert dec.solve == spectral.SolveRecord("dsyevr", 0, None, all_pairs=True)
+        assert dec.eigenvalues == pytest.approx([m - 1] + [-1] * (rank - 1), abs=1e-12)
+        v = dec.eigenvectors
+        assert np.abs(a @ v - v * dec.eigenvalues).max() <= 1e-12 * m
+        assert np.abs(v.T @ v - np.eye(rank)).max() <= 1e-12
+        # the solve of all pairs saw the input: bit for bit the full solve's top rank
+        full = eigh_descending(a)
+        assert np.array_equal(dec.eigenvalues, full.eigenvalues[:rank])
+        assert np.array_equal(dec.eigenvectors, full.eigenvectors[:, :rank])
+
+    def test_a_solve_that_finds_every_pair_records_none(self):
+        dec = eigh_descending(random_symmetric(30, 4), 3)
+        assert dec.solve == spectral.SolveRecord("dsyevr", 0, None)
 
 
 def _graph_adjacency(m: int, seed: int) -> np.ndarray:
@@ -839,6 +926,62 @@ class TestWeylRandomPairs:
 def column_mass(p, members) -> float:
     """||P 1_W|| for one set W, through the operand the ranking reads."""
     return float(projector_operand(p).masses(np.asarray(members, dtype=np.int64)[None, :])[0])
+
+
+def per_set_masses(factor: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """The norm of each set's row sum, one set at a time (test oracle)."""
+    out = np.empty(len(sets))
+    for i, members in enumerate(sets):
+        acc = np.zeros((1, factor.shape[1]))
+        for v in members:
+            acc += factor[v]
+        out[i] = np.linalg.norm(acc, axis=1)[0]
+    return out
+
+
+class TestRowSumNorms:
+    """Set masses weigh each distinct set once and equal, bit for bit, the
+    masses weighed one set at a time."""
+
+    @staticmethod
+    def shuffled_instance(seed: int):
+        # recover_deep's shape: n = 2000, s = 100 (rank 20), labels shuffled
+        part = permute_partition(make_partition(2000, 100), np.random.default_rng(seed).permutation(2000))
+        p = top_projector(sample_graph(part, ModelParams(p=0.7, q=0.3, seed=seed)).adj, 20)
+        return p.basis, all_candidate_sets(p, 100)[0]
+
+    @staticmethod
+    def few_set_instance(seed: int):
+        # 3 distinct sets of 40 among 500 rows, in random order
+        rng = np.random.default_rng(seed)
+        distinct = np.stack([np.sort(rng.choice(600, 40, replace=False)) for _ in range(3)])
+        return rng.standard_normal((600, 5)), distinct[rng.integers(0, 3, size=500)]
+
+    @pytest.mark.parametrize("instance,seed", [("shuffled", 1), ("shuffled", 2), ("few", 3), ("few", 4)])
+    @pytest.mark.parametrize("key", ["default", "constant"])
+    def test_equals_per_set_oracle(self, monkeypatch, instance, seed, key):
+        factor, sets = (self.shuffled_instance if instance == "shuffled" else self.few_set_instance)(seed)
+        if key == "constant":
+            # every row collides: every set is weighed
+            monkeypatch.setattr(spectral, "_set_key", lambda sets: np.zeros(len(sets), dtype=np.int64))
+        assert np.array_equal(spectral._row_sum_norms(factor, sets), per_set_masses(factor, sets))
+
+    def test_each_distinct_set_weighed_once(self, monkeypatch):
+        factor, sets = self.few_set_instance(5)
+        weighed = []
+        weigh = spectral._weigh
+        monkeypatch.setattr(spectral, "_weigh", lambda f, w: weighed.append(len(w)) or weigh(f, w))
+        spectral._row_sum_norms(factor, sets)
+        assert weighed == [3]
+
+    def test_collision_weighs_every_row(self, monkeypatch):
+        factor, sets = self.few_set_instance(6)
+        weighed = []
+        weigh = spectral._weigh
+        monkeypatch.setattr(spectral, "_weigh", lambda f, w: weighed.append(len(w)) or weigh(f, w))
+        monkeypatch.setattr(spectral, "_set_key", lambda sets: np.zeros(len(sets), dtype=np.int64))
+        spectral._row_sum_norms(factor, sets)
+        assert weighed == [500]
 
 
 class TestProjectorColumnMass:
