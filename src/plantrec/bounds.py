@@ -16,10 +16,12 @@ the principal angles between the two m x l bases (Davis-Kahan's sin theta),
 in O(m l^2); no m x m projector is formed.  The norm report has a private
 core too, :func:`_norm_deviation`, and so has the FK report,
 :func:`_fk_report`, which ``run_checks`` uses for the union of every
-cluster, read from its one solve of A - E.  :func:`check_fk_submatrices`
-solves its other sets in one :func:`~plantrec.spectral.submatrix_norms`
-batch.  The noise matrix A - E has one builder, :func:`centered_adjacency`,
-which ``run_checks`` calls once per instance.
+cluster, read from the two ends of its one solve of A - E, and so has the
+good-column report, :func:`_good_column`, which ``run_checks`` calls with
+recovery's round-0 pivot.  :func:`check_fk_submatrices` solves its other
+sets in one :func:`~plantrec.spectral.submatrix_norms` batch, each for the
+two ends of its spectrum.  The noise matrix A - E has one builder,
+:func:`centered_adjacency`, which ``run_checks`` calls once per instance.
 """
 
 from __future__ import annotations
@@ -267,20 +269,25 @@ def check_good_column(p_hat, part: PlantedPartition, epsilon: float, **context) 
     """
     if not 0.0 < epsilon <= 0.1:
         raise EpsilonOutOfRangeError(f"epsilon must be in (0, 0.1], got {epsilon}")
-    s = part.s
-    context = {**context, "s": int(s)}
     op = projector_operand(p_hat)
     if part.n != op.dim:
         raise DimensionMismatchError(f"partition has {part.n} vertices, projector {op.dim}")
-    members, masses = all_candidate_sets(op, s)
+    members, masses = all_candidate_sets(op, part.s)
     best = select_pivot(masses)
-    overlap = np.bincount(part.assignment[members[best]], minlength=part.k).max()
-    threshold = (1.0 - 8.0 * epsilon**2 - epsilon) * math.sqrt(s)
+    return _good_column(best, members[best], masses[best], part, epsilon, **context)
+
+
+def _good_column(pivot: int, members: np.ndarray, mass: float, part, epsilon: float, **context) -> BoundReport:
+    """The report of :func:`check_good_column` from the best column, its
+    candidate set and that set's mass, such as recovery's round-0 pivot."""
+    context = {**context, "s": int(part.s)}
+    overlap = np.bincount(part.assignment[members], minlength=part.k).max()
+    threshold = (1.0 - 8.0 * epsilon**2 - epsilon) * math.sqrt(part.s)
     return BoundReport.of(
         "good_column",
         threshold,
-        masses[best],
-        best_pivot=best,
+        mass,
+        best_pivot=pivot,
         best_overlap=float(overlap),
         epsilon=float(epsilon),
         **context,

@@ -13,7 +13,7 @@ aggregate.csv (per-cell success and satisfaction rates).
 
 `run_checks` is the one bound-check pipeline, used by `run_trial` and by
 `plantrec verify`.  A trial makes one eigendecomposition of the full graph:
-recovery's round 0, whose projector the checks reuse.  The expected matrix
+recovery's round 0, whose projector and pivot the checks reuse.  The expected matrix
 E = (p-q) Z Z^T + q 11^T is never solved; its top-k projector Z Z^T / s and
 its k-th eigenvalue are taken in closed form.
 """
@@ -222,7 +222,7 @@ class TrialReport:
         }
 
 
-def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
+def run_checks(g, part, params, checks, epsilon, round0=None) -> list:
     """Run the bound checks named in `checks` on one instance.
 
     Reports come in KNOWN_CHECKS order whatever the order of `checks`.
@@ -231,21 +231,25 @@ def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
     on noiseless instances), the proj report's lhs; it is resolved only when
     conc or goodcol runs.
 
-    `projector`, when given, must be the rank-k projector of `g.adj`,
-    such as recovery's round 0 (`traces[0].projector`); without it the graph
-    is solved once, and only when proj, goodcol or a measured epsilon needs
-    it.  The expected side is taken in closed form: P_k(E) = Z Z^T / s and
-    lambda_k(E) from `theoretical_spectrum`.  The noise matrix A - E is the
-    one n x n float64 matrix the checks hold, built once when norm, proj or
-    fk runs.  fk first solves the submatrices of its proper cluster unions
-    (copies, one BLAS thread per core at once).  Then A - E itself is solved
-    once, in place, which consumes it: its extreme eigenvalues give
-    ||A - E||_2 for norm and proj, and, shifted by p (A - E has -p on its
-    diagonal where fk's noise has 0), fk's union of every cluster.
+    `round0`, when given, must be recovery's round-0 trace of `g`
+    (`recover_with_trace(g, s)[1][0]`): proj and a measured epsilon read its
+    rank-k projector, and goodcol its pivot, candidate set and mass, so no
+    column is ranked again.  Without it the graph is solved once, only when
+    proj, goodcol or a measured epsilon needs it, and goodcol ranks that
+    projector's columns.  The expected side is taken in closed form:
+    P_k(E) = Z Z^T / s and lambda_k(E) from `theoretical_spectrum`.  The
+    noise matrix A - E is the one n x n float64 matrix the checks hold, built
+    once when norm, proj or fk runs.  fk first solves the submatrices
+    of its proper cluster unions for their two ends (copies, one BLAS thread
+    per core at once).  Then A - E itself is solved once for its two ends,
+    in place, which consumes it: they give ||A - E||_2 for norm and proj,
+    and, shifted by p (A - E has -p on its diagonal where fk's noise has 0),
+    fk's union of every cluster.
     """
     _validate_checks(checks, epsilon)
     checks = set(checks)
     n, k, s = part.n, part.k, part.s
+    projector = None if round0 is None else round0.projector
     if projector is not None and (projector.dim, projector.rank) != (n, k):
         raise DimensionMismatchError(
             f"projector is {projector.dim} x rank {projector.rank}, need {n} x rank {k}"
@@ -279,13 +283,14 @@ def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
                     noise, [v for _, v in proper], sigma, labels=[m for m, _ in proper], **ctx
                 )
         np.fill_diagonal(noise, -params.p)  # exactly A - E
-        mu = spectral._solve_values(noise)  # ascending; overwrites the noise matrix
+        lowest, highest = spectral._solve_extremes(noise)  # overwrites the noise matrix
         noise = None
-        instance_dev = float(max(abs(mu[0]), abs(mu[-1])))
+        instance_dev = max(abs(lowest), abs(highest))
         if "fk" in checks and len(proper) < len(unions):
             # the noise matrix with its zero diagonal is A - E + pI, whose
-            # eigenvalues are mu + p; the full mask sorts last among the unions
-            whole = float(max(abs(mu[0] + params.p), abs(mu[-1] + params.p)))
+            # eigenvalues are those of A - E plus p; the full mask sorts last
+            # among the unions
+            whole = max(abs(lowest + params.p), abs(highest + params.p))
             fk_reports.append(bounds._fk_report(whole, n, sigma, **ctx))
     if "norm" in checks:
         reports.append(bounds._norm_deviation(instance_dev, n, **ctx))
@@ -307,16 +312,13 @@ def run_checks(g, part, params, checks, epsilon, projector=None) -> list:
         # the mass threshold is only meaningful for epsilon <= 0.1; clamp
         # and record the measured value so the report stays interpretable
         eps_gc = min(epsilon, 0.1)
-        reports.append(
-            bounds.check_good_column(
-                projector,
-                part,
-                eps_gc,
-                epsilon_measured=epsilon,
-                epsilon_clamped=eps_gc != epsilon,
-                **ctx,
+        extra = {"epsilon_measured": epsilon, "epsilon_clamped": eps_gc != epsilon, **ctx}
+        if round0 is None:
+            reports.append(bounds.check_good_column(projector, part, eps_gc, **extra))
+        else:
+            reports.append(
+                bounds._good_column(round0.pivot, round0.candidate, round0.mass, part, eps_gc, **extra)
             )
-        )
     return reports
 
 
@@ -330,8 +332,9 @@ def run_trial(
 ) -> TrialReport:
     """Generate, recover, compare, and run the requested bound checks.
 
-    The checks reuse recovery's round-0 projector, so the trial makes one
-    eigendecomposition of the full graph.
+    The checks reuse recovery's round 0, its projector and its pivot, so
+    the trial makes one eigendecomposition of the full graph and ranks its
+    columns once.
     """
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
     part = permute_partition(make_partition(cell.n, cell.s), rng.permutation(cell.n))
@@ -344,7 +347,7 @@ def run_trial(
         same_partition(baseline_common_neighbors(g, cell.s), part) if baseline else None
     )
     try:
-        reports = run_checks(g, part, params, checks, epsilon, projector=traces[0].projector)
+        reports = run_checks(g, part, params, checks, epsilon, round0=traces[0])
     except PlantrecError as exc:
         raise type(exc)(
             f"{exc} [cell {cell.index}: n={cell.n} k={cell.k} p={cell.p} q={cell.q} seed={seed}]"

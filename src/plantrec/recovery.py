@@ -77,9 +77,11 @@ class RecoveryResult:
 class PivotTrace:
     """Per-round diagnostics: rank used, chosen pivot (original id), its mass.
 
-    `projector` is the round's rank-`rank` projector of the remaining graph's
-    adjacency (round 0: of the whole graph), kept so the bound checks need
-    not solve the graph again; equality and hashing ignore it, and so its
+    `candidate` is the pivot column's candidate set before cleanup (s
+    original ids, ascending), and `projector` the round's rank-`rank`
+    projector of the remaining graph's adjacency (round 0: of the whole
+    graph); both are kept so the bound checks need not solve or rank the
+    graph again.  Equality and hashing ignore them, and so the projector's
     `solve` record, which no output file holds.
     """
 
@@ -87,6 +89,7 @@ class PivotTrace:
     rank: int
     pivot: int
     mass: float
+    candidate: np.ndarray = field(compare=False, repr=False)
     projector: Projector = field(compare=False, repr=False)
 
     @property
@@ -204,6 +207,7 @@ def recover_with_trace(g: Graph, s: int) -> tuple[RecoveryResult, list[PivotTrac
                 rank=rank,
                 pivot=int(active[j_star]),
                 mass=float(masses[j_star]),
+                candidate=active[candidates[j_star]],
                 projector=p_hat,
             )
         )

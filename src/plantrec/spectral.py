@@ -5,7 +5,11 @@ check) into LAPACK ``dsyevr`` of the LAPACK that numpy itself links, looked
 up once, at import, with ctypes: the top r eigenpairs, or all eigenvalues
 only (the same bits as numpy's ``eigvalsh``).  Where it is not exported under
 a known name, numpy's full ``eigh`` (keeping the top r) or ``eigvalsh`` runs
-in its place.
+in its place.  A norm needs only the two ends of the spectrum: one LAPACK
+``dsytrd`` reduction to the tridiagonal that ``eigvalsh`` also solves, then
+two ``dstebz`` bisections, for the lowest and the highest eigenvalue, each
+to within a few ulps of itself (both looked up as ``dsyevr`` is); where
+either is missing, the ends of the full values-only solve.
 
 A top-r solve of a large matrix far from the spectral threshold (m >= 1500
 and sqrt(m)/r >= 4) first tries a block iteration: r + 8 vectors from a fixed
@@ -37,7 +41,7 @@ The norms of many principal submatrices of one matrix
 (:func:`submatrix_norms`) are solved on a thread pool, one solve per core at
 once with OpenBLAS held at one thread (through its
 ``openblas_set_num_threads``, looked up the same way), or one at a time where
-``dsyevr`` or the thread controls do not resolve.
+``dsyevr``, ``dsytrd``, ``dstebz`` or the thread controls do not resolve.
 """
 
 from __future__ import annotations
@@ -314,6 +318,30 @@ def _dsyevr_argtypes(int_type) -> list:
     ]
 
 
+def _dsytrd_argtypes(int_type) -> list:
+    integer = ctypes.POINTER(int_type)
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+    return [
+        ctypes.c_char_p, integer, doubles, integer,  # UPLO, N, A, LDA
+        doubles, doubles, doubles,  # D, E, TAU
+        doubles, integer, integer,  # WORK, LWORK, INFO
+        ctypes.c_size_t,  # the hidden length of UPLO
+    ]
+
+
+def _dstebz_argtypes(int_type) -> list:
+    integer, double = ctypes.POINTER(int_type), ctypes.POINTER(ctypes.c_double)
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+    integers = np.ctypeslib.ndpointer(int_type, flags="C_CONTIGUOUS,WRITEABLE")
+    return [
+        *[ctypes.c_char_p] * 2,  # RANGE, ORDER
+        integer, double, double, integer, integer, double,  # N, VL, VU, IL, IU, ABSTOL
+        doubles, doubles, integer, integer, doubles,  # D, E, M, NSPLIT, W
+        integers, integers, doubles, integers, integer,  # IBLOCK, ISPLIT, WORK, IWORK, INFO
+        *[ctypes.c_size_t] * 2,  # the hidden lengths of the two strings
+    ]
+
+
 # dpotrf, dtrsm, dsyrk and dgemm work on blocks inside a matrix: A, B and C
 # are addresses.
 def _dpotrf_argtypes(int_type) -> list:
@@ -372,6 +400,8 @@ def _resolve(routine: str, names, argtypes, restype=None):
 
 
 _DSYEVR = _resolve("dsyevr", _LAPACK_NAMES, _dsyevr_argtypes)
+_DSYTRD = _resolve("dsytrd", _LAPACK_NAMES, _dsytrd_argtypes)
+_DSTEBZ = _resolve("dstebz", _LAPACK_NAMES, _dstebz_argtypes)
 _DPOTRF = _resolve("dpotrf", _LAPACK_NAMES, _dpotrf_argtypes)
 _DTRSM = _resolve("dtrsm", _LAPACK_NAMES, _dtrsm_argtypes)
 _DSYRK = _resolve("dsyrk", _LAPACK_NAMES, _dsyrk_argtypes)
@@ -384,23 +414,32 @@ _GET_THREADS = _resolve("get_num_threads", _OPENBLAS_NAMES, lambda int_type: [],
 _BLAS_THREADS_LOCK = threading.Lock()
 
 
-def _lapack(routine: str, resolved, head: tuple, lengths: tuple, extra_work: int = 0) -> None:
+def _lapack(
+    routine: str, resolved, head: tuple, lengths: tuple, extra_work: int = 0, iwork: bool = True
+) -> None:
     """Call the LAPACK `routine`, `resolved` as (function, integer type),
-    with the arguments `head`, WORK, LWORK, IWORK, LIWORK, INFO and the
-    hidden string `lengths`: once as the workspace query, then with the sizes
-    it returned (WORK `extra_work` longer).  A nonzero INFO raises LinAlgError."""
+    with the arguments `head`, WORK, LWORK, IWORK, LIWORK (only with
+    `iwork`), INFO and the hidden string `lengths`: once as the workspace
+    query, then with the sizes it returned (WORK `extra_work` longer).  A
+    nonzero INFO raises LinAlgError."""
     func, int_type = resolved
     info = int_type(0)
 
-    def call(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int) -> None:
-        func(*head, work, int_type(lwork), iwork, int_type(liwork), info, *lengths)
-        if info.value != 0:
-            raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info = {info.value})")
+    def call(work: np.ndarray, lwork: int, integers: np.ndarray, liwork: int) -> None:
+        tail = (integers, int_type(liwork)) if iwork else ()
+        func(*head, work, int_type(lwork), *tail, info, *lengths)
+        _check_info(routine, info)
 
-    work, iwork = np.empty(1, dtype=np.float64), np.empty(1, dtype=int_type)
-    call(work, -1, iwork, -1)  # workspace query: the sizes come back in work[0], iwork[0]
-    lwork, liwork = int(work[0]) + extra_work, int(iwork[0])
+    # workspace query: the sizes come back in work[0] and, with `iwork`, integers[0]
+    work, integers = np.empty(1, dtype=np.float64), np.zeros(1, dtype=int_type)
+    call(work, -1, integers, -1)
+    lwork, liwork = int(work[0]) + extra_work, int(integers[0])
     call(np.empty(lwork, dtype=np.float64), lwork, np.empty(liwork, dtype=int_type), liwork)
+
+
+def _check_info(routine: str, info) -> None:
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info = {info.value})")
 
 
 def _solve_top(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, SolveRecord]:
@@ -705,6 +744,11 @@ def _solve_values(a: np.ndarray) -> np.ndarray:
     return w
 
 
+_SAFE_MIN = float(np.finfo(np.float64).tiny)
+# the most accurate bisection tolerance, twice LAPACK's safe minimum
+_ABSTOL = ctypes.c_double(2.0 * _SAFE_MIN)
+
+
 def _dsyevr(a: np.ndarray, count: int, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
     """(w, z): the top `count` eigenvalues, ascending, by LAPACK dsyevr with
     RANGE='I', and with `vectors` their eigenvectors (else z is empty); fewer
@@ -719,19 +763,84 @@ def _dsyevr(a: np.ndarray, count: int, vectors: bool) -> tuple[np.ndarray, np.nd
     m = a.shape[0]
     # LAPACK requires LDA, LDZ >= 1, also for the 0 x 0 matrix
     lead, found = int_type(max(m, 1)), int_type(0)
-    # the most accurate bisection tolerance, 2 * LAPACK's safe minimum
-    abstol = ctypes.c_double(2.0 * np.finfo(np.float64).tiny)
     unused = ctypes.c_double(0.0)  # VL, VU are not read with RANGE='I'
     w = np.empty(m, dtype=np.float64)
     z = np.empty((count if vectors else 0, m), dtype=np.float64)
     isuppz = np.empty(2 * count, dtype=int_type)
     head = (
         b"V" if vectors else b"N", b"I", b"L", int_type(m), a, lead, unused, unused,
-        int_type(m - count + 1), int_type(m), abstol, found, w, z, lead, isuppz,
+        int_type(m - count + 1), int_type(m), _ABSTOL, found, w, z, lead, isuppz,
     )
     # dsyevr keeps 5m of WORK: 5m more than queried gives its dsytrd dsyevd's blocking, and eigvalsh's bits
     _lapack("dsyevr", _DSYEVR, head, (1, 1, 1), extra_work=0 if vectors else 5 * m)
     return w[: found.value], z[: found.value]
+
+
+# dsyevr's scaling: a matrix whose largest entry lies outside
+# [_SCALE_MIN, _SCALE_MAX] is scaled into it before the reduction, and its
+# eigenvalues are scaled back after, so that the bisection's squares of
+# off-diagonal entries neither overflow nor underflow
+_SCALE_MIN = math.sqrt(_SAFE_MIN / float(np.finfo(np.float64).eps))
+_SCALE_MAX = min(1.0 / _SCALE_MIN, 1.0 / math.sqrt(math.sqrt(_SAFE_MIN)))
+
+
+def _solve_extremes(a: np.ndarray) -> tuple[float, float]:
+    """(lowest, highest) eigenvalue of the exactly symmetric float64 C-order
+    matrix `a`, which the solve may overwrite; (0.0, 0.0) for m = 0.
+
+    One LAPACK dsytrd reduction of `a` to a tridiagonal T, with the
+    workspace a values-only dsyevr gives it (so T has the bits eigvalsh
+    reduces to at the same BLAS thread count), then dstebz bisection on T
+    for its first and its m-th eigenvalue, at the most accurate tolerance:
+    each end to within a few ulps of itself, where a full solve would also
+    sweep out the m - 2 eigenvalues between them.  The input is scaled as
+    dsyevr scales it.  Where numpy's LAPACK exports no dsytrd or no dstebz,
+    the two ends of :func:`_solve_values`, bit for bit.
+    """
+    m = a.shape[0]
+    if m == 0:
+        return 0.0, 0.0
+    if _DSYTRD is None or _DSTEBZ is None:
+        w = _solve_values(a)
+        return float(w[0]), float(w[-1])
+    largest = max(-float(a.min()), float(a.max()))
+    scale = 1.0
+    if 0.0 < largest < _SCALE_MIN:
+        scale = _SCALE_MIN / largest
+    elif largest > _SCALE_MAX:
+        scale = _SCALE_MAX / largest
+    if scale != 1.0:
+        a *= scale
+    int_type = _DSYTRD[1]
+    # E and TAU hold m - 1 entries; one more keeps them non-empty at m = 1
+    d, e, tau = np.empty(m), np.empty(m), np.empty(m)
+    head = (b"L", int_type(m), a, int_type(m), d, e, tau)
+    # the 5m more WORK that dsyevr adds gives dsytrd its full blocking there
+    _lapack("dsytrd", _DSYTRD, head, (1,), extra_work=5 * m, iwork=False)
+    lowest, highest = (_dstebz(d, e, index) for index in (1, m))
+    if scale != 1.0:
+        lowest, highest = lowest * (1.0 / scale), highest * (1.0 / scale)
+    return lowest, highest
+
+
+def _dstebz(d: np.ndarray, e: np.ndarray, index: int) -> float:
+    """Eigenvalue number `index` (1 = the lowest) of the tridiagonal matrix
+    with diagonal `d` and off-diagonal `e`, by LAPACK dstebz bisection."""
+    func, int_type = _DSTEBZ
+    m = d.size
+    found, blocks, info = int_type(0), int_type(0), int_type(0)
+    unused = ctypes.c_double(0.0)  # VL, VU are not read with RANGE='I'
+    w = np.empty(m)
+    block_of, block_ends = np.empty(m, dtype=int_type), np.empty(m, dtype=int_type)
+    work, iwork = np.empty(4 * m), np.empty(3 * m, dtype=int_type)
+    func(
+        b"I", b"E", int_type(m), unused, unused, int_type(index), int_type(index), _ABSTOL,
+        d, e, found, blocks, w, block_of, block_ends, work, iwork, info, 1, 1,
+    )
+    _check_info("dstebz", info)
+    if found.value != 1:
+        raise np.linalg.LinAlgError(f"LAPACK dstebz found {found.value} eigenvalues, asked for 1")
+    return float(w[0])
 
 
 @contextmanager
@@ -761,20 +870,21 @@ def submatrix_norms(a: np.ndarray, sets) -> np.ndarray:
     """Spectral norm of each principal submatrix a[S, S], S in `sets`.
 
     Equal to :func:`spectral_norm` of each gathered submatrix, but `a` is
-    checked (finite, and symmetrized unless exactly symmetric) once.  The
-    sets are solved largest first on a thread pool: one solve per core at
-    once, with OpenBLAS at one thread for the batch, where numpy's LAPACK
-    exports dsyevr and OpenBLAS's thread controls, else one at a time at
-    the current BLAS thread count.  The calling thread gathers each copy,
-    and starts a set only while the copies in flight fit in a.nbytes (or
-    none is in flight).  An empty set has norm 0.
+    checked (finite, and symmetrized unless exactly symmetric) once.  Each
+    norm is the larger end of one :func:`_solve_extremes` solve of the
+    set's copy.  The sets are solved largest first on a thread pool: one
+    solve per core at once, with OpenBLAS at one thread for the batch, where
+    numpy's LAPACK exports dsyevr, dsytrd and dstebz and OpenBLAS its thread
+    controls, else one at a time at the current BLAS thread count.  The
+    calling thread gathers each copy, and starts a set only while the copies
+    in flight fit in a.nbytes (or none is in flight).  An empty set has norm 0.
     """
     a = _finite_symmetric(a, private=False)
     sets = [np.asarray(v, dtype=np.int64) for v in sets]
     norms = np.zeros(len(sets), dtype=np.float64)
     pending = sorted((i for i, v in enumerate(sets) if v.size), key=lambda i: -sets[i].size)
     nbytes = [8 * v.size**2 for v in sets]  # of each set's float64 copy
-    pinned = _DSYEVR is not None and _SET_THREADS is not None and _GET_THREADS is not None
+    pinned = all(r is not None for r in (_DSYEVR, _DSYTRD, _DSTEBZ, _SET_THREADS, _GET_THREADS))
     workers = _workers() if pinned else 1
     in_flight: dict = {}  # future -> set index
     with _one_blas_thread() if pinned else nullcontext(), ThreadPoolExecutor(max_workers=workers) as pool:
@@ -787,12 +897,12 @@ def submatrix_norms(a: np.ndarray, sets) -> np.ndarray:
                 if i is None:
                     break
                 pending.remove(i)
-                in_flight[pool.submit(_solve_values, a[np.ix_(sets[i], sets[i])])] = i
+                in_flight[pool.submit(_solve_extremes, a[np.ix_(sets[i], sets[i])])] = i
                 held += nbytes[i]
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
             for future in done:
-                w = future.result()
-                norms[in_flight.pop(future)] = max(abs(w[0]), abs(w[-1]))
+                lowest, highest = future.result()
+                norms[in_flight.pop(future)] = max(abs(lowest), abs(highest))
     return norms
 
 
@@ -803,7 +913,8 @@ def top_projector(a: np.ndarray, rank: int) -> Projector:
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix."""
-    w = eigvals_descending(a)
-    return float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
-
+    """Largest absolute eigenvalue of a symmetric matrix (0 for an empty one):
+    the larger end of one :func:`_solve_extremes` solve of a float64 copy,
+    validated as :func:`eigh_descending` validates."""
+    lowest, highest = _solve_extremes(_finite_symmetric(a, private=True))
+    return max(abs(lowest), abs(highest))

@@ -210,7 +210,7 @@ class TestVerify:
             monkeypatch.setattr(module, attr, call)
 
         counted(spectral, "_solve_top", "top")
-        counted(spectral, "_solve_values", "values")
+        counted(spectral, "_solve_extremes", "values")
         counted(np.linalg, "eigh", "eigh")
         counted(np.linalg, "eigvalsh", "eigvalsh")
         code, _, err = run_cli(
@@ -219,9 +219,11 @@ class TestVerify:
         )
         assert code == 0, err
         # a full solve runs only inside the top-r one, where LAPACK has no
-        # dsyevr, and eigvalsh only inside a values solve, where it has none either
+        # dsyevr, and eigvalsh only inside a norm's solve, where it has no
+        # dsytrd or dstebz and no dsyevr either
         full_calls = 0 if spectral._DSYEVR else top_calls
-        eigvalsh_calls = 0 if spectral._DSYEVR else value_calls
+        extremes = spectral._DSYTRD and spectral._DSTEBZ
+        eigvalsh_calls = 0 if extremes or spectral._DSYEVR else value_calls
         calls = {name: log.count(name) for name in ("top", "eigh", "values", "eigvalsh")}
         assert calls == {
             "top": top_calls, "eigh": full_calls, "values": value_calls, "eigvalsh": eigvalsh_calls

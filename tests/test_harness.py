@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plantrec import bounds, spectral
+from plantrec import bounds, recovery, spectral
 from plantrec.baseline import baseline_common_neighbors
 from plantrec.errors import DimensionMismatchError, EpsilonOutOfRangeError, ZeroSizeError
 from plantrec.experiment import (
@@ -28,7 +28,7 @@ from plantrec.model import (
     sample_graph,
 )
 from plantrec.recovery import identify_clusters, recover_with_trace, same_partition
-from plantrec.spectral import top_projector
+from plantrec.spectral import Projector, top_projector
 
 
 class TestSeedDerivation:
@@ -203,20 +203,20 @@ class TestRunChecks:
     def test_matches_the_public_checkers(self, instance, checks, epsilon, round0):
         part, params = instance
         g = sample_graph(part, params)
-        projector = recover_with_trace(g, part.s)[1][0].projector if round0 else None
-        got = run_checks(g, part, params, checks, epsilon, projector=projector)
+        trace = recover_with_trace(g, part.s)[1][0] if round0 else None
+        got = run_checks(g, part, params, checks, epsilon, round0=trace)
         assert_same_reports(got, oracle_checks(g, part, params, checks, epsilon))
 
     def test_one_solve_of_the_graph_per_trial(self, iterative_off, monkeypatch):
         cell = Cell(index=0, n=60, k=3, s=20, p=0.8, q=0.2)
         solve_sizes, eigh_sizes, value_sizes, eigvalsh_sizes = [], [], [], []
         solve_top, eigh, eigvalsh = spectral._solve_top, np.linalg.eigh, np.linalg.eigvalsh
-        solve_values = spectral._solve_values
+        solve_extremes = spectral._solve_extremes
         monkeypatch.setattr(
             spectral, "_solve_top", lambda a, rank: solve_sizes.append(len(a)) or solve_top(a, rank)
         )
         monkeypatch.setattr(
-            spectral, "_solve_values", lambda a: value_sizes.append(len(a)) or solve_values(a)
+            spectral, "_solve_extremes", lambda a: value_sizes.append(len(a)) or solve_extremes(a)
         )
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_sizes.append(len(a)) or eigh(a))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh_sizes.append(len(a)) or eigvalsh(a))
@@ -231,8 +231,34 @@ class TestRunChecks:
         # no m x m solve
         assert sorted(value_sizes[:-1], reverse=True) == [40, 40, 40, 20, 20, 20]
         assert value_sizes[-1] == 60
-        # eigvalsh runs only where LAPACK has no dsyevr
-        assert eigvalsh_sizes == ([] if spectral._DSYEVR else value_sizes)
+        # eigvalsh runs only where LAPACK has no dsytrd or dstebz, and no dsyevr
+        extremes = spectral._DSYTRD and spectral._DSTEBZ
+        assert eigvalsh_sizes == ([] if extremes or spectral._DSYEVR else value_sizes)
+
+    def test_goodcol_reads_recoverys_round_0(self, monkeypatch):
+        # recovery has ranked every column of round 0: goodcol reads its pivot,
+        # candidate set and mass, and ranks no column again
+        cell, seed = Cell(index=0, n=120, k=3, s=40, p=0.7, q=0.3), 11
+        calls, rank = [], recovery.all_candidate_sets
+        monkeypatch.setattr(recovery, "all_candidate_sets", lambda *a: calls.append("recovery") or rank(*a))
+        monkeypatch.setattr(bounds, "all_candidate_sets", lambda *a: calls.append("bounds") or rank(*a))
+        (got,) = run_trial(cell, seed, checks=("goodcol",), epsilon=None).reports
+        assert calls == ["recovery"] * 3
+        monkeypatch.undo()
+        # the trial's instance, shuffled and sampled as run_trial does
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+        part = permute_partition(make_partition(cell.n, cell.s), rng.permutation(cell.n))
+        params = ModelParams(p=cell.p, q=cell.q, seed=seed)
+        projector = recover_with_trace(sample_graph(part, params), cell.s)[1][0].projector
+        expected = Projector(basis=np.eye(cell.k)[part.assignment] / math.sqrt(cell.s))
+        eps = max(float(bounds._projector_distance(projector, expected)[0]), 1e-12)
+        ctx = {"n": cell.n, "k": cell.k, "s": cell.s, "p": cell.p, "q": cell.q, "seed": seed, "mask": 7}
+        want = bounds.check_good_column(
+            projector, part, min(eps, 0.1), epsilon_measured=eps, epsilon_clamped=min(eps, 0.1) != eps, **ctx
+        )
+        assert (got.name, got.lhs, got.rhs, got.satisfied) == (want.name, want.lhs, want.rhs, want.satisfied)
+        assert got.context == want.context
+        assert list(got.context) == list(want.context)
 
     @pytest.mark.parametrize("round0", [False, True])
     def test_frobenius_rank_at_k_one_is_equality(self, round0):
@@ -241,8 +267,8 @@ class TestRunChecks:
         part = make_partition(12, 12)
         params = ModelParams(p=0.7, q=0.2, seed=3)
         g = sample_graph(part, params)
-        projector = recover_with_trace(g, part.s)[1][0].projector if round0 else None
-        reports = run_checks(g, part, params, ("proj",), None, projector=projector)
+        trace = recover_with_trace(g, part.s)[1][0] if round0 else None
+        reports = run_checks(g, part, params, ("proj",), None, round0=trace)
         (frob,) = [r for r in reports if r.name == "projector_frobenius_rank"]
         assert frob.lhs == frob.rhs > 0
         assert frob.satisfied
@@ -254,10 +280,10 @@ class TestRunChecks:
         part = make_partition(n, 200)
         params = ModelParams(p=0.7, q=0.3, seed=1)
         g = sample_graph(part, params)
-        round0 = recover_with_trace(g, part.s)[1][0].projector
+        round0 = recover_with_trace(g, part.s)[1][0]
         tracemalloc.start()
         try:
-            run_checks(g, part, params, ("norm", "proj"), 0.1, projector=round0)
+            run_checks(g, part, params, ("norm", "proj"), 0.1, round0=round0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -290,8 +316,9 @@ class TestRunChecks:
         part = make_partition(12, 4)
         params = ModelParams(p=0.8, q=0.2, seed=5)
         g = sample_graph(part, params)
+        # round 0 of recovery at s = 6, of rank 2 where the partition has k = 3
         with pytest.raises(DimensionMismatchError):
-            run_checks(g, part, params, ("proj",), None, projector=top_projector(g.adj, 2))
+            run_checks(g, part, params, ("proj",), None, round0=recover_with_trace(g, 6)[1][0])
 
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, -math.inf, math.nan])
     def test_epsilon_must_be_finite_and_positive(self, epsilon):

@@ -288,18 +288,21 @@ class TestIdentifyClusters:
         assert np.array_equal(traces[0].projector.basis, top_projector(g.adj, 5).basis)
 
     def test_trace_equality_and_hash_ignore_the_projector(self):
-        a = PivotTrace(level=0, rank=2, pivot=3, mass=1.5, projector=Projector(np.eye(4)[:, :2]))
-        b = PivotTrace(level=0, rank=2, pivot=3, mass=1.5, projector=Projector(np.eye(4)[:, 2:]))
+        # and the candidate set, an array
+        a = PivotTrace(level=0, rank=2, pivot=3, mass=1.5, candidate=np.array([1, 3]),
+                       projector=Projector(np.eye(4)[:, :2]))
+        b = PivotTrace(level=0, rank=2, pivot=3, mass=1.5, candidate=np.array([0, 3]),
+                       projector=Projector(np.eye(4)[:, 2:]))
         assert a == b
         assert hash(a) == hash(b)
-        assert "projector" not in repr(a)
-        assert a != PivotTrace(level=0, rank=2, pivot=3, mass=2.5, projector=a.projector)
+        assert "projector" not in repr(a) and "candidate" not in repr(a)
+        assert a != PivotTrace(level=0, rank=2, pivot=3, mass=2.5, candidate=a.candidate, projector=a.projector)
 
     def test_trace_equality_and_hash_ignore_the_solve_record(self):
         basis = np.eye(4)[:, :2]
-        a = PivotTrace(level=0, rank=2, pivot=3, mass=1.5,
+        a = PivotTrace(level=0, rank=2, pivot=3, mass=1.5, candidate=np.array([1, 3]),
                        projector=Projector(basis, solve=SolveRecord("dsyevr", 0, None)))
-        b = PivotTrace(level=0, rank=2, pivot=3, mass=1.5,
+        b = PivotTrace(level=0, rank=2, pivot=3, mass=1.5, candidate=np.array([1, 3]),
                        projector=Projector(basis, solve=SolveRecord("iterative", 9, 1e-10)))
         assert a.solve.solver == "dsyevr" and b.solve.solver == "iterative"
         assert a == b and hash(a) == hash(b)

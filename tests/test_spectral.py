@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from plantrec import spectral
@@ -24,7 +24,7 @@ from plantrec.spectral import (
     top_projector,
 )
 
-from oracles import cluster_matrix, dense_projector
+from oracles import cluster_matrix, dense_projector, extended_extremes
 
 
 def power_iteration_norm(a: np.ndarray, iters: int = 5000) -> float:
@@ -690,9 +690,100 @@ class TestNorms:
         assert spectral_norm(a) <= np.abs(a).sum(axis=1).max() + 1e-12
 
 
+@st.composite
+def extremes_cases(draw):
+    """Symmetric float64 matrices of m = 0..40: Gaussian, rank one, graded
+    (entries spanning twelve decades) and 0-1 adjacencies."""
+    m = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["gaussian", "rank one", "graded", "graph"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        return as_symmetric(rng.standard_normal((m, m)))
+    if kind == "rank one":
+        v = rng.standard_normal(m)
+        return np.outer(v, v)
+    if kind == "graded":
+        scale = np.sqrt(10.0 ** rng.uniform(-6, 6, m))
+        return as_symmetric(rng.standard_normal((m, m))) * np.outer(scale, scale)
+    upper = np.triu(rng.integers(0, 2, (m, m)), 1)
+    return (upper + upper.T).astype(np.float64)
+
+
+long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="numpy's long double is no wider than float64 here, so the oracle is no reference",
+)
+
+
+class TestSolveExtremes:
+    @long_double
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(extremes_cases())
+    @example(1.0 - np.eye(17))  # its lowest eigenvalue, -1, is 16-fold
+    @example(np.zeros((9, 9)))
+    def test_ends_within_8_ulps_of_the_exact_ones(self, a):
+        # bisection finds each end of dsytrd's tridiagonal to about an ulp;
+        # the full solve (eigvalsh) errs by up to 12 ulps on these matrices
+        want = extended_extremes(a)
+        got = spectral._solve_extremes(a.copy())
+        tol = 8 * np.finfo(np.float64).eps * max(abs(want[0]), abs(want[1]))
+        assert abs(got[0] - want[0]) <= tol and abs(got[1] - want[1]) <= tol, (got, want)
+
+    @long_double
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+    def test_scaled_as_dsyevr_scales(self, scale):
+        # outside about [1e-146, 8e76] the matrix is scaled first, as dsyevr
+        # scales it: unscaled, the bisection's squared off-diagonal entries
+        # underflow (both ends come back wrong) or overflow (dstebz fails)
+        a = random_symmetric(30, 4) * scale
+        want = extended_extremes(a)
+        got = spectral._solve_extremes(a.copy())
+        tol = 8 * np.finfo(np.float64).eps * max(abs(want[0]), abs(want[1]))
+        assert abs(got[0] - want[0]) <= tol and abs(got[1] - want[1]) <= tol, (got, want)
+
+    def test_exact_ends(self):
+        assert spectral._solve_extremes(np.diag([2.0, -5.0, 1.0])) == (-5.0, 2.0)
+        assert spectral._solve_extremes(np.zeros((0, 0))) == (0.0, 0.0)
+        assert spectral._solve_extremes(np.array([[-3.5]])) == (-3.5, -3.5)
+        assert spectral._solve_extremes(np.diag([4.0, -1.0])) == (-1.0, 4.0)
+        lowest, highest = spectral._solve_extremes(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert lowest == pytest.approx(-1.0, abs=4e-16) and highest == pytest.approx(1.0, abs=4e-16)
+
+    @pytest.mark.parametrize("missing", ["_DSYTRD", "_DSTEBZ"])
+    @pytest.mark.parametrize("m", [0, 1, 2, 30, 200])
+    def test_without_dsytrd_or_dstebz_the_values_solves_ends(self, monkeypatch, missing, m):
+        # bit for bit the ends of the full values-only solve, and so eigvalsh's
+        a = random_symmetric(m, m)
+        monkeypatch.setattr(spectral, missing, None)
+        calls, solve = [], spectral._solve_values
+        monkeypatch.setattr(spectral, "_solve_values", lambda x: calls.append(len(x)) or solve(x))
+        got = spectral._solve_extremes(a.copy())
+        if m == 0:
+            assert got == (0.0, 0.0) and calls == []
+        else:
+            w = np.linalg.eigvalsh(a)
+            assert got == (w[0], w[-1]) and calls == [m]
+        assert spectral_norm(a) == (max(abs(w[0]), abs(w[-1])) if m else 0.0)
+
+    def test_bisection_failure_raises_linalg_error(self, monkeypatch):
+        # a stand-in for dstebz, given RANGE, ORDER, N, VL, VU, IL, IU,
+        # ABSTOL, D, E, M, NSPLIT, W, IBLOCK, ISPLIT, WORK, IWORK, INFO and
+        # the two string lengths as the solve passes them
+        def fake(*args):
+            args[17].value = 1
+
+        monkeypatch.setattr(spectral, "_DSTEBZ", (fake, ctypes.c_int64))
+        with pytest.raises(np.linalg.LinAlgError, match=r"dstebz failed \(info = 1\)"):
+            spectral_norm(random_symmetric(10, 0))
+
+
 thread_control = pytest.mark.skipif(
-    spectral._SET_THREADS is None or spectral._GET_THREADS is None or spectral._DSYEVR is None,
-    reason="numpy's LAPACK exports no dsyevr or OpenBLAS thread control: the sets are solved one at a time on one pool worker",
+    any(
+        getattr(spectral, name) is None
+        for name in ("_DSYEVR", "_DSYTRD", "_DSTEBZ", "_SET_THREADS", "_GET_THREADS")
+    ),
+    reason="numpy's LAPACK exports no dsyevr, dsytrd or dstebz, or no OpenBLAS thread control: "
+    "the sets are solved one at a time on one pool worker",
 )
 
 
@@ -750,7 +841,7 @@ class TestSubmatrixNorms:
         sets = [np.arange(n)] + [np.arange(n)[np.arange(n) % 3 != c] for c in range(3)] * 3
         sets += [np.arange(c, n, 3) for c in range(3)] * 3
         lock, running, peaks = threading.Lock(), [0], []
-        solve = spectral._solve_values
+        solve = spectral._solve_extremes
 
         def recorded(x):
             with lock:
@@ -764,7 +855,7 @@ class TestSubmatrixNorms:
                     running[0] -= x.nbytes
 
         monkeypatch.setattr(spectral, "_workers", lambda: 8)
-        monkeypatch.setattr(spectral, "_solve_values", recorded)
+        monkeypatch.setattr(spectral, "_solve_extremes", recorded)
         got = spectral.submatrix_norms(a, sets)
         assert len(peaks) == len(sets)
         assert max(peaks) <= a.nbytes
@@ -812,7 +903,7 @@ class TestSubmatrixNorms:
         assert len(results) == 5
         assert all(r.tolist() == want for r in results)
 
-    @pytest.mark.parametrize("missing", ["_DSYEVR", "_SET_THREADS", "_GET_THREADS"])
+    @pytest.mark.parametrize("missing", ["_DSYEVR", "_DSYTRD", "_DSTEBZ", "_SET_THREADS", "_GET_THREADS"])
     def test_without_dsyevd_or_thread_control_one_set_at_a_time(
         self, two_blas_threads, monkeypatch, missing
     ):
@@ -825,7 +916,7 @@ class TestSubmatrixNorms:
         sets.append(np.array([], dtype=np.int64))
         want = [spectral_norm(a[np.ix_(v, v)]) if len(v) else 0.0 for v in sets]
         lock, running, peaks, threads = threading.Lock(), [0], [], []
-        solve = spectral._solve_values
+        solve = spectral._solve_extremes
 
         def recorded(x):
             with lock:
@@ -840,7 +931,7 @@ class TestSubmatrixNorms:
                     running[0] -= 1
 
         monkeypatch.setattr(spectral, "_workers", lambda: 8)
-        monkeypatch.setattr(spectral, "_solve_values", recorded)
+        monkeypatch.setattr(spectral, "_solve_extremes", recorded)
         assert spectral.submatrix_norms(a, sets).tolist() == want  # bit for bit
         assert peaks == [1] * 4
         assert threads == [2] * 4
@@ -854,7 +945,7 @@ class TestSubmatrixNorms:
         def failing(x):
             raise np.linalg.LinAlgError("stand-in solve failed")
 
-        monkeypatch.setattr(spectral, "_solve_values", failing)
+        monkeypatch.setattr(spectral, "_solve_extremes", failing)
         with pytest.raises(np.linalg.LinAlgError, match="stand-in"):
             spectral.submatrix_norms(random_symmetric(30, 2), [np.arange(30), np.arange(10)])
         assert spectral._GET_THREADS[0]() == 2
@@ -870,7 +961,7 @@ class TestSubmatrixNorms:
         params = ModelParams(p=0.7, q=0.3, seed=4)
         g = sample_graph(part, params)
         want = run_checks(g, part, params, ("fk",), 0.1)
-        solve, seen = spectral._solve_values, []
+        solve, seen = spectral._solve_extremes, []
 
         def slow(x):
             if len(x) < n:  # an FK union, not the in-place solve of A - E
@@ -879,7 +970,7 @@ class TestSubmatrixNorms:
                 time.sleep(0.002)
             return solve(x)
 
-        monkeypatch.setattr(spectral, "_solve_values", slow)
+        monkeypatch.setattr(spectral, "_solve_extremes", slow)
         first_solving, results = threading.Event(), []
 
         def check(after=None):
