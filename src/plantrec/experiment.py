@@ -242,8 +242,8 @@ def run_checks(g, part, params, checks, epsilon, round0=None) -> list:
     once when norm, proj or fk runs.  fk first solves the submatrices
     of its proper cluster unions for their two ends (copies, one BLAS thread
     per core at once).  Then A - E itself is solved once for its two ends,
-    in place, which consumes it: they give ||A - E||_2 for norm and proj,
-    and, shifted by p (A - E has -p on its diagonal where fk's noise has 0),
+    from a triangle copy: they give ||A - E||_2 for norm and proj, and,
+    shifted by p (A - E has -p on its diagonal where fk's noise has 0),
     fk's union of every cluster.
     """
     _validate_checks(checks, epsilon)
@@ -283,7 +283,7 @@ def run_checks(g, part, params, checks, epsilon, round0=None) -> list:
                     noise, [v for _, v in proper], sigma, labels=[m for m, _ in proper], **ctx
                 )
         np.fill_diagonal(noise, -params.p)  # exactly A - E
-        lowest, highest = spectral._solve_extremes(noise)  # overwrites the noise matrix
+        lowest, highest = spectral._solve_extremes(noise)
         noise = None
         instance_dev = max(abs(lowest), abs(highest))
         if "fk" in checks and len(proper) < len(unions):

@@ -19,23 +19,31 @@ by value, not magnitude), with Rayleigh-Ritz after each step, until the
 residual ||A V - V Theta|| is small.  The lower end is the Gershgorin bound,
 -(max degree) for an adjacency, except while a tighter guess holds.  Its
 basis is kept only when a Cholesky factorization of
-sigma I - A + V Theta V^T succeeds in place (by row blocks of 128: BLAS
+sigma' I - A + V Theta V^T succeeds in place (by row blocks of 128: BLAS
 ``dsyrk`` and ``dgemm`` update a block, LAPACK ``dpotrf`` factors its
 diagonal tile and one ``dtrsm`` solves the rest, all looked up as
-``dsyevr`` is), which proves lambda_{r+1} < sigma and so, by Davis-Kahan,
-sin theta <= 1e-10 against the exact top-r eigenspace.  If the
-factorization fails, the step budget runs out, or the first steps show the
-wanted part is not separating, the matrix is put back and ``dsyevr`` solves
-it, bit for bit as it would alone.  Either way the result is deterministic
-for a fixed input, LAPACK build and BLAS thread count.  Where a rank cuts a
-repeated eigenvalue and ``dsyevr`` finds fewer than the top r pairs, the
-matrix is put back the same way and solved for all pairs.
+``dsyevr`` is), where sigma' is sigma lowered by a bound on the rounding of
+forming and factoring that matrix; this proves lambda_{r+1} < sigma and so,
+by Davis-Kahan, sin theta <= 1e-10 against the exact top-r eigenspace.  If
+the factorization fails, the step budget runs out, or the first steps show
+the wanted part is not separating, ``dsyevr`` solves a new copy of the
+input, bit for bit as it would alone.  Either way the result is
+deterministic for a fixed input, LAPACK build and BLAS thread count.  Where
+a rank cuts a repeated eigenvalue and ``dsyevr`` finds fewer than the top r
+pairs, another new copy is solved for all pairs.
 
 Every matrix input passes one check: square, finite, and read as
 (a + a^T) / 2 unless exactly symmetric, compared one tile pair at a time,
-with no m x m temporary.  A solve makes one m x m float64 copy of its input,
-which the iteration's certificate or LAPACK overwrites: an integer or bool
-matrix (a graph's uint8 adjacency) is converted straight into it.
+with no m x m temporary.  The checked matrix is never written to: each
+attempt at a solve writes a float64 copy of its own, converted straight
+from an integer or bool matrix (a graph's uint8 adjacency), into a fresh
+anonymous memory mapping that is unmapped when the copy dies, so no copy
+enters (or stays in) the malloc heap.  A copy that LAPACK reads (``dsyevr``
+and ``dsytrd`` with UPLO='L' read the lower triangle of the column-major
+matrix, which is the upper triangle of the C-order one) holds only that
+triangle: the pages of the other one are never written and never become
+resident, about 4m^2 bytes plus a page per row of 8m^2.  The iteration
+multiplies with the whole matrix, so its copy is whole.
 
 The norms of many principal submatrices of one matrix
 (:func:`submatrix_norms`) are solved on a thread pool, one solve per core at
@@ -48,6 +56,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import mmap
 import os
 import threading
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -98,26 +107,61 @@ def _is_symmetric(a: np.ndarray) -> bool:
     )
 
 
-def _finite_symmetric(a: np.ndarray, private: bool) -> np.ndarray:
-    """Square `a` as a finite, exactly symmetric C-order float64 matrix.
+def _finite_symmetric(a: np.ndarray) -> np.ndarray:
+    """Square `a` as a finite, exactly symmetric matrix, which the caller
+    must not write to: `a` itself where it can be.
 
-    With `private` the result is a new array, which the caller may
-    overwrite; otherwise it may be `a` itself.  An integer or bool `a` equal
-    to its transpose (compared in its own dtype) cannot be non-finite, so
-    its conversion is the result.  Any other `a` is checked finite and, if
-    not exactly symmetric, replaced by :func:`as_symmetric` of it; as
+    An integer or bool `a` equal to its transpose (compared in its own
+    dtype) cannot be non-finite, so it is the result as it is; a solve's
+    copy converts it.  Any other `a` is read as float64, checked finite and,
+    if not exactly symmetric, replaced by :func:`as_symmetric` of it; as
     (x + x) / 2 = x, the values are as_symmetric's either way.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if a.dtype.kind in "biu" and _is_symmetric(a):
-        return a.astype(np.float64, order="C")
-    a = (np.array if private else np.asarray)(a, dtype=np.float64, order="C")
+        return a
+    a = np.asarray(a, dtype=np.float64)
     # min and max propagate NaN and reach +-inf, with no m x m temporary
     if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise NonFiniteError("matrix has non-finite entries")
     return a if _is_symmetric(a) else as_symmetric(a)
+
+
+# Rows of one block of a triangle copy: the gather of a principal submatrix
+# holds one block of rows at a time.
+_COPY_ROWS = 32
+_UPPER_TILE = np.triu(np.ones((_COPY_ROWS, _COPY_ROWS), dtype=bool))
+
+
+def _solve_copy(a: np.ndarray, index: np.ndarray | None = None, whole: bool = False) -> np.ndarray:
+    """New m x m float64 C-order copy of the symmetric `a`, or of its
+    principal submatrix a[index, index], in an anonymous memory mapping of
+    its own that is unmapped when the copy dies.
+
+    Only the upper triangle is written, unless `whole`: it is the lower
+    triangle of the column-major view, the one dsyevr and dsytrd with
+    UPLO='L' read, and the pages of the other triangle (which read as
+    zeros) never become resident.  `whole` requires `index` to be None.
+    """
+    m = a.shape[0] if index is None else index.size
+    if m == 0:
+        return np.zeros((0, 0))
+    buffer = mmap.mmap(-1, 8 * m * m, flags=mmap.MAP_PRIVATE)
+    out = np.frombuffer(buffer, dtype=np.float64).reshape(m, m)
+    if whole:
+        np.copyto(out, a)
+        return out
+    if hasattr(buffer, "madvise") and hasattr(mmap, "MADV_NOHUGEPAGE"):
+        # a huge page would make the untouched triangle's pages resident too
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    for i in range(0, m, _COPY_ROWS):
+        k = min(_COPY_ROWS, m - i)
+        block = a[i : i + k, i:] if index is None else a[np.ix_(index[i : i + k], index[i:])]
+        np.copyto(out[i : i + k, i : i + k], block[:, :k], where=_UPPER_TILE[:k, :k])
+        out[i : i + k, i + k :] = block[:, k:]
+    return out
 
 
 @dataclass(frozen=True)
@@ -235,11 +279,22 @@ def _set_key(sets: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", sets, sets)
 
 
+# A block of sets is weighed in one gather while the gathered rows hold at
+# most this many entries (2 MiB of float64).
+_WEIGH_ENTRIES = 1 << 18
+
+
 def _weigh(factor: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    # One len(sets) x width accumulator, added to once per set position, so
-    # the temporary never holds a row of `factor` per member, and each mass
-    # depends on its own set only.
-    acc = np.zeros((sets.shape[0], factor.shape[1]), dtype=np.float64)
+    # Each set's rows added in the order of its positions, so each mass
+    # depends on its own set only: with a narrow `factor`, all at once from
+    # one len(sets) x s x width gather, whose sum over the middle axis adds
+    # the positions one after another (only a width of 1 would make numpy
+    # add them pairwise); else into one accumulator, once per position, so
+    # the temporary never holds a row of `factor` per member.
+    width = factor.shape[1]
+    if 1 < width and sets.size * width <= _WEIGH_ENTRIES:
+        return np.linalg.norm(factor[sets].sum(axis=1), axis=1)
+    acc = np.zeros((sets.shape[0], width), dtype=np.float64)
     for position in sets.T:
         acc += factor[position]
     return np.linalg.norm(acc, axis=1)
@@ -256,7 +311,7 @@ def projector_operand(p) -> Projector | _DenseOperator:
     """
     if isinstance(p, (Projector, _DenseOperator)):
         return p
-    return _DenseOperator(_finite_symmetric(p, private=False))
+    return _DenseOperator(np.asarray(_finite_symmetric(p), dtype=np.float64))
 
 
 def eigh_descending(a: np.ndarray, rank: int | None = None) -> SpectralDecomposition:
@@ -265,24 +320,25 @@ def eigh_descending(a: np.ndarray, rank: int | None = None) -> SpectralDecomposi
     The top `rank` eigenvalues and their eigenvectors, or every eigenpair
     without `rank`, from the certified block iteration where it applies and
     certifies its basis, else from LAPACK ``dsyevr`` (or numpy's full
-    ``eigh``, sliced, where numpy's LAPACK has no ``dsyevr``), on one float64
-    copy of `a`, which may be an integer or bool matrix such as a graph's
-    adjacency.  `solve` on the result records which.  The result is
-    deterministic for a fixed input, LAPACK and BLAS thread count.
+    ``eigh``, sliced, where numpy's LAPACK has no ``dsyevr``), each attempt
+    on a float64 copy of its own of `a`, which may be an integer or bool
+    matrix such as a graph's adjacency.  `solve` on the result records
+    which.  The result is deterministic for a fixed input, LAPACK and BLAS
+    thread count.
     """
     a = np.asarray(a)
     m = a.shape[0]
     if rank is not None and not 1 <= rank <= m:
         raise RankOutOfRangeError(f"rank must be in 1..{m}, got {rank}")
-    w, v, record = _solve_top(_finite_symmetric(a, private=True), m if rank is None else rank)
+    w, v, record = _solve_top(_finite_symmetric(a), m if rank is None else rank)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v, solve=record)
 
 
 def eigvals_descending(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, descending, with no eigenvectors
-    (one values-only solve of a float64 copy, bit for bit numpy's
+    (one values-only solve of a float64 triangle copy, bit for bit numpy's
     ``eigvalsh``); validated as :func:`eigh_descending` validates."""
-    return _solve_values(_finite_symmetric(a, private=True))[::-1]
+    return _solve_values(_finite_symmetric(a))[::-1]
 
 
 # Name templates of numpy's LAPACK routines and OpenBLAS thread controls,
@@ -444,30 +500,29 @@ def _check_info(routine: str, info) -> None:
 
 def _solve_top(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, SolveRecord]:
     """Top `rank` eigenvalues (descending), eigenvectors (m x rank, C order)
-    and the record of the solve, of the exactly symmetric float64 C-order
-    matrix `a`, which the solve may overwrite.
+    and the record of the solve, of the finite, exactly symmetric `a`,
+    which is not written to.
 
+    Each attempt works on a copy of its own (see :func:`_solve_copy`).
     Where :func:`_iterative_applies`, the certified block iteration runs
-    first; if it gives way, `a` holds its input again and dsyevr solves it,
-    so the result is bit for bit dsyevr's.
+    first, on a whole copy; if it gives way, dsyevr solves a triangle copy,
+    so the result is bit for bit dsyevr's alone, and the iteration's copy is
+    gone before dsyevr's is made.
     """
-    steps = 0
-    if _iterative_applies(a.shape[0], rank):
-        w, v, steps = _iterate_top(a, rank)
+    m, steps = a.shape[0], 0
+    if _iterative_applies(m, rank):
+        w, v, steps = _iterate_top(_solve_copy(a, whole=True), rank)
         if w is not None:
             return w, v, SolveRecord("iterative", steps, _SIN_THETA_TOL)
     record = SolveRecord("dsyevr", steps, None)
     if _DSYEVR is None:
         w, v = np.linalg.eigh(a)
         return w[::-1][:rank].copy(), v[:, ::-1][:, :rank].copy(), record
-    m, diagonal = a.shape[0], a.diagonal().copy()
-    w, z = _dsyevr(a, rank, vectors=True)
+    w, z = _dsyevr(_solve_copy(a), rank, vectors=True)
     if w.size < rank:
         # RANGE='I' can find fewer pairs than asked where IL cuts a repeated
-        # eigenvalue (1 - I at m = 17, rank 3): put the matrix back from the
-        # triangle dsyevr does not touch and its diagonal, and solve for all m pairs
-        _put_back(a, diagonal)
-        w_all, z = _dsyevr(a, m, vectors=True)
+        # eigenvalue (1 - I at m = 17, rank 3): solve a new copy for all m pairs
+        w_all, z = _dsyevr(_solve_copy(a), m, vectors=True)
         if w_all.size < m:
             raise np.linalg.LinAlgError(
                 f"LAPACK dsyevr found {w.size} of {rank} eigenpairs, and {w_all.size} of {m} solving for all"
@@ -501,8 +556,8 @@ _MAX_DEGREE = 16
 # Key of the Philox stream of the start block: the iteration is a pure
 # function of its input at one BLAS thread count.
 _START_KEY = 0x5EED_B10C
-# Side of the square tiles in which the certificate writes its matrix and
-# puts `a` back: a tile's temporary is 128 KiB.
+# Side of the square tiles in which the certificate writes its matrix: a
+# tile's temporary is 128 KiB.
 _CERTIFICATE_TILE = 128
 
 
@@ -579,7 +634,7 @@ def _iterate_top(a: np.ndarray, rank: int):
         target = min(_RESIDUAL_STOP * norm, _SIN_THETA_TOL * gap / 4)
         if residual <= target:
             del av
-            if _certify(a, theta, v[:rank].T, rank, residual + rounding):
+            if _certify(a, theta, v[:rank].T, rank, residual + rounding, norm):
                 return theta[:rank].copy(), np.ascontiguousarray(v[:rank].T), steps
             return None, None, steps
         e, top = theta[-1], theta[0]
@@ -630,55 +685,105 @@ def _chebyshev(a, v, av, degree: int, low: float, e: float, top: float) -> np.nd
     return current
 
 
-def _certify(a: np.ndarray, theta: np.ndarray, v: np.ndarray, rank: int, residual: float) -> bool:
+def _certify(
+    a: np.ndarray, theta: np.ndarray, v: np.ndarray, rank: int, residual: float, norm: float
+) -> bool:
     """Whether the top `rank` Ritz pairs of `a`, theta[:rank] and the m x rank
     basis `v`, with residual ||A V - V Theta||_2 at most `residual`, are
-    proved within _SIN_THETA_TOL of the top-`rank` eigenspace.  A proof
-    overwrites `a`; otherwise `a` is left (or put back) as it was.
+    proved within _SIN_THETA_TOL of the top-`rank` eigenspace.  `norm` is at
+    least ||A||_inf, and `a` is written over either way.
 
-    With sigma = theta_r - residual / _SIN_THETA_TOL, a Cholesky
-    factorization of M = sigma I - A + V Theta V^T that succeeds shows M
-    positive definite, so A - V Theta V^T < sigma I and, V Theta V^T having
-    rank r, lambda_{r+1}(A) < sigma (Weyl).  Davis-Kahan then bounds the
-    sine of the angle between V and the top-r eigenspace by
-    residual / (theta_r - sigma) = _SIN_THETA_TOL.  V^T M V = sigma I, so
-    sigma must be positive; and the Ritz value theta_{r+1} is at most
-    lambda_{r+1} (Cauchy interlacing), so sigma must exceed it: else no
-    factorization is tried.
+    Let sigma = theta_r - residual / _SIN_THETA_TOL.  If X = A - V Theta V^T
+    has lambda_max(X) < sigma, then, V Theta V^T having at most r positive
+    eigenvalues, lambda_{r+1}(A) <= lambda_max(X) < sigma (Weyl), and
+    Davis-Kahan bounds the sine of the angle between V and the top-r
+    eigenspace by residual / (theta_r - sigma) = _SIN_THETA_TOL.  The Ritz
+    value theta_{r+1} is at most lambda_{r+1} (Cauchy interlacing), so sigma
+    must exceed it, and V^T (sigma I - X) V = sigma I, so sigma must be
+    positive: else nothing is tried.
 
-    M is written into the upper triangle of `a` only, so the lower triangle
-    and a copy of the diagonal put `a` back if the factorization fails.
+    lambda_max(X) < sigma is proved by a floating-point Cholesky
+    factorization of Mf, the computed M = t I - X at t = sigma - c, with the
+    shift c of :func:`_rounding_shift` (after Rump, "Verification of
+    positive definiteness", BIT 46, 2006).  With u = 2^-53 and
+    gamma_k = k u / (1 - k u):
+
+    1. Forming.  Each entry of V Theta V^T is a dot product of length r of
+       the rounded V Theta with V, off by at most gamma_{r+1} P_ij, where
+       P = |V| |Theta| |V|^T; subtracting a_ij rounds once more, and so does
+       adding t on the diagonal.  So |Mf - M| <= gamma_{r+2} P + u |A| +
+       u diag|Mf|, and ||Mf - M||_2 <= f = gamma_{r+2} max|theta| ||V||_F^2 +
+       u (||A||_inf + max_i |Mf_ii|).
+    2. Factoring (Demmel; Higham, Accuracy and Stability of Numerical
+       Algorithms, Thm 10.3).  If Cholesky in floating point runs to
+       completion on Mf, in any order of the sums of products and with each
+       division done directly or by a rounded reciprocal, as the blocked BLAS
+       and LAPACK calls do, then R^T R = Mf + D with
+       |D| <= gamma_{m+1} |R^T| |R|.  Column j of R has
+       ||r_j||^2 <= Mf_jj / (1 - gamma_{m+1}), so by Cauchy-Schwarz
+       ||D||_2 <= alpha tr(Mf), alpha = gamma_{m+1} / (1 - gamma_{m+1}).
+       With gradual underflow, each product, quotient or reciprocal may
+       also err by eta / 2 absolutely (eta = 2^-1074; sums do not), which
+       adds at most m (m + 2 max_j R_jj) eta <= 4m (2(m + 1) + max_i Mf_ii) eta
+       to ||D||_2.  As R^T R is positive semidefinite,
+       lambda_min(Mf) >= -(alpha tr(Mf) + that).
+    3. So lambda_min(M) >= -(alpha tr(Mf) + f + the underflow term), which
+       the shift c exceeds: lambda_max(X) = t - lambda_min(M) < t + c = sigma.
+
+    The shift also needs t > 0 and t > theta_{r+1}.  M is written into the
+    upper triangle of `a` only, as the factorization reads only that one.
     """
     sigma = theta[rank - 1] - residual / _SIN_THETA_TOL
     if not (sigma > 0 and sigma > theta[rank]):
         return False
     m, tile = a.shape[0], _CERTIFICATE_TILE
-    diagonal = a.diagonal().copy()
     scaled = v * theta[:rank]
     for i, j in _upper_tiles(m):
         block = a[i : i + tile, j : j + tile]
         outer = scaled[i : i + tile] @ v[j : j + tile].T
         _write_upper(block, np.subtract(outer, block, out=outer), i == j)
-    a.flat[:: m + 1] += sigma
-    if _cholesky_upper(a):
-        return True
-    _put_back(a, diagonal)
-    return False
+    t = sigma - _rounding_shift(a.diagonal(), theta[:rank], v, norm, sigma)
+    if not (t > 0 and t > theta[rank]):
+        return False
+    a.flat[:: m + 1] += t
+    return _cholesky_upper(a)
+
+
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
+_SMALLEST_SUBNORMAL = float(np.nextafter(0.0, 1.0))
+
+
+def _gamma(k: int) -> float:
+    return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
+
+
+def _rounding_shift(
+    diagonal: np.ndarray, theta: np.ndarray, v: np.ndarray, norm: float, sigma: float
+) -> float:
+    """The shift c of :func:`_certify`: twice alpha tr(Mf) + f, plus the
+    underflow term, bounded from `diagonal`, the diagonal of
+    V Theta V^T - A as formed, and from sigma >= t > 0.
+
+    tr(Mf) and max_i |Mf_ii| are at most (1 + u) times the sum and the
+    largest of |diagonal| + sigma.  The factor 2 covers the terms of second
+    order in u left out above and the rounding in computing the shift
+    itself, ||V||_F^2 and `norm`.
+    """
+    m, rank = v.shape
+    absolute = np.abs(diagonal)
+    trace = (1 + _UNIT_ROUNDOFF) * (float(absolute.sum()) + m * sigma)
+    largest = (1 + _UNIT_ROUNDOFF) * (float(absolute.max()) + sigma)
+    forming = _gamma(rank + 2) * float(np.abs(theta).max()) * float(np.sum(v * v))
+    forming += _UNIT_ROUNDOFF * (norm + largest)
+    alpha = _gamma(m + 1) / (1 - _gamma(m + 1))
+    underflow = 4 * m * (2 * (m + 1) + largest) * _SMALLEST_SUBNORMAL
+    return 2 * (alpha * trace + forming) + underflow
 
 
 def _upper_tiles(m: int) -> list:
     """(i, j) corners of the _CERTIFICATE_TILE tiles on and above the diagonal."""
     tile = _CERTIFICATE_TILE
     return [(i, j) for i in range(0, m, tile) for j in range(i, m, tile)]
-
-
-def _put_back(a: np.ndarray, diagonal: np.ndarray) -> None:
-    """Restore the symmetric `a`, whose upper triangle was written over, from
-    its strict lower triangle and a copy of its `diagonal`, a tile at a time."""
-    tile = _CERTIFICATE_TILE
-    for i, j in _upper_tiles(a.shape[0]):
-        _write_upper(a[i : i + tile, j : j + tile], a[j : j + tile, i : i + tile].T, i == j)
-    a.flat[:: a.shape[0] + 1] = diagonal
 
 
 def _write_upper(block: np.ndarray, value: np.ndarray, diagonal: bool) -> None:
@@ -732,13 +837,13 @@ def _cholesky_upper(a: np.ndarray) -> bool:
 
 
 def _solve_values(a: np.ndarray) -> np.ndarray:
-    """All eigenvalues, ascending, of the exactly symmetric float64 C-order
-    matrix `a`, which the solve may overwrite: LAPACK dsyevr in place where
-    numpy's LAPACK exports it, else numpy's ``eigvalsh`` of a copy; both
-    give the same bits at the same BLAS thread count."""
+    """All eigenvalues, ascending, of the finite, exactly symmetric `a`,
+    which is not written to: LAPACK dsyevr on a triangle copy where numpy's
+    LAPACK exports it, else numpy's ``eigvalsh``; both give the same bits at
+    the same BLAS thread count."""
     if _DSYEVR is None:
         return np.linalg.eigvalsh(a)
-    w = _dsyevr(a, a.shape[0], vectors=False)[0]
+    w = _dsyevr(_solve_copy(a), a.shape[0], vectors=False)[0]
     if w.size < a.shape[0]:
         raise np.linalg.LinAlgError(f"LAPACK dsyevr found {w.size} of {a.shape[0]} eigenvalues")
     return w
@@ -784,43 +889,64 @@ _SCALE_MIN = math.sqrt(_SAFE_MIN / float(np.finfo(np.float64).eps))
 _SCALE_MAX = min(1.0 / _SCALE_MIN, 1.0 / math.sqrt(math.sqrt(_SAFE_MIN)))
 
 
-def _solve_extremes(a: np.ndarray) -> tuple[float, float]:
-    """(lowest, highest) eigenvalue of the exactly symmetric float64 C-order
-    matrix `a`, which the solve may overwrite; (0.0, 0.0) for m = 0.
+def _solve_extremes(a: np.ndarray, index: np.ndarray | None = None) -> tuple[float, float]:
+    """(lowest, highest) eigenvalue of the finite, exactly symmetric `a`, or
+    of its principal submatrix a[index, index], which is not written to;
+    (0.0, 0.0) for m = 0.
 
-    One LAPACK dsytrd reduction of `a` to a tridiagonal T, with the
-    workspace a values-only dsyevr gives it (so T has the bits eigvalsh
+    One LAPACK dsytrd reduction of a triangle copy to a tridiagonal T, with
+    the workspace a values-only dsyevr gives it (so T has the bits eigvalsh
     reduces to at the same BLAS thread count), then dstebz bisection on T
     for its first and its m-th eigenvalue, at the most accurate tolerance:
     each end to within a few ulps of itself, where a full solve would also
     sweep out the m - 2 eigenvalues between them.  The input is scaled as
-    dsyevr scales it.  Where numpy's LAPACK exports no dsytrd or no dstebz,
-    the two ends of :func:`_solve_values`, bit for bit.
+    dsyevr scales it, by its largest entry, anrm.  T bounds anrm, as
+    max|T| <= ||T||_2 = ||A||_2 <= m anrm and anrm <= ||A||_2 <= 3 max|T|;
+    only where these bounds (each widened by 2 for the reduction's rounding)
+    leave [_SCALE_MIN, _SCALE_MAX] is anrm read from a new copy, which is
+    scaled and reduced again if anrm is out of range.
+    Where numpy's LAPACK exports no dsytrd or no dstebz, the two ends of
+    :func:`_solve_values` of the gathered matrix, bit for bit.
     """
-    m = a.shape[0]
+    m = a.shape[0] if index is None else index.size
     if m == 0:
         return 0.0, 0.0
     if _DSYTRD is None or _DSTEBZ is None:
-        w = _solve_values(a)
+        w = _solve_values(a if index is None else a[np.ix_(index, index)])
         return float(w[0]), float(w[-1])
-    largest = max(-float(a.min()), float(a.max()))
+    d, e = _tridiagonal(_solve_copy(a, index))
+    # NaN or inf in T (an overflowing reduction) fails the test too
+    top = float(np.abs(np.concatenate([d, e[: m - 1]])).max())
     scale = 1.0
-    if 0.0 < largest < _SCALE_MIN:
-        scale = _SCALE_MIN / largest
-    elif largest > _SCALE_MAX:
-        scale = _SCALE_MAX / largest
+    if not (_SCALE_MIN <= top / (2 * m) and 6 * top <= _SCALE_MAX):
+        copy = _solve_copy(a, index)
+        # the unwritten triangle reads as zeros, which change no largest |entry|
+        largest = max(-float(copy.min()), float(copy.max()))
+        if 0.0 < largest < _SCALE_MIN:
+            scale = _SCALE_MIN / largest
+        elif largest > _SCALE_MAX:
+            scale = _SCALE_MAX / largest
+        if scale != 1.0:
+            copy *= scale
+            d, e = _tridiagonal(copy)
+    lowest, highest = (_dstebz(d, e, i) for i in (1, m))
     if scale != 1.0:
-        a *= scale
+        lowest, highest = lowest * (1.0 / scale), highest * (1.0 / scale)
+    return lowest, highest
+
+
+def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e): the diagonal and the m - 1 off-diagonal entries (e has one
+    more, unset) of LAPACK dsytrd's reduction of the float64 C-order `a`
+    from its upper triangle, which it overwrites."""
+    m = a.shape[0]
     int_type = _DSYTRD[1]
     # E and TAU hold m - 1 entries; one more keeps them non-empty at m = 1
     d, e, tau = np.empty(m), np.empty(m), np.empty(m)
     head = (b"L", int_type(m), a, int_type(m), d, e, tau)
     # the 5m more WORK that dsyevr adds gives dsytrd its full blocking there
     _lapack("dsytrd", _DSYTRD, head, (1,), extra_work=5 * m, iwork=False)
-    lowest, highest = (_dstebz(d, e, index) for index in (1, m))
-    if scale != 1.0:
-        lowest, highest = lowest * (1.0 / scale), highest * (1.0 / scale)
-    return lowest, highest
+    return d, e
 
 
 def _dstebz(d: np.ndarray, e: np.ndarray, index: int) -> float:
@@ -871,19 +997,21 @@ def submatrix_norms(a: np.ndarray, sets) -> np.ndarray:
 
     Equal to :func:`spectral_norm` of each gathered submatrix, but `a` is
     checked (finite, and symmetrized unless exactly symmetric) once.  Each
-    norm is the larger end of one :func:`_solve_extremes` solve of the
-    set's copy.  The sets are solved largest first on a thread pool: one
-    solve per core at once, with OpenBLAS at one thread for the batch, where
-    numpy's LAPACK exports dsyevr, dsytrd and dstebz and OpenBLAS its thread
-    controls, else one at a time at the current BLAS thread count.  The
-    calling thread gathers each copy, and starts a set only while the copies
-    in flight fit in a.nbytes (or none is in flight).  An empty set has norm 0.
+    norm is the larger end of one :func:`_solve_extremes` solve, which
+    gathers the set's triangle copy from `a`.  The sets are solved largest
+    first on a thread pool: one solve per core at once, with OpenBLAS at one
+    thread for the batch, where numpy's LAPACK exports dsyevr, dsytrd and
+    dstebz and OpenBLAS its thread controls, else one at a time at the
+    current BLAS thread count.  A set starts only while the copies in
+    flight, counted at 8|S|^2 bytes each, fit in 8m^2 (or none is in
+    flight).  An empty set has norm 0.
     """
-    a = _finite_symmetric(a, private=False)
+    a = _finite_symmetric(a)
     sets = [np.asarray(v, dtype=np.int64) for v in sets]
     norms = np.zeros(len(sets), dtype=np.float64)
     pending = sorted((i for i, v in enumerate(sets) if v.size), key=lambda i: -sets[i].size)
     nbytes = [8 * v.size**2 for v in sets]  # of each set's float64 copy
+    budget = 8 * a.shape[0] ** 2
     pinned = all(r is not None for r in (_DSYEVR, _DSYTRD, _DSTEBZ, _SET_THREADS, _GET_THREADS))
     workers = _workers() if pinned else 1
     in_flight: dict = {}  # future -> set index
@@ -892,12 +1020,12 @@ def submatrix_norms(a: np.ndarray, sets) -> np.ndarray:
             held = sum(nbytes[i] for i in in_flight.values())
             while pending and len(in_flight) < workers:
                 # the largest pending set whose copy fits beside those in flight
-                fits = (i for i in pending if held + nbytes[i] <= a.nbytes)
+                fits = (i for i in pending if held + nbytes[i] <= budget)
                 i = next(fits, None if in_flight else pending[0])
                 if i is None:
                     break
                 pending.remove(i)
-                in_flight[pool.submit(_solve_extremes, a[np.ix_(sets[i], sets[i])])] = i
+                in_flight[pool.submit(_solve_extremes, a, sets[i])] = i
                 held += nbytes[i]
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
             for future in done:
@@ -914,7 +1042,7 @@ def top_projector(a: np.ndarray, rank: int) -> Projector:
 
 def spectral_norm(a: np.ndarray) -> float:
     """Largest absolute eigenvalue of a symmetric matrix (0 for an empty one):
-    the larger end of one :func:`_solve_extremes` solve of a float64 copy,
-    validated as :func:`eigh_descending` validates."""
-    lowest, highest = _solve_extremes(_finite_symmetric(a, private=True))
+    the larger end of one :func:`_solve_extremes` solve of a float64 triangle
+    copy, validated as :func:`eigh_descending` validates."""
+    lowest, highest = _solve_extremes(_finite_symmetric(a))
     return max(abs(lowest), abs(highest))

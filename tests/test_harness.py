@@ -216,7 +216,10 @@ class TestRunChecks:
             spectral, "_solve_top", lambda a, rank: solve_sizes.append(len(a)) or solve_top(a, rank)
         )
         monkeypatch.setattr(
-            spectral, "_solve_extremes", lambda a: value_sizes.append(len(a)) or solve_extremes(a)
+            spectral,
+            "_solve_extremes",
+            lambda a, index=None: value_sizes.append(len(a) if index is None else len(index))
+            or solve_extremes(a, index),
         )
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_sizes.append(len(a)) or eigh(a))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh_sizes.append(len(a)) or eigvalsh(a))
@@ -226,7 +229,7 @@ class TestRunChecks:
         # and no full solve, except inside the top-r solve where LAPACK has no dsyevr
         assert eigh_sizes == ([] if spectral._DSYEVR else solve_sizes)
         # the 6 proper cluster unions of the FK check (solved concurrently,
-        # so in any order), then A - E in place for ||A - E|| and the union of
+        # so in any order), then A - E itself for ||A - E|| and the union of
         # all 3 clusters; ||P_A - P_E|| comes from the principal angles, with
         # no m x m solve
         assert sorted(value_sizes[:-1], reverse=True) == [40, 40, 40, 20, 20, 20]

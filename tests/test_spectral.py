@@ -1,6 +1,8 @@
 import contextlib
 import ctypes
 import math
+import mmap
+import os
 import sys
 import threading
 import time
@@ -25,6 +27,12 @@ from plantrec.spectral import (
 )
 
 from oracles import cluster_matrix, dense_projector, extended_extremes
+
+
+long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="numpy's long double is no wider than float64 here, so the oracle is no reference",
+)
 
 
 def power_iteration_norm(a: np.ndarray, iters: int = 5000) -> float:
@@ -407,8 +415,10 @@ class TestIterativeSolve:
 
     @pytest.mark.parametrize("path", ["certified", "certificate failed", "budget exhausted"])
     def test_iterative_solve_of_uint8_holds_one_float_copy(self, iterative_on, monkeypatch, path):
-        # the iteration's blocks and the certificate's tiles fit in 5% of the
-        # one 8 m^2 copy, which the certificate writes in place and puts back
+        # the one whole 8 m^2 copy, which the certificate writes in place, is
+        # a memory mapping that tracemalloc does not see (dsyevr's triangle
+        # copy after it too); the iteration's blocks and the certificate's
+        # tiles fit in 5% of it
         m = 2000
         adj = sample_graph(make_partition(m, 500), ModelParams(p=0.7, q=0.3, seed=6)).adj
         if path == "certificate failed":
@@ -424,7 +434,7 @@ class TestIterativeSolve:
             tracemalloc.stop()
         assert dec.solve.solver == ("iterative" if path == "certified" else "dsyevr")
         assert dec.solve.steps > 0
-        assert peak <= 1.05 * 8 * m * m
+        assert peak <= 0.05 * 8 * m * m
         if path != "certified":
             assert_same_decomposition(dec, dsyevr_only(eigh_descending, adj, 4))
 
@@ -501,15 +511,83 @@ class TestCertificate:
         assert infos[:3] == [0, 0, 0] and len(infos) == 4 and infos[3] > 0
         assert np.array_equal(np.tril(a, -1), lower)
 
-    def test_certify_puts_the_matrix_back(self):
+    def test_certify_fails_at_the_spike(self, monkeypatch):
         # Ritz values 50 and 0.5 for the vector e_0: sigma is about 50, and
-        # sigma I - A + 50 e_0 e_0^T fails at the spike in row block 3
+        # sigma I - A + 50 e_0 e_0^T fails at the spike in row block 3; the
+        # copy is left written over, and a solve copies its input again
         m, at = 702, 400
         a = self.spiked(m, at)
-        before = a.copy()
+        potrf, int_type = spectral._DPOTRF
+        infos = []
+
+        def counted(uplo, n, tile, lda, info, length):
+            potrf(uplo, n, tile, lda, info, length)
+            infos.append(info.value)
+
+        monkeypatch.setattr(spectral, "_DPOTRF", (counted, int_type))
         theta, v = np.array([50.0, 0.5]), np.eye(m)[:, :1]
-        assert not spectral._certify(a, theta, v, 1, 1e-12)
-        assert np.array_equal(a, before)
+        assert not spectral._certify(a, theta, v, 1, 1e-12, float(np.abs(a).sum(axis=1).max()))
+        assert infos[:3] == [0, 0, 0] and len(infos) == 4 and infos[3] > 0
+
+    def test_rounding_shift_at_cli_large_round_0(self):
+        # m = 3000, r = 3 with sigma = 385.7: the shift is twice
+        # alpha tr(M) ~ 2 (m + 1) u m sigma = 7.7e-7 (the forming term is about
+        # 1e-12), far below the margin sigma - theta_{r+1} = 339
+        m, sigma = 3000, 385.7
+        v = np.linalg.qr(np.random.default_rng(1).standard_normal((m, 3)))[0]
+        theta = np.array([1498.0, 401.0, 392.0])
+        diagonal = np.einsum("ij,j,ij->i", v, theta, v)  # of V Theta V^T - A, A with zero diagonal
+        shift = spectral._rounding_shift(diagonal, theta, v, 2700.0, sigma)
+        alpha = (m + 1) * 2.0**-53
+        assert 2 * alpha * m * sigma < shift < 2.01 * alpha * m * sigma
+        assert 7.7e-7 < shift < 7.8e-7
+
+    @pytest.mark.parametrize("within", [True, False])
+    def test_sigma_within_the_shift_of_theta_r_plus_1_is_refused(self, monkeypatch, within):
+        # residual 0, so sigma = theta_r; theta_{r+1} half the shift below it
+        # passes the unshifted test but not the shifted one, and nothing is
+        # factored; twice the shift below it, the factorization runs
+        m = 300
+        a = as_symmetric(np.random.default_rng(2).standard_normal((m, m))) / (4 * math.sqrt(m))
+        v = np.eye(m)[:, :1]
+        theta = np.array([50.0, 0.0])
+        norm = float(np.abs(a).sum(axis=1).max())
+        diagonal = v[:, 0] ** 2 * 50.0 - a.diagonal()
+        shift = spectral._rounding_shift(diagonal, theta[:1], v, norm, 50.0)
+        theta[1] = 50.0 - (0.5 if within else 2.0) * shift
+        assert theta[1] < 50.0
+        calls = []
+        assert_failing_factorization(monkeypatch, sys.maxsize, calls)  # factors every tile
+        assert spectral._certify(a.copy(), theta, v, 1, 0.0, norm) is (not within)
+        assert (calls == []) is within
+
+    @long_double
+    def test_formed_matrix_within_the_forming_bound(self, monkeypatch):
+        # step 1 of the certificate's proof: ||Mf - M||_2 <= f, with M formed
+        # exactly in long double from the same float64 inputs
+        m, r = 300, 4
+        rng = np.random.default_rng(3)
+        a = _graph_adjacency(m, 3).astype(np.float64)
+        v = np.linalg.qr(rng.standard_normal((m, r)))[0]
+        theta = np.array([120.0, 40.5, 33.25, 30.125, 1.0])
+        norm = float(np.abs(a).sum(axis=1).max())
+        shifts, formed = [], []
+        shift = spectral._rounding_shift
+        monkeypatch.setattr(
+            spectral, "_rounding_shift", lambda *args: shifts.append(shift(*args)) or shifts[-1]
+        )
+        monkeypatch.setattr(spectral, "_cholesky_upper", lambda x: formed.append(np.triu(x)) or False)
+        assert not spectral._certify(a.copy(), theta, v, r, 1e-9, norm)
+        mf = formed[0] + np.triu(formed[0], 1).T
+        t = theta[r - 1] - 1e-9 / 1e-10 - shifts[0]  # as the certificate computes it
+        vl = v.astype(np.longdouble)
+        exact = (vl * theta[:r].astype(np.longdouble)) @ vl.T - a.astype(np.longdouble)
+        exact[np.diag_indices(m)] += np.longdouble(t)
+        error = np.linalg.norm((mf.astype(np.longdouble) - exact).astype(np.float64), 2)
+        u = 2.0**-53
+        gamma = (r + 2) * u / (1 - (r + 2) * u)
+        f = gamma * 120.0 * float(np.sum(v * v)) + u * (norm + np.abs(np.diag(mf)).max())
+        assert 0 < error <= f
 
 
 class TestDsyevrShortfall:
@@ -536,6 +614,113 @@ class TestDsyevrShortfall:
     def test_a_solve_that_finds_every_pair_records_none(self):
         dec = eigh_descending(random_symmetric(30, 4), 3)
         assert dec.solve == spectral.SolveRecord("dsyevr", 0, None)
+
+
+def nan_below_the_diagonal(monkeypatch) -> list:
+    """Every triangle copy a solve makes gets NaN in its strict lower
+    triangle, the one LAPACK must not read; returns the list to which each
+    copy's `whole` flag is appended."""
+    copy, made = spectral._solve_copy, []
+
+    def poisoned(a, index=None, whole=False):
+        out = copy(a, index, whole)
+        made.append(whole)
+        if not whole:
+            out[np.tril_indices(len(out), -1)] = np.nan
+        return out
+
+    monkeypatch.setattr(spectral, "_solve_copy", poisoned)
+    return made
+
+
+class TestSolveCopies:
+    """Each attempt at a solve writes a copy of its own, in a mapping of its
+    own, of the triangle LAPACK reads, or of the whole matrix for the
+    iteration; a fallback copies the input again."""
+
+    @pytest.mark.parametrize("m", [1, 2, 31, 32, 33, 100])
+    def test_copy_holds_the_upper_triangle_in_a_mapping(self, m):
+        adj = _graph_adjacency(m, m)
+        index = np.random.default_rng(m).permutation(m)[: max(1, m - 3)]
+        for source, idx, want in ((adj, None, adj), (adj, index, adj[np.ix_(index, index)])):
+            copy = spectral._solve_copy(source, idx)
+            assert copy.dtype == np.float64 and copy.flags.c_contiguous and copy.flags.writeable
+            assert np.array_equal(np.triu(copy), np.triu(want)) and not np.tril(copy, -1).any()
+            base = copy
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert isinstance(base.obj if isinstance(base, memoryview) else base, mmap.mmap)
+        assert np.array_equal(spectral._solve_copy(adj, whole=True), adj)
+        assert spectral._solve_copy(adj, np.array([], dtype=np.int64)).shape == (0, 0)
+
+    @pytest.mark.parametrize("m", [1, 2, 127, 128, 129, 300])
+    def test_other_triangle_is_never_read(self, monkeypatch, m):
+        # NaN in the strict lower triangle of every triangle copy: the same
+        # bits from every routine that solves one
+        rng = np.random.default_rng(m)
+        a, adj = random_symmetric(m, m), _graph_adjacency(m, m + 1)
+        rank = max(1, m // 10)
+        sets = [np.arange(m), rng.permutation(m)[: max(1, m // 2)], rng.permutation(m)[:1]]
+
+        def solves():
+            return [
+                eigh_descending(a, rank), eigh_descending(adj, rank), eigh_descending(a),
+                eigvals_descending(a), eigvals_descending(adj), spectral_norm(a), spectral_norm(adj),
+                spectral.submatrix_norms(a, sets), spectral._solve_extremes(a, sets[1]),
+            ]
+
+        want = solves()
+        made = nan_below_the_diagonal(monkeypatch)
+        got = solves()
+        assert made and not any(made)
+        for g, w in zip(got[:3], want[:3]):
+            assert_same_decomposition(g, w)
+        for g, w in zip(got[3:], want[3:]):
+            assert np.array_equal(g, w)
+
+    def test_each_path_copies_the_source_again(self, request, monkeypatch):
+        # plain dsyevr: one triangle copy; the shortfall of 1 - I at m = 17,
+        # rank 3: a second one for all pairs
+        made = nan_below_the_diagonal(monkeypatch)
+        eigh_descending(random_symmetric(30, 4), 3)
+        assert made == [False]
+        made.clear()
+        a = 1.0 - np.eye(17)
+        dec = eigh_descending(a, 3)
+        assert made == ([False, False] if spectral._DSYEVR is not None else [])
+        full = eigh_descending(a)
+        assert np.array_equal(dec.eigenvalues, full.eigenvalues[:3])
+        assert np.array_equal(dec.eigenvectors, full.eigenvectors[:, :3])
+        # the iteration: one whole copy; a failed certificate: then a triangle copy
+        request.getfixturevalue("iterative_on")
+        adj = sample_graph(make_partition(300, 100), ModelParams(p=0.9, q=0.1, seed=1)).adj
+        made.clear()
+        assert eigh_descending(adj, 3).solve.solver == "iterative"
+        assert made == [True]
+        made.clear()
+        assert_failing_factorization(monkeypatch, 3, [])
+        dec = eigh_descending(adj, 3)
+        assert dec.solve.solver == "dsyevr" and made == [True, False]
+        assert_same_decomposition(dec, dsyevr_only(eigh_descending, adj, 3))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the resident size there")
+    def test_untouched_triangle_is_not_resident(self):
+        m, page = 2000, os.sysconf("SC_PAGE_SIZE")
+        adj = _graph_adjacency(m, 2)
+
+        def resident() -> int:
+            with open("/proc/self/statm") as f:
+                return int(f.read().split()[1]) * page
+
+        before = resident()
+        copy = spectral._solve_copy(adj)
+        # 4m^2 bytes and at most a page per row more
+        assert resident() - before <= 4 * m * m + (m + 256) * page
+        del copy
+        assert resident() - before <= 0.05 * 8 * m * m  # unmapped with the copy
+        copy = spectral._solve_copy(adj, whole=True)
+        assert resident() - before >= 0.95 * 8 * m * m
+        del copy
 
 
 def _graph_adjacency(m: int, seed: int) -> np.ndarray:
@@ -632,8 +817,9 @@ class TestOneCopy:
         assert np.abs(w - eigh_descending(a).eigenvalues).max() <= 1e-12 * np.abs(w).max()
 
     def test_rank_solve_of_uint8_holds_one_float_copy(self):
-        # one 8 m^2 float64 copy and the m^2-byte symmetry check; the solve
-        # once also held an as_symmetric copy and its caller's astype copy
+        # the m^2-byte symmetry check and no copy on the heap: the float64
+        # copy is a memory mapping; the solve once also held an as_symmetric
+        # copy and its caller's astype copy
         m = 600
         adj = _graph_adjacency(m, 5)
         eigh_descending(adj[:20, :20], 2)  # warm up: lazy imports and first-call caches
@@ -643,7 +829,7 @@ class TestOneCopy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * m * m
+        assert peak < 0.25 * 8 * m * m
 
     def test_finiteness_check_holds_no_matrix_sized_temporary(self):
         # min and max find a NaN or an infinity without the m^2-byte bool
@@ -709,12 +895,6 @@ def extremes_cases(draw):
     return (upper + upper.T).astype(np.float64)
 
 
-long_double = pytest.mark.skipif(
-    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
-    reason="numpy's long double is no wider than float64 here, so the oracle is no reference",
-)
-
-
 class TestSolveExtremes:
     @long_double
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -740,6 +920,43 @@ class TestSolveExtremes:
         got = spectral._solve_extremes(a.copy())
         tol = 8 * np.finfo(np.float64).eps * max(abs(want[0]), abs(want[1]))
         assert abs(got[0] - want[0]) <= tol and abs(got[1] - want[1]) <= tol, (got, want)
+
+    @staticmethod
+    def scaled_by_the_largest_entry(a: np.ndarray) -> tuple:
+        """The ends with dsyevr's scaling decided from max |a_ij|, as it
+        once was: a whole copy, scaled, reduced and bisected."""
+        largest, scale = float(np.abs(a).max()), 1.0
+        if 0.0 < largest < spectral._SCALE_MIN:
+            scale = spectral._SCALE_MIN / largest
+        elif largest > spectral._SCALE_MAX:
+            scale = spectral._SCALE_MAX / largest
+        d, e = spectral._tridiagonal(a * scale)
+        m = len(a)
+        return spectral._dstebz(d, e, 1) * (1.0 / scale), spectral._dstebz(d, e, m) * (1.0 / scale)
+
+    @pytest.mark.skipif(spectral._DSYTRD is None or spectral._DSTEBZ is None, reason="no dsytrd or dstebz")
+    @pytest.mark.parametrize(
+        "largest,copies,reductions",
+        [
+            (1.0, 1, 1),  # T in range: one copy, one reduction
+            (4e-146 * 6 * 30, 1, 1),  # just inside the bound from T
+            (1.5 * spectral._SCALE_MIN, 2, 1),  # not scaled, but T cannot tell: a copy shows it
+            (0.5 * spectral._SCALE_MIN, 2, 2),  # scaled
+            (0.6 * spectral._SCALE_MAX, 2, 1),  # not scaled, but T cannot tell
+            (2.0 * spectral._SCALE_MAX, 2, 2),  # scaled
+        ],
+    )
+    def test_scaling_decided_from_the_tridiagonal(self, monkeypatch, largest, copies, reductions):
+        # bit for bit the ends with the scaling decided from the largest entry
+        a = random_symmetric(30, 4)
+        a *= largest / np.abs(a).max()
+        want = self.scaled_by_the_largest_entry(a)
+        made, reduced = [], []
+        copy, tridiagonal = spectral._solve_copy, spectral._tridiagonal
+        monkeypatch.setattr(spectral, "_solve_copy", lambda *args: made.append(1) or copy(*args))
+        monkeypatch.setattr(spectral, "_tridiagonal", lambda x: reduced.append(1) or tridiagonal(x))
+        assert spectral._solve_extremes(a) == want
+        assert (len(made), len(reduced)) == (copies, reductions)
 
     def test_exact_ends(self):
         assert spectral._solve_extremes(np.diag([2.0, -5.0, 1.0])) == (-5.0, 2.0)
@@ -840,19 +1057,20 @@ class TestSubmatrixNorms:
         a = random_symmetric(n, 7)
         sets = [np.arange(n)] + [np.arange(n)[np.arange(n) % 3 != c] for c in range(3)] * 3
         sets += [np.arange(c, n, 3) for c in range(3)] * 3
+        want = gathered_norms(a, sets)
         lock, running, peaks = threading.Lock(), [0], []
         solve = spectral._solve_extremes
 
-        def recorded(x):
+        def recorded(x, index):
             with lock:
-                running[0] += x.nbytes
+                running[0] += 8 * index.size**2
                 peaks.append(running[0])
             try:
                 time.sleep(0.002)
-                return solve(x)
+                return solve(x, index)
             finally:
                 with lock:
-                    running[0] -= x.nbytes
+                    running[0] -= 8 * index.size**2
 
         monkeypatch.setattr(spectral, "_workers", lambda: 8)
         monkeypatch.setattr(spectral, "_solve_extremes", recorded)
@@ -860,7 +1078,7 @@ class TestSubmatrixNorms:
         assert len(peaks) == len(sets)
         assert max(peaks) <= a.nbytes
         assert max(peaks) > 8 * 40 * 40  # solves did overlap
-        assert got.tolist() == gathered_norms(a, sets)
+        assert got.tolist() == want
 
     @thread_control
     def test_set_larger_than_the_matrix_runs_alone(self):
@@ -918,14 +1136,14 @@ class TestSubmatrixNorms:
         lock, running, peaks, threads = threading.Lock(), [0], [], []
         solve = spectral._solve_extremes
 
-        def recorded(x):
+        def recorded(x, index):
             with lock:
                 running[0] += 1
                 peaks.append(running[0])
             threads.append(get_threads())
             try:
                 time.sleep(0.002)
-                return solve(x)
+                return solve(x, index)
             finally:
                 with lock:
                     running[0] -= 1
@@ -942,7 +1160,7 @@ class TestSubmatrixNorms:
         assert spectral._GET_THREADS[0]() == 2
 
     def test_blas_threads_restored_after_a_failed_solve(self, two_blas_threads, monkeypatch):
-        def failing(x):
+        def failing(x, index):
             raise np.linalg.LinAlgError("stand-in solve failed")
 
         monkeypatch.setattr(spectral, "_solve_extremes", failing)
@@ -963,12 +1181,12 @@ class TestSubmatrixNorms:
         want = run_checks(g, part, params, ("fk",), 0.1)
         solve, seen = spectral._solve_extremes, []
 
-        def slow(x):
-            if len(x) < n:  # an FK union, not the in-place solve of A - E
+        def slow(x, index=None):
+            if index is not None:  # an FK union, not the solve of A - E itself
                 seen.append(spectral._GET_THREADS[0]())
                 first_solving.set()
                 time.sleep(0.002)
-            return solve(x)
+            return solve(x, index)
 
         monkeypatch.setattr(spectral, "_solve_extremes", slow)
         first_solving, results = threading.Event(), []
@@ -1064,6 +1282,23 @@ class TestRowSumNorms:
         monkeypatch.setattr(spectral, "_weigh", lambda f, w: weighed.append(len(w)) or weigh(f, w))
         spectral._row_sum_norms(factor, sets)
         assert weighed == [3]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 80), st.integers(1, 6), st.integers(0, 80), st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_weigh_at_once_equals_the_loop(self, m, width, s, count, seed):
+        # bit for bit the masses added one position at a time, through the
+        # one-gather sum (width >= 2) and through the loop it replaces
+        rng = np.random.default_rng(seed)
+        factor = rng.standard_normal((m, width)) * 10.0 ** rng.integers(-4, 5, (m, 1))
+        sets = np.stack([np.sort(rng.choice(m, min(s, m), replace=False)) for _ in range(count)])
+        want = per_set_masses(factor, sets)
+        assert np.array_equal(spectral._weigh(factor, sets), want)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "_WEIGH_ENTRIES", 0)
+            assert np.array_equal(spectral._weigh(factor, sets), want)
 
     def test_collision_weighs_every_row(self, monkeypatch):
         factor, sets = self.few_set_instance(6)
