@@ -596,12 +596,16 @@ class TestDsyevrShortfall:
     pairs of the matrix put back."""
 
     @pytest.mark.parametrize("m,rank", [(17, 3), (21, 2), (25, 4)])
-    def test_ones_minus_identity(self, m, rank):
-        # 1 - I: eigenvalue m - 1 once, -1 m - 1 times
+    def test_ones_minus_identity(self, monkeypatch, m, rank):
+        # 1 - I: eigenvalue m - 1 once, -1 m - 1 times; each of the two
+        # solves reads a triangle copy of its own, NaN below the diagonal
         a = 1.0 - np.eye(m)
+        made = nan_below_the_diagonal(monkeypatch)
         dec = eigh_descending(a, rank)
         if spectral._DSYEVR is not None:
             assert dec.solve == spectral.SolveRecord("dsyevr", 0, None, all_pairs=True)
+            assert made == [False, False]
+        monkeypatch.undo()
         assert dec.eigenvalues == pytest.approx([m - 1] + [-1] * (rank - 1), abs=1e-12)
         v = dec.eigenvectors
         assert np.abs(a @ v - v * dec.eigenvalues).max() <= 1e-12 * m
@@ -679,19 +683,12 @@ class TestSolveCopies:
             assert np.array_equal(g, w)
 
     def test_each_path_copies_the_source_again(self, request, monkeypatch):
-        # plain dsyevr: one triangle copy; the shortfall of 1 - I at m = 17,
-        # rank 3: a second one for all pairs
+        # plain dsyevr: one triangle copy (the shortfall's second one is in
+        # TestDsyevrShortfall); the iteration: one whole copy; a failed
+        # certificate: then a triangle copy
         made = nan_below_the_diagonal(monkeypatch)
         eigh_descending(random_symmetric(30, 4), 3)
-        assert made == [False]
-        made.clear()
-        a = 1.0 - np.eye(17)
-        dec = eigh_descending(a, 3)
-        assert made == ([False, False] if spectral._DSYEVR is not None else [])
-        full = eigh_descending(a)
-        assert np.array_equal(dec.eigenvalues, full.eigenvalues[:3])
-        assert np.array_equal(dec.eigenvectors, full.eigenvectors[:, :3])
-        # the iteration: one whole copy; a failed certificate: then a triangle copy
+        assert made == ([False] if spectral._DSYEVR is not None else [])
         request.getfixturevalue("iterative_on")
         adj = sample_graph(make_partition(300, 100), ModelParams(p=0.9, q=0.1, seed=1)).adj
         made.clear()
