@@ -38,6 +38,7 @@ from .errors import (
     EmptyFamilyError,
     EpsilonOutOfRangeError,
     SizeOutOfRangeError,
+    vertex_ids,
 )
 from .model import Graph, ModelParams, PlantedPartition
 from .recovery import all_candidate_sets, select_pivot
@@ -296,7 +297,7 @@ def _good_column(pivot: int, members: np.ndarray, mass: float, part, epsilon: fl
 
 def check_purity(w, part: PlantedPartition, epsilon: float, **context) -> BoundReport:
     """Largest single-cluster overlap of a size-s set against (1 - 3e)s."""
-    w = np.asarray(w, dtype=np.int64)
+    w = vertex_ids(w, part.n)
     if w.size != part.s:
         raise SizeOutOfRangeError(f"set must have exactly s={part.s} vertices")
     overlap = int(np.bincount(part.assignment[w], minlength=part.k).max())
@@ -371,9 +372,10 @@ def check_fk_submatrices(
 
     `labels`, when given, supplies a cluster bitmask per set for reporting.
     The norms come from one :func:`~plantrec.spectral.submatrix_norms`
-    batch, which gathers a copy of each x[S] and never writes to x.
+    batch, which gathers a copy of each x[S], never writes to x, and raises
+    VertexIdError for a set that is not distinct integer ids in 0..n-1.
     """
-    family = [np.asarray(vertices, dtype=np.int64) for vertices in family]
+    family = [np.asarray(vertices) for vertices in family]
     if not family:
         raise EmptyFamilyError("family of vertex sets is empty")
     if any(vertices.size == 0 for vertices in family):

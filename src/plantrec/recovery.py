@@ -42,6 +42,7 @@ from .errors import (
     InvariantViolationError,
     SizeOutOfRangeError,
     ZeroSizeError,
+    vertex_ids,
 )
 from .model import Graph, PlantedPartition
 from .spectral import Projector, SolveRecord, projector_operand, top_projector
@@ -175,12 +176,12 @@ def select_pivot(masses: np.ndarray) -> int:
 
 def extract_cluster(g: Graph, w: np.ndarray, s: int) -> np.ndarray:
     """The s vertices of g (not only of w) with the most neighbors in w."""
-    w = np.asarray(w, dtype=np.int64)
+    w = np.asarray(w)
     if w.size != s:
         raise SizeOutOfRangeError(f"candidate set must have exactly {s} vertices")
     if g.n < s:
         raise GraphTooSmallError(f"graph has {g.n} vertices, needs at least {s}")
-    return _extract(g.adj, w, s)
+    return _extract(g.adj, vertex_ids(w, g.n), s)
 
 
 def _extract(adj: np.ndarray, w: np.ndarray, s: int) -> np.ndarray:

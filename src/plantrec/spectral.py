@@ -1,15 +1,23 @@
 """Dense symmetric eigendecomposition, top-rank projectors, and matrix norms.
 
+Two capabilities are looked up once, at import, with ctypes in the libraries
+numpy itself links, each as a whole or not at all.  LAPACK is the seven
+routines this module calls (``dsyevr``, ``dsytrd``, ``dstebz``, ``dpotrf``
+and the BLAS ``dtrsm``, ``dsyrk`` and ``dgemm``), all under one name
+template, so with one integer type.  The thread controls are OpenBLAS's
+``openblas_set_num_threads`` and ``openblas_get_num_threads``.  OpenBLAS
+wheels export both, an MKL or reference LAPACK build only LAPACK, and
+Accelerate or Windows wheels neither.
+
 Every dense solve goes through one driver (workspace query, call, INFO
-check) into LAPACK ``dsyevr`` of the LAPACK that numpy itself links, looked
-up once, at import, with ctypes: the top r eigenpairs, or all eigenvalues
-only (the same bits as numpy's ``eigvalsh``).  Where it is not exported under
-a known name, numpy's full ``eigh`` (keeping the top r) or ``eigvalsh`` runs
-in its place.  A norm needs only the two ends of the spectrum: one LAPACK
-``dsytrd`` reduction to the tridiagonal that ``eigvalsh`` also solves, then
-two ``dstebz`` bisections, for the lowest and the highest eigenvalue, each
-to within a few ulps of itself (both looked up as ``dsyevr`` is); where
-either is missing, the ends of the full values-only solve.
+check) into LAPACK ``dsyevr``: the top r eigenpairs, or all eigenvalues
+only (the same bits as numpy's ``eigvalsh``).  A norm needs only the two
+ends of the spectrum: one LAPACK ``dsytrd`` reduction to the tridiagonal
+that ``eigvalsh`` also solves, then two ``dstebz`` bisections, for the
+lowest and the highest eigenvalue, each to within a few ulps of itself.
+Without LAPACK, numpy's full ``eigh`` (keeping the top r) runs in place of
+a top-r solve, ``eigvalsh`` in place of a values-only solve, and the two
+ends of ``eigvalsh`` in place of a norm; no block iteration is tried.
 
 A top-r solve of a large matrix far from the spectral threshold (m >= 1500
 and sqrt(m)/r >= 4) first tries a block iteration: r + 8 vectors from a fixed
@@ -21,16 +29,15 @@ residual ||A V - V Theta|| is small.  The lower end is the Gershgorin bound,
 basis is kept only when a Cholesky factorization of
 sigma' I - A + V Theta V^T succeeds in place (by row blocks of 128: BLAS
 ``dsyrk`` and ``dgemm`` update a block, LAPACK ``dpotrf`` factors its
-diagonal tile and one ``dtrsm`` solves the rest, all looked up as
-``dsyevr`` is), where sigma' is sigma lowered by a bound on the rounding of
-forming and factoring that matrix; this proves lambda_{r+1} < sigma and so,
-by Davis-Kahan, sin theta <= 1e-10 against the exact top-r eigenspace.  If
-the factorization fails, the step budget runs out, or the first steps show
-the wanted part is not separating, ``dsyevr`` solves a new copy of the
-input, bit for bit as it would alone.  Either way the result is
-deterministic for a fixed input, LAPACK build and BLAS thread count.  Where
-a rank cuts a repeated eigenvalue and ``dsyevr`` finds fewer than the top r
-pairs, another new copy is solved for all pairs.
+diagonal tile and one ``dtrsm`` solves the rest), where sigma' is sigma
+lowered by a bound on the rounding of forming and factoring that matrix;
+this proves lambda_{r+1} < sigma and so, by Davis-Kahan, sin theta <= 1e-10
+against the exact top-r eigenspace.  If the factorization fails, the step
+budget runs out, or the first steps show the wanted part is not separating,
+``dsyevr`` solves a new copy of the input, bit for bit as it would alone.
+Either way the result is deterministic for a fixed input, LAPACK build and
+BLAS thread count.  Where a rank cuts a repeated eigenvalue and ``dsyevr``
+finds fewer than the top r pairs, another new copy is solved for all pairs.
 
 Every matrix input passes one check: square, finite, and read as
 (a + a^T) / 2 unless exactly symmetric, compared one tile pair at a time,
@@ -47,9 +54,8 @@ multiplies with the whole matrix, so its copy is whole.
 
 The norms of many principal submatrices of one matrix
 (:func:`submatrix_norms`) are solved on a thread pool, one solve per core at
-once with OpenBLAS held at one thread (through its
-``openblas_set_num_threads``, looked up the same way), or one at a time where
-``dsyevr``, ``dsytrd``, ``dstebz`` or the thread controls do not resolve.
+once with OpenBLAS held at one thread through its thread controls, or one
+at a time, at the current BLAS thread count, without LAPACK or without them.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteError, RankOutOfRangeError
+from .errors import NonFiniteError, RankOutOfRangeError, vertex_ids
 
 __all__ = [
     "SolveRecord",
@@ -169,7 +175,7 @@ class SolveRecord:
     """How a top-r solve was made.
 
     `solver` is "iterative" (the certified block iteration) or "dsyevr"
-    (LAPACK, or numpy's ``eigh`` where dsyevr does not resolve).  `steps`
+    (LAPACK, or numpy's ``eigh`` where LAPACK does not resolve).  `steps`
     counts the iteration's m x b block products with the matrix, also those
     of an iteration that gave way to dsyevr (0 where none ran).
     `sin_theta` is the certified bound on the sine of the largest principal
@@ -320,9 +326,9 @@ def eigh_descending(a: np.ndarray, rank: int | None = None) -> SpectralDecomposi
     The top `rank` eigenvalues and their eigenvectors, or every eigenpair
     without `rank`, from the certified block iteration where it applies and
     certifies its basis, else from LAPACK ``dsyevr`` (or numpy's full
-    ``eigh``, sliced, where numpy's LAPACK has no ``dsyevr``), each attempt
-    on a float64 copy of its own of `a`, which may be an integer or bool
-    matrix such as a graph's adjacency.  `solve` on the result records
+    ``eigh``, sliced, where LAPACK does not resolve), each attempt on a
+    float64 copy of its own of `a`, which may be an integer or bool matrix
+    such as a graph's adjacency.  `solve` on the result records
     which.  The result is deterministic for a fixed input, LAPACK and BLAS
     thread count.
     """
@@ -344,10 +350,11 @@ def eigvals_descending(a: np.ndarray) -> np.ndarray:
 # Name templates of numpy's LAPACK routines and OpenBLAS thread controls,
 # each with its integer type, tried in order: numpy >= 2 wheels
 # (scipy-openblas, 64-bit integers), numpy 1.2x wheels (64-bit), then a
-# distribution or conda build (32-bit).  The integer type is LAPACK's Fortran
-# integer; OpenBLAS takes its thread count as a C int under every name.
-# dlsym on the handle of numpy's own extension module also searches the
-# libraries it links.
+# distribution or conda build (32-bit).  A capability's routines all come
+# from the first template that exports every one of them, so they share one
+# integer type.  The integer type is LAPACK's Fortran integer; OpenBLAS takes
+# its thread count as a C int under every name.  dlsym on the handle of
+# numpy's own extension module also searches the libraries it links.
 _LAPACK_NAMES = (
     ("scipy_{}_64_", ctypes.c_int64),
     ("{}_64_", ctypes.c_int64),
@@ -438,47 +445,74 @@ def _dgemm_argtypes(int_type) -> list:
     ]
 
 
-def _resolve(routine: str, names, argtypes, restype=None):
-    """(function, integer type) for the first of `names`, filled in with
-    `routine`, that numpy's LAPACK exports, declared with
-    `argtypes(int_type)`; None if none is."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
-        return None
-    for name, int_type in names:
-        func = getattr(lib, name.format(routine), None)
-        if func is not None:
-            func.argtypes = argtypes(int_type)
-            func.restype = restype
-            return func, int_type
+_LAPACK_SIGNATURES = {
+    "dsyevr": (_dsyevr_argtypes, None),
+    "dsytrd": (_dsytrd_argtypes, None),
+    "dstebz": (_dstebz_argtypes, None),
+    "dpotrf": (_dpotrf_argtypes, None),
+    "dtrsm": (_dtrsm_argtypes, None),
+    "dsyrk": (_dsyrk_argtypes, None),
+    "dgemm": (_dgemm_argtypes, None),
+}
+_OPENBLAS_SIGNATURES = {
+    "set_num_threads": (lambda int_type: [int_type], None),
+    "get_num_threads": (lambda int_type: [], ctypes.c_int),
+}
+
+
+@dataclass(frozen=True)
+class _Routines:
+    """Routines resolved together from one name `template`: `functions`
+    maps each routine's name to its ctypes function, declared with
+    `int_type`."""
+
+    template: str
+    int_type: type
+    functions: dict
+
+
+def _resolve(lib, names, signatures) -> _Routines | None:
+    """Every routine of `signatures` (name -> (argtypes of the integer type,
+    restype)), all from the first of `names` under which `lib` exports each
+    one, declared with that template's integer type; None if no template
+    exports them all."""
+    for template, int_type in names:
+        functions = {routine: getattr(lib, template.format(routine), None) for routine in signatures}
+        if any(func is None for func in functions.values()):
+            continue
+        for routine, (argtypes, restype) in signatures.items():
+            functions[routine].argtypes = argtypes(int_type)
+            functions[routine].restype = restype
+        return _Routines(template, int_type, functions)
     return None
 
 
-_DSYEVR = _resolve("dsyevr", _LAPACK_NAMES, _dsyevr_argtypes)
-_DSYTRD = _resolve("dsytrd", _LAPACK_NAMES, _dsytrd_argtypes)
-_DSTEBZ = _resolve("dstebz", _LAPACK_NAMES, _dstebz_argtypes)
-_DPOTRF = _resolve("dpotrf", _LAPACK_NAMES, _dpotrf_argtypes)
-_DTRSM = _resolve("dtrsm", _LAPACK_NAMES, _dtrsm_argtypes)
-_DSYRK = _resolve("dsyrk", _LAPACK_NAMES, _dsyrk_argtypes)
-_DGEMM = _resolve("dgemm", _LAPACK_NAMES, _dgemm_argtypes)
-_SET_THREADS = _resolve("set_num_threads", _OPENBLAS_NAMES, lambda int_type: [int_type])
-_GET_THREADS = _resolve("get_num_threads", _OPENBLAS_NAMES, lambda int_type: [], restype=ctypes.c_int)
+def _numpy_library():
+    """A ctypes handle on numpy's own linalg extension module, or None where
+    it cannot be opened."""
+    try:
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+
+
+# The two capabilities every fork in this module asks about: numpy's LAPACK
+# (with the BLAS routines of the certificate), and OpenBLAS's thread count.
+_LIBRARY = _numpy_library()
+_LAPACK = None if _LIBRARY is None else _resolve(_LIBRARY, _LAPACK_NAMES, _LAPACK_SIGNATURES)
+_THREADS = None if _LIBRARY is None else _resolve(_LIBRARY, _OPENBLAS_NAMES, _OPENBLAS_SIGNATURES)
 
 # Held while a batch of submatrix norms keeps OpenBLAS at one thread, so two
 # batches in different threads cannot interleave the save and the restore.
 _BLAS_THREADS_LOCK = threading.Lock()
 
 
-def _lapack(
-    routine: str, resolved, head: tuple, lengths: tuple, extra_work: int = 0, iwork: bool = True
-) -> None:
-    """Call the LAPACK `routine`, `resolved` as (function, integer type),
-    with the arguments `head`, WORK, LWORK, IWORK, LIWORK (only with
-    `iwork`), INFO and the hidden string `lengths`: once as the workspace
-    query, then with the sizes it returned (WORK `extra_work` longer).  A
-    nonzero INFO raises LinAlgError."""
-    func, int_type = resolved
+def _lapack(routine: str, head: tuple, lengths: tuple, extra_work: int = 0, iwork: bool = True) -> None:
+    """Call the LAPACK `routine` of `_LAPACK` with the arguments `head`,
+    WORK, LWORK, IWORK, LIWORK (only with `iwork`), INFO and the hidden
+    string `lengths`: once as the workspace query, then with the sizes it
+    returned (WORK `extra_work` longer).  A nonzero INFO raises LinAlgError."""
+    func, int_type = _LAPACK.functions[routine], _LAPACK.int_type
     info = int_type(0)
 
     def call(work: np.ndarray, lwork: int, integers: np.ndarray, liwork: int) -> None:
@@ -515,7 +549,7 @@ def _solve_top(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, SolveR
         if w is not None:
             return w, v, SolveRecord("iterative", steps, _SIN_THETA_TOL)
     record = SolveRecord("dsyevr", steps, None)
-    if _DSYEVR is None:
+    if _LAPACK is None:
         w, v = np.linalg.eigh(a)
         return w[::-1][:rank].copy(), v[:, ::-1][:, :rank].copy(), record
     w, z = _dsyevr(_solve_copy(a), rank, vectors=True)
@@ -563,7 +597,7 @@ _CERTIFICATE_TILE = 128
 
 def _iterative_applies(m: int, rank: int) -> bool:
     return (
-        all(routine is not None for routine in (_DPOTRF, _DTRSM, _DSYRK, _DGEMM))
+        _LAPACK is not None
         and m >= _ITERATIVE_MIN_DIM
         and math.sqrt(m) >= _ITERATIVE_MIN_C * rank
         and rank + 1 < m
@@ -809,7 +843,8 @@ def _cholesky_upper(a: np.ndarray) -> bool:
     touch 9 MB more of its buffers, which then stay resident.
     """
     m, tile = a.shape[0], _CERTIFICATE_TILE
-    (potrf, int_type), trsm, syrk, gemm = _DPOTRF, _DTRSM[0], _DSYRK[0], _DGEMM[0]
+    int_type = _LAPACK.int_type
+    potrf, trsm, syrk, gemm = (_LAPACK.functions[name] for name in ("dpotrf", "dtrsm", "dsyrk", "dgemm"))
     lead, info = int_type(m), int_type(0)
     one, minus_one = ctypes.c_double(1.0), ctypes.c_double(-1.0)
 
@@ -838,10 +873,10 @@ def _cholesky_upper(a: np.ndarray) -> bool:
 
 def _solve_values(a: np.ndarray) -> np.ndarray:
     """All eigenvalues, ascending, of the finite, exactly symmetric `a`,
-    which is not written to: LAPACK dsyevr on a triangle copy where numpy's
-    LAPACK exports it, else numpy's ``eigvalsh``; both give the same bits at
-    the same BLAS thread count."""
-    if _DSYEVR is None:
+    which is not written to: LAPACK dsyevr on a triangle copy where LAPACK
+    resolves, else numpy's ``eigvalsh``; both give the same bits at the
+    same BLAS thread count."""
+    if _LAPACK is None:
         return np.linalg.eigvalsh(a)
     w = _dsyevr(_solve_copy(a), a.shape[0], vectors=False)[0]
     if w.size < a.shape[0]:
@@ -864,7 +899,7 @@ def _dsyevr(a: np.ndarray, count: int, vectors: bool) -> tuple[np.ndarray, np.nd
     LAPACK expects; LAPACK destroys it.  Eigenvector j comes back as row j of
     a count x m array, which is column j of a column-major m x count one.
     """
-    int_type = _DSYEVR[1]
+    int_type = _LAPACK.int_type
     m = a.shape[0]
     # LAPACK requires LDA, LDZ >= 1, also for the 0 x 0 matrix
     lead, found = int_type(max(m, 1)), int_type(0)
@@ -877,7 +912,7 @@ def _dsyevr(a: np.ndarray, count: int, vectors: bool) -> tuple[np.ndarray, np.nd
         int_type(m - count + 1), int_type(m), _ABSTOL, found, w, z, lead, isuppz,
     )
     # dsyevr keeps 5m of WORK: 5m more than queried gives its dsytrd dsyevd's blocking, and eigvalsh's bits
-    _lapack("dsyevr", _DSYEVR, head, (1, 1, 1), extra_work=0 if vectors else 5 * m)
+    _lapack("dsyevr", head, (1, 1, 1), extra_work=0 if vectors else 5 * m)
     return w[: found.value], z[: found.value]
 
 
@@ -904,14 +939,14 @@ def _solve_extremes(a: np.ndarray, index: np.ndarray | None = None) -> tuple[flo
     max|T| <= ||T||_2 = ||A||_2 <= m anrm and anrm <= ||A||_2 <= 3 max|T|;
     only where these bounds (each widened by 2 for the reduction's rounding)
     leave [_SCALE_MIN, _SCALE_MAX] is anrm read from a new copy, which is
-    scaled and reduced again if anrm is out of range.
-    Where numpy's LAPACK exports no dsytrd or no dstebz, the two ends of
-    :func:`_solve_values` of the gathered matrix, bit for bit.
+    scaled and reduced again if anrm is out of range.  Where LAPACK does
+    not resolve, the two ends of :func:`_solve_values` of the gathered
+    matrix, bit for bit.
     """
     m = a.shape[0] if index is None else index.size
     if m == 0:
         return 0.0, 0.0
-    if _DSYTRD is None or _DSTEBZ is None:
+    if _LAPACK is None:
         w = _solve_values(a if index is None else a[np.ix_(index, index)])
         return float(w[0]), float(w[-1])
     d, e = _tridiagonal(_solve_copy(a, index))
@@ -940,19 +975,19 @@ def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     more, unset) of LAPACK dsytrd's reduction of the float64 C-order `a`
     from its upper triangle, which it overwrites."""
     m = a.shape[0]
-    int_type = _DSYTRD[1]
+    int_type = _LAPACK.int_type
     # E and TAU hold m - 1 entries; one more keeps them non-empty at m = 1
     d, e, tau = np.empty(m), np.empty(m), np.empty(m)
     head = (b"L", int_type(m), a, int_type(m), d, e, tau)
     # the 5m more WORK that dsyevr adds gives dsytrd its full blocking there
-    _lapack("dsytrd", _DSYTRD, head, (1,), extra_work=5 * m, iwork=False)
+    _lapack("dsytrd", head, (1,), extra_work=5 * m, iwork=False)
     return d, e
 
 
 def _dstebz(d: np.ndarray, e: np.ndarray, index: int) -> float:
     """Eigenvalue number `index` (1 = the lowest) of the tridiagonal matrix
     with diagonal `d` and off-diagonal `e`, by LAPACK dstebz bisection."""
-    func, int_type = _DSTEBZ
+    func, int_type = _LAPACK.functions["dstebz"], _LAPACK.int_type
     m = d.size
     found, blocks, info = int_type(0), int_type(0), int_type(0)
     unused = ctypes.c_double(0.0)  # VL, VU are not read with RANGE='I'
@@ -974,15 +1009,16 @@ def _one_blas_thread():
     """OpenBLAS at one thread inside the block, its old count restored after.
 
     The count is process-wide: a BLAS call another thread makes meanwhile
-    also runs on one thread.  Requires `_SET_THREADS` and `_GET_THREADS`.
+    also runs on one thread.  Requires `_THREADS`.
     """
+    set_threads, get_threads = (_THREADS.functions[name] for name in ("set_num_threads", "get_num_threads"))
     with _BLAS_THREADS_LOCK:
-        old = _GET_THREADS[0]()
-        _SET_THREADS[0](1)
+        old = get_threads()
+        set_threads(1)
         try:
             yield
         finally:
-            _SET_THREADS[0](old)
+            set_threads(old)
 
 
 def _workers() -> int:
@@ -1000,19 +1036,20 @@ def submatrix_norms(a: np.ndarray, sets) -> np.ndarray:
     norm is the larger end of one :func:`_solve_extremes` solve, which
     gathers the set's triangle copy from `a`.  The sets are solved largest
     first on a thread pool: one solve per core at once, with OpenBLAS at one
-    thread for the batch, where numpy's LAPACK exports dsyevr, dsytrd and
-    dstebz and OpenBLAS its thread controls, else one at a time at the
-    current BLAS thread count.  A set starts only while the copies in
-    flight, counted at 8|S|^2 bytes each, fit in 8m^2 (or none is in
-    flight).  An empty set has norm 0.
+    thread for the batch, where both LAPACK and the thread controls
+    resolve, else one at a time at the current BLAS thread count.  A set
+    starts only while the copies in flight, counted at 8|S|^2 bytes each,
+    fit in 8m^2.  An empty set has norm 0.  Each set must hold distinct
+    indices in 0..m-1 (:func:`~plantrec.errors.vertex_ids`), so it fits
+    alone.
     """
     a = _finite_symmetric(a)
-    sets = [np.asarray(v, dtype=np.int64) for v in sets]
+    sets = [vertex_ids(v, a.shape[0]) for v in sets]
     norms = np.zeros(len(sets), dtype=np.float64)
     pending = sorted((i for i, v in enumerate(sets) if v.size), key=lambda i: -sets[i].size)
     nbytes = [8 * v.size**2 for v in sets]  # of each set's float64 copy
     budget = 8 * a.shape[0] ** 2
-    pinned = all(r is not None for r in (_DSYEVR, _DSYTRD, _DSTEBZ, _SET_THREADS, _GET_THREADS))
+    pinned = _LAPACK is not None and _THREADS is not None
     workers = _workers() if pinned else 1
     in_flight: dict = {}  # future -> set index
     with _one_blas_thread() if pinned else nullcontext(), ThreadPoolExecutor(max_workers=workers) as pool:
@@ -1020,8 +1057,7 @@ def submatrix_norms(a: np.ndarray, sets) -> np.ndarray:
             held = sum(nbytes[i] for i in in_flight.values())
             while pending and len(in_flight) < workers:
                 # the largest pending set whose copy fits beside those in flight
-                fits = (i for i in pending if held + nbytes[i] <= budget)
-                i = next(fits, None if in_flight else pending[0])
+                i = next((i for i in pending if held + nbytes[i] <= budget), None)
                 if i is None:
                     break
                 pending.remove(i)

@@ -27,6 +27,7 @@ from plantrec.errors import (
     EmptyFamilyError,
     EpsilonOutOfRangeError,
     SizeOutOfRangeError,
+    VertexIdError,
 )
 from plantrec.model import (
     ModelParams,
@@ -369,6 +370,15 @@ class TestPurity:
         with pytest.raises(SizeOutOfRangeError):
             check_purity([0, 1], part, 0.1)
 
+    @pytest.mark.parametrize(
+        "w", [[0, 0, 1, 2], [-1, 0, 1, 2], [0, 1, 2, 12], [0.5, 1, 2, 3], [True, True, False, False]]
+    )
+    def test_ids_outside_the_partition_or_repeated_rejected(self, w):
+        # [0, 0, 1, 2] is 3 vertices, -1 would be read as vertex 11, 0.5 as
+        # vertex 0 and a bool mask as the ids 1, 1, 0, 0
+        with pytest.raises(VertexIdError):
+            check_purity(w, make_partition(12, 4), 0.1)
+
 
 class TestConcentration:
     def test_noiseless_counts(self):
@@ -472,6 +482,12 @@ class TestFkSubmatrices:
     def test_empty_family_rejected(self):
         with pytest.raises(EmptyFamilyError):
             check_fk_submatrices(np.zeros((4, 4)), [], sigma=0.5)
+
+    @pytest.mark.parametrize("bad", [[0, 1, -1], [0, 12], [3, 5, 3], [0.5, 2]])
+    def test_ids_outside_the_matrix_or_repeated_rejected(self, bad):
+        # raised before any solve, not an IndexError from a pool thread
+        with pytest.raises(VertexIdError):
+            check_fk_submatrices(np.zeros((12, 12)), [np.arange(12), bad], sigma=0.5)
 
     def test_whole_vertex_set_reads_the_matrix_itself(self):
         # either order is a gathered copy, and x is left as it was; the

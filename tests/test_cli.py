@@ -218,12 +218,10 @@ class TestVerify:
             "--p", "0.8", "--q", "0.2", "--checks", checks, "--epsilon", epsilon,
         )
         assert code == 0, err
-        # a full solve runs only inside the top-r one, where LAPACK has no
-        # dsyevr, and eigvalsh only inside a norm's solve, where it has no
-        # dsytrd or dstebz and no dsyevr either
-        full_calls = 0 if spectral._DSYEVR else top_calls
-        extremes = spectral._DSYTRD and spectral._DSTEBZ
-        eigvalsh_calls = 0 if extremes or spectral._DSYEVR else value_calls
+        # a full solve runs only inside the top-r one, and eigvalsh only
+        # inside a norm's solve, where LAPACK does not resolve
+        full_calls = 0 if spectral._LAPACK else top_calls
+        eigvalsh_calls = 0 if spectral._LAPACK else value_calls
         calls = {name: log.count(name) for name in ("top", "eigh", "values", "eigvalsh")}
         assert calls == {
             "top": top_calls, "eigh": full_calls, "values": value_calls, "eigvalsh": eigvalsh_calls

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plantrec import bounds, recovery, spectral
+from plantrec import bounds, experiment, recovery, spectral
 from plantrec.baseline import baseline_common_neighbors
 from plantrec.errors import DimensionMismatchError, EpsilonOutOfRangeError, ZeroSizeError
 from plantrec.experiment import (
@@ -118,6 +118,45 @@ class TestRunTrial:
             run_trial(cell, seed=1, checks=("conc",), epsilon=-1.0)
 
 
+def trial_with_clusters() -> tuple:
+    """(recovery result, report) of one run_trial with every check and the baseline."""
+    results, recover = [], experiment.recover_with_trace
+    cell = Cell(index=0, n=600, k=4, s=150, p=0.7, q=0.3)
+
+    def recorded(g, s):
+        results.append(recover(g, s))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "recover_with_trace", recorded)
+        report = run_trial(cell, seed=5, checks=KNOWN_CHECKS, epsilon=None, baseline=True)
+    return results[0][0], report
+
+
+class TestPlatformStates:
+    """A trial without LAPACK, without OpenBLAS's thread controls, or
+    without both, as on an MKL build or on an Accelerate or Windows wheel,
+    recovers the same clusters and gives the same verdicts as with both;
+    its floats may differ in the last digits."""
+
+    @pytest.mark.parametrize(
+        "missing", [("_LAPACK",), ("_THREADS",), ("_LAPACK", "_THREADS")], ids=["lapack", "threads", "both"]
+    )
+    def test_same_trial_in_every_state(self, monkeypatch, missing):
+        want_result, want = trial_with_clusters()
+        for name in missing:
+            monkeypatch.setattr(spectral, name, None)
+        got_result, got = trial_with_clusters()
+        assert len(got_result.clusters) == len(want_result.clusters) == 4
+        assert all(map(np.array_equal, got_result.clusters, want_result.clusters))
+        assert np.array_equal(got_result.leftover, want_result.leftover)
+        assert got.recovered_exactly == want.recovered_exactly
+        assert got.baseline_exactly == want.baseline_exactly
+        assert [(r.name, r.satisfied) for r in got.reports] == [(r.name, r.satisfied) for r in want.reports]
+        assert [r.lhs for r in got.reports] == pytest.approx([r.lhs for r in want.reports], rel=1e-12, abs=0)
+        assert got.pivot_masses == pytest.approx(want.pivot_masses, rel=1e-12, abs=0)
+
+
 def oracle_checks(g, part, params, checks, epsilon):
     """The checks composed from the public matrix checkers, each solving its
     own matrices numerically (the expected matrix included)."""
@@ -226,17 +265,16 @@ class TestRunChecks:
         run_trial(cell, seed=3, checks=KNOWN_CHECKS, epsilon=None, baseline=True)
         # one top-r solve per recovery round on the shrinking graph, none on E
         assert solve_sizes == [60, 40, 20]
-        # and no full solve, except inside the top-r solve where LAPACK has no dsyevr
-        assert eigh_sizes == ([] if spectral._DSYEVR else solve_sizes)
+        # and no full solve, except inside the top-r solve where LAPACK does not resolve
+        assert eigh_sizes == ([] if spectral._LAPACK else solve_sizes)
         # the 6 proper cluster unions of the FK check (solved concurrently,
         # so in any order), then A - E itself for ||A - E|| and the union of
         # all 3 clusters; ||P_A - P_E|| comes from the principal angles, with
         # no m x m solve
         assert sorted(value_sizes[:-1], reverse=True) == [40, 40, 40, 20, 20, 20]
         assert value_sizes[-1] == 60
-        # eigvalsh runs only where LAPACK has no dsytrd or dstebz, and no dsyevr
-        extremes = spectral._DSYTRD and spectral._DSTEBZ
-        assert eigvalsh_sizes == ([] if extremes or spectral._DSYEVR else value_sizes)
+        # eigvalsh runs only where LAPACK does not resolve
+        assert eigvalsh_sizes == ([] if spectral._LAPACK else value_sizes)
 
     def test_goodcol_reads_recoverys_round_0(self, monkeypatch):
         # recovery has ranked every column of round 0: goodcol reads its pivot,

@@ -5,12 +5,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from plantrec import recovery, spectral
 
-from plantrec.errors import GraphTooSmallError, NonFiniteError, SizeOutOfRangeError, ZeroSizeError
+from plantrec.errors import (
+    GraphTooSmallError,
+    NonFiniteError,
+    SizeOutOfRangeError,
+    VertexIdError,
+    ZeroSizeError,
+)
 from plantrec.model import (
     Graph,
     ModelParams,
@@ -228,6 +234,12 @@ class TestExtractCluster:
         with pytest.raises(SizeOutOfRangeError):
             extract_cluster(g, np.array([0, 1]), 3)
 
+    @pytest.mark.parametrize("w", [[0, 1, -1], [0, 1, 6], [0, 2, 2], [0, 1, 2.5]])
+    def test_ids_outside_the_graph_or_repeated_rejected(self, w):
+        # -1 would be read as vertex 5, a repeated id counted twice and 2.5 read as 2
+        with pytest.raises(VertexIdError):
+            extract_cluster(noiseless_graph(6, 3), w, 3)
+
     def test_graph_too_small(self):
         g = Graph(adj=np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(GraphTooSmallError):
@@ -259,7 +271,7 @@ class TestIdentifyClusters:
         result, traces = recover_with_trace(g, s)
         assert [len(c) for c in result.clusters] == [s] * (n // s)
         assert result.leftover.size == n % s
-        if spectral._DSYEVR is not None:
+        if spectral._LAPACK is not None:
             assert traces[0].solve.all_pairs
 
     def test_non_multiple_reports_leftover(self):
@@ -354,6 +366,56 @@ class TestIdentifyClusters:
         assert mapped == got
 
 
+SHAPES = ("empty", "complete", "star", "two cliques", "half isolated")
+
+
+@st.composite
+def adversarial_graphs(draw):
+    """(graph, s): an empty, complete or star graph, two disjoint cliques, or
+    a random half beside isolated vertices, on n = 1..40 vertices, with s in
+    {1, 2, n - 1, n, n + 1}."""
+    n = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(SHAPES))
+    adj = np.zeros((n, n), dtype=np.uint8)
+    half = n // 2
+    if shape == "complete":
+        adj[:] = 1
+    elif shape == "star":
+        adj[0, :] = adj[:, 0] = 1
+    elif shape == "two cliques":
+        adj[:half, :half] = adj[half:, half:] = 1
+    elif shape == "half isolated":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        upper = np.triu(rng.integers(0, 2, (half, half)), 1)
+        adj[:half, :half] = upper + upper.T
+    np.fill_diagonal(adj, 0)
+    s = draw(st.sampled_from(sorted({1, 2, n - 1, n, n + 1} - {0})))
+    return Graph(adj=adj), s
+
+
+class TestAdversarialShapes:
+    """Degenerate spectra (repeated eigenvalues, zero rows, rank above the
+    nonzero spectrum) and edge sizes of s, with the iteration forced on and
+    off: every cluster has s vertices, n mod s are left over, and a rerun
+    gives the same bits."""
+
+    @pytest.mark.parametrize("solver", ["iterative_on", "iterative_off"])
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(adversarial_graphs())
+    def test_sizes_and_rerun(self, request, solver, case):
+        request.getfixturevalue(solver)
+        g, s = case
+        result, traces = recover_with_trace(g, s)
+        assert [len(c) for c in result.clusters] == [s] * (g.n // s)
+        assert result.leftover.size == g.n % s
+        again, again_traces = recover_with_trace(g, s)
+        assert all(map(np.array_equal, again.clusters, result.clusters))
+        assert np.array_equal(again.leftover, result.leftover)
+        assert again_traces == traces  # level, rank, pivot and the mass's bits
+        assert [t.solve for t in again_traces] == [t.solve for t in traces]
+
+
 class TestSamePartition:
     def test_shuffled_order_matches(self):
         part = make_partition(6, 3)
@@ -438,8 +500,7 @@ class TestIterativeRounds:
         g = sample_graph(part, ModelParams(p=0.7, q=0.3, seed=7))
         got = recover_with_trace(g, 800)
         assert same_partition(got[0], part)
-        routines = (spectral._DPOTRF, spectral._DTRSM, spectral._DSYRK, spectral._DGEMM)
-        want_solver = "iterative" if all(routines) else "dsyevr"
+        want_solver = "dsyevr" if spectral._LAPACK is None else "iterative"
         assert got[1][0].solve.solver == want_solver
         assert got[1][1].solve == SolveRecord("dsyevr", 0, None)
         assert_same_recovery(got, recover_with_dsyevr_only(g, 800))

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from plantrec import spectral
-from plantrec.errors import NonFiniteError, RankOutOfRangeError
+from plantrec.errors import NonFiniteError, RankOutOfRangeError, VertexIdError
 from plantrec.model import ModelParams, make_partition, expectation_matrix, permute_partition, sample_graph
 from plantrec.recovery import all_candidate_sets
 from plantrec.spectral import (
@@ -33,6 +34,8 @@ long_double = pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
     reason="numpy's long double is no wider than float64 here, so the oracle is no reference",
 )
+
+lapack = pytest.mark.skipif(spectral._LAPACK is None, reason="LAPACK does not resolve in numpy's libraries")
 
 
 def power_iteration_norm(a: np.ndarray, iters: int = 5000) -> float:
@@ -232,14 +235,14 @@ class TestPartialSolve:
 
     @pytest.mark.parametrize("rank", [1, 7, 29, 30])
     def test_fallback_is_the_sliced_full_solve(self, iterative_off, monkeypatch, rank):
-        # where no dsyevr resolves: numpy's full solve, sliced, which the
-        # kernel matches within the property test's tolerance
+        # where LAPACK does not resolve: numpy's full solve, sliced, which
+        # the kernel matches within the property test's tolerance
         a = random_symmetric(30, rank)
         kernel = eigh_descending(a, rank)
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda x: calls.append(len(x)) or eigh(x))
-        monkeypatch.setattr(spectral, "_DSYEVR", None)
+        monkeypatch.setattr(spectral, "_LAPACK", None)
         fallback = eigh_descending(a, rank)
         assert calls == [30]
         w, v = eigh(a)
@@ -247,6 +250,7 @@ class TestPartialSolve:
         assert np.array_equal(fallback.eigenvectors, v[:, ::-1][:, :rank])
         assert_matches_full_solve(kernel, a, rank)
 
+    @lapack
     @pytest.mark.parametrize("info,found,message", [(2, 4, "info = 2"), (0, 3, "found 3 of 4")])
     def test_lapack_failure_raises_linalg_error(self, iterative_off, monkeypatch, info, found, message):
         # a stand-in for dsyevr, given JOBZ, RANGE, UPLO, N, A, LDA, VL, VU,
@@ -256,10 +260,11 @@ class TestPartialSolve:
             args[16][0], args[18][0] = 1.0, 1  # workspace sizes
             args[11].value, args[20].value = found, info
 
-        monkeypatch.setattr(spectral, "_DSYEVR", (fake, ctypes.c_int64))
+        monkeypatch.setitem(spectral._LAPACK.functions, "dsyevr", fake)
         with pytest.raises(np.linalg.LinAlgError, match=message):
             eigh_descending(random_symmetric(10, 0), 4)
 
+    @lapack
     def test_values_solve_failure_raises_linalg_error(self, monkeypatch):
         # the dsyevr stand-in above, called by a values-only solve (JOBZ='N'):
         # it fails the solve, after answering the workspace query
@@ -268,9 +273,58 @@ class TestPartialSolve:
             args[16][0], args[18][0] = 1.0, 1  # workspace sizes
             args[20].value = 0 if args[17].value == -1 else 2
 
-        monkeypatch.setattr(spectral, "_DSYEVR", (fake, ctypes.c_int64))
+        monkeypatch.setitem(spectral._LAPACK.functions, "dsyevr", fake)
         with pytest.raises(np.linalg.LinAlgError, match=r"dsyevr failed \(info = 2\)"):
             eigvals_descending(random_symmetric(10, 0))
+
+
+def stub_library(exports: dict) -> types.SimpleNamespace:
+    """A library that exports, under each name template, the routines listed
+    for it, as stand-ins that take ctypes declarations."""
+    lib = types.SimpleNamespace()
+    for template, routines in exports.items():
+        for routine in routines:
+            setattr(lib, template.format(routine), lambda *args: None)
+    return lib
+
+
+LAPACK_ROUTINES = tuple(spectral._LAPACK_SIGNATURES)
+
+
+class TestResolve:
+    """A capability resolves as a whole, from one name template, or not at all."""
+
+    @staticmethod
+    def resolve_lapack(lib):
+        return spectral._resolve(lib, spectral._LAPACK_NAMES, spectral._LAPACK_SIGNATURES)
+
+    def test_one_template_gives_every_routine_its_integer_type(self):
+        # the two 64-bit templates lack dgemm, the 32-bit one exports all seven
+        six = LAPACK_ROUTINES[:-1]
+        lib = stub_library({"scipy_{}_64_": six, "{}_64_": six, "{}_": LAPACK_ROUTINES})
+        got = self.resolve_lapack(lib)
+        assert (got.template, got.int_type) == ("{}_", ctypes.c_int32)
+        assert got.functions == {routine: getattr(lib, routine + "_") for routine in LAPACK_ROUTINES}
+        for func in got.functions.values():
+            assert ctypes.POINTER(ctypes.c_int32) in func.argtypes
+            assert ctypes.POINTER(ctypes.c_int64) not in func.argtypes
+            assert func.restype is None
+
+    @pytest.mark.parametrize("routine", LAPACK_ROUTINES)
+    def test_routines_split_across_two_templates_do_not_resolve(self, routine):
+        # `routine` under the 32-bit name only, the other six under the 64-bit ones
+        rest = [r for r in LAPACK_ROUTINES if r != routine]
+        assert self.resolve_lapack(stub_library({"scipy_{}_64_": rest, "{}_": [routine]})) is None
+
+    def test_thread_controls_resolve_as_a_pair(self):
+        names, signatures = spectral._OPENBLAS_NAMES, spectral._OPENBLAS_SIGNATURES
+        pair = ["set_num_threads", "get_num_threads"]
+        split = stub_library({"scipy_openblas_{}64_": pair[:1], "openblas_{}": pair[1:]})
+        assert spectral._resolve(split, names, signatures) is None
+        got = spectral._resolve(stub_library({"openblas_{}": pair}), names, signatures)
+        assert got.template == "openblas_{}"
+        assert got.functions["set_num_threads"].argtypes == [ctypes.c_int]
+        assert got.functions["get_num_threads"].restype is ctypes.c_int
 
 
 def dsyevr_only(solve, *args):
@@ -310,7 +364,7 @@ def assert_certified_or_dsyevr(dec, a, rank):
 def assert_failing_factorization(monkeypatch, tiles: int, calls: list) -> None:
     """dpotrf factors the first tiles - 1 diagonal tiles of the certificate
     and fails on the last one (INFO = 1), and each call is appended to `calls`."""
-    potrf, int_type = spectral._DPOTRF
+    potrf = spectral._LAPACK.functions["dpotrf"]
 
     def fake(uplo, n, a, lda, info, length):
         assert uplo == b"L"
@@ -320,7 +374,19 @@ def assert_failing_factorization(monkeypatch, tiles: int, calls: list) -> None:
         else:
             info.value = 1
 
-    monkeypatch.setattr(spectral, "_DPOTRF", (fake, int_type))
+    monkeypatch.setitem(spectral._LAPACK.functions, "dpotrf", fake)
+
+
+def counted_factorizations(monkeypatch) -> list:
+    """dpotrf as resolved, with the INFO of each call appended to the list returned."""
+    potrf, infos = spectral._LAPACK.functions["dpotrf"], []
+
+    def counted(uplo, n, tile, lda, info, length):
+        potrf(uplo, n, tile, lda, info, length)
+        infos.append(info.value)
+
+    monkeypatch.setitem(spectral._LAPACK.functions, "dpotrf", counted)
+    return infos
 
 
 def complete_bipartite(half: int) -> np.ndarray:
@@ -335,10 +401,6 @@ def disjoint_cliques(k: int, s: int) -> np.ndarray:
     a = np.kron(np.eye(k, dtype=np.uint8), np.ones((s, s), dtype=np.uint8))
     np.fill_diagonal(a, 0)
     return a
-
-
-# the routines the certificate's Cholesky factorization calls
-CERTIFICATE_ROUTINES = ("_DPOTRF", "_DTRSM", "_DSYRK", "_DGEMM")
 
 
 class TestIterativeSolve:
@@ -439,9 +501,9 @@ class TestIterativeSolve:
             assert_same_decomposition(dec, dsyevr_only(eigh_descending, adj, 4))
 
     def test_default_rules(self):
-        # tried from m = 1500 on, where sqrt(m) / r >= 4 and the certificate's routines resolve
+        # tried from m = 1500 on, where sqrt(m) / r >= 4 and LAPACK resolves
         applies = spectral._iterative_applies
-        if any(getattr(spectral, name) is None for name in CERTIFICATE_ROUTINES):
+        if spectral._LAPACK is None:
             assert not applies(4000, 2)
             return
         assert applies(1500, 9) and applies(3000, 3) and applies(12000, 4)
@@ -449,9 +511,8 @@ class TestIterativeSolve:
         assert not applies(2000, 20) and not applies(1600, 11)  # sqrt(m) / r < 4
         assert applies(1600, 10)
 
-    @pytest.mark.parametrize("name", CERTIFICATE_ROUTINES)
-    def test_not_tried_without_a_certificate_routine(self, monkeypatch, name):
-        monkeypatch.setattr(spectral, name, None)
+    def test_not_tried_without_lapack(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_LAPACK", None)
         assert not spectral._iterative_applies(3000, 3)
 
     def test_deterministic(self, iterative_on):
@@ -461,10 +522,7 @@ class TestIterativeSolve:
         assert_same_decomposition(first, second)
 
 
-@pytest.mark.skipif(
-    any(getattr(spectral, name) is None for name in CERTIFICATE_ROUTINES),
-    reason="numpy's LAPACK exports no dpotrf, dtrsm, dsyrk or dgemm",
-)
+@lapack
 class TestCertificate:
     """The tiled Cholesky factorization behind the certificate, in place on
     the upper triangle, and the certificate's put-back when it fails."""
@@ -499,14 +557,7 @@ class TestCertificate:
         m, at = 702, 400
         a = self.upper_and_noise(m, 50.0 * np.eye(m) - self.spiked(m, at), seed=2)
         lower = np.tril(a, -1).copy()
-        potrf, int_type = spectral._DPOTRF
-        infos = []
-
-        def counted(uplo, n, tile, lda, info, length):
-            potrf(uplo, n, tile, lda, info, length)
-            infos.append(info.value)
-
-        monkeypatch.setattr(spectral, "_DPOTRF", (counted, int_type))
+        infos = counted_factorizations(monkeypatch)
         assert not spectral._cholesky_upper(a)
         assert infos[:3] == [0, 0, 0] and len(infos) == 4 and infos[3] > 0
         assert np.array_equal(np.tril(a, -1), lower)
@@ -517,14 +568,7 @@ class TestCertificate:
         # copy is left written over, and a solve copies its input again
         m, at = 702, 400
         a = self.spiked(m, at)
-        potrf, int_type = spectral._DPOTRF
-        infos = []
-
-        def counted(uplo, n, tile, lda, info, length):
-            potrf(uplo, n, tile, lda, info, length)
-            infos.append(info.value)
-
-        monkeypatch.setattr(spectral, "_DPOTRF", (counted, int_type))
+        infos = counted_factorizations(monkeypatch)
         theta, v = np.array([50.0, 0.5]), np.eye(m)[:, :1]
         assert not spectral._certify(a, theta, v, 1, 1e-12, float(np.abs(a).sum(axis=1).max()))
         assert infos[:3] == [0, 0, 0] and len(infos) == 4 and infos[3] > 0
@@ -602,7 +646,7 @@ class TestDsyevrShortfall:
         a = 1.0 - np.eye(m)
         made = nan_below_the_diagonal(monkeypatch)
         dec = eigh_descending(a, rank)
-        if spectral._DSYEVR is not None:
+        if spectral._LAPACK is not None:
             assert dec.solve == spectral.SolveRecord("dsyevr", 0, None, all_pairs=True)
             assert made == [False, False]
         monkeypatch.undo()
@@ -688,7 +732,7 @@ class TestSolveCopies:
         # certificate: then a triangle copy
         made = nan_below_the_diagonal(monkeypatch)
         eigh_descending(random_symmetric(30, 4), 3)
-        assert made == ([False] if spectral._DSYEVR is not None else [])
+        assert made == ([False] if spectral._LAPACK is not None else [])
         request.getfixturevalue("iterative_on")
         adj = sample_graph(make_partition(300, 100), ModelParams(p=0.9, q=0.1, seed=1)).adj
         made.clear()
@@ -800,7 +844,7 @@ class TestOneCopy:
         # with the workspace it is given beyond its query
         calls, solve = [], spectral._solve_values
         monkeypatch.setattr(spectral, "_solve_values", lambda x: calls.append(x.shape) or solve(x))
-        pinned = spectral._SET_THREADS is not None and spectral._GET_THREADS is not None
+        pinned = spectral._THREADS is not None
         thread_counts = (contextlib.nullcontext, spectral._one_blas_thread)[: 1 + pinned]
         sizes = (1, 30, 64, 200, 601)
         for m in sizes:
@@ -931,7 +975,7 @@ class TestSolveExtremes:
         m = len(a)
         return spectral._dstebz(d, e, 1) * (1.0 / scale), spectral._dstebz(d, e, m) * (1.0 / scale)
 
-    @pytest.mark.skipif(spectral._DSYTRD is None or spectral._DSTEBZ is None, reason="no dsytrd or dstebz")
+    @lapack
     @pytest.mark.parametrize(
         "largest,copies,reductions",
         [
@@ -963,12 +1007,11 @@ class TestSolveExtremes:
         lowest, highest = spectral._solve_extremes(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert lowest == pytest.approx(-1.0, abs=4e-16) and highest == pytest.approx(1.0, abs=4e-16)
 
-    @pytest.mark.parametrize("missing", ["_DSYTRD", "_DSTEBZ"])
     @pytest.mark.parametrize("m", [0, 1, 2, 30, 200])
-    def test_without_dsytrd_or_dstebz_the_values_solves_ends(self, monkeypatch, missing, m):
+    def test_without_lapack_the_values_solves_ends(self, monkeypatch, m):
         # bit for bit the ends of the full values-only solve, and so eigvalsh's
         a = random_symmetric(m, m)
-        monkeypatch.setattr(spectral, missing, None)
+        monkeypatch.setattr(spectral, "_LAPACK", None)
         calls, solve = [], spectral._solve_values
         monkeypatch.setattr(spectral, "_solve_values", lambda x: calls.append(len(x)) or solve(x))
         got = spectral._solve_extremes(a.copy())
@@ -979,6 +1022,7 @@ class TestSolveExtremes:
             assert got == (w[0], w[-1]) and calls == [m]
         assert spectral_norm(a) == (max(abs(w[0]), abs(w[-1])) if m else 0.0)
 
+    @lapack
     def test_bisection_failure_raises_linalg_error(self, monkeypatch):
         # a stand-in for dstebz, given RANGE, ORDER, N, VL, VU, IL, IU,
         # ABSTOL, D, E, M, NSPLIT, W, IBLOCK, ISPLIT, WORK, IWORK, INFO and
@@ -986,17 +1030,14 @@ class TestSolveExtremes:
         def fake(*args):
             args[17].value = 1
 
-        monkeypatch.setattr(spectral, "_DSTEBZ", (fake, ctypes.c_int64))
+        monkeypatch.setitem(spectral._LAPACK.functions, "dstebz", fake)
         with pytest.raises(np.linalg.LinAlgError, match=r"dstebz failed \(info = 1\)"):
             spectral_norm(random_symmetric(10, 0))
 
 
 thread_control = pytest.mark.skipif(
-    any(
-        getattr(spectral, name) is None
-        for name in ("_DSYEVR", "_DSYTRD", "_DSTEBZ", "_SET_THREADS", "_GET_THREADS")
-    ),
-    reason="numpy's LAPACK exports no dsyevr, dsytrd or dstebz, or no OpenBLAS thread control: "
+    spectral._LAPACK is None or spectral._THREADS is None,
+    reason="LAPACK or OpenBLAS's thread controls do not resolve: "
     "the sets are solved one at a time on one pool worker",
 )
 
@@ -1004,18 +1045,23 @@ thread_control = pytest.mark.skipif(
 def gathered_norms(a: np.ndarray, sets) -> list:
     """spectral_norm of each gathered submatrix, one at a time, under one
     BLAS thread where OpenBLAS's thread count can be set."""
-    one_thread = spectral._one_blas_thread() if spectral._SET_THREADS else contextlib.nullcontext()
+    one_thread = spectral._one_blas_thread() if spectral._THREADS else contextlib.nullcontext()
     with one_thread:
         return [spectral_norm(a[np.ix_(v, v)]) if len(v) else 0.0 for v in sets]
+
+
+def blas_threads() -> int:
+    """OpenBLAS's current thread count."""
+    return spectral._THREADS.functions["get_num_threads"]()
 
 
 @pytest.fixture
 def two_blas_threads():
     """OpenBLAS at 2 threads for the test, so a count left at 1 shows."""
-    if spectral._SET_THREADS is None or spectral._GET_THREADS is None:
+    if spectral._THREADS is None:
         pytest.skip("OpenBLAS's thread count cannot be set here")
-    set_threads = spectral._SET_THREADS[0]  # a test may set _SET_THREADS to None
-    old = spectral._GET_THREADS[0]()
+    set_threads = spectral._THREADS.functions["set_num_threads"]  # a test may set _THREADS to None
+    old = blas_threads()
     set_threads(2)
     try:
         yield
@@ -1077,20 +1123,16 @@ class TestSubmatrixNorms:
         assert max(peaks) > 8 * 40 * 40  # solves did overlap
         assert got.tolist() == want
 
-    @thread_control
-    def test_set_larger_than_the_matrix_runs_alone(self):
-        # a repeated index makes a copy bigger than the matrix: it cannot fit
-        # the budget, so it starts once nothing else is in flight
-        a = random_symmetric(4, 3)
-        sets = [np.array([0, 1, 2, 3, 3, 1]), np.arange(4), np.array([2, 0])]
-        results = []
-        worker = threading.Thread(
-            target=lambda: results.append(spectral.submatrix_norms(a, sets)), daemon=True
-        )
-        worker.start()
-        worker.join(timeout=60)
-        assert not worker.is_alive()
-        assert results[0].tolist() == gathered_norms(a, sets)
+    @pytest.mark.parametrize("bad", [[0, 1, 2, 3, 3, 1], [0, -1], [2, 4]])
+    def test_indices_outside_the_matrix_or_repeated_rejected(self, monkeypatch, bad):
+        # before any solve: a repeated index would make a copy bigger than
+        # the matrix, -1 would wrap, and 4 would raise in a pool thread
+        def solve(x, index):
+            raise AssertionError("solver reached")
+
+        monkeypatch.setattr(spectral, "_solve_extremes", solve)
+        with pytest.raises(VertexIdError):
+            spectral.submatrix_norms(random_symmetric(4, 3), [np.arange(4), np.array(bad)])
 
     @thread_control
     def test_stress_more_workers_than_cores(self, monkeypatch):
@@ -1118,13 +1160,11 @@ class TestSubmatrixNorms:
         assert len(results) == 5
         assert all(r.tolist() == want for r in results)
 
-    @pytest.mark.parametrize("missing", ["_DSYEVR", "_DSYTRD", "_DSTEBZ", "_SET_THREADS", "_GET_THREADS"])
-    def test_without_dsyevd_or_thread_control_one_set_at_a_time(
-        self, two_blas_threads, monkeypatch, missing
-    ):
+    @pytest.mark.parametrize("missing", ["_LAPACK", "_THREADS"])
+    def test_without_lapack_or_thread_control_one_set_at_a_time(self, two_blas_threads, monkeypatch, missing):
         # one pool worker and no pinning: each norm is spectral_norm's at the
         # current BLAS thread count, and the count is never touched
-        get_threads = spectral._GET_THREADS[0]
+        get_threads = spectral._THREADS.functions["get_num_threads"]
         monkeypatch.setattr(spectral, missing, None)
         a = random_symmetric(40, 6)
         sets = [np.arange(40), np.arange(0, 40, 2), np.array([3]), np.arange(39, 14, -1)]
@@ -1154,7 +1194,7 @@ class TestSubmatrixNorms:
 
     def test_blas_threads_restored_after_return(self, two_blas_threads):
         spectral.submatrix_norms(random_symmetric(30, 2), [np.arange(30), np.arange(10)])
-        assert spectral._GET_THREADS[0]() == 2
+        assert blas_threads() == 2
 
     def test_blas_threads_restored_after_a_failed_solve(self, two_blas_threads, monkeypatch):
         def failing(x, index):
@@ -1163,7 +1203,7 @@ class TestSubmatrixNorms:
         monkeypatch.setattr(spectral, "_solve_extremes", failing)
         with pytest.raises(np.linalg.LinAlgError, match="stand-in"):
             spectral.submatrix_norms(random_symmetric(30, 2), [np.arange(30), np.arange(10)])
-        assert spectral._GET_THREADS[0]() == 2
+        assert blas_threads() == 2
 
     def test_blas_threads_restored_after_concurrent_checks(self, two_blas_threads, monkeypatch):
         # two trials' checks in two threads, their FK batches made slow enough
@@ -1180,7 +1220,7 @@ class TestSubmatrixNorms:
 
         def slow(x, index=None):
             if index is not None:  # an FK union, not the solve of A - E itself
-                seen.append(spectral._GET_THREADS[0]())
+                seen.append(blas_threads())
                 first_solving.set()
                 time.sleep(0.002)
             return solve(x, index)
@@ -1203,7 +1243,7 @@ class TestSubmatrixNorms:
         for t in threads:
             t.join(timeout=60)
             assert not t.is_alive()
-        assert spectral._GET_THREADS[0]() == 2
+        assert blas_threads() == 2
         assert seen == [1] * 2 * 14
         assert len(results) == 2
         for got in results:
