@@ -291,6 +291,26 @@ def stub_library(exports: dict) -> types.SimpleNamespace:
 LAPACK_ROUTINES = tuple(spectral._LAPACK_SIGNATURES)
 
 
+def routine_id(routine: str) -> str:
+    """A parameter id for `routine`: "_DGEMM" for dgemm, "_SET_THREADS" for set_num_threads."""
+    return "_" + routine.replace("_num", "").upper()
+
+
+def resolve_without(monkeypatch, routine: str) -> None:
+    """Put in place of the module's capability that holds `routine` the one
+    resolved from a library exporting every other routine of it, under each
+    name template, but not `routine`: which is none."""
+    capability, names, signatures = (
+        ("_THREADS", spectral._OPENBLAS_NAMES, spectral._OPENBLAS_SIGNATURES)
+        if routine in spectral._OPENBLAS_SIGNATURES
+        else ("_LAPACK", spectral._LAPACK_NAMES, spectral._LAPACK_SIGNATURES)
+    )
+    rest = [r for r in signatures if r != routine]
+    resolved = spectral._resolve(stub_library({template: rest for template, _ in names}), names, signatures)
+    assert resolved is None
+    monkeypatch.setattr(spectral, capability, resolved)
+
+
 class TestResolve:
     """A capability resolves as a whole, from one name template, or not at all."""
 
@@ -511,8 +531,9 @@ class TestIterativeSolve:
         assert not applies(2000, 20) and not applies(1600, 11)  # sqrt(m) / r < 4
         assert applies(1600, 10)
 
-    def test_not_tried_without_lapack(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_LAPACK", None)
+    @pytest.mark.parametrize("routine", ["dpotrf", "dtrsm", "dsyrk", "dgemm"], ids=routine_id)
+    def test_not_tried_without_a_certificate_routine(self, monkeypatch, routine):
+        resolve_without(monkeypatch, routine)
         assert not spectral._iterative_applies(3000, 3)
 
     def test_deterministic(self, iterative_on):
@@ -1007,11 +1028,12 @@ class TestSolveExtremes:
         lowest, highest = spectral._solve_extremes(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert lowest == pytest.approx(-1.0, abs=4e-16) and highest == pytest.approx(1.0, abs=4e-16)
 
+    @pytest.mark.parametrize("routine", ["dsytrd", "dstebz"], ids=routine_id)
     @pytest.mark.parametrize("m", [0, 1, 2, 30, 200])
-    def test_without_lapack_the_values_solves_ends(self, monkeypatch, m):
+    def test_without_dsytrd_or_dstebz_the_values_solves_ends(self, monkeypatch, routine, m):
         # bit for bit the ends of the full values-only solve, and so eigvalsh's
         a = random_symmetric(m, m)
-        monkeypatch.setattr(spectral, "_LAPACK", None)
+        resolve_without(monkeypatch, routine)
         calls, solve = [], spectral._solve_values
         monkeypatch.setattr(spectral, "_solve_values", lambda x: calls.append(len(x)) or solve(x))
         got = spectral._solve_extremes(a.copy())
@@ -1160,12 +1182,14 @@ class TestSubmatrixNorms:
         assert len(results) == 5
         assert all(r.tolist() == want for r in results)
 
-    @pytest.mark.parametrize("missing", ["_LAPACK", "_THREADS"])
-    def test_without_lapack_or_thread_control_one_set_at_a_time(self, two_blas_threads, monkeypatch, missing):
+    @pytest.mark.parametrize(
+        "routine", ["dsyevr", "dsytrd", "dstebz", "set_num_threads", "get_num_threads"], ids=routine_id
+    )
+    def test_without_dsyevd_or_thread_control_one_set_at_a_time(self, two_blas_threads, monkeypatch, routine):
         # one pool worker and no pinning: each norm is spectral_norm's at the
         # current BLAS thread count, and the count is never touched
         get_threads = spectral._THREADS.functions["get_num_threads"]
-        monkeypatch.setattr(spectral, missing, None)
+        resolve_without(monkeypatch, routine)
         a = random_symmetric(40, 6)
         sets = [np.arange(40), np.arange(0, 40, 2), np.array([3]), np.arange(39, 14, -1)]
         sets.append(np.array([], dtype=np.int64))
