@@ -314,7 +314,10 @@ def check_concentration(
     Returns the gap precondition (q + 4e <= p - 4e), an aggregate report whose
     lhs is the violation count, then one report per violating (vertex, cluster)
     pair, capped at VIOLATION_CAP rows.  p and q are recorded in the report
-    context, so callers must not pass them there as well.
+    context, so callers must not pass them there as well.  A vertex's own
+    count runs over the s - 1 other members of its cluster (the diagonal is
+    zero), so at p = 1 with epsilon below 1/s, as the measured epsilon of a
+    noiseless instance is, every vertex is a concentration_in row.
     """
     if epsilon <= 0:
         raise EpsilonOutOfRangeError("epsilon must be positive")

@@ -66,11 +66,34 @@ def vertex_ids(ids, n: int) -> np.ndarray:
     ids = np.asarray(ids)
     if ids.ndim != 1:
         raise VertexIdError("vertex ids must form a 1-D array")
-    if ids.size and ids.dtype.kind not in "iu":
-        raise VertexIdError(f"vertex ids must be integers, got {ids.dtype}")
-    ids = ids.astype(np.int64)
-    if ids.size and not (0 <= ids.min() and ids.max() < n):
+    return vertex_id_rows(ids[None, :], n)[0]
+
+
+def vertex_id_rows(sets, n: int) -> np.ndarray:
+    """`sets` as a 2-D int64 array, each row checked as :func:`vertex_ids`
+    checks one set.
+
+    Rows that are already strictly increasing, as recovery's candidate sets
+    are, are settled by one comparison of neighbouring entries; only
+    otherwise is a sorted copy made.
+    """
+    sets = np.asarray(sets)
+    if sets.ndim != 2:
+        raise VertexIdError("vertex id sets must form a 2-D array, one set per row")
+    if sets.size and sets.dtype.kind not in "iu":
+        raise VertexIdError(f"vertex ids must be integers, got {sets.dtype}")
+    sets = sets.astype(np.int64, copy=False)
+    if not sets.size:
+        return sets
+    ordered = sets if _increasing(sets) else np.sort(sets, axis=1)
+    if not (0 <= ordered[:, 0].min() and ordered[:, -1].max() < n):
         raise VertexIdError(f"vertex ids must lie in 0..{n - 1}")
-    if np.unique(ids).size < ids.size:
+    if ordered is not sets and not _increasing(ordered):
         raise VertexIdError("vertex ids must be distinct")
-    return ids
+    return sets
+
+
+def _increasing(sets: np.ndarray) -> bool:
+    """Whether every row of `sets` is strictly increasing (compared, not
+    subtracted, so no difference can wrap)."""
+    return bool((sets[:, 1:] > sets[:, :-1]).all())

@@ -9,15 +9,15 @@ template, so with one integer type.  The thread controls are OpenBLAS's
 wheels export both, an MKL or reference LAPACK build only LAPACK, and
 Accelerate or Windows wheels neither.
 
-Every dense solve goes through one driver (workspace query, call, INFO
-check) into LAPACK ``dsyevr``: the top r eigenpairs, or all eigenvalues
-only (the same bits as numpy's ``eigvalsh``).  A norm needs only the two
-ends of the spectrum: one LAPACK ``dsytrd`` reduction to the tridiagonal
-that ``eigvalsh`` also solves, then two ``dstebz`` bisections, for the
-lowest and the highest eigenvalue, each to within a few ulps of itself.
-Without LAPACK, numpy's full ``eigh`` (keeping the top r) runs in place of
-a top-r solve, ``eigvalsh`` in place of a values-only solve, and the two
-ends of ``eigvalsh`` in place of a norm; no block iteration is tried.
+Every dense eigenvector solve goes through one driver (workspace query,
+call, INFO check) into LAPACK ``dsyevr`` for the top r eigenpairs.  A norm
+needs only the two ends of the spectrum: one LAPACK ``dsytrd`` reduction to
+the tridiagonal that ``eigvalsh`` also solves, then two ``dstebz``
+bisections, for the lowest and the highest eigenvalue, each to within a
+few ulps of itself.  All eigenvalues without eigenvectors are numpy's
+``eigvalsh``.  Without LAPACK, numpy's full ``eigh`` (keeping the top r)
+runs in place of a top-r solve and the two ends of ``eigvalsh`` in place of
+a norm; no block iteration is tried.
 
 A top-r solve of a large matrix far from the spectral threshold (m >= 1500
 and sqrt(m)/r >= 4) first tries a block iteration: r + 8 vectors from a fixed
@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteError, RankOutOfRangeError, vertex_ids
+from .errors import NonFiniteError, RankOutOfRangeError, vertex_id_rows, vertex_ids
 
 __all__ = [
     "SolveRecord",
@@ -233,10 +233,11 @@ class Projector:
 
     def columns(self, idx: np.ndarray) -> np.ndarray:
         """New len(idx) x m array whose row i is the projector's column idx[i]."""
-        return self.basis[idx] @ self.basis.T
+        return self.basis[vertex_ids(idx, self.dim)] @ self.basis.T
 
     def masses(self, sets: np.ndarray) -> np.ndarray:
-        """||P 1_W|| for each row W of the 2-D index array `sets`.
+        """||P 1_W|| for each row W of the 2-D index array `sets`, each row a
+        set of distinct vertex ids (:func:`~plantrec.errors.vertex_id_rows`).
 
         Computed as ||V^T 1_W||, the norm of the sum of W's rows of V, which
         is equal because V has orthonormal columns.
@@ -257,10 +258,11 @@ class _DenseOperator:
 
     def columns(self, idx: np.ndarray) -> np.ndarray:
         """New len(idx) x m array whose row i is the matrix's column idx[i]."""
-        return self.matrix[idx]
+        return self.matrix[vertex_ids(idx, self.dim)]
 
     def masses(self, sets: np.ndarray) -> np.ndarray:
-        """||A 1_W|| for each row W of the 2-D index array `sets`."""
+        """||A 1_W|| for each row W of the 2-D index array `sets`, checked
+        as :meth:`Projector.masses` checks them."""
         return _row_sum_norms(self.matrix, sets)
 
 
@@ -270,9 +272,10 @@ def _row_sum_norms(factor: np.ndarray, sets: np.ndarray) -> np.ndarray:
     Each distinct set is weighed once: rows are grouped by :func:`_set_key`,
     and a group shares its first row's mass only if every row in it equals
     that row; on any key collision every row is weighed.  A mass depends on
-    its own set only, so it is the same bits either way.
+    its own set only, so it is the same bits either way.  Each row must be a
+    set of distinct ids of rows of `factor`.
     """
-    sets = np.asarray(sets, dtype=np.int64)
+    sets = vertex_id_rows(sets, factor.shape[0])
     _, first, group = np.unique(_set_key(sets), return_index=True, return_inverse=True)
     if first.size < len(sets) and np.array_equal(sets[first][group], sets):
         return _weigh(factor, sets[first])[group]
@@ -337,14 +340,14 @@ def eigh_descending(a: np.ndarray, rank: int | None = None) -> SpectralDecomposi
     if rank is not None and not 1 <= rank <= m:
         raise RankOutOfRangeError(f"rank must be in 1..{m}, got {rank}")
     w, v, record = _solve_top(_finite_symmetric(a), m if rank is None else rank)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v, solve=record)
+    return SpectralDecomposition(w, v, record)
 
 
 def eigvals_descending(a: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, descending, with no eigenvectors
-    (one values-only solve of a float64 triangle copy, bit for bit numpy's
-    ``eigvalsh``); validated as :func:`eigh_descending` validates."""
-    return _solve_values(_finite_symmetric(a))[::-1]
+    """All eigenvalues of a symmetric matrix, descending, with no eigenvectors:
+    numpy's ``eigvalsh`` of the input validated as :func:`eigh_descending`
+    validates it."""
+    return np.linalg.eigvalsh(_finite_symmetric(a))[::-1]
 
 
 # Name templates of numpy's LAPACK routines and OpenBLAS thread controls,
@@ -552,11 +555,11 @@ def _solve_top(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, SolveR
     if _LAPACK is None:
         w, v = np.linalg.eigh(a)
         return w[::-1][:rank].copy(), v[:, ::-1][:, :rank].copy(), record
-    w, z = _dsyevr(_solve_copy(a), rank, vectors=True)
+    w, z = _dsyevr(_solve_copy(a), rank)
     if w.size < rank:
         # RANGE='I' can find fewer pairs than asked where IL cuts a repeated
         # eigenvalue (1 - I at m = 17, rank 3): solve a new copy for all m pairs
-        w_all, z = _dsyevr(_solve_copy(a), m, vectors=True)
+        w_all, z = _dsyevr(_solve_copy(a), m)
         if w_all.size < m:
             raise np.linalg.LinAlgError(
                 f"LAPACK dsyevr found {w.size} of {rank} eigenpairs, and {w_all.size} of {m} solving for all"
@@ -871,29 +874,15 @@ def _cholesky_upper(a: np.ndarray) -> bool:
     return True
 
 
-def _solve_values(a: np.ndarray) -> np.ndarray:
-    """All eigenvalues, ascending, of the finite, exactly symmetric `a`,
-    which is not written to: LAPACK dsyevr on a triangle copy where LAPACK
-    resolves, else numpy's ``eigvalsh``; both give the same bits at the
-    same BLAS thread count."""
-    if _LAPACK is None:
-        return np.linalg.eigvalsh(a)
-    w = _dsyevr(_solve_copy(a), a.shape[0], vectors=False)[0]
-    if w.size < a.shape[0]:
-        raise np.linalg.LinAlgError(f"LAPACK dsyevr found {w.size} of {a.shape[0]} eigenvalues")
-    return w
-
-
 _SAFE_MIN = float(np.finfo(np.float64).tiny)
 # the most accurate bisection tolerance, twice LAPACK's safe minimum
 _ABSTOL = ctypes.c_double(2.0 * _SAFE_MIN)
 
 
-def _dsyevr(a: np.ndarray, count: int, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(w, z): the top `count` eigenvalues, ascending, by LAPACK dsyevr with
-    RANGE='I', and with `vectors` their eigenvectors (else z is empty); fewer
-    where dsyevr finds fewer.  With count = m (IL = 1, IU = m) dsyevr takes
-    its RANGE='A' path.
+def _dsyevr(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w, z): the top `count` eigenvalues, ascending, and their
+    eigenvectors, by LAPACK dsyevr with RANGE='I'; fewer where dsyevr finds
+    fewer.  With count = m (IL = 1, IU = m) dsyevr takes its RANGE='A' path.
 
     `a` is symmetric, so its C-order buffer is also the column-major matrix
     LAPACK expects; LAPACK destroys it.  Eigenvector j comes back as row j of
@@ -905,14 +894,13 @@ def _dsyevr(a: np.ndarray, count: int, vectors: bool) -> tuple[np.ndarray, np.nd
     lead, found = int_type(max(m, 1)), int_type(0)
     unused = ctypes.c_double(0.0)  # VL, VU are not read with RANGE='I'
     w = np.empty(m, dtype=np.float64)
-    z = np.empty((count if vectors else 0, m), dtype=np.float64)
+    z = np.empty((count, m), dtype=np.float64)
     isuppz = np.empty(2 * count, dtype=int_type)
     head = (
-        b"V" if vectors else b"N", b"I", b"L", int_type(m), a, lead, unused, unused,
+        b"V", b"I", b"L", int_type(m), a, lead, unused, unused,
         int_type(m - count + 1), int_type(m), _ABSTOL, found, w, z, lead, isuppz,
     )
-    # dsyevr keeps 5m of WORK: 5m more than queried gives its dsytrd dsyevd's blocking, and eigvalsh's bits
-    _lapack("dsyevr", head, (1, 1, 1), extra_work=0 if vectors else 5 * m)
+    _lapack("dsyevr", head, (1, 1, 1))
     return w[: found.value], z[: found.value]
 
 
@@ -929,9 +917,9 @@ def _solve_extremes(a: np.ndarray, index: np.ndarray | None = None) -> tuple[flo
     of its principal submatrix a[index, index], which is not written to;
     (0.0, 0.0) for m = 0.
 
-    One LAPACK dsytrd reduction of a triangle copy to a tridiagonal T, with
-    the workspace a values-only dsyevr gives it (so T has the bits eigvalsh
-    reduces to at the same BLAS thread count), then dstebz bisection on T
+    One LAPACK dsytrd reduction of a triangle copy to a tridiagonal T,
+    blocked as inside eigvalsh (so T has the bits eigvalsh reduces to at the
+    same BLAS thread count), then dstebz bisection on T
     for its first and its m-th eigenvalue, at the most accurate tolerance:
     each end to within a few ulps of itself, where a full solve would also
     sweep out the m - 2 eigenvalues between them.  The input is scaled as
@@ -940,14 +928,13 @@ def _solve_extremes(a: np.ndarray, index: np.ndarray | None = None) -> tuple[flo
     only where these bounds (each widened by 2 for the reduction's rounding)
     leave [_SCALE_MIN, _SCALE_MAX] is anrm read from a new copy, which is
     scaled and reduced again if anrm is out of range.  Where LAPACK does
-    not resolve, the two ends of :func:`_solve_values` of the gathered
-    matrix, bit for bit.
+    not resolve, the two ends of numpy's ``eigvalsh`` of the gathered matrix.
     """
     m = a.shape[0] if index is None else index.size
     if m == 0:
         return 0.0, 0.0
     if _LAPACK is None:
-        w = _solve_values(a if index is None else a[np.ix_(index, index)])
+        w = np.linalg.eigvalsh(a if index is None else a[np.ix_(index, index)])
         return float(w[0]), float(w[-1])
     d, e = _tridiagonal(_solve_copy(a, index))
     # NaN or inf in T (an overflowing reduction) fails the test too
@@ -979,7 +966,7 @@ def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # E and TAU hold m - 1 entries; one more keeps them non-empty at m = 1
     d, e, tau = np.empty(m), np.empty(m), np.empty(m)
     head = (b"L", int_type(m), a, int_type(m), d, e, tau)
-    # the 5m more WORK that dsyevr adds gives dsytrd its full blocking there
+    # with 5m more WORK than queried dsytrd blocks as inside eigvalsh's dsyevd
     _lapack("dsytrd", head, (1,), extra_work=5 * m, iwork=False)
     return d, e
 

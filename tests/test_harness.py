@@ -118,6 +118,44 @@ class TestRunTrial:
             run_trial(cell, seed=1, checks=("conc",), epsilon=-1.0)
 
 
+class TestNoiselessTrials:
+    """Sampled instances at q = 0, with p = 1 (where the sample is its
+    expectation off the diagonal) or p < 1, through run_trial with every
+    check, the measured epsilon and the baseline.  At k = n (s = 1) every
+    round is a full solve."""
+
+    @pytest.mark.parametrize(
+        "n,k,p", [(60, 3, 1.0), (60, 2, 1.0), (40, 1, 1.0), (40, 40, 1.0), (120, 4, 0.6), (30, 30, 0.5)]
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_exact_finite_and_rerun_equal(self, n, k, p, seed):
+        cell = Cell(index=0, n=n, k=k, s=n // k, p=p, q=0.0)
+        rep = run_trial(cell, seed, checks=KNOWN_CHECKS, epsilon=None, baseline=True)
+        assert rep.recovered_exactly and rep.baseline_exactly
+        for r in rep.reports:
+            assert math.isfinite(r.lhs), r
+            # the projector deviation's rhs is +inf where its eigengap closes
+            assert math.isfinite(r.rhs) or (r.name == "projector_deviation" and r.rhs == math.inf), r
+        by_name = {r.name: r for r in rep.reports}
+        if p == 1.0:
+            # A - E = -I: E has p on its diagonal, the adjacency zeros
+            assert by_name["norm_deviation"].lhs == 1.0
+        assert by_name["projector_frobenius_rank"].satisfied
+        assert run_trial(cell, seed, checks=KNOWN_CHECKS, epsilon=None, baseline=True).json_row() == rep.json_row()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a vertex's own-cluster count runs over its s - 1 other members, against a floor of "
+        "(p - epsilon) s with the measured epsilon floored at 1e-12: every vertex is reported",
+    )
+    @pytest.mark.parametrize("n,k", [(40, 2), (60, 3)])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_noiseless_instance_has_no_concentration_violation(self, n, k, seed):
+        cell = Cell(index=0, n=n, k=k, s=n // k, p=1.0, q=0.0)
+        rep = run_trial(cell, seed, checks=("conc",), epsilon=None)
+        assert [r for r in rep.reports if r.name == "concentration_in"] == []
+
+
 def trial_with_clusters() -> tuple:
     """(recovery result, report) of one run_trial with every check and the baseline."""
     results, recover = [], experiment.recover_with_trace

@@ -264,19 +264,6 @@ class TestPartialSolve:
         with pytest.raises(np.linalg.LinAlgError, match=message):
             eigh_descending(random_symmetric(10, 0), 4)
 
-    @lapack
-    def test_values_solve_failure_raises_linalg_error(self, monkeypatch):
-        # the dsyevr stand-in above, called by a values-only solve (JOBZ='N'):
-        # it fails the solve, after answering the workspace query
-        def fake(*args):
-            assert args[0] == b"N"
-            args[16][0], args[18][0] = 1.0, 1  # workspace sizes
-            args[20].value = 0 if args[17].value == -1 else 2
-
-        monkeypatch.setitem(spectral._LAPACK.functions, "dsyevr", fake)
-        with pytest.raises(np.linalg.LinAlgError, match=r"dsyevr failed \(info = 2\)"):
-            eigvals_descending(random_symmetric(10, 0))
-
 
 def stub_library(exports: dict) -> types.SimpleNamespace:
     """A library that exports, under each name template, the routines listed
@@ -860,11 +847,9 @@ class TestOneCopy:
             spectral_norm(a)
 
     def test_values_only_solve_is_eigvalsh_descending(self, monkeypatch):
-        # bit for bit at the current BLAS thread count and at one thread; from
-        # m = 64 on, dsyevr's tridiagonal reduction blocks as eigvalsh's only
-        # with the workspace it is given beyond its query
-        calls, solve = [], spectral._solve_values
-        monkeypatch.setattr(spectral, "_solve_values", lambda x: calls.append(x.shape) or solve(x))
+        # bit for bit at the current BLAS thread count and at one thread
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: calls.append(x.shape) or eigvalsh(x))
         pinned = spectral._THREADS is not None
         thread_counts = (contextlib.nullcontext, spectral._one_blas_thread)[: 1 + pinned]
         sizes = (1, 30, 64, 200, 601)
@@ -872,7 +857,7 @@ class TestOneCopy:
             a = random_symmetric(m, 8)
             for threads in thread_counts:
                 with threads():
-                    assert np.array_equal(eigvals_descending(a), np.linalg.eigvalsh(a)[::-1]), m
+                    assert np.array_equal(eigvals_descending(a), eigvalsh(a)[::-1]), m
         assert calls == [(m, m) for m in sizes for _ in thread_counts]  # the one values seam
         a = random_symmetric(30, 8)
         w = eigvals_descending(a)
@@ -1031,16 +1016,16 @@ class TestSolveExtremes:
     @pytest.mark.parametrize("routine", ["dsytrd", "dstebz"], ids=routine_id)
     @pytest.mark.parametrize("m", [0, 1, 2, 30, 200])
     def test_without_dsytrd_or_dstebz_the_values_solves_ends(self, monkeypatch, routine, m):
-        # bit for bit the ends of the full values-only solve, and so eigvalsh's
+        # bit for bit the ends of numpy's full values-only solve, eigvalsh
         a = random_symmetric(m, m)
         resolve_without(monkeypatch, routine)
-        calls, solve = [], spectral._solve_values
-        monkeypatch.setattr(spectral, "_solve_values", lambda x: calls.append(len(x)) or solve(x))
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: calls.append(len(x)) or eigvalsh(x))
         got = spectral._solve_extremes(a.copy())
+        w = eigvalsh(a)
         if m == 0:
             assert got == (0.0, 0.0) and calls == []
         else:
-            w = np.linalg.eigvalsh(a)
             assert got == (w[0], w[-1]) and calls == [m]
         assert spectral_norm(a) == (max(abs(w[0]), abs(w[-1])) if m else 0.0)
 
@@ -1396,3 +1381,131 @@ class TestProjectorColumnMass:
         part = make_partition(8, 4)
         proj = top_projector(expectation_matrix(part, ModelParams(0.9, 0.1, 0)), 2)
         assert column_mass(proj, part.clusters()[0]) == pytest.approx(2.0)
+
+
+def twelve_vertex_operands() -> dict:
+    """The two operand kinds the ranking reads, on make_partition(12, 4) at
+    p = 0.7, q = 0.3, seed 1: the rank-3 projector and the raw adjacency."""
+    g = sample_graph(make_partition(12, 4), ModelParams(p=0.7, q=0.3, seed=1))
+    return {"projector": top_projector(g.adj, 3), "matrix": projector_operand(g.adj)}
+
+
+class TestOperandIds:
+    """Projector and raw-matrix operands check each set as
+    errors.vertex_ids checks one, where numpy's indexing would read -1 as
+    vertex n - 1 and weigh a repeated id twice."""
+
+    @pytest.mark.parametrize("kind", ["projector", "matrix"])
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ([[-1, 0, 1, 2]], "lie in 0..11"),
+            ([[12, 0, 1, 2]], "lie in 0..11"),
+            ([[0, 1, 2, 3], [0, 0, 1, 2]], "distinct"),  # only the second row repeats an id
+            ([[2, 1, 2, 0]], "distinct"),  # unsorted and repeated
+            ([[0, 2**62, -(2**62) - 5, 3]], "lie in 0..11"),  # a difference that would wrap
+            (np.array([[0.0, 1.0, 2.0, 3.0]]), "integers"),
+            (np.ones((1, 12), dtype=bool), "integers"),
+            ([0, 1, 2, 3], "2-D"),
+        ],
+    )
+    def test_masses_reject_bad_sets(self, kind, bad, message):
+        with pytest.raises(VertexIdError, match=message):
+            twelve_vertex_operands()[kind].masses(bad)
+
+    @pytest.mark.parametrize("kind", ["projector", "matrix"])
+    @pytest.mark.parametrize(
+        "bad,message",
+        [([-1], "lie in 0..11"), ([12], "lie in 0..11"), ([3, 3], "distinct"), ([[0, 1]], "1-D"), ([0.0], "integers")],
+    )
+    def test_columns_reject_bad_ids(self, kind, bad, message):
+        with pytest.raises(VertexIdError, match=message):
+            twelve_vertex_operands()[kind].columns(bad)
+
+    @pytest.mark.parametrize("kind", ["projector", "matrix"])
+    def test_unsorted_rows_weigh_as_sorted(self, kind):
+        op = twelve_vertex_operands()[kind]
+        sorted_rows = np.array([[0, 1, 2, 11], [3, 4, 5, 6]])
+        got = op.masses(np.array([[11, 0, 2, 1], [6, 5, 4, 3]]))
+        assert np.allclose(got, op.masses(sorted_rows), rtol=1e-14, atol=0)
+        assert op.masses(np.zeros((2, 0), dtype=np.int64)).tolist() == [0.0, 0.0]
+        assert op.masses(np.zeros((0, 4), dtype=np.uint8)).shape == (0,)
+
+    @pytest.mark.parametrize("kind", ["projector", "matrix"])
+    def test_columns_of_valid_ids(self, kind):
+        op = twelve_vertex_operands()[kind]
+        full = op.columns(np.arange(12))
+        assert np.array_equal(op.columns(np.array([11, 3], dtype=np.uint16)), full[[11, 3]])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_all_candidate_sets_keep_their_bits(self, seed):
+        # the masses equal the per-set oracle's, bit for bit, on both operands
+        basis, members = TestRowSumNorms.shuffled_instance(seed)
+        got_members, masses = all_candidate_sets(spectral.Projector(basis), 100)
+        assert np.array_equal(got_members, members)
+        assert np.array_equal(masses, per_set_masses(basis, members))
+        matrix = random_symmetric(300, seed)
+        members, masses = all_candidate_sets(matrix, 20)
+        assert np.array_equal(masses, per_set_masses(matrix, members))
+
+
+class TestEigenvectorsOnly:
+    """dsyevr is called only to form eigenvectors; all eigenvalues without
+    them are numpy's eigvalsh, bit for bit."""
+
+    @lapack
+    def test_every_dsyevr_call_forms_eigenvectors(self, iterative_off, monkeypatch):
+        from plantrec.experiment import run_checks
+
+        jobz, dsyevr = [], spectral._LAPACK.functions["dsyevr"]
+
+        def recorded(*args):
+            jobz.append(args[0])
+            return dsyevr(*args)
+
+        monkeypatch.setitem(spectral._LAPACK.functions, "dsyevr", recorded)
+        a = random_symmetric(40, 3)
+        part = make_partition(60, 20)
+        params = ModelParams(p=0.8, q=0.2, seed=3)
+        g = sample_graph(part, params)
+        calls = {}
+        for name, solve in [
+            ("eigh_descending rank", lambda: eigh_descending(a, 4)),
+            ("eigh_descending", lambda: eigh_descending(a)),
+            ("eigvals_descending", lambda: eigvals_descending(a)),
+            ("spectral_norm", lambda: spectral_norm(a)),
+            ("submatrix_norms", lambda: spectral.submatrix_norms(a, [np.arange(10), np.arange(5, 40)])),
+            ("run_checks", lambda: run_checks(g, part, params, ("norm", "proj", "conc", "fk", "goodcol"), None)),
+        ]:
+            before = len(jobz)
+            solve()
+            calls[name] = len(jobz) - before
+        assert set(jobz) == {b"V"}
+        # a workspace query and a solve for each eigenvector solve; none for the values
+        assert calls == {
+            "eigh_descending rank": 2, "eigh_descending": 2, "eigvals_descending": 0,
+            "spectral_norm": 0, "submatrix_norms": 0, "run_checks": 2,
+        }
+
+    @pytest.mark.parametrize("kind", ["float", "int", "bool", "non-symmetric"])
+    @pytest.mark.parametrize("resolved", [True, False], ids=["lapack", "no-lapack"])
+    @pytest.mark.parametrize("one_thread", [False, True], ids=["default-threads", "one-thread"])
+    def test_eigvals_descending_is_eigvalsh(self, monkeypatch, kind, resolved, one_thread):
+        if one_thread and spectral._THREADS is None:
+            pytest.skip("OpenBLAS's thread controls do not resolve")
+        rng = np.random.default_rng(21)
+        m = 130
+        upper = np.triu(rng.integers(-4, 5, (m, m)))
+        x = {
+            "float": random_symmetric(m, 21),
+            "int": upper + np.triu(upper, 1).T,
+            "bool": _graph_adjacency(m, 21).astype(bool),
+            "non-symmetric": rng.standard_normal((m, m)),
+        }[kind]
+        assert np.array_equal(x, x.T) == (kind != "non-symmetric")
+        if not resolved:
+            monkeypatch.setattr(spectral, "_LAPACK", None)
+        with spectral._one_blas_thread() if one_thread else contextlib.nullcontext():
+            got = eigvals_descending(x)
+            want = np.linalg.eigvalsh(as_symmetric(x) if kind == "non-symmetric" else x)[::-1]
+        assert np.array_equal(got, want)
