@@ -215,14 +215,12 @@ def check_projector_deviation(
     m = sampled.shape[0]
     if not 1 <= l <= m:
         raise DimensionMismatchError(f"l must be in 1..{m}, got {l}")
-    sampled_projector = top_projector(sampled, l)
     expected_eig = eigh_descending(expected, l)
     return _projector_deviation(
-        sampled_projector,
-        Projector(basis=expected_eig.eigenvectors),
+        _projector_distance(top_projector(sampled, l), Projector(basis=expected_eig.eigenvectors)),
+        m,
         float(expected_eig.eigenvalues[l - 1]),
         spectral_norm(sampled - expected),
-        l,
         **context,
     )
 
@@ -241,14 +239,15 @@ def _projector_distance(p_a: Projector, p_e: Projector) -> np.ndarray:
 
 
 def _projector_deviation(
-    p_a: Projector, p_e: Projector, lambda_l: float, instance_dev: float, l: int, **context
+    sines: np.ndarray, m: int, lambda_l: float, instance_dev: float, **context
 ) -> tuple[BoundReport, BoundReport]:
-    """The reports of :func:`check_projector_deviation` from their inputs: the
-    rank-l projectors of the sampled and expected matrices, the expected
-    matrix's l-th eigenvalue and ||sampled - expected||_2."""
-    sines = _projector_distance(p_a, p_e)
+    """The reports of :func:`check_projector_deviation` from their inputs:
+    the l sines of :func:`_projector_distance` between the rank-l projectors
+    of the m x m sampled and expected matrices, the expected matrix's l-th
+    eigenvalue and ||sampled - expected||_2."""
+    l = sines.size
     gap = float(lambda_l) - instance_dev
-    rhs = 8.0 * math.sqrt(p_a.dim) / gap if gap > 0 else math.inf
+    rhs = 8.0 * math.sqrt(m) / gap if gap > 0 else math.inf
     spec_report = BoundReport.of(
         "projector_deviation", sines[0], rhs, gap=gap, instance_deviation=instance_dev, **context
     )
@@ -309,15 +308,20 @@ def check_purity(w, part: PlantedPartition, epsilon: float, **context) -> BoundR
 def check_concentration(
     g: Graph, part: PlantedPartition, p: float, q: float, epsilon: float, **context
 ) -> list[BoundReport]:
-    """Neighbor counts into every cluster against (p - e)s and (q + e)s.
+    """Neighbor counts into every cluster against (p - e)s - p and (q + e)s.
 
     Returns the gap precondition (q + 4e <= p - 4e), an aggregate report whose
     lhs is the violation count, then one report per violating (vertex, cluster)
     pair, capped at VIOLATION_CAP rows.  p and q are recorded in the report
-    context, so callers must not pass them there as well.  A vertex's own
-    count runs over the s - 1 other members of its cluster (the diagonal is
-    zero), so at p = 1 with epsilon below 1/s, as the measured epsilon of a
-    noiseless instance is, every vertex is a concentration_in row.
+    context, so callers must not pass them there as well.  The paper's
+    concentration lemma bounds the rows of E, whose own cluster's block
+    carries p on the diagonal too, so a vertex's expected own count there is
+    ps; the adjacency has a zero diagonal, and its own count runs over the
+    s - 1 other members, whose expectation is ps - p.  The floor is
+    therefore (p - e)s - p, the lemma's slack of es below that expectation
+    (else a noiseless instance, own count s - 1 at p = 1, would fall below
+    (1 - e)s at every vertex for any e < 1/s).  No entry of E off its
+    cluster's block is on the diagonal, so the out-count ceiling is (q + e)s.
     """
     if epsilon <= 0:
         raise EpsilonOutOfRangeError("epsilon must be positive")
@@ -325,7 +329,7 @@ def check_concentration(
     s = part.s
     counts = np.stack([g.adj[:, c].sum(axis=1, dtype=np.int64) for c in part.clusters()], axis=1)
     own = counts[np.arange(part.n), part.assignment]
-    in_floor = (p - epsilon) * s
+    in_floor = (p - epsilon) * s - p
     out_ceil = (q + epsilon) * s
     in_bad = np.flatnonzero(own < in_floor)
     other = counts.copy()

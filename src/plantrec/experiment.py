@@ -237,14 +237,15 @@ def run_checks(g, part, params, checks, epsilon, round0=None) -> list:
     column is ranked again.  Without it the graph is solved once, only when
     proj, goodcol or a measured epsilon needs it, and goodcol ranks that
     projector's columns.  The expected side is taken in closed form:
-    P_k(E) = Z Z^T / s and lambda_k(E) from `theoretical_spectrum`.  The
-    noise matrix A - E is the one n x n float64 matrix the checks hold, built
-    once when norm, proj or fk runs.  fk first solves the submatrices
-    of its proper cluster unions for their two ends (copies, one BLAS thread
-    per core at once).  Then A - E itself is solved once for its two ends,
-    from a triangle copy: they give ||A - E||_2 for norm and proj, and,
-    shifted by p (A - E has -p on its diagonal where fk's noise has 0),
-    fk's union of every cluster.
+    P_k(E) = Z Z^T / s and lambda_k(E) from `theoretical_spectrum`; one SVD
+    gives the principal angles between P_k(A) and P_k(E), which proj and a
+    measured epsilon share.  The noise matrix A - E is the one n x n float64
+    matrix the checks hold, built once when norm, proj or fk runs.  fk first
+    solves the submatrices of its proper cluster unions for their two ends
+    (copies, one BLAS thread per core at once).  Then A - E itself is solved
+    once for its two ends, from a triangle copy: they give ||A - E||_2 for
+    norm and proj, and, shifted by p (A - E has -p on its diagonal where
+    fk's noise has 0), fk's union of every cluster.
     """
     _validate_checks(checks, epsilon)
     checks = set(checks)
@@ -268,6 +269,7 @@ def run_checks(g, part, params, checks, epsilon, round0=None) -> list:
         projector = top_projector(g.adj, k)
     if "proj" in checks or measure_epsilon:
         expected_projector = Projector(basis=np.eye(k)[part.assignment] / math.sqrt(s))
+        sines = bounds._projector_distance(projector, expected_projector)
 
     reports = []
     if {"norm", "proj", "fk"} & checks:
@@ -296,11 +298,9 @@ def run_checks(g, part, params, checks, epsilon, round0=None) -> list:
         reports.append(bounds._norm_deviation(instance_dev, n, **ctx))
     if "proj" in checks:
         lambda_k = bounds.theoretical_spectrum(k, s, params.p, params.q)[k - 1]
-        reports.extend(
-            bounds._projector_deviation(projector, expected_projector, lambda_k, instance_dev, k, **ctx)
-        )
+        reports.extend(bounds._projector_deviation(sines, n, lambda_k, instance_dev, **ctx))
     if measure_epsilon:
-        epsilon = max(float(bounds._projector_distance(projector, expected_projector)[0]), 1e-12)
+        epsilon = max(float(sines[0]), 1e-12)
     if "conc" in checks:
         conc_ctx = {key: v for key, v in ctx.items() if key not in ("p", "q")}
         reports.extend(

@@ -1,10 +1,10 @@
 """Dense symmetric eigendecomposition, top-rank projectors, and matrix norms.
 
 Two capabilities are looked up once, at import, with ctypes in the libraries
-numpy itself links, each as a whole or not at all.  LAPACK is the seven
+numpy itself links, each as a whole or not at all.  LAPACK is the six
 routines this module calls (``dsyevr``, ``dsytrd``, ``dstebz``, ``dpotrf``
-and the BLAS ``dtrsm``, ``dsyrk`` and ``dgemm``), all under one name
-template, so with one integer type.  The thread controls are OpenBLAS's
+and the BLAS ``dtrsm`` and ``dgemm``), all under one name template, so with
+one integer type.  The thread controls are OpenBLAS's
 ``openblas_set_num_threads`` and ``openblas_get_num_threads``.  OpenBLAS
 wheels export both, an MKL or reference LAPACK build only LAPACK, and
 Accelerate or Windows wheels neither.
@@ -27,14 +27,15 @@ by value, not magnitude), with Rayleigh-Ritz after each step, until the
 residual ||A V - V Theta|| is small.  The lower end is the Gershgorin bound,
 -(max degree) for an adjacency, except while a tighter guess holds.  Its
 basis is kept only when a Cholesky factorization of
-sigma' I - A + V Theta V^T succeeds in place (by row blocks of 128: BLAS
-``dsyrk`` and ``dgemm`` update a block, LAPACK ``dpotrf`` factors its
-diagonal tile and one ``dtrsm`` solves the rest), where sigma' is sigma
-lowered by a bound on the rounding of forming and factoring that matrix;
-this proves lambda_{r+1} < sigma and so, by Davis-Kahan, sin theta <= 1e-10
-against the exact top-r eigenspace.  If the factorization fails, the step
-budget runs out, or the first steps show the wanted part is not separating,
-``dsyevr`` solves a new copy of the input, bit for bit as it would alone.
+sigma' I - A + V Theta V^T succeeds in place (one BLAS ``dgemm`` forms the
+matrix; then, by row blocks of 128, one ``dgemm`` updates a block, LAPACK
+``dpotrf`` factors its diagonal tile and one ``dtrsm`` solves the rest),
+where sigma' is sigma lowered by a bound on the rounding of forming and
+factoring that matrix; this proves lambda_{r+1} < sigma and so, by
+Davis-Kahan, sin theta <= 1e-10 against the exact top-r eigenspace.  If the
+factorization fails, the step budget runs out, or the first steps show the
+wanted part is not separating, ``dsyevr`` solves a new copy of the input,
+bit for bit as it would alone.
 Either way the result is deterministic for a fixed input, LAPACK build and
 BLAS thread count.  Where a rank cuts a repeated eigenvalue and ``dsyevr``
 finds fewer than the top r pairs, another new copy is solved for all pairs.
@@ -408,8 +409,8 @@ def _dstebz_argtypes(int_type) -> list:
     ]
 
 
-# dpotrf, dtrsm, dsyrk and dgemm work on blocks inside a matrix: A, B and C
-# are addresses.
+# dpotrf, dtrsm and dgemm work on blocks inside a matrix: A, B and C are
+# addresses.
 def _dpotrf_argtypes(int_type) -> list:
     integer = ctypes.POINTER(int_type)
     # UPLO, N, A, LDA, INFO and the hidden length of UPLO
@@ -423,17 +424,6 @@ def _dtrsm_argtypes(int_type) -> list:
         integer, integer, ctypes.POINTER(ctypes.c_double),  # M, N, ALPHA
         ctypes.c_void_p, integer, ctypes.c_void_p, integer,  # A, LDA, B, LDB
         *[ctypes.c_size_t] * 4,  # the hidden lengths of the four strings
-    ]
-
-
-def _dsyrk_argtypes(int_type) -> list:
-    integer, double = ctypes.POINTER(int_type), ctypes.POINTER(ctypes.c_double)
-    return [
-        *[ctypes.c_char_p] * 2,  # UPLO, TRANS
-        integer, integer, double,  # N, K, ALPHA
-        ctypes.c_void_p, integer, double,  # A, LDA, BETA
-        ctypes.c_void_p, integer,  # C, LDC
-        *[ctypes.c_size_t] * 2,  # the hidden lengths of the two strings
     ]
 
 
@@ -454,7 +444,6 @@ _LAPACK_SIGNATURES = {
     "dstebz": (_dstebz_argtypes, None),
     "dpotrf": (_dpotrf_argtypes, None),
     "dtrsm": (_dtrsm_argtypes, None),
-    "dsyrk": (_dsyrk_argtypes, None),
     "dgemm": (_dgemm_argtypes, None),
 }
 _OPENBLAS_SIGNATURES = {
@@ -593,8 +582,8 @@ _MAX_DEGREE = 16
 # Key of the Philox stream of the start block: the iteration is a pure
 # function of its input at one BLAS thread count.
 _START_KEY = 0x5EED_B10C
-# Side of the square tiles in which the certificate writes its matrix: a
-# tile's temporary is 128 KiB.
+# Rows of a row block of the certificate's factorization, and the side of
+# the diagonal tile that dpotrf factors.
 _CERTIFICATE_TILE = 128
 
 
@@ -745,12 +734,13 @@ def _certify(
     positive definiteness", BIT 46, 2006).  With u = 2^-53 and
     gamma_k = k u / (1 - k u):
 
-    1. Forming.  Each entry of V Theta V^T is a dot product of length r of
-       the rounded V Theta with V, off by at most gamma_{r+1} P_ij, where
-       P = |V| |Theta| |V|^T; subtracting a_ij rounds once more, and so does
-       adding t on the diagonal.  So |Mf - M| <= gamma_{r+2} P + u |A| +
-       u diag|Mf|, and ||Mf - M||_2 <= f = gamma_{r+2} max|theta| ||V||_F^2 +
-       u (||A||_inf + max_i |Mf_ii|).
+    1. Forming.  One dgemm (beta = -1) forms each entry of V Theta V^T - A
+       as a sum of r + 1 terms, in any order: the r products of the rounded
+       V Theta with V, and -a_ij.  It is off by at most
+       gamma_{r+2} (P + |A|)_ij, where P = |V| |Theta| |V|^T, and adding t on
+       the diagonal rounds once more.  So |Mf - M| <= gamma_{r+2} (P + |A|) +
+       u diag|Mf|, and ||Mf - M||_2 <= f = gamma_{r+2} (max|theta| ||V||_F^2 +
+       ||A||_inf) + u max_i |Mf_ii|.
     2. Factoring (Demmel; Higham, Accuracy and Stability of Numerical
        Algorithms, Thm 10.3).  If Cholesky in floating point runs to
        completion on Mf, in any order of the sums of products and with each
@@ -767,18 +757,22 @@ def _certify(
     3. So lambda_min(M) >= -(alpha tr(Mf) + f + the underflow term), which
        the shift c exceeds: lambda_max(X) = t - lambda_min(M) < t + c = sigma.
 
-    The shift also needs t > 0 and t > theta_{r+1}.  M is written into the
-    upper triangle of `a` only, as the factorization reads only that one.
+    The shift also needs t > 0 and t > theta_{r+1}.  M is written over the
+    whole of the C-order `a`, of which the factorization reads the upper
+    triangle.
     """
     sigma = theta[rank - 1] - residual / _SIN_THETA_TOL
     if not (sigma > 0 and sigma > theta[rank]):
         return False
-    m, tile = a.shape[0], _CERTIFICATE_TILE
-    scaled = v * theta[:rank]
-    for i, j in _upper_tiles(m):
-        block = a[i : i + tile, j : j + tile]
-        outer = scaled[i : i + tile] @ v[j : j + tile].T
-        _write_upper(block, np.subtract(outer, block, out=outer), i == j)
+    m = a.shape[0]
+    # a C-order rank x m array is a column-major m x rank one: on those
+    # views, a := S V^T - a with S = V Theta, which is V Theta V^T - A
+    vt = np.ascontiguousarray(v.T)
+    scaled = vt * theta[:rank, None]
+    lead = _LAPACK.int_type(m)
+    _LAPACK.functions["dgemm"](b"N", b"T", lead, lead, _LAPACK.int_type(rank), ctypes.c_double(1.0),
+                               scaled.ctypes.data, lead, vt.ctypes.data, lead, ctypes.c_double(-1.0),
+                               a.ctypes.data, lead, 1, 1)
     t = sigma - _rounding_shift(a.diagonal(), theta[:rank], v, norm, sigma)
     if not (t > 0 and t > theta[rank]):
         return False
@@ -810,44 +804,33 @@ def _rounding_shift(
     absolute = np.abs(diagonal)
     trace = (1 + _UNIT_ROUNDOFF) * (float(absolute.sum()) + m * sigma)
     largest = (1 + _UNIT_ROUNDOFF) * (float(absolute.max()) + sigma)
-    forming = _gamma(rank + 2) * float(np.abs(theta).max()) * float(np.sum(v * v))
-    forming += _UNIT_ROUNDOFF * (norm + largest)
+    forming = _gamma(rank + 2) * (float(np.abs(theta).max()) * float(np.sum(v * v)) + norm)
+    forming += _UNIT_ROUNDOFF * largest
     alpha = _gamma(m + 1) / (1 - _gamma(m + 1))
     underflow = 4 * m * (2 * (m + 1) + largest) * _SMALLEST_SUBNORMAL
     return 2 * (alpha * trace + forming) + underflow
 
 
-def _upper_tiles(m: int) -> list:
-    """(i, j) corners of the _CERTIFICATE_TILE tiles on and above the diagonal."""
-    tile = _CERTIFICATE_TILE
-    return [(i, j) for i in range(0, m, tile) for j in range(i, m, tile)]
-
-
-def _write_upper(block: np.ndarray, value: np.ndarray, diagonal: bool) -> None:
-    """Copy `value` into the tile `block`: only its upper triangle where it
-    is a diagonal tile, whose strict lower triangle belongs to the lower one."""
-    np.copyto(block, value, where=np.tri(len(block), dtype=bool).T if diagonal else True)
-
-
 def _cholesky_upper(a: np.ndarray) -> bool:
     """Whether the Cholesky factorization M = U^T U of the symmetric matrix
     M held in the upper triangle of the C-order `a` succeeds (M positive
-    definite); U overwrites that triangle, and the strict lower triangle is
-    not touched.
+    definite); U overwrites that triangle.  U does not depend on the strict
+    lower triangle: outside the diagonal tiles it is not touched, and inside
+    them it is written over.
 
     Left-looking by row blocks of _CERTIFICATE_TILE rows.  On the
     column-major view of `a`, where U^T is the lower triangle, row block k
-    is column block k, and three BLAS calls update it in place from the rows
-    above it: dsyrk on its diagonal tile's triangle, dgemm on the rest, and,
-    after LAPACK dpotrf has factored the diagonal tile, one dtrsm that
-    solves the rest against it.  Nothing is copied: a numpy product of the
-    row block would hold a temporary as large as the block.  dpotrf sees one
-    tile at a time: one dpotrf of a whole m = 3000 matrix makes OpenBLAS
-    touch 9 MB more of its buffers, which then stay resident.
+    is column block k: one dgemm updates it in place from the rows above
+    it, diagonal tile included, LAPACK dpotrf factors the diagonal tile's
+    triangle, and one dtrsm solves the rest of the block against it.
+    Nothing is copied: a numpy product of the row block would hold a
+    temporary as large as the block.  dpotrf sees one tile at a time: one
+    dpotrf of a whole m = 3000 matrix makes OpenBLAS touch 9 MB more of its
+    buffers, which then stay resident.
     """
     m, tile = a.shape[0], _CERTIFICATE_TILE
     int_type = _LAPACK.int_type
-    potrf, trsm, syrk, gemm = (_LAPACK.functions[name] for name in ("dpotrf", "dtrsm", "dsyrk", "dgemm"))
+    potrf, trsm, gemm = (_LAPACK.functions[name] for name in ("dpotrf", "dtrsm", "dgemm"))
     lead, info = int_type(m), int_type(0)
     one, minus_one = ctypes.c_double(1.0), ctypes.c_double(-1.0)
 
@@ -857,12 +840,9 @@ def _cholesky_upper(a: np.ndarray) -> bool:
     for k in range(0, m, tile):
         rows, rest = min(tile, m - k), int_type(max(0, m - k - tile))
         if k:
-            # M_kk -= U_:k,k^T U_:k,k, and M_kj -= U_:k,k^T U_:k,j for j past the tile
-            syrk(b"L", b"N", int_type(rows), int_type(k), minus_one, address(0, k), lead,
-                 one, address(k, k), lead, 1, 1)
-            if rest.value:
-                gemm(b"N", b"T", rest, int_type(rows), int_type(k), minus_one, address(0, k + tile),
-                     lead, address(0, k), lead, one, address(k, k + tile), lead, 1, 1)
+            # M_kj -= U_:k,k^T U_:k,j for every j >= k
+            gemm(b"N", b"T", int_type(m - k), int_type(rows), int_type(k), minus_one, address(0, k),
+                 lead, address(0, k), lead, one, address(k, k), lead, 1, 1)
         # the tile's upper triangle is the lower one of its column-major view
         potrf(b"L", int_type(rows), address(k, k), lead, info, 1)
         if info.value != 0:

@@ -30,6 +30,7 @@ from plantrec.errors import (
     VertexIdError,
 )
 from plantrec.model import (
+    Graph,
     ModelParams,
     expectation_matrix,
     make_partition,
@@ -255,11 +256,12 @@ class TestProjectorDeviation:
             _, frob = check_projector_deviation(sampled, expected, 1)
         else:
             _, frob = bounds._projector_deviation(
-                top_projector(sampled, 1),
-                Projector(basis=np.full((12, 1), 1 / math.sqrt(12))),
+                bounds._projector_distance(
+                    top_projector(sampled, 1), Projector(basis=np.full((12, 1), 1 / math.sqrt(12)))
+                ),
+                12,
                 theoretical_spectrum(1, 12, 0.7, 0.2)[0],
                 spectral_norm(sampled - expected),
-                1,
             )
         assert frob.lhs == frob.rhs > 0
         assert frob.satisfied
@@ -382,15 +384,24 @@ class TestPurity:
 
 class TestConcentration:
     def test_noiseless_counts(self):
-        # in-cluster count is exactly s-1, out-count 0
+        # in-cluster count is exactly s-1, out-count 0: the floor
+        # (p - e)s - p = s - 1 - es is below it for every epsilon
         part = make_partition(20, 5)
         g = sample_graph(part, ModelParams(p=1.0, q=0.0, seed=0))
-        reps = check_concentration(g, part, 1.0, 0.0, epsilon=1 / 5)
-        assert reps[1].lhs == 0.0 and reps[1].satisfied
-        # epsilon below 1/s makes every in-cluster count a violation
-        reps = check_concentration(g, part, 1.0, 0.0, epsilon=0.1)
-        assert reps[1].lhs == 20.0 and not reps[1].satisfied
-        assert all(r.name == "concentration_in" for r in reps[2:])
+        for epsilon in (1 / 5, 0.1, 1e-12):
+            reps = check_concentration(g, part, 1.0, 0.0, epsilon=epsilon)
+            assert reps[1].lhs == 0.0 and reps[1].satisfied
+        # one missing in-cluster edge leaves its two ends at s - 2 = 3, under
+        # the floor 3.5 at epsilon 0.1 but on the floor 3 at epsilon 1/5
+        adj = g.adj.copy()
+        adj[0, 1] = adj[1, 0] = 0
+        reps = check_concentration(Graph(adj), part, 1.0, 0.0, epsilon=0.1)
+        assert reps[1].lhs == 2.0 and not reps[1].satisfied
+        assert [(r.name, r.lhs, r.rhs, r.context["vertex"]) for r in reps[2:]] == [
+            ("concentration_in", 3.5, 3.0, 0),
+            ("concentration_in", 3.5, 3.0, 1),
+        ]
+        assert check_concentration(Graph(adj), part, 1.0, 0.0, epsilon=1 / 5)[1].satisfied
 
     def test_gap_precondition_report(self):
         part = make_partition(8, 4)
@@ -425,8 +436,9 @@ class TestConcentration:
         import plantrec.bounds as bounds_mod
 
         monkeypatch.setattr(bounds_mod, "VIOLATION_CAP", 3)
+        # the empty graph: every own count 0 is under the floor 3.5
         part = make_partition(20, 5)
-        g = sample_graph(part, ModelParams(p=1.0, q=0.0, seed=0))
+        g = Graph(np.zeros((20, 20), dtype=np.uint8))
         reps = check_concentration(g, part, 1.0, 0.0, epsilon=0.1)  # 20 violations
         assert reps[1].lhs == 20.0
         assert reps[1].context["overflow"] is True
@@ -441,7 +453,7 @@ class TestConcentration:
         want = [
             ("concentration_in", j, int(part.assignment[j]))
             for j in range(40)
-            if counts[j, part.assignment[j]] < (0.7 - 0.05) * 10
+            if counts[j, part.assignment[j]] < (0.7 - 0.05) * 10 - 0.7
         ]
         n_in = len(want)
         want += [
@@ -460,7 +472,7 @@ class TestConcentration:
         for r in reps[2:]:
             j, c = r.context["vertex"], r.context["cluster"]
             if r.name == "concentration_in":
-                assert (r.lhs, r.rhs) == ((0.7 - 0.05) * 10, counts[j, c])
+                assert (r.lhs, r.rhs) == ((0.7 - 0.05) * 10 - 0.7, counts[j, c])
             else:
                 assert (r.lhs, r.rhs) == (counts[j, c], (0.3 + 0.05) * 10)
 

@@ -143,11 +143,6 @@ class TestNoiselessTrials:
         assert by_name["projector_frobenius_rank"].satisfied
         assert run_trial(cell, seed, checks=KNOWN_CHECKS, epsilon=None, baseline=True).json_row() == rep.json_row()
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a vertex's own-cluster count runs over its s - 1 other members, against a floor of "
-        "(p - epsilon) s with the measured epsilon floored at 1e-12: every vertex is reported",
-    )
     @pytest.mark.parametrize("n,k", [(40, 2), (60, 3)])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_noiseless_instance_has_no_concentration_violation(self, n, k, seed):
@@ -526,15 +521,20 @@ class TestAgainstIntegerProducts:
         part, params = instance
         g = sample_graph(part, params)
         counts = _reference_counts(g, part)
-        # a floor of about 2s and a ceiling of -1/2 make every count a
-        # violation (the checker marks own entries -1 when it looks for the
-        # others), so the reports carry them all: own counts first, then
-        # the others in row-major order
+        # a floor of 1.99s - 2 (above s - 1 from s = 2 on) and a ceiling of
+        # -1/2 make every count a violation (the checker marks own entries
+        # -1 when it looks for the others), so the reports carry them all:
+        # own counts first, then the others in row-major order; at s = 1 the
+        # floor is below 0 and no own count can fall under it
         reps = bounds.check_concentration(g, part, 2.0, -0.01 - 0.5 / part.s, 0.01)[2:]
         own = counts[np.arange(part.n), part.assignment]
         others = counts[np.arange(part.k) != part.assignment[:, None]]
-        assert [r.rhs for r in reps[: part.n]] == own.tolist()
-        assert [r.lhs for r in reps[part.n :]] == others.tolist()
+        if part.s == 1:
+            assert [r for r in reps if r.name == "concentration_in"] == []
+            assert [r.lhs for r in reps] == others.tolist()
+        else:
+            assert [r.rhs for r in reps[: part.n]] == own.tolist()
+            assert [r.lhs for r in reps[part.n :]] == others.tolist()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(instances())

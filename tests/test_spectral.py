@@ -306,9 +306,9 @@ class TestResolve:
         return spectral._resolve(lib, spectral._LAPACK_NAMES, spectral._LAPACK_SIGNATURES)
 
     def test_one_template_gives_every_routine_its_integer_type(self):
-        # the two 64-bit templates lack dgemm, the 32-bit one exports all seven
-        six = LAPACK_ROUTINES[:-1]
-        lib = stub_library({"scipy_{}_64_": six, "{}_64_": six, "{}_": LAPACK_ROUTINES})
+        # the two 64-bit templates lack dgemm, the 32-bit one exports all six
+        five = LAPACK_ROUTINES[:-1]
+        lib = stub_library({"scipy_{}_64_": five, "{}_64_": five, "{}_": LAPACK_ROUTINES})
         got = self.resolve_lapack(lib)
         assert (got.template, got.int_type) == ("{}_", ctypes.c_int32)
         assert got.functions == {routine: getattr(lib, routine + "_") for routine in LAPACK_ROUTINES}
@@ -319,7 +319,7 @@ class TestResolve:
 
     @pytest.mark.parametrize("routine", LAPACK_ROUTINES)
     def test_routines_split_across_two_templates_do_not_resolve(self, routine):
-        # `routine` under the 32-bit name only, the other six under the 64-bit ones
+        # `routine` under the 32-bit name only, the other five under the 64-bit ones
         rest = [r for r in LAPACK_ROUTINES if r != routine]
         assert self.resolve_lapack(stub_library({"scipy_{}_64_": rest, "{}_": [routine]})) is None
 
@@ -518,7 +518,7 @@ class TestIterativeSolve:
         assert not applies(2000, 20) and not applies(1600, 11)  # sqrt(m) / r < 4
         assert applies(1600, 10)
 
-    @pytest.mark.parametrize("routine", ["dpotrf", "dtrsm", "dsyrk", "dgemm"], ids=routine_id)
+    @pytest.mark.parametrize("routine", ["dpotrf", "dtrsm", "dgemm"], ids=routine_id)
     def test_not_tried_without_a_certificate_routine(self, monkeypatch, routine):
         resolve_without(monkeypatch, routine)
         assert not spectral._iterative_applies(3000, 3)
@@ -536,19 +536,27 @@ class TestCertificate:
     the upper triangle, and the certificate's put-back when it fails."""
 
     @staticmethod
-    def upper_and_noise(m: int, upper: np.ndarray, seed: int) -> np.ndarray:
-        """`upper`'s upper triangle over an unrelated strict lower triangle."""
+    def upper_and_noise(m: int, upper: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """(`upper`'s upper triangle over an unrelated strict lower triangle,
+        with NaN in the strict lower part of each diagonal tile, which the
+        factorization writes over but never reads; the mask of the rest of
+        the strict lower triangle, which it does not touch)."""
         noise = np.random.default_rng(seed).standard_normal((m, m))
-        return np.triu(upper) + np.tril(noise, -1)
+        a = np.triu(upper) + np.tril(noise, -1)
+        tile = np.arange(m) // spectral._CERTIFICATE_TILE
+        in_a_diagonal_tile = tile[:, None] == tile[None, :]
+        strict_lower = np.tri(m, k=-1, dtype=bool)
+        a[strict_lower & in_a_diagonal_tile] = np.nan
+        return a, strict_lower & ~in_a_diagonal_tile
 
     @pytest.mark.parametrize("m", [1, 127, 128, 129, 300, 702])
     def test_matches_numpy_and_keeps_the_lower_triangle(self, m):
         x = np.random.default_rng(m).standard_normal((m, m + 5))
         spd = x @ x.T / m + np.eye(m)
-        a = self.upper_and_noise(m, spd, seed=1)
-        lower = np.tril(a, -1).copy()
+        a, outside = self.upper_and_noise(m, spd, seed=1)
+        lower = a[outside]
         assert spectral._cholesky_upper(a)
-        assert np.array_equal(np.tril(a, -1), lower)
+        assert np.array_equal(a[outside], lower)
         want = np.linalg.cholesky(spd).T
         assert np.abs(np.triu(a) - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -563,12 +571,12 @@ class TestCertificate:
         # 50 I - A is indefinite through the spike at row 400, in row block 3
         # of 6: dpotrf factors the three diagonal tiles above it, then fails
         m, at = 702, 400
-        a = self.upper_and_noise(m, 50.0 * np.eye(m) - self.spiked(m, at), seed=2)
-        lower = np.tril(a, -1).copy()
+        a, outside = self.upper_and_noise(m, 50.0 * np.eye(m) - self.spiked(m, at), seed=2)
+        lower = a[outside]
         infos = counted_factorizations(monkeypatch)
         assert not spectral._cholesky_upper(a)
         assert infos[:3] == [0, 0, 0] and len(infos) == 4 and infos[3] > 0
-        assert np.array_equal(np.tril(a, -1), lower)
+        assert np.array_equal(a[outside], lower)
 
     def test_certify_fails_at_the_spike(self, monkeypatch):
         # Ritz values 50 and 0.5 for the vector e_0: sigma is about 50, and
@@ -638,8 +646,13 @@ class TestCertificate:
         error = np.linalg.norm((mf.astype(np.longdouble) - exact).astype(np.float64), 2)
         u = 2.0**-53
         gamma = (r + 2) * u / (1 - (r + 2) * u)
-        f = gamma * 120.0 * float(np.sum(v * v)) + u * (norm + np.abs(np.diag(mf)).max())
+        largest = np.abs(np.diag(mf)).max()
+        # the tighter bound, with -a_ij rounded as one subtraction, still holds
+        f = gamma * 120.0 * float(np.sum(v * v)) + u * (norm + largest)
         assert 0 < error <= f
+        # and so does the one the shift uses: -a_ij is one of r + 1 summands
+        f = gamma * (120.0 * float(np.sum(v * v)) + norm) + u * largest
+        assert error <= f
 
 
 class TestDsyevrShortfall:
