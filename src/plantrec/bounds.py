@@ -40,7 +40,7 @@ from .errors import (
     SizeOutOfRangeError,
     vertex_ids,
 )
-from .model import Graph, ModelParams, PlantedPartition
+from .model import Graph, ModelParams, PlantedPartition, require_edge_probabilities
 from .recovery import all_candidate_sets, select_pivot
 from .spectral import (
     Projector,
@@ -108,8 +108,7 @@ class Constants:
 
     @classmethod
     def from_params(cls, p: float, q: float, c: float) -> "Constants":
-        if not (0.0 <= q < p <= 1.0):
-            raise ValueError(f"need 0 <= q < p <= 1, got p={p}, q={q}")
+        require_edge_probabilities(p, q)
         if not (math.isfinite(c) and c > 0):
             raise ValueError(f"c must be finite and positive, got {c}")
         c_prime = (p - q) * c

@@ -39,6 +39,7 @@ from .model import (
     make_partition,
     permute_partition,
     require_adjacency_memory,
+    require_edge_probabilities,
     sample_graph,
 )
 from .recovery import recover_with_trace, same_partition
@@ -183,8 +184,7 @@ class ExperimentConfig:
                 k, s = (d, n // d) if self.ks is not None else (n // d, d)
                 for p in self.ps:
                     for q in self.qs:
-                        if not (0.0 <= q < p <= 1.0):
-                            raise ValueError(f"need 0 <= q < p <= 1, got p={p}, q={q}")
+                        require_edge_probabilities(p, q)
                         out.append(Cell(index=index, n=n, k=k, s=s, p=p, q=q))
                         index += 1
         if not out:
@@ -408,7 +408,8 @@ def run_grid(
     jobs: int = 1,
 ) -> list[CellSummary]:
     """Run every cell x trial, writing outputs in deterministic order;
-    `jobs` > 1 runs the trials in that many worker processes."""
+    `jobs` > 1 runs the trials in worker processes: `jobs` of them, but no
+    more than there are trials or cores this process may run on."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     cells = config.cells()
@@ -420,7 +421,8 @@ def run_grid(
     units = [(cell, t) for cell in cells for t in range(config.trials)]
     seeds = [trial_seed(config.seed0, cell.index, t, config.trials) for cell, t in units]
 
-    runner = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
+    workers = min(jobs, len(units), spectral._workers())
+    runner = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
     ordered = []
     with runner as pool, open(out / "trials.jsonl", "w", newline="\n") as jsonl:
         # either map yields the reports in task order

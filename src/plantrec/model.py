@@ -30,6 +30,7 @@ __all__ = [
     "expectation_matrix",
     "permute_partition",
     "require_adjacency_memory",
+    "require_edge_probabilities",
 ]
 
 _SEED_MAX = 2**64
@@ -78,8 +79,7 @@ class ModelParams:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.q < self.p <= 1.0):
-            raise ValueError(f"need 0 <= q < p <= 1, got p={self.p}, q={self.q}")
+        require_edge_probabilities(self.p, self.q)
         if not (0 <= self.seed < _SEED_MAX):
             raise ValueError("seed must fit in 64 bits")
 
@@ -137,6 +137,13 @@ def _physical_memory() -> int | None:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, OSError, ValueError):
         return None
+
+
+def require_edge_probabilities(p: float, q: float) -> None:
+    """Raise ValueError unless 0 <= q < p <= 1: a model's edge probability
+    inside a cluster, p, above the one across, q."""
+    if not (0.0 <= q < p <= 1.0):
+        raise ValueError(f"need 0 <= q < p <= 1, got p={p}, q={q}")
 
 
 def require_adjacency_memory(n: int, where: str) -> None:

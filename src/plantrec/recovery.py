@@ -11,7 +11,7 @@ A round on m vertices with rank r = floor(m/s) costs one solve for the top r
 eigenpairs on a float64 copy of the remaining uint8 adjacency, in a memory
 mapping of its own (see :func:`~plantrec.spectral.eigh_descending`), plus
 O(m^2 r) ranking.  Where m >= 1500 and sqrt(m)/r >= 4, the solve first
-tries a Chebyshev-filtered block iteration, O(m^2 r) per step, and keeps its
+tries a block subspace iteration, O(m^2 r) per step, and keeps its
 basis only when a Cholesky factorization (m^3 / 3 flops) certifies it
 within sin theta <= 1e-10 of the top-r eigenspace; otherwise, and in every
 other round, LAPACK dsyevr solves a new copy (a tridiagonal reduction,

@@ -21,24 +21,22 @@ a norm; no block iteration is tried.
 
 A top-r solve of a large matrix far from the spectral threshold (m >= 1500
 and sqrt(m)/r >= 4) first tries a block iteration: r + 8 vectors from a fixed
-Philox start, filtered by the Chebyshev polynomial that damps everything
-from a lower end up to the block's smallest Ritz value (so eigenvalues rank
-by value, not magnitude), with Rayleigh-Ritz after each step, until the
-residual ||A V - V Theta|| is small.  The lower end is the Gershgorin bound,
--(max degree) for an adjacency, except while a tighter guess holds.  Its
-basis is kept only when a Cholesky factorization of
-sigma' I - A + V Theta V^T succeeds in place (one BLAS ``dgemm`` forms the
-matrix; then, by row blocks of 128, one ``dgemm`` updates a block, LAPACK
-``dpotrf`` factors its diagonal tile and one ``dtrsm`` solves the rest),
-where sigma' is sigma lowered by a bound on the rounding of forming and
-factoring that matrix; this proves lambda_{r+1} < sigma and so, by
-Davis-Kahan, sin theta <= 1e-10 against the exact top-r eigenspace.  If the
-factorization fails, the step budget runs out, or the first steps show the
-wanted part is not separating, ``dsyevr`` solves a new copy of the input,
-bit for bit as it would alone.
-Either way the result is deterministic for a fixed input, LAPACK build and
-BLAS thread count.  Where a rank cuts a repeated eigenvalue and ``dsyevr``
-finds fewer than the top r pairs, another new copy is solved for all pairs.
+Philox start, each step a QR, one product with the matrix and a
+Rayleigh-Ritz step that ranks the Ritz pairs by value, until the residual
+||A V - V Theta|| of the top r is small.  Its basis is kept only when a
+Cholesky factorization of sigma' I - A + V Theta V^T succeeds in place (one
+BLAS ``dgemm`` forms the matrix; then, by row blocks of 128, one ``dgemm``
+updates a block, LAPACK ``dpotrf`` factors its diagonal tile and one
+``dtrsm`` solves the rest), where sigma' is sigma lowered by a bound on the
+rounding of forming and factoring that matrix; this proves
+lambda_{r+1} < sigma and so, by Davis-Kahan, sin theta <= 1e-10 against the
+exact top-r eigenspace.  If the factorization fails, the step budget runs
+out, or from the sixth step on the Ritz gap or the residual's contraction
+shows the wanted part is not separating, ``dsyevr`` solves a new copy of
+the input, bit for bit as it would alone.  Either way the result is
+deterministic for a fixed input, LAPACK build and BLAS thread count.  Where
+a rank cuts a repeated eigenvalue and ``dsyevr`` finds fewer than the top r
+pairs, another new copy is solved for all pairs.
 
 Every matrix input passes one check: square, finite, and read as
 (a + a^T) / 2 unless exactly symmetric, compared one tile pair at a time,
@@ -568,17 +566,14 @@ _ITERATIVE_MIN_C = 4.0
 _GUARD = 8
 # The accepted basis is within this sine of the top-r eigenspace.
 _SIN_THETA_TOL = 1e-10
-# The iteration stops once the residual is below this times the Gershgorin
-# bound on ||a|| and below a quarter of what the certificate allows,
-# _SIN_THETA_TOL times the Ritz gap theta_r - theta_{r+1}.
+# The iteration stops once the residual is below this times ||a||_inf and
+# below a quarter of what the certificate allows, _SIN_THETA_TOL times the
+# Ritz gap theta_r - theta_{r+1}.
 _RESIDUAL_STOP = 1e-12
 # The iteration gives way to dsyevr after m // _DIM_PER_PRODUCT products with
 # the matrix: a product of an m x m matrix with a narrow block reads the whole
 # matrix, and dsyevr costs about m / 20 of them (m = 2000..4000, 2 cores).
 _DIM_PER_PRODUCT = 40
-# The filter degree of a step: the first from the random start, the largest later.
-_FIRST_DEGREE = 8
-_MAX_DEGREE = 16
 # Key of the Philox stream of the start block: the iteration is a pure
 # function of its input at one BLAS thread count.
 _START_KEY = 0x5EED_B10C
@@ -596,48 +591,45 @@ def _iterative_applies(m: int, rank: int) -> bool:
     )
 
 
-def _gershgorin(a: np.ndarray) -> tuple[float, float]:
-    """(lowest Gershgorin bound on the eigenvalues of `a`, ||a||_inf), from
-    row blocks, with no m x m temporary."""
+def _inf_norm(a: np.ndarray) -> float:
+    """||a||_inf, the largest absolute row sum of `a`, from row blocks, with
+    no m x m temporary."""
     m = a.shape[0]
     rows = max(1, (1 << 15) // m)
     buf = np.empty((rows, m), dtype=np.float64)
-    low, norm = np.inf, 0.0
+    norm = 0.0
     for i in range(0, m, rows):
         block = a[i : i + rows]
-        absolute = np.abs(block, out=buf[: block.shape[0]])
-        sums = absolute.sum(axis=1)
-        diag = block.diagonal(offset=i)
-        low = min(low, float((diag - (sums - np.abs(diag))).min()))
-        norm = max(norm, float(sums.max()))
-    return low, norm
+        norm = max(norm, float(np.abs(block, out=buf[: block.shape[0]]).sum(axis=1).max()))
+    return norm
 
 
 def _iterate_top(a: np.ndarray, rank: int):
-    """(w, v, steps): the top `rank` eigenpairs of `a` by Chebyshev-filtered
-    block iteration, certified, and the products made; w and v are None
-    where the iteration gives way.
+    """(w, v, steps): the top `rank` eigenpairs of `a` by block subspace
+    iteration, certified, and the products made; w and v are None where the
+    iteration gives way.
 
-    A block of b = rank + _GUARD vectors from a fixed Philox start is
-    filtered by the Chebyshev polynomial that damps [lower, e], where e is
-    the smallest Ritz value of the block, so eigenvalues are ranked by
-    value, not magnitude.  The first filter's lower end is the Gershgorin
-    bound on the lowest eigenvalue (-(max degree) for an adjacency); from
-    the second on, it is -2|e|, as for the near symmetric bulk of a random
-    graph, which needs several times fewer products, until a Ritz value
-    below it shows an eigenvalue there; then it is the Gershgorin bound
-    again.  Only convergence depends on the guess: the certificate does not.
+    A block of b = rank + _GUARD vectors from a fixed Philox start goes
+    through steps of a QR, one product with `a` and a Rayleigh-Ritz step
+    that ranks the Ritz pairs by value, not magnitude; the product A V of
+    the Ritz vectors, which the residual needs, is the next step's block.
+    The block converges to the b eigenvalues largest in magnitude, so the
+    top `rank` by value are found where they are among those.
 
-    Each step is a QR, one product and Rayleigh-Ritz, and the iteration
-    stops once the residual R = A V - V Theta of the top `rank` Ritz pairs
-    is small.  From the second step on, it gives way when the Ritz values
-    show no gap at theta_r, or predict that the residual cannot get there
-    within m // _DIM_PER_PRODUCT products: the wanted part is not
-    separating.  A basis is returned only if :func:`_certify` proves it.
+    The iteration stops once the residual R = A V - V Theta of the top
+    `rank` Ritz pairs is small, and gives way after m // _DIM_PER_PRODUCT
+    products.  From the sixth product on, when the Ritz values and the
+    contraction no longer read the random start, it also gives way when the Ritz gap theta_r - theta_{r+1} is
+    within rounding / _SIN_THETA_TOL, which no certificate can prove, or
+    when the residual's contraction per product (residual / previous
+    residual) is at least 1 or predicts that the target is not reached
+    within the budget: the wanted part is not separating.  A basis is
+    returned only if :func:`_certify` proves it; how it was found does not
+    matter to the proof.
     """
     m = a.shape[0]
     b = min(rank + _GUARD, m - 1)
-    low, norm = _gershgorin(a)
+    norm = _inf_norm(a)
     # blocks are held transposed, b x m: a product is then X^T A = (A X)^T,
     # which OpenBLAS runs in about half the time of A X, and with a tenth of
     # the buffer memory (+1.7 MB against +9.4 MB of RSS at m = 3000, b = 11)
@@ -645,70 +637,34 @@ def _iterate_top(a: np.ndarray, rank: int):
     budget = m // _DIM_PER_PRODUCT
     # the exact residual is within this of the computed one
     rounding = m * np.finfo(np.float64).eps * norm
-    steps, step, degree, lower = 0, 0, _FIRST_DEGREE, low
+    steps, previous = 0, math.inf
     while True:
         q = np.linalg.qr(x.T)[0].T
         del x
         aq = q @ a
-        steps, step = steps + 1, step + 1
+        steps += 1
         theta, y = np.linalg.eigh(aq @ q.T)
         theta, y = theta[::-1], y[:, ::-1].T
-        v, av = y @ q, y @ aq
+        v, x = y @ q, y @ aq
         del q, aq
-        residual = float(np.linalg.norm(av[:rank] - theta[:rank, None] * v[:rank]))
+        residual = float(np.linalg.norm(x[:rank] - theta[:rank, None] * v[:rank]))
         gap = float(theta[rank - 1] - theta[rank])
         target = min(_RESIDUAL_STOP * norm, _SIN_THETA_TOL * gap / 4)
         if residual <= target:
-            del av
+            del x
             if _certify(a, theta, v[:rank].T, rank, residual + rounding, norm):
                 return theta[:rank].copy(), np.ascontiguousarray(v[:rank].T), steps
             return None, None, steps
-        e, top = theta[-1], theta[0]
-        if step == 2:
-            # the block now holds the top b by value; guess the bottom of the
-            # spectrum as for a near symmetric bulk, -2|e|, ...
-            guess = -2.0 * abs(e)
-            lower = guess if low < guess < e else low
-        elif e < lower:
-            # ... until a Ritz value below it shows lambda_min < the guess
-            lower = low
-        center, half = (e + lower) / 2, (e - lower) / 2
-        t = (theta[rank - 1] - center) / half if half > 0 else 1.0
-        # log of the filter's growth at theta_r per degree: 0 if it is not separating
-        growth = math.log(t + math.sqrt(t * t - 1)) if t > 1 and gap > 0 else 0.0
-        if growth <= 0:
+        contraction, previous = residual / previous, residual
+        if steps >= budget:
             return None, None, steps
-        needed = math.log(residual / target) / growth
-        if step >= 2:
-            # a Ritz gap within rounding / tol cannot be certified; the
-            # second step's theta_r is still low, and its prediction high
-            if gap <= rounding / _SIN_THETA_TOL or steps + needed > budget * (2 if step == 2 else 1):
-                return None, None, steps
-            degree = min(_MAX_DEGREE, math.ceil(needed) + 1)
-        degree = min(degree, budget - steps)
-        if degree < 1:
+        if steps >= 6 and (
+            gap <= rounding / _SIN_THETA_TOL
+            or contraction >= 1
+            or residual * contraction ** (budget - steps) > target
+        ):
             return None, None, steps
-        x = _chebyshev(a, v, av, degree, lower, e, top)
-        steps += degree - 1
-        del v, av
-
-
-def _chebyshev(a, v, av, degree: int, low: float, e: float, top: float) -> np.ndarray:
-    """v p(a) for the degree-`degree` Chebyshev polynomial p of the interval
-    [low, e], scaled to p(top) = 1 (top > e), given av = v @ a: degree - 1
-    more products with the symmetric `a`."""
-    center, half = (e + low) / 2, (e - low) / 2
-    t0 = (top - center) / half
-    ratio = 1.0 / t0  # T_k(t0) / T_{k+1}(t0), here for k = 0
-    previous, current = v, (av - center * v) / (top - center)
-    for _ in range(degree - 1):
-        following = 1.0 / (2.0 * t0 - ratio)
-        nxt = current @ a
-        nxt -= center * current
-        nxt *= 2.0 * following / half
-        nxt -= (ratio * following) * previous
-        previous, current, ratio = current, nxt, following
-    return current
+        del v
 
 
 def _certify(

@@ -59,6 +59,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"n": [10], "s": [5], "p": [0.5], "q": [0.5]})
 
+    @pytest.mark.parametrize("p,q", [(0.5, 0.5), (0.3, 0.5), (1.5, 0.1), (0.5, -0.1), (math.nan, 0.1)])
+    def test_one_probability_rule_for_params_constants_and_cells(self, p, q):
+        want = f"need 0 <= q < p <= 1, got p={p}, q={q}"
+        with pytest.raises(ValueError) as params:
+            ModelParams(p=p, q=q, seed=0)
+        with pytest.raises(ValueError) as constants:
+            bounds.Constants.from_params(p, q, 1.0)
+        with pytest.raises(ValueError) as cells:
+            ExperimentConfig.from_dict({"n": [4], "k": [2], "p": [p], "q": [q]})
+        assert str(params.value) == str(constants.value) == str(cells.value) == want
+
     def test_rejects_unknown_keys_and_checks(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"n": [10], "s": [5], "p": [0.8], "q": [0.2], "zzz": 1})
@@ -455,6 +466,37 @@ class TestRunGrid:
         run_grid(cfg, tmp_path / "par", jobs=2)
         for name in ("trials.jsonl", "bounds.csv", "aggregate.csv"):
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "jobs,trials,cores,want",
+        [(100000, 2, 4, 2), (100000, 2, 1, None), (3, 6, 8, 3), (8, 6, 2, 2), (2, 1, 8, None)],
+    )
+    def test_workers_capped_by_trials_and_cores(self, tmp_path, monkeypatch, jobs, trials, cores, want):
+        # a stand-in pool that records its size and runs the trials in this
+        # process; None: no pool is made and the trials run serially
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(spectral, "_workers", lambda: cores)
+        cfg = ExperimentConfig.from_dict(
+            {"n": [12], "k": [2], "p": [0.9], "q": [0.1], "trials": trials, "seed0": 3, "checks": []}
+        )
+        run_grid(cfg, tmp_path, jobs=jobs)
+        assert made == ([] if want is None else [want])
+        assert len((tmp_path / "trials.jsonl").read_text().splitlines()) == trials
 
     def test_success_rate_non_increasing_in_q(self, tmp_path):
         cfg = ExperimentConfig.from_dict(

@@ -450,7 +450,8 @@ class TestIterativeSolve:
             "bipartite zero": (complete_bipartite(20), 2),
         }[case]
         dec = eigh_descending(a, rank)
-        assert dec.solve.solver == "dsyevr" and dec.solve.steps > 0
+        # the give-way rule reads the Ritz gap from the sixth product on
+        assert dec.solve.solver == "dsyevr" and 0 < dec.solve.steps <= 6
         assert_same_decomposition(dec, dsyevr_only(eigh_descending, a, rank))
 
     def test_degenerate_top_pair_has_the_same_projector(self, iterative_on):
