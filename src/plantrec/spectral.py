@@ -619,13 +619,13 @@ def _iterate_top(a: np.ndarray, rank: int):
     The iteration stops once the residual R = A V - V Theta of the top
     `rank` Ritz pairs is small, and gives way after m // _DIM_PER_PRODUCT
     products.  From the sixth product on, when the Ritz values and the
-    contraction no longer read the random start, it also gives way when the Ritz gap theta_r - theta_{r+1} is
-    within rounding / _SIN_THETA_TOL, which no certificate can prove, or
-    when the residual's contraction per product (residual / previous
-    residual) is at least 1 or predicts that the target is not reached
-    within the budget: the wanted part is not separating.  A basis is
-    returned only if :func:`_certify` proves it; how it was found does not
-    matter to the proof.
+    contraction no longer read the random start, it also gives way when the
+    Ritz gap theta_r - theta_{r+1} is within rounding / _SIN_THETA_TOL,
+    which no certificate can prove, or when the residual's contraction per
+    product (residual / previous residual) is at least 1 or predicts that
+    the target is not reached within the budget: the wanted part is not
+    separating.  A basis is returned only if :func:`_certify` proves it;
+    how it was found does not matter to the proof.
     """
     m = a.shape[0]
     b = min(rank + _GUARD, m - 1)
