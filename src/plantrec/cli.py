@@ -13,7 +13,7 @@ import sys
 from . import bounds, io
 from .errors import InvariantViolationError
 from .experiment import DEFAULT_CHECKS, KNOWN_CHECKS, ExperimentConfig, run_checks, run_grid
-from .model import ModelParams, make_partition, require_adjacency_memory, sample_graph
+from .model import ModelParams, make_partition, require_adjacency_memory, require_vertex_count, sample_graph
 from .recovery import identify_clusters, same_partition
 from .spectral import top_projector  # noqa: F401  (perfbench/tracing.py wraps cli.top_projector)
 
@@ -61,6 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
+    require_vertex_count(args.n, "--n")
     require_adjacency_memory(args.n, "--n")
     part = make_partition(args.n, args.s)
     g = sample_graph(part, ModelParams(p=args.p, q=args.q, seed=args.seed))

@@ -40,6 +40,7 @@ from .model import (
     permute_partition,
     require_adjacency_memory,
     require_edge_probabilities,
+    require_vertex_count,
     sample_graph,
 )
 from .recovery import recover_with_trace, same_partition
@@ -174,8 +175,7 @@ class ExperimentConfig:
         out = []
         index = 0
         for n in self.ns:
-            if n < 1:
-                raise ValueError(f"config n must be at least 1, got {n}")
+            require_vertex_count(n, "config n")
             require_adjacency_memory(n, f"config n = {n}")
             divisors = self.ks if self.ks is not None else self.ss
             for d in divisors:

@@ -31,6 +31,7 @@ __all__ = [
     "permute_partition",
     "require_adjacency_memory",
     "require_edge_probabilities",
+    "require_vertex_count",
 ]
 
 _SEED_MAX = 2**64
@@ -144,6 +145,13 @@ def require_edge_probabilities(p: float, q: float) -> None:
     inside a cluster, p, above the one across, q."""
     if not (0.0 <= q < p <= 1.0):
         raise ValueError(f"need 0 <= q < p <= 1, got p={p}, q={q}")
+
+
+def require_vertex_count(n: int, where: str) -> None:
+    """Raise ValueError, naming `where`, unless a model's vertex count `n`
+    is at least 1."""
+    if n < 1:
+        raise ValueError(f"{where} must be at least 1, got {n}")
 
 
 def require_adjacency_memory(n: int, where: str) -> None:

@@ -24,7 +24,8 @@ block at a time, each column's s-1 largest entries are found by partial
 selection, and a set's mass ||P 1_W|| is computed as ||V^T 1_W||, once
 per distinct set of the block: columns whose sets are equal member for
 member share the mass (3 sets among 3000 columns in round 0 at n = 3000,
-s = 1000).
+s = 1000).  A round keeps only its pivot's candidate set: the m x s array of
+every column's set is gone before the next round's solve.
 
 All tie-breaks (column-entry ranking, pivot choice, neighbor counts) prefer
 the smaller vertex index, so runs are reproducible.  Masses within a relative
@@ -151,16 +152,17 @@ def all_candidate_sets(p_hat, s: int) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= s <= m:
         raise SizeOutOfRangeError(f"size must be in 1..{m}, got {s}")
     step = max(1, BLOCK_ENTRIES // m)
-    members, masses = [], []
+    # written a block at a time into arrays allocated before the blocks (a
+    # join after them would hold every block and the joined copy at once);
+    # the solves' copies are mappings of their own, outside the heap these
+    # arrays may split
+    members = np.empty((m, s), dtype=np.int64)
+    masses = np.empty(m, dtype=np.float64)
     for start in range(0, m, step):
-        pivots = np.arange(start, min(start + step, m), dtype=np.int64)
-        members.append(_candidate_members(op, pivots, s))
-        masses.append(op.masses(members[-1]))
-    # joined after the blocks, not written into arrays allocated before
-    # them: with glibc malloc those split the freed heap, and the later
-    # rounds' solves raised the peak RSS of sampling and recovering n=2000,
-    # s=100 from 98 to 114 MB
-    return np.concatenate(members), np.concatenate(masses)
+        stop = min(start + step, m)
+        members[start:stop] = _candidate_members(op, np.arange(start, stop, dtype=np.int64), s)
+        masses[start:stop] = op.masses(members[start:stop])
+    return members, masses
 
 
 def select_pivot(masses: np.ndarray) -> int:
@@ -204,15 +206,19 @@ def recover_with_trace(g: Graph, s: int) -> tuple[RecoveryResult, list[PivotTrac
         p_hat = top_projector(adj, rank)
         candidates, masses = all_candidate_sets(p_hat, s)
         j_star = select_pivot(masses)
-        members = _extract(adj, candidates[j_star], s)
+        # only the pivot's row is kept: the m x s array is gone before the
+        # next round's solve (24 MB in round 0 at n = 3000, s = 1000)
+        candidate, mass = candidates[j_star].copy(), float(masses[j_star])
+        del candidates, masses
+        members = _extract(adj, candidate, s)
         clusters.append(active[members])
         traces.append(
             PivotTrace(
                 level=level,
                 rank=rank,
                 pivot=int(active[j_star]),
-                mass=float(masses[j_star]),
-                candidate=active[candidates[j_star]],
+                mass=mass,
+                candidate=active[candidate],
                 projector=p_hat,
             )
         )

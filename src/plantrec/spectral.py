@@ -21,19 +21,19 @@ a norm; no block iteration is tried.
 
 A top-r solve of a large matrix far from the spectral threshold (m >= 1500
 and sqrt(m)/r >= 4) first tries a block iteration: r + 8 vectors from a fixed
-Philox start, each step a QR, one product with the matrix and a
-Rayleigh-Ritz step that ranks the Ritz pairs by value, until the residual
-||A V - V Theta|| of the top r is small.  Its basis is kept only when a
-Cholesky factorization of sigma' I - A + V Theta V^T succeeds in place (one
-BLAS ``dgemm`` forms the matrix; then, by row blocks of 128, one ``dgemm``
-updates a block, LAPACK ``dpotrf`` factors its diagonal tile and one
-``dtrsm`` solves the rest), where sigma' is sigma lowered by a bound on the
-rounding of forming and factoring that matrix; this proves
-lambda_{r+1} < sigma and so, by Davis-Kahan, sin theta <= 1e-10 against the
-exact top-r eigenspace.  If the factorization fails, the step budget runs
-out, or from the sixth step on the Ritz gap or the residual's contraction
-shows the wanted part is not separating, ``dsyevr`` solves a new copy of
-the input, bit for bit as it would alone.  Either way the result is
+Philox start, each step a QR (at one BLAS thread, where that can be set),
+one product with the matrix and a Rayleigh-Ritz step that ranks the Ritz
+pairs by value, until the residual ||A V - V Theta|| of the top r is small.
+Its basis is kept only when a Cholesky factorization of
+sigma' I - A + V Theta V^T succeeds in place (by row blocks of 128: one
+``dgemm`` forms a block, one ``dgemm`` updates it, LAPACK ``dpotrf`` factors
+its diagonal tile and one ``dtrsm`` solves the rest), where sigma' is sigma
+lowered by a bound on the rounding of forming and factoring that matrix;
+this proves lambda_{r+1} < sigma and so, by Davis-Kahan, sin theta <= 1e-10
+against the exact top-r eigenspace.  If the factorization fails, the step
+budget runs out, or from the sixth step on the Ritz gap or the residual's
+contraction shows the wanted part is not separating, ``dsyevr`` solves a new
+copy of the input, bit for bit as it would alone.  Either way the result is
 deterministic for a fixed input, LAPACK build and BLAS thread count.  Where
 a rank cuts a repeated eigenvalue and ``dsyevr`` finds fewer than the top r
 pairs, another new copy is solved for all pairs.
@@ -49,12 +49,17 @@ and ``dsytrd`` with UPLO='L' read the lower triangle of the column-major
 matrix, which is the upper triangle of the C-order one) holds only that
 triangle: the pages of the other one are never written and never become
 resident, about 4m^2 bytes plus a page per row of 8m^2.  The iteration
-multiplies with the whole matrix, so its copy is whole.
+works on the same triangle copy: it mirrors the upper triangle of each
+128 x 128 diagonal tile into the tile's lower one, and multiplies by row
+panels of 128 rows, each read once as it is and once transposed; nothing
+below the diagonal tiles is read or written.
 
 The norms of many principal submatrices of one matrix
-(:func:`submatrix_norms`) are solved on a thread pool, one solve per core at
-once with OpenBLAS held at one thread through its thread controls, or one
-at a time, at the current BLAS thread count, without LAPACK or without them.
+(:func:`submatrix_norms`) are solved with OpenBLAS held at one thread
+through its thread controls: on a thread pool, one solve per core at once,
+where some set has more than 128 members, else one at a time.  Without
+LAPACK or without the controls they are solved one at a time, at the
+current BLAS thread count.
 """
 
 from __future__ import annotations
@@ -140,24 +145,20 @@ _COPY_ROWS = 32
 _UPPER_TILE = np.triu(np.ones((_COPY_ROWS, _COPY_ROWS), dtype=bool))
 
 
-def _solve_copy(a: np.ndarray, index: np.ndarray | None = None, whole: bool = False) -> np.ndarray:
-    """New m x m float64 C-order copy of the symmetric `a`, or of its
-    principal submatrix a[index, index], in an anonymous memory mapping of
-    its own that is unmapped when the copy dies.
+def _solve_copy(a: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
+    """New m x m float64 C-order copy of the upper triangle of the symmetric
+    `a`, or of its principal submatrix a[index, index], in an anonymous
+    memory mapping of its own that is unmapped when the copy dies.
 
-    Only the upper triangle is written, unless `whole`: it is the lower
-    triangle of the column-major view, the one dsyevr and dsytrd with
-    UPLO='L' read, and the pages of the other triangle (which read as
-    zeros) never become resident.  `whole` requires `index` to be None.
+    The upper triangle is the lower triangle of the column-major view, the
+    one dsyevr and dsytrd with UPLO='L' read; the pages of the other
+    triangle (which read as zeros) never become resident.
     """
     m = a.shape[0] if index is None else index.size
     if m == 0:
         return np.zeros((0, 0))
     buffer = mmap.mmap(-1, 8 * m * m, flags=mmap.MAP_PRIVATE)
     out = np.frombuffer(buffer, dtype=np.float64).reshape(m, m)
-    if whole:
-        np.copyto(out, a)
-        return out
     if hasattr(buffer, "madvise") and hasattr(mmap, "MADV_NOHUGEPAGE"):
         # a huge page would make the untouched triangle's pages resident too
         buffer.madvise(mmap.MADV_NOHUGEPAGE)
@@ -492,9 +493,10 @@ _LIBRARY = _numpy_library()
 _LAPACK = None if _LIBRARY is None else _resolve(_LIBRARY, _LAPACK_NAMES, _LAPACK_SIGNATURES)
 _THREADS = None if _LIBRARY is None else _resolve(_LIBRARY, _OPENBLAS_NAMES, _OPENBLAS_SIGNATURES)
 
-# Held while a batch of submatrix norms keeps OpenBLAS at one thread, so two
-# batches in different threads cannot interleave the save and the restore.
-_BLAS_THREADS_LOCK = threading.Lock()
+# Held while OpenBLAS is kept at one thread (a batch of submatrix norms, an
+# iteration's QR), so two threads cannot interleave the save and the
+# restore; re-entrant, so a solve inside such a block may pin again.
+_BLAS_THREADS_LOCK = threading.RLock()
 
 
 def _lapack(routine: str, head: tuple, lengths: tuple, extra_work: int = 0, iwork: bool = True) -> None:
@@ -527,15 +529,15 @@ def _solve_top(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, SolveR
     and the record of the solve, of the finite, exactly symmetric `a`,
     which is not written to.
 
-    Each attempt works on a copy of its own (see :func:`_solve_copy`).
-    Where :func:`_iterative_applies`, the certified block iteration runs
-    first, on a whole copy; if it gives way, dsyevr solves a triangle copy,
+    Each attempt works on a triangle copy of its own (see
+    :func:`_solve_copy`).  Where :func:`_iterative_applies`, the certified
+    block iteration runs first; if it gives way, dsyevr solves a new copy,
     so the result is bit for bit dsyevr's alone, and the iteration's copy is
     gone before dsyevr's is made.
     """
     m, steps = a.shape[0], 0
     if _iterative_applies(m, rank):
-        w, v, steps = _iterate_top(_solve_copy(a, whole=True), rank)
+        w, v, steps = _iterate_top(_solve_copy(a), rank)
         if w is not None:
             return w, v, SolveRecord("iterative", steps, _SIN_THETA_TOL)
     record = SolveRecord("dsyevr", steps, None)
@@ -577,8 +579,9 @@ _DIM_PER_PRODUCT = 40
 # Key of the Philox stream of the start block: the iteration is a pure
 # function of its input at one BLAS thread count.
 _START_KEY = 0x5EED_B10C
-# Rows of a row block of the certificate's factorization, and the side of
-# the diagonal tile that dpotrf factors.
+# Rows of a row panel of the iteration's products and of a row block of the
+# certificate, and the side of the diagonal tiles the iteration mirrors and
+# dpotrf factors.
 _CERTIFICATE_TILE = 128
 
 
@@ -591,30 +594,81 @@ def _iterative_applies(m: int, rank: int) -> bool:
     )
 
 
+def _address(a: np.ndarray, i: int, j: int) -> int:
+    """Address of a[i, j] in the C-order float64 `a`, for BLAS and LAPACK."""
+    return a.ctypes.data + a.itemsize * (i * a.shape[1] + j)
+
+
+def _mirror_diagonal_tiles(a: np.ndarray) -> None:
+    """Copy the upper triangle of each _CERTIFICATE_TILE diagonal tile of the
+    C-order `a` into the tile's strict lower triangle, so that each tile
+    holds its whole symmetric block; nothing else below the diagonal is
+    touched."""
+    m, tile = a.shape[0], _CERTIFICATE_TILE
+    for k in range(0, m, tile):
+        block = a[k : k + tile, k : k + tile]
+        i, j = np.tril_indices(block.shape[0], -1)
+        block[i, j] = block[j, i]
+
+
 def _inf_norm(a: np.ndarray) -> float:
-    """||a||_inf, the largest absolute row sum of `a`, from row blocks, with
-    no m x m temporary."""
-    m = a.shape[0]
-    rows = max(1, (1 << 15) // m)
-    buf = np.empty((rows, m), dtype=np.float64)
-    norm = 0.0
-    for i in range(0, m, rows):
-        block = a[i : i + rows]
-        norm = max(norm, float(np.abs(block, out=buf[: block.shape[0]]).sum(axis=1).max()))
-    return norm
+    """||A||_inf, the largest absolute row sum of the symmetric A held in the
+    upper triangle and the mirrored diagonal tiles of `a`: the row sums of
+    each row panel from its diagonal tile on, plus the column sums of the
+    panel's part right of the tile, in row blocks with no m x m temporary."""
+    m, tile = a.shape[0], _CERTIFICATE_TILE
+    rows, columns = np.zeros(m), np.zeros(m)
+    step = max(1, (1 << 15) // m)
+    for k in range(0, m, tile):
+        e = min(k + tile, m)
+        for i in range(k, e, step):
+            block = np.abs(a[i : min(i + step, e), k:])
+            rows[i : i + len(block)] = block.sum(axis=1)
+            columns[e:] += block[:, e - k :].sum(axis=0)
+    return float((rows + columns).max())
+
+
+def _product(q: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """New C-order q A, for the C-order b x m `q` and the symmetric A held
+    in the upper triangle and the mirrored diagonal tiles of `a`.
+
+    By row panels k:e of _CERTIFICATE_TILE rows: q[:, k:e] a[k:e, k:] adds
+    to columns k: of the result, and q[:, e:] a[k:e, e:]^T to columns k:e.
+    On the column-major views (m x b for q and the result) these are one
+    dgemm each, accumulating in place.
+    """
+    m, b = a.shape[0], q.shape[0]
+    out = np.empty((b, m), dtype=np.float64)
+    int_type, gemm = _LAPACK.int_type, _LAPACK.functions["dgemm"]
+    lead, width = int_type(m), int_type(b)
+    zero, one = ctypes.c_double(0.0), ctypes.c_double(1.0)
+    for k in range(0, m, _CERTIFICATE_TILE):
+        e = min(k + _CERTIFICATE_TILE, m)
+        # the first panel spans every column, so beta = 0 sets the whole result
+        gemm(b"N", b"N", int_type(m - k), width, int_type(e - k), one, _address(a, k, k), lead,
+             _address(q, 0, k), lead, one if k else zero, _address(out, 0, k), lead, 1, 1)
+        if e < m:
+            gemm(b"T", b"N", int_type(e - k), width, int_type(m - e), one, _address(a, k, e), lead,
+                 _address(q, 0, e), lead, one, _address(out, 0, k), lead, 1, 1)
+    return out
 
 
 def _iterate_top(a: np.ndarray, rank: int):
-    """(w, v, steps): the top `rank` eigenpairs of `a` by block subspace
-    iteration, certified, and the products made; w and v are None where the
-    iteration gives way.
+    """(w, v, steps): the top `rank` eigenpairs of the symmetric A held in
+    the upper triangle of the C-order `a` by block subspace iteration,
+    certified, and the products made; w and v are None where the iteration
+    gives way.  `a` is written over either way: first its diagonal tiles
+    are mirrored (:func:`_mirror_diagonal_tiles`), then the certificate
+    writes there and in the upper triangle.
 
     A block of b = rank + _GUARD vectors from a fixed Philox start goes
-    through steps of a QR, one product with `a` and a Rayleigh-Ritz step
-    that ranks the Ritz pairs by value, not magnitude; the product A V of
-    the Ritz vectors, which the residual needs, is the next step's block.
-    The block converges to the b eigenvalues largest in magnitude, so the
-    top `rank` by value are found where they are among those.
+    through steps of a QR (at one BLAS thread where OpenBLAS's thread count
+    can be set: the m x b factorization is slower on more), one product with
+    A by row panels (:func:`_product`) and a Rayleigh-Ritz step that ranks the
+    Ritz pairs by value, not magnitude; the product A V of the Ritz vectors,
+    which the residual needs, is the next step's block.  The block converges
+    to the b eigenvalues largest in magnitude, so the top `rank` by value
+    are found where they are among those.
 
     The iteration stops once the residual R = A V - V Theta of the top
     `rank` Ritz pairs is small, and gives way after m // _DIM_PER_PRODUCT
@@ -629,6 +683,7 @@ def _iterate_top(a: np.ndarray, rank: int):
     """
     m = a.shape[0]
     b = min(rank + _GUARD, m - 1)
+    _mirror_diagonal_tiles(a)
     norm = _inf_norm(a)
     # blocks are held transposed, b x m: a product is then X^T A = (A X)^T,
     # which OpenBLAS runs in about half the time of A X, and with a tenth of
@@ -639,9 +694,12 @@ def _iterate_top(a: np.ndarray, rank: int):
     rounding = m * np.finfo(np.float64).eps * norm
     steps, previous = 0, math.inf
     while True:
-        q = np.linalg.qr(x.T)[0].T
+        with _one_blas_thread() if _THREADS is not None else nullcontext():
+            q = np.linalg.qr(x.T)[0]
         del x
-        aq = q @ a
+        # the factor's transpose is F-ordered; a C-ordered block is faster to multiply
+        q = np.ascontiguousarray(q.T)
+        aq = _product(q, a)
         steps += 1
         theta, y = np.linalg.eigh(aq @ q.T)
         theta, y = theta[::-1], y[:, ::-1].T
@@ -670,10 +728,11 @@ def _iterate_top(a: np.ndarray, rank: int):
 def _certify(
     a: np.ndarray, theta: np.ndarray, v: np.ndarray, rank: int, residual: float, norm: float
 ) -> bool:
-    """Whether the top `rank` Ritz pairs of `a`, theta[:rank] and the m x rank
-    basis `v`, with residual ||A V - V Theta||_2 at most `residual`, are
-    proved within _SIN_THETA_TOL of the top-`rank` eigenspace.  `norm` is at
-    least ||A||_inf, and `a` is written over either way.
+    """Whether the top `rank` Ritz pairs of the symmetric A held in the upper
+    triangle of the C-order `a`, theta[:rank] and the m x rank basis `v`,
+    with residual ||A V - V Theta||_2 at most `residual`, are proved within
+    _SIN_THETA_TOL of the top-`rank` eigenspace.  `norm` is at least
+    ||A||_inf, and `a` is written over either way.
 
     Let sigma = theta_r - residual / _SIN_THETA_TOL.  If X = A - V Theta V^T
     has lambda_max(X) < sigma, then, V Theta V^T having at most r positive
@@ -690,9 +749,10 @@ def _certify(
     positive definiteness", BIT 46, 2006).  With u = 2^-53 and
     gamma_k = k u / (1 - k u):
 
-    1. Forming.  One dgemm (beta = -1) forms each entry of V Theta V^T - A
-       as a sum of r + 1 terms, in any order: the r products of the rounded
-       V Theta with V, and -a_ij.  It is off by at most
+    1. Forming.  One dgemm (beta = -1) per row block of _CERTIFICATE_TILE
+       rows forms each entry of V Theta V^T - A in the block, from its
+       diagonal tile on, as a sum of r + 1 terms, in any order: the r
+       products of the rounded V Theta with V, and -a_ij.  It is off by at most
        gamma_{r+2} (P + |A|)_ij, where P = |V| |Theta| |V|^T, and adding t on
        the diagonal rounds once more.  So |Mf - M| <= gamma_{r+2} (P + |A|) +
        u diag|Mf|, and ||Mf - M||_2 <= f = gamma_{r+2} (max|theta| ||V||_F^2 +
@@ -713,22 +773,24 @@ def _certify(
     3. So lambda_min(M) >= -(alpha tr(Mf) + f + the underflow term), which
        the shift c exceeds: lambda_max(X) = t - lambda_min(M) < t + c = sigma.
 
-    The shift also needs t > 0 and t > theta_{r+1}.  M is written over the
-    whole of the C-order `a`, of which the factorization reads the upper
-    triangle.
+    The shift also needs t > 0 and t > theta_{r+1}.  M is written over each
+    row block of the C-order `a` from its diagonal tile on, nothing below
+    the diagonal tiles, and the factorization reads its upper triangle.
     """
     sigma = theta[rank - 1] - residual / _SIN_THETA_TOL
     if not (sigma > 0 and sigma > theta[rank]):
         return False
-    m = a.shape[0]
+    m, int_type, gemm = a.shape[0], _LAPACK.int_type, _LAPACK.functions["dgemm"]
     # a C-order rank x m array is a column-major m x rank one: on those
-    # views, a := S V^T - a with S = V Theta, which is V Theta V^T - A
+    # views, a[k:k+rows, k:] := S V^T - a with S = V Theta, which is
+    # V Theta V^T - A there
     vt = np.ascontiguousarray(v.T)
     scaled = vt * theta[:rank, None]
-    lead = _LAPACK.int_type(m)
-    _LAPACK.functions["dgemm"](b"N", b"T", lead, lead, _LAPACK.int_type(rank), ctypes.c_double(1.0),
-                               scaled.ctypes.data, lead, vt.ctypes.data, lead, ctypes.c_double(-1.0),
-                               a.ctypes.data, lead, 1, 1)
+    lead, one, minus_one = int_type(m), ctypes.c_double(1.0), ctypes.c_double(-1.0)
+    for k in range(0, m, _CERTIFICATE_TILE):
+        rows = int_type(min(_CERTIFICATE_TILE, m - k))
+        gemm(b"N", b"T", int_type(m - k), rows, int_type(rank), one, _address(scaled, 0, k), lead,
+             _address(vt, 0, k), lead, minus_one, _address(a, k, k), lead, 1, 1)
     t = sigma - _rounding_shift(a.diagonal(), theta[:rank], v, norm, sigma)
     if not (t > 0 and t > theta[rank]):
         return False
@@ -789,24 +851,20 @@ def _cholesky_upper(a: np.ndarray) -> bool:
     potrf, trsm, gemm = (_LAPACK.functions[name] for name in ("dpotrf", "dtrsm", "dgemm"))
     lead, info = int_type(m), int_type(0)
     one, minus_one = ctypes.c_double(1.0), ctypes.c_double(-1.0)
-
-    def address(i: int, j: int) -> int:
-        return a.ctypes.data + a.itemsize * (i * m + j)
-
     for k in range(0, m, tile):
         rows, rest = min(tile, m - k), int_type(max(0, m - k - tile))
         if k:
             # M_kj -= U_:k,k^T U_:k,j for every j >= k
-            gemm(b"N", b"T", int_type(m - k), int_type(rows), int_type(k), minus_one, address(0, k),
-                 lead, address(0, k), lead, one, address(k, k), lead, 1, 1)
+            gemm(b"N", b"T", int_type(m - k), int_type(rows), int_type(k), minus_one, _address(a, 0, k),
+                 lead, _address(a, 0, k), lead, one, _address(a, k, k), lead, 1, 1)
         # the tile's upper triangle is the lower one of its column-major view
-        potrf(b"L", int_type(rows), address(k, k), lead, info, 1)
+        potrf(b"L", int_type(rows), _address(a, k, k), lead, info, 1)
         if info.value != 0:
             return False
         if rest.value:
             # U_kk^T X = M_kj, as X_cm L^T = M_cm on the column-major views
             trsm(b"R", b"L", b"T", b"N", rest, int_type(rows), one,
-                 address(k, k), lead, address(k, k + tile), lead, 1, 1, 1, 1)
+                 _address(a, k, k), lead, _address(a, k, k + tile), lead, 1, 1, 1, 1)
     return True
 
 
@@ -957,25 +1015,42 @@ def submatrix_norms(a: np.ndarray, sets) -> np.ndarray:
     Equal to :func:`spectral_norm` of each gathered submatrix, but `a` is
     checked (finite, and symmetrized unless exactly symmetric) once.  Each
     norm is the larger end of one :func:`_solve_extremes` solve, which
-    gathers the set's triangle copy from `a`.  The sets are solved largest
-    first on a thread pool: one solve per core at once, with OpenBLAS at one
-    thread for the batch, where both LAPACK and the thread controls
-    resolve, else one at a time at the current BLAS thread count.  A set
-    starts only while the copies in flight, counted at 8|S|^2 bytes each,
-    fit in 8m^2.  An empty set has norm 0.  Each set must hold distinct
-    indices in 0..m-1 (:func:`~plantrec.errors.vertex_ids`), so it fits
-    alone.
+    gathers the set's triangle copy from `a`.  Where both LAPACK and the
+    thread controls resolve, OpenBLAS is at one thread for the batch, and a
+    batch with a set of more than 128 members is solved largest first on a
+    thread pool, one solve per core at once; a set starts only while the
+    copies in flight, counted at 8|S|^2 bytes each, fit in 8m^2.  Any other
+    batch is solved one set at a time on the calling thread: at one thread
+    where the controls resolve, else at the current BLAS thread count.  An
+    empty set has norm 0.  Each set must hold distinct indices in 0..m-1
+    (:func:`~plantrec.errors.vertex_ids`), so it fits alone.
     """
     a = _finite_symmetric(a)
     sets = [vertex_ids(v, a.shape[0]) for v in sets]
     norms = np.zeros(len(sets), dtype=np.float64)
     pending = sorted((i for i, v in enumerate(sets) if v.size), key=lambda i: -sets[i].size)
+    pinned = _LAPACK is not None and _THREADS is not None
+    with _one_blas_thread() if pinned else nullcontext():
+        # the pool costs more than it wins while every set is small: one at
+        # a time, sets of 5 to 100 members took 0.5-0.8 times as long as on
+        # the pool, and sets of 145 to 400 members 1.2-2.1 times (2 cores)
+        if pinned and pending and sets[pending[0]].size > 128:
+            _pooled_norms(a, sets, pending, norms)
+        else:
+            for i in pending:
+                lowest, highest = _solve_extremes(a, sets[i])
+                norms[i] = max(abs(lowest), abs(highest))
+    return norms
+
+
+def _pooled_norms(a: np.ndarray, sets: list, pending: list, norms: np.ndarray) -> None:
+    """Solve the sets numbered in `pending` (largest first) on a thread pool
+    for :func:`submatrix_norms`, writing each norm into `norms`."""
     nbytes = [8 * v.size**2 for v in sets]  # of each set's float64 copy
     budget = 8 * a.shape[0] ** 2
-    pinned = _LAPACK is not None and _THREADS is not None
-    workers = _workers() if pinned else 1
+    workers = _workers()
     in_flight: dict = {}  # future -> set index
-    with _one_blas_thread() if pinned else nullcontext(), ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         while pending or in_flight:
             held = sum(nbytes[i] for i in in_flight.values())
             while pending and len(in_flight) < workers:
@@ -990,7 +1065,6 @@ def submatrix_norms(a: np.ndarray, sets) -> np.ndarray:
             for future in done:
                 lowest, highest = future.result()
                 norms[in_flight.pop(future)] = max(abs(lowest), abs(highest))
-    return norms
 
 
 def top_projector(a: np.ndarray, rank: int) -> Projector:

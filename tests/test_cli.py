@@ -72,6 +72,18 @@ class TestGenerateRecover:
         assert code == 2
         assert "invalid" in err
 
+    @pytest.mark.parametrize("n,s", [(0, 1), (-4, 2)])
+    def test_generate_without_vertices_exit_2(self, capsys, tmp_path, n, s):
+        # rejected as a config's n below 1 is, before any file is written
+        graph, truth = tmp_path / "g.txt", tmp_path / "t.txt"
+        code, out, err = run_cli(
+            capsys, "generate", "--n", str(n), "--s", str(s), "--p", "0.9", "--q", "0.1",
+            "--out", str(graph), "--truth", str(truth),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"invalid input: --n must be at least 1, got {n}\n"
+        assert not graph.exists() and not truth.exists()
+
     @pytest.mark.parametrize("body", ["4 3\n0 1\n0 1\n2 3\n", "4 1\n0 1\n2 3\n"])
     def test_malformed_graph_exit_2(self, capsys, tmp_path, body):
         graph = tmp_path / "g.txt"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -298,6 +299,31 @@ class TestIdentifyClusters:
             (60, 5), (48, 4), (36, 3), (24, 2), (12, 1)
         ]
         assert np.array_equal(traces[0].projector.basis, top_projector(g.adj, 5).basis)
+
+    def test_no_rounds_candidate_array_outlives_it(self, monkeypatch):
+        # each round's m x s candidate array is gone when the next round's
+        # solve starts, and after the last round
+        ranked, solves_with_live_arrays = [], []
+        rank, solve = recovery.all_candidate_sets, recovery.top_projector
+
+        def weakly_kept_ranking(*args):
+            members, masses = rank(*args)
+            ranked.append(weakref.ref(members))
+            return members, masses
+
+        def solve_checking_the_last_array(*args):
+            solves_with_live_arrays.append(bool(ranked) and ranked[-1]() is not None)
+            return solve(*args)
+
+        monkeypatch.setattr(recovery, "all_candidate_sets", weakly_kept_ranking)
+        monkeypatch.setattr(recovery, "top_projector", solve_checking_the_last_array)
+        part = make_partition(60, 12)
+        result, traces = recover_with_trace(sample_graph(part, ModelParams(p=0.9, q=0.1, seed=9)), 12)
+        assert same_partition(result, part)
+        assert solves_with_live_arrays == [False] * 5
+        assert len(ranked) == 5 and all(ref() is None for ref in ranked)
+        # the traces keep the pivot's own set, not a view into the array
+        assert all(t.candidate.base is None and t.candidate.size == 12 for t in traces)
 
     def test_trace_equality_and_hash_ignore_the_projector(self):
         # and the candidate set, an array

@@ -485,10 +485,10 @@ class TestIterativeSolve:
 
     @pytest.mark.parametrize("path", ["certified", "certificate failed", "budget exhausted"])
     def test_iterative_solve_of_uint8_holds_one_float_copy(self, iterative_on, monkeypatch, path):
-        # the one whole 8 m^2 copy, which the certificate writes in place, is
-        # a memory mapping that tracemalloc does not see (dsyevr's triangle
-        # copy after it too); the iteration's blocks and the certificate's
-        # tiles fit in 5% of it
+        # the one triangle copy, which the certificate writes in place, is a
+        # memory mapping that tracemalloc does not see (dsyevr's copy after it
+        # too); the iteration's blocks and the certificate's tiles fit in 5%
+        # of 8 m^2
         m = 2000
         adj = sample_graph(make_partition(m, 500), ModelParams(p=0.7, q=0.3, seed=6)).adj
         if path == "certificate failed":
@@ -670,7 +670,7 @@ class TestDsyevrShortfall:
         dec = eigh_descending(a, rank)
         if spectral._LAPACK is not None:
             assert dec.solve == spectral.SolveRecord("dsyevr", 0, None, all_pairs=True)
-            assert made == [False, False]
+            assert made == [m, m]
         monkeypatch.undo()
         assert dec.eigenvalues == pytest.approx([m - 1] + [-1] * (rank - 1), abs=1e-12)
         v = dec.eigenvectors
@@ -688,15 +688,15 @@ class TestDsyevrShortfall:
 
 def nan_below_the_diagonal(monkeypatch) -> list:
     """Every triangle copy a solve makes gets NaN in its strict lower
-    triangle, the one LAPACK must not read; returns the list to which each
-    copy's `whole` flag is appended."""
+    triangle, which LAPACK must not read and the iteration must not read
+    before it writes there; returns the list to which each copy's size is
+    appended."""
     copy, made = spectral._solve_copy, []
 
-    def poisoned(a, index=None, whole=False):
-        out = copy(a, index, whole)
-        made.append(whole)
-        if not whole:
-            out[np.tril_indices(len(out), -1)] = np.nan
+    def poisoned(a, index=None):
+        out = copy(a, index)
+        made.append(len(out))
+        out[np.tril_indices(len(out), -1)] = np.nan
         return out
 
     monkeypatch.setattr(spectral, "_solve_copy", poisoned)
@@ -705,8 +705,8 @@ def nan_below_the_diagonal(monkeypatch) -> list:
 
 class TestSolveCopies:
     """Each attempt at a solve writes a copy of its own, in a mapping of its
-    own, of the triangle LAPACK reads, or of the whole matrix for the
-    iteration; a fallback copies the input again."""
+    own, of the triangle LAPACK reads, which the iteration works on too; a
+    fallback copies the input again."""
 
     @pytest.mark.parametrize("m", [1, 2, 31, 32, 33, 100])
     def test_copy_holds_the_upper_triangle_in_a_mapping(self, m):
@@ -720,21 +720,28 @@ class TestSolveCopies:
             while isinstance(base, np.ndarray):
                 base = base.base
             assert isinstance(base.obj if isinstance(base, memoryview) else base, mmap.mmap)
-        assert np.array_equal(spectral._solve_copy(adj, whole=True), adj)
         assert spectral._solve_copy(adj, np.array([], dtype=np.int64)).shape == (0, 0)
 
     @pytest.mark.parametrize("m", [1, 2, 127, 128, 129, 300])
-    def test_other_triangle_is_never_read(self, monkeypatch, m):
+    def test_other_triangle_is_never_read(self, request, monkeypatch, m):
         # NaN in the strict lower triangle of every triangle copy: the same
-        # bits from every routine that solves one
+        # bits from every routine that solves one, and, with the iteration
+        # on every solve it can run, the same certified basis of a planted
+        # graph (three clusters; m % 3 isolated vertices)
         rng = np.random.default_rng(m)
         a, adj = random_symmetric(m, m), _graph_adjacency(m, m + 1)
         rank = max(1, m // 10)
         sets = [np.arange(m), rng.permutation(m)[: max(1, m // 2)], rng.permutation(m)[:1]]
+        iterative = spectral._LAPACK is not None and m >= 3
+        if iterative:
+            request.getfixturevalue("iterative_on")
+            part = make_partition(m - m % 3, m // 3)
+            planted = np.pad(sample_graph(part, ModelParams(p=0.9, q=0.1, seed=m)).adj, (0, m % 3))
 
         def solves():
             return [
                 eigh_descending(a, rank), eigh_descending(adj, rank), eigh_descending(a),
+                *([eigh_descending(planted, 3)] if iterative else []),
                 eigvals_descending(a), eigvals_descending(adj), spectral_norm(a), spectral_norm(adj),
                 spectral.submatrix_norms(a, sets), spectral._solve_extremes(a, sets[1]),
             ]
@@ -742,28 +749,32 @@ class TestSolveCopies:
         want = solves()
         made = nan_below_the_diagonal(monkeypatch)
         got = solves()
-        assert made and not any(made)
-        for g, w in zip(got[:3], want[:3]):
+        assert made
+        decompositions = 3 + iterative
+        if iterative:
+            assert got[3].solve.solver == want[3].solve.solver == "iterative"
+        for g, w in zip(got[:decompositions], want[:decompositions]):
             assert_same_decomposition(g, w)
-        for g, w in zip(got[3:], want[3:]):
+            assert g.solve == w.solve
+        for g, w in zip(got[decompositions:], want[decompositions:]):
             assert np.array_equal(g, w)
 
     def test_each_path_copies_the_source_again(self, request, monkeypatch):
         # plain dsyevr: one triangle copy (the shortfall's second one is in
-        # TestDsyevrShortfall); the iteration: one whole copy; a failed
-        # certificate: then a triangle copy
+        # TestDsyevrShortfall); the iteration: one triangle copy; a failed
+        # certificate: then a second one
         made = nan_below_the_diagonal(monkeypatch)
         eigh_descending(random_symmetric(30, 4), 3)
-        assert made == ([False] if spectral._LAPACK is not None else [])
+        assert made == ([30] if spectral._LAPACK is not None else [])
         request.getfixturevalue("iterative_on")
         adj = sample_graph(make_partition(300, 100), ModelParams(p=0.9, q=0.1, seed=1)).adj
         made.clear()
         assert eigh_descending(adj, 3).solve.solver == "iterative"
-        assert made == [True]
+        assert made == [300]
         made.clear()
         assert_failing_factorization(monkeypatch, 3, [])
         dec = eigh_descending(adj, 3)
-        assert dec.solve.solver == "dsyevr" and made == [True, False]
+        assert dec.solve.solver == "dsyevr" and made == [300, 300]
         assert_same_decomposition(dec, dsyevr_only(eigh_descending, adj, 3))
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the resident size there")
@@ -781,9 +792,6 @@ class TestSolveCopies:
         assert resident() - before <= 4 * m * m + (m + 256) * page
         del copy
         assert resident() - before <= 0.05 * 8 * m * m  # unmapped with the copy
-        copy = spectral._solve_copy(adj, whole=True)
-        assert resident() - before >= 0.95 * 8 * m * m
-        del copy
 
 
 def _graph_adjacency(m: int, seed: int) -> np.ndarray:
@@ -1059,7 +1067,7 @@ class TestSolveExtremes:
 thread_control = pytest.mark.skipif(
     spectral._LAPACK is None or spectral._THREADS is None,
     reason="LAPACK or OpenBLAS's thread controls do not resolve: "
-    "the sets are solved one at a time on one pool worker",
+    "the sets are solved one at a time on the calling thread",
 )
 
 
@@ -1116,8 +1124,9 @@ class TestSubmatrixNorms:
     @thread_control
     def test_copies_in_flight_fit_in_the_matrix(self, monkeypatch):
         # eight workers on fewer cores, and sets of 4/9 of the matrix's bytes:
-        # three at once would not fit, and the whole set only fits alone
-        n = 60
+        # three at once would not fit, and the whole set only fits alone;
+        # n = 195, so the whole set (over 128 members) puts the batch on the pool
+        n = 195
         a = random_symmetric(n, 7)
         sets = [np.arange(n)] + [np.arange(n)[np.arange(n) % 3 != c] for c in range(3)] * 3
         sets += [np.arange(c, n, 3) for c in range(3)] * 3
@@ -1141,7 +1150,7 @@ class TestSubmatrixNorms:
         got = spectral.submatrix_norms(a, sets)
         assert len(peaks) == len(sets)
         assert max(peaks) <= a.nbytes
-        assert max(peaks) > 8 * 40 * 40  # solves did overlap
+        assert max(peaks) > 8 * (2 * n // 3) ** 2  # solves did overlap
         assert got.tolist() == want
 
     @pytest.mark.parametrize("bad", [[0, 1, 2, 3, 3, 1], [0, -1], [2, 4]])
@@ -1160,8 +1169,9 @@ class TestSubmatrixNorms:
         # every norm lands at its own set's index, whatever order the many
         # workers finish in, with thread switches as often as they can be
         rng = np.random.default_rng(5)
-        a = random_symmetric(80, 5)
-        sets = [rng.permutation(80)[: rng.integers(1, 81)] for _ in range(120)]
+        a = random_symmetric(160, 5)
+        sets = [rng.permutation(160)[: rng.integers(1, 161)] for _ in range(120)]
+        assert max(v.size for v in sets) > 128  # on the pool
         want = gathered_norms(a, sets)
         workers = 4 * spectral._workers() + 3
         monkeypatch.setattr(spectral, "_workers", lambda: workers)
@@ -1185,7 +1195,7 @@ class TestSubmatrixNorms:
         "routine", ["dsyevr", "dsytrd", "dstebz", "set_num_threads", "get_num_threads"], ids=routine_id
     )
     def test_without_dsyevd_or_thread_control_one_set_at_a_time(self, two_blas_threads, monkeypatch, routine):
-        # one pool worker and no pinning: each norm is spectral_norm's at the
+        # one set at a time and no pinning: each norm is spectral_norm's at the
         # current BLAS thread count, and the count is never touched
         get_threads = spectral._THREADS.functions["get_num_threads"]
         resolve_without(monkeypatch, routine)
@@ -1214,6 +1224,27 @@ class TestSubmatrixNorms:
         assert peaks == [1] * 4
         assert threads == [2] * 4
         assert get_threads() == 2
+
+    @thread_control
+    @pytest.mark.parametrize("largest", [128, 129])
+    def test_small_sets_solved_one_at_a_time_on_the_calling_thread(self, two_blas_threads, monkeypatch, largest):
+        # while no set has more than 128 members, each is solved on the
+        # calling thread, at one BLAS thread; one larger set puts the batch
+        # on the pool; the bits are the same either way
+        rng = np.random.default_rng(largest)
+        a = random_symmetric(200, 3)
+        sets = [rng.permutation(200)[: rng.integers(1, 41)] for _ in range(30)] + [np.arange(largest)]
+        want = gathered_norms(a, sets)
+        solve, seen = spectral._solve_extremes, []
+        monkeypatch.setattr(
+            spectral, "_solve_extremes",
+            lambda x, index: seen.append((threading.current_thread(), blas_threads())) or solve(x, index),
+        )
+        assert spectral.submatrix_norms(a, sets).tolist() == want
+        assert len(seen) == len(sets) and {count for _, count in seen} == {1}
+        on_the_caller = {thread for thread, _ in seen} == {threading.current_thread()}
+        assert on_the_caller is (largest <= 128)
+        assert blas_threads() == 2
 
     def test_blas_threads_restored_after_return(self, two_blas_threads):
         spectral.submatrix_norms(random_symmetric(30, 2), [np.arange(30), np.arange(10)])
