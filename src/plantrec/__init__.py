@@ -5,6 +5,7 @@ from .baseline import baseline_common_neighbors
 from .bounds import (
     BoundReport,
     Constants,
+    NoiseView,
     admissible_c,
     check_concentration,
     check_fk_submatrices,

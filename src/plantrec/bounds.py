@@ -20,8 +20,12 @@ cluster, read from the two ends of its one solve of A - E, and so has the
 good-column report, :func:`_good_column`, which ``run_checks`` calls with
 recovery's round-0 pivot.  :func:`check_fk_submatrices` solves its other
 sets in one :func:`~plantrec.spectral.submatrix_norms` batch, each for the
-two ends of its spectrum.  The noise matrix A - E has one builder,
-:func:`centered_adjacency`, which ``run_checks`` calls once per instance.
+two ends of its spectrum.  The noise matrix A - E is never held whole:
+:class:`NoiseView` gathers it, 32 rows at a time, from the uint8 adjacency
+and the cluster labels, with the diagonal of a caller's choosing, and each
+solve copy the checks read is gathered from such a view.
+:func:`centered_adjacency` is the view's dense form, which no pipeline
+builds.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ __all__ = [
     "check_fk_submatrices",
     "check_weyl",
     "cluster_unions",
+    "NoiseView",
     "centered_adjacency",
     "empirical_epsilon",
 ]
@@ -376,17 +381,18 @@ def check_fk_submatrices(
     """Spectral norm of every principal submatrix x[S] against 2(sigma + 3K)sqrt(|S|),
     with the entry bound K = 1 of 0-1 noise.
 
-    `labels`, when given, supplies a cluster bitmask per set for reporting.
-    The norms come from one :func:`~plantrec.spectral.submatrix_norms`
-    batch, which gathers a copy of each x[S], never writes to x, and raises
-    VertexIdError for a set that is not distinct integer ids in 0..n-1.
+    `x` is a square matrix or a :class:`NoiseView`.  `labels`, when given,
+    supplies a cluster bitmask per set for reporting.  The norms come from
+    one :func:`~plantrec.spectral.submatrix_norms` batch, which gathers a
+    copy of each x[S], never writes to x, and raises VertexIdError for a set
+    that is not distinct integer ids in 0..n-1.
     """
     family = [np.asarray(vertices) for vertices in family]
     if not family:
         raise EmptyFamilyError("family of vertex sets is empty")
     if any(vertices.size == 0 for vertices in family):
         raise EmptyFamilyError("vertex sets must be nonempty")
-    norms = submatrix_norms(np.asarray(x, dtype=np.float64), family)
+    norms = submatrix_norms(x if isinstance(x, NoiseView) else np.asarray(x, dtype=np.float64), family)
     reports = []
     for idx, (vertices, norm) in enumerate(zip(family, norms)):
         ctx = dict(context)
@@ -446,20 +452,62 @@ def cluster_unions(
     return out
 
 
+class NoiseView:
+    """Read-only view of the noise matrix A - E of a sampled graph, with
+    `diagonal` in place of its diagonal, gathered 32 rows at a time.
+
+    The entry in row u and column v != u is float64(a_uv) - e_uv, one
+    subtraction, where e_uv is p if u and v share a cluster and q if not:
+    the bits of the float64 adjacency minus :func:`expectation_matrix
+    <plantrec.model.expectation_matrix>`.  The diagonal of A - E is -p
+    (the adjacency's is 0, E's p); a diagonal of 0 gives A - E + pI, whose
+    principal submatrices on the cluster unions the FK check solves.  Only
+    the uint8 adjacency, the labels and the three numbers are held, so the
+    view is finite and exactly symmetric because :class:`Graph` validates
+    the adjacency.  The solvers of :mod:`plantrec.spectral` take it beside a
+    dense matrix, through `shape` and :meth:`row_blocks`.
+    """
+
+    def __init__(self, g: Graph, part: PlantedPartition, params: ModelParams, diagonal: float = 0.0):
+        if part.n != g.n:
+            raise DimensionMismatchError(f"partition has {part.n} vertices, graph {g.n}")
+        self.shape = g.adj.shape
+        self._adj = g.adj
+        # the cluster ids in their smallest unsigned type, which compares fastest
+        self._labels = part.assignment.astype(np.min_scalar_type(part.k - 1))
+        self._p, self._q, self._diagonal = params.p, params.q, float(diagonal)
+
+    def row_blocks(self, index: np.ndarray | None = None, rows: int = 32):
+        """Yield (i, block) for each block of `rows` rows of the principal
+        submatrix on the distinct vertex ids `index` (all of the matrix for
+        None), from its diagonal on: `block` is a new float64 array of rows
+        i..i+k-1 and columns i..m-1 of the m x m submatrix."""
+        labels = self._labels if index is None else self._labels[index]
+        for i in range(0, labels.size, rows):
+            k = min(rows, labels.size - i)
+            adj = self._adj[i : i + k, i:] if index is None else self._adj[index[i : i + k]][:, index[i:]]
+            # e_uv, then a_uv - e_uv in its place
+            block = np.where(labels[i : i + k, None] == labels[i:], self._p, self._q)
+            np.subtract(adj, block, out=block)
+            np.fill_diagonal(block, self._diagonal)
+            yield i, block
+
+
 def centered_adjacency(g: Graph, part: PlantedPartition, params: ModelParams) -> np.ndarray:
     """Sampled adjacency minus its entrywise expectation (zero diagonal kept).
 
-    One n x n float64 array, written from the uint8 adjacency: a - q
-    everywhere, then a - p on each cluster's block, then a zero diagonal.
-    Each entry is one subtraction, so the bits equal those of the float64
-    adjacency minus (E - p I), with E from `expectation_matrix`.  Setting
-    the diagonal to -p gives A - E exactly.
+    The dense form of :class:`NoiseView` with diagonal 0: one n x n float64
+    array, each row block written where it lies and, transposed, where its
+    mirror image lies.  Each entry is one subtraction, so the bits equal
+    those of the float64 adjacency minus (E - p I), with E from
+    `expectation_matrix`.  Setting the diagonal to -p gives A - E exactly.
+    The checks never build it: they solve copies gathered from the view.
     """
-    noise = np.subtract(g.adj, params.q, dtype=np.float64)
-    for cluster in part.clusters():
-        block = np.ix_(cluster, cluster)
-        noise[block] = np.subtract(g.adj[block], params.p, dtype=np.float64)
-    np.fill_diagonal(noise, 0.0)
+    noise = np.empty(g.adj.shape, dtype=np.float64)
+    for i, block in NoiseView(g, part, params).row_blocks():
+        k = block.shape[0]
+        noise[i : i + k, i:] = block
+        noise[i:, i : i + k] = block.T
     return noise
 
 

@@ -239,13 +239,14 @@ def run_checks(g, part, params, checks, epsilon, round0=None) -> list:
     projector's columns.  The expected side is taken in closed form:
     P_k(E) = Z Z^T / s and lambda_k(E) from `theoretical_spectrum`; one SVD
     gives the principal angles between P_k(A) and P_k(E), which proj and a
-    measured epsilon share.  The noise matrix A - E is the one n x n float64
-    matrix the checks hold, built once when norm, proj or fk runs.  fk first
-    solves the submatrices of its proper cluster unions for their two ends
-    (copies, one BLAS thread per core at once).  Then A - E itself is solved
-    once for its two ends, from a triangle copy: they give ||A - E||_2 for
-    norm and proj, and, shifted by p (A - E has -p on its diagonal where
-    fk's noise has 0), fk's union of every cluster.
+    measured epsilon share.  The checks hold no n x n float64 matrix: each
+    solve copy of the noise is gathered from the uint8 adjacency and the
+    labels through a :class:`~plantrec.bounds.NoiseView`.  fk first solves
+    the submatrices of its proper cluster unions of A - E + pI (diagonal 0)
+    for their two ends (copies, one BLAS thread per core at once).  Then
+    A - E itself (diagonal -p) is solved once for its two ends, from a
+    triangle copy: they give ||A - E||_2 for norm and proj, and, shifted by
+    p, fk's union of every cluster.
     """
     _validate_checks(checks, epsilon)
     checks = set(checks)
@@ -273,7 +274,6 @@ def run_checks(g, part, params, checks, epsilon, round0=None) -> list:
 
     reports = []
     if {"norm", "proj", "fk"} & checks:
-        noise = bounds.centered_adjacency(g, part, params)
         if "fk" in checks:
             unions = bounds.cluster_unions(part, seed=params.seed)
             sigma = bounds.Constants.from_params(params.p, params.q, c=1.0).sigma
@@ -282,14 +282,13 @@ def run_checks(g, part, params, checks, epsilon, round0=None) -> list:
             fk_reports = []
             if proper:
                 fk_reports = bounds.check_fk_submatrices(
-                    noise, [v for _, v in proper], sigma, labels=[m for m, _ in proper], **ctx
+                    bounds.NoiseView(g, part, params), [v for _, v in proper], sigma,
+                    labels=[m for m, _ in proper], **ctx,
                 )
-        np.fill_diagonal(noise, -params.p)  # exactly A - E
-        lowest, highest = spectral._solve_extremes(noise)
-        noise = None
+        lowest, highest = spectral._solve_extremes(bounds.NoiseView(g, part, params, diagonal=-params.p))
         instance_dev = max(abs(lowest), abs(highest))
         if "fk" in checks and len(proper) < len(unions):
-            # the noise matrix with its zero diagonal is A - E + pI, whose
+            # fk's noise, with its zero diagonal, is A - E + pI, whose
             # eigenvalues are those of A - E plus p; the full mask sorts last
             # among the unions
             whole = max(abs(lowest + params.p), abs(highest + params.p))

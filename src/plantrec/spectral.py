@@ -40,9 +40,15 @@ pairs, another new copy is solved for all pairs.
 
 Every matrix input passes one check: square, finite, and read as
 (a + a^T) / 2 unless exactly symmetric, compared one tile pair at a time,
-with no m x m temporary.  The checked matrix is never written to: each
-attempt at a solve writes a float64 copy of its own, converted straight
-from an integer or bool matrix (a graph's uint8 adjacency), into a fresh
+with no m x m temporary.  The solvers of norms (:func:`submatrix_norms`
+and the two-ends solve behind it) also take a row-block gather in place of
+a matrix: an object that holds no m x m array and yields any principal
+submatrix 32 rows at a time, such as :class:`plantrec.bounds.NoiseView`,
+which gathers A - E from a graph's uint8 adjacency and its cluster labels.
+It is finite and exactly symmetric by construction and is not checked.
+The checked matrix is never written to: each attempt at a solve writes a
+float64 copy of its own, converted straight from an integer or bool matrix
+(a graph's uint8 adjacency) or gathered block by block, into a fresh
 anonymous memory mapping that is unmapped when the copy dies, so no copy
 enters (or stays in) the malloc heap.  A copy that LAPACK reads (``dsyevr``
 and ``dsytrd`` with UPLO='L' read the lower triangle of the column-major
@@ -145,14 +151,15 @@ _COPY_ROWS = 32
 _UPPER_TILE = np.triu(np.ones((_COPY_ROWS, _COPY_ROWS), dtype=bool))
 
 
-def _solve_copy(a: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
+def _solve_copy(a, index: np.ndarray | None = None) -> np.ndarray:
     """New m x m float64 C-order copy of the upper triangle of the symmetric
     `a`, or of its principal submatrix a[index, index], in an anonymous
     memory mapping of its own that is unmapped when the copy dies.
 
-    The upper triangle is the lower triangle of the column-major view, the
-    one dsyevr and dsytrd with UPLO='L' read; the pages of the other
-    triangle (which read as zeros) never become resident.
+    `a` is a matrix or a row-block gather (:func:`_gathers`).  The upper
+    triangle is the lower triangle of the column-major view, the one dsyevr
+    and dsytrd with UPLO='L' read; the pages of the other triangle (which
+    read as zeros) never become resident.
     """
     m = a.shape[0] if index is None else index.size
     if m == 0:
@@ -162,12 +169,30 @@ def _solve_copy(a: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
     if hasattr(buffer, "madvise") and hasattr(mmap, "MADV_NOHUGEPAGE"):
         # a huge page would make the untouched triangle's pages resident too
         buffer.madvise(mmap.MADV_NOHUGEPAGE)
-    for i in range(0, m, _COPY_ROWS):
-        k = min(_COPY_ROWS, m - i)
-        block = a[i : i + k, i:] if index is None else a[np.ix_(index[i : i + k], index[i:])]
+    blocks = a.row_blocks(index, _COPY_ROWS) if _gathers(a) else _row_blocks(a, index)
+    for i, block in blocks:
+        k = block.shape[0]
         np.copyto(out[i : i + k, i : i + k], block[:, :k], where=_UPPER_TILE[:k, :k])
         out[i : i + k, i + k :] = block[:, k:]
     return out
+
+
+def _row_blocks(a: np.ndarray, index: np.ndarray | None):
+    """Yield (i, block): rows i..i+k-1 of the matrix `a`, or of a[index, index],
+    from column i on, `_COPY_ROWS` rows at a time."""
+    m = a.shape[0] if index is None else index.size
+    for i in range(0, m, _COPY_ROWS):
+        k = min(_COPY_ROWS, m - i)
+        yield i, (a[i : i + k, i:] if index is None else a[np.ix_(index[i : i + k], index[i:])])
+
+
+def _gathers(a) -> bool:
+    """Whether `a` is a row-block gather rather than a matrix: a read-only
+    symmetric matrix that holds no m x m array, such as
+    :class:`plantrec.bounds.NoiseView`, with `shape` and
+    ``row_blocks(index, rows)`` yielding (i, rows i..i+k-1 of the principal
+    submatrix on `index` from column i on)."""
+    return hasattr(a, "row_blocks")
 
 
 @dataclass(frozen=True)
@@ -906,10 +931,10 @@ _SCALE_MIN = math.sqrt(_SAFE_MIN / float(np.finfo(np.float64).eps))
 _SCALE_MAX = min(1.0 / _SCALE_MIN, 1.0 / math.sqrt(math.sqrt(_SAFE_MIN)))
 
 
-def _solve_extremes(a: np.ndarray, index: np.ndarray | None = None) -> tuple[float, float]:
-    """(lowest, highest) eigenvalue of the finite, exactly symmetric `a`, or
-    of its principal submatrix a[index, index], which is not written to;
-    (0.0, 0.0) for m = 0.
+def _solve_extremes(a, index: np.ndarray | None = None) -> tuple[float, float]:
+    """(lowest, highest) eigenvalue of the finite, exactly symmetric `a` (a
+    matrix or a row-block gather), or of its principal submatrix
+    a[index, index], which is not written to; (0.0, 0.0) for m = 0.
 
     One LAPACK dsytrd reduction of a triangle copy to a tridiagonal T,
     blocked as inside eigvalsh (so T has the bits eigvalsh reduces to at the
@@ -922,13 +947,15 @@ def _solve_extremes(a: np.ndarray, index: np.ndarray | None = None) -> tuple[flo
     only where these bounds (each widened by 2 for the reduction's rounding)
     leave [_SCALE_MIN, _SCALE_MAX] is anrm read from a new copy, which is
     scaled and reduced again if anrm is out of range.  Where LAPACK does
-    not resolve, the two ends of numpy's ``eigvalsh`` of the gathered matrix.
+    not resolve, the two ends of numpy's ``eigvalsh`` of the transpose of a
+    triangle copy, whose lower triangle, the one eigvalsh reads, holds the
+    entries of the lower triangle of the gathered matrix.
     """
     m = a.shape[0] if index is None else index.size
     if m == 0:
         return 0.0, 0.0
     if _LAPACK is None:
-        w = np.linalg.eigvalsh(a if index is None else a[np.ix_(index, index)])
+        w = np.linalg.eigvalsh(_solve_copy(a, index).T)
         return float(w[0]), float(w[-1])
     d, e = _tridiagonal(_solve_copy(a, index))
     # NaN or inf in T (an overflowing reduction) fails the test too
@@ -1009,11 +1036,13 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def submatrix_norms(a: np.ndarray, sets) -> np.ndarray:
+def submatrix_norms(a, sets) -> np.ndarray:
     """Spectral norm of each principal submatrix a[S, S], S in `sets`.
 
-    Equal to :func:`spectral_norm` of each gathered submatrix, but `a` is
-    checked (finite, and symmetrized unless exactly symmetric) once.  Each
+    Equal to :func:`spectral_norm` of each gathered submatrix, but a matrix
+    `a` is checked (finite, and symmetrized unless exactly symmetric) once;
+    a row-block gather, such as :class:`plantrec.bounds.NoiseView`, is
+    finite and exactly symmetric by construction and is read as it is.  Each
     norm is the larger end of one :func:`_solve_extremes` solve, which
     gathers the set's triangle copy from `a`.  Where both LAPACK and the
     thread controls resolve, OpenBLAS is at one thread for the batch, and a
@@ -1025,7 +1054,8 @@ def submatrix_norms(a: np.ndarray, sets) -> np.ndarray:
     empty set has norm 0.  Each set must hold distinct indices in 0..m-1
     (:func:`~plantrec.errors.vertex_ids`), so it fits alone.
     """
-    a = _finite_symmetric(a)
+    if not _gathers(a):
+        a = _finite_symmetric(a)
     sets = [vertex_ids(v, a.shape[0]) for v in sets]
     norms = np.zeros(len(sets), dtype=np.float64)
     pending = sorted((i for i, v in enumerate(sets) if v.size), key=lambda i: -sets[i].size)
@@ -1043,7 +1073,7 @@ def submatrix_norms(a: np.ndarray, sets) -> np.ndarray:
     return norms
 
 
-def _pooled_norms(a: np.ndarray, sets: list, pending: list, norms: np.ndarray) -> None:
+def _pooled_norms(a, sets: list, pending: list, norms: np.ndarray) -> None:
     """Solve the sets numbered in `pending` (largest first) on a thread pool
     for :func:`submatrix_norms`, writing each norm into `norms`."""
     nbytes = [8 * v.size**2 for v in sets]  # of each set's float64 copy

@@ -201,6 +201,90 @@ class TestPlatformStates:
         assert got.pivot_masses == pytest.approx(want.pivot_masses, rel=1e-12, abs=0)
 
 
+def noise_instance(n, k, seed):
+    """A shuffled instance of n vertices in k clusters at p = 0.7, q = 0.3,
+    as run_trial samples it."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+    part = permute_partition(make_partition(n, n // k), rng.permutation(n))
+    params = ModelParams(p=0.7, q=0.3, seed=seed)
+    return sample_graph(part, params), part, params
+
+
+def dense_noise_checks(g, part, params):
+    """(norm lhs, fk lhs list) of the norm and fk checks solved on the dense
+    n x n noise matrix, as run_checks solved them before it gathered its
+    copies from a NoiseView: where LAPACK does not resolve, from numpy's
+    eigvalsh of each submatrix gathered from the matrix."""
+    unions = bounds.cluster_unions(part, seed=params.seed)
+    sigma = bounds.Constants.from_params(params.p, params.q, c=1.0).sigma
+    proper = [v for _, v in unions if v.size < part.n]
+    noise = bounds.centered_adjacency(g, part, params)
+    if spectral._LAPACK is None:
+        ends = [np.linalg.eigvalsh(noise[np.ix_(v, v)])[[0, -1]] for v in proper]
+        fk = [max(abs(lowest), abs(highest)) for lowest, highest in ends]
+    else:
+        fk = [r.lhs for r in bounds.check_fk_submatrices(noise, proper, sigma)] if proper else []
+    np.fill_diagonal(noise, -params.p)
+    if spectral._LAPACK is None:
+        lowest, highest = np.linalg.eigvalsh(noise)[[0, -1]]
+    else:
+        lowest, highest = spectral._solve_extremes(noise)
+    if len(proper) < len(unions):
+        fk.append(max(abs(lowest + params.p), abs(highest + params.p)))
+    return max(abs(lowest), abs(highest)), fk
+
+
+# (n, k): the trial_checks shape; s = 1, where every set is small and the
+# FK batch runs serially; k = 13 > MAX_ENUMERATE_K, where the masks are sampled
+NOISE_SHAPES = [(1200, 6), (40, 40), (26, 13)]
+
+
+class TestNoiseView:
+    """The solve copies the checks gather from the uint8 adjacency carry the
+    bits of those gathered from the dense noise matrix, so every norm the
+    checks report is the dense path's, bit for bit."""
+
+    @pytest.mark.parametrize("n,k", NOISE_SHAPES)
+    def test_every_copy_is_the_dense_matrixs(self, n, k):
+        g, part, params = noise_instance(n, k, seed=n + k)
+        dense = bounds.centered_adjacency(g, part, params)
+        sets = [None] + [v for _, v in bounds.cluster_unions(part, seed=params.seed)]
+        for diagonal in (0.0, -params.p):
+            view = bounds.NoiseView(g, part, params, diagonal=diagonal)
+            assert view.shape == (n, n)
+            np.fill_diagonal(dense, diagonal)
+            for index in sets:
+                got, want = spectral._solve_copy(view, index), spectral._solve_copy(dense, index)
+                assert got.tobytes() == want.tobytes(), (diagonal, index)
+
+    @pytest.mark.parametrize("n,k", NOISE_SHAPES)
+    @pytest.mark.parametrize(
+        "missing", [(), ("_LAPACK",), ("_THREADS",), ("_LAPACK", "_THREADS")], ids=["all", "lapack", "threads", "both"]
+    )
+    def test_norms_equal_the_dense_paths(self, monkeypatch, n, k, missing):
+        for name in missing:
+            monkeypatch.setattr(spectral, name, None)
+        g, part, params = noise_instance(n, k, seed=n + k)
+        reports = run_checks(g, part, params, ("norm", "fk"), 0.1)
+        norm, fk = dense_noise_checks(g, part, params)
+        assert [r.lhs for r in reports if r.name == "norm_deviation"] == [norm]
+        assert [r.lhs for r in reports if r.name == "fk_submatrix"] == fk
+
+    def test_dense_form_is_the_views(self):
+        g, part, params = noise_instance(60, 3, seed=2)
+        dense = bounds.centered_adjacency(g, part, params)
+        assert np.array_equal(dense, dense.T)
+        blocks = list(bounds.NoiseView(g, part, params).row_blocks(rows=7))
+        assert [i for i, _ in blocks] == list(range(0, 60, 7))
+        for i, block in blocks:
+            assert block.tobytes() == dense[i : i + 7, i:].tobytes()
+
+    def test_partition_must_match_the_graph(self):
+        g, part, params = noise_instance(60, 3, seed=2)
+        with pytest.raises(DimensionMismatchError):
+            bounds.NoiseView(g, make_partition(30, 10), params)
+
+
 def oracle_checks(g, part, params, checks, epsilon):
     """The checks composed from the public matrix checkers, each solving its
     own matrices numerically (the expected matrix included)."""
@@ -301,7 +385,7 @@ class TestRunChecks:
         monkeypatch.setattr(
             spectral,
             "_solve_extremes",
-            lambda a, index=None: value_sizes.append(len(a) if index is None else len(index))
+            lambda a, index=None: value_sizes.append(a.shape[0] if index is None else len(index))
             or solve_extremes(a, index),
         )
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_sizes.append(len(a)) or eigh(a))
@@ -319,6 +403,15 @@ class TestRunChecks:
         assert value_sizes[-1] == 60
         # eigvalsh runs only where LAPACK does not resolve
         assert eigvalsh_sizes == ([] if spectral._LAPACK else value_sizes)
+
+    def test_checks_build_no_dense_noise_matrix(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a check built the n x n noise matrix")
+
+        monkeypatch.setattr(bounds, "centered_adjacency", refused)
+        cell = Cell(index=0, n=120, k=4, s=30, p=0.7, q=0.3)
+        rep = run_trial(cell, seed=6, checks=KNOWN_CHECKS, epsilon=None, baseline=True)
+        assert {r.name for r in rep.reports} >= {"norm_deviation", "projector_deviation", "fk_submatrix"}
 
     def test_goodcol_reads_recoverys_round_0(self, monkeypatch):
         # recovery has ranked every column of round 0: goodcol reads its pivot,
