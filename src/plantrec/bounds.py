@@ -458,14 +458,14 @@ class NoiseView:
 
     The entry in row u and column v != u is float64(a_uv) - e_uv, one
     subtraction, where e_uv is p if u and v share a cluster and q if not:
-    the bits of the float64 adjacency minus :func:`expectation_matrix
-    <plantrec.model.expectation_matrix>`.  The diagonal of A - E is -p
-    (the adjacency's is 0, E's p); a diagonal of 0 gives A - E + pI, whose
-    principal submatrices on the cluster unions the FK check solves.  Only
-    the uint8 adjacency, the labels and the three numbers are held, so the
-    view is finite and exactly symmetric because :class:`Graph` validates
-    the adjacency.  The solvers of :mod:`plantrec.spectral` take it beside a
-    dense matrix, through `shape` and :meth:`row_blocks`.
+    off the diagonal, the bits of the float64 adjacency minus
+    `expectation_matrix`.  A - E itself has -p on its diagonal (the
+    adjacency has 0, E has p); diagonal 0 gives A - E + pI, which the FK
+    check solves on the cluster unions.  The view holds only the uint8
+    adjacency, the labels and three numbers, so it is finite, and it is
+    exactly symmetric because :class:`Graph` validates the adjacency.  The
+    norm solvers of :mod:`plantrec.spectral` read it beside a dense matrix,
+    through `shape` and :meth:`row_blocks`.
     """
 
     def __init__(self, g: Graph, part: PlantedPartition, params: ModelParams, diagonal: float = 0.0):
