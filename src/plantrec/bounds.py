@@ -48,6 +48,7 @@ from .model import Graph, ModelParams, PlantedPartition, require_edge_probabilit
 from .recovery import all_candidate_sets, select_pivot
 from .spectral import (
     Projector,
+    _row_blocks,
     eigh_descending,
     eigvals_descending,
     projector_operand,
@@ -392,7 +393,7 @@ def check_fk_submatrices(
         raise EmptyFamilyError("family of vertex sets is empty")
     if any(vertices.size == 0 for vertices in family):
         raise EmptyFamilyError("vertex sets must be nonempty")
-    norms = submatrix_norms(x if isinstance(x, NoiseView) else np.asarray(x, dtype=np.float64), family)
+    norms = submatrix_norms(x, family)
     reports = []
     for idx, (vertices, norm) in enumerate(zip(family, norms)):
         ctx = dict(context)
@@ -477,15 +478,15 @@ class NoiseView:
         self._labels = part.assignment.astype(np.min_scalar_type(part.k - 1))
         self._p, self._q, self._diagonal = params.p, params.q, float(diagonal)
 
-    def row_blocks(self, index: np.ndarray | None = None, rows: int = 32):
-        """Yield (i, block) for each block of `rows` rows of the principal
+    def row_blocks(self, index: np.ndarray | None = None):
+        """Yield (i, block) for each block of 32 rows of the principal
         submatrix on the distinct vertex ids `index` (all of the matrix for
         None), from its diagonal on: `block` is a new float64 array of rows
-        i..i+k-1 and columns i..m-1 of the m x m submatrix."""
+        i..i+k-1 and columns i..m-1 of the m x m submatrix, made from the
+        uint8 block :func:`~plantrec.spectral._row_blocks` gathers."""
         labels = self._labels if index is None else self._labels[index]
-        for i in range(0, labels.size, rows):
-            k = min(rows, labels.size - i)
-            adj = self._adj[i : i + k, i:] if index is None else self._adj[index[i : i + k]][:, index[i:]]
+        for i, adj in _row_blocks(self._adj, index):
+            k = adj.shape[0]
             # e_uv, then a_uv - e_uv in its place
             block = np.where(labels[i : i + k, None] == labels[i:], self._p, self._q)
             np.subtract(adj, block, out=block)

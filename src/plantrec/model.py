@@ -50,7 +50,10 @@ class PlantedPartition:
     s: int
 
     def __post_init__(self) -> None:
-        assignment = np.asarray(self.assignment, dtype=np.int64)
+        ids = np.asarray(self.assignment)
+        if ids.dtype.kind not in "iu":  # a cast would read 0.4 as 0 and 1.9 as 1
+            raise ValueError(f"cluster ids must be integers, got {ids.dtype}")
+        assignment = ids.astype(np.int64)
         object.__setattr__(self, "assignment", assignment)
         if self.s <= 0:
             raise ZeroSizeError("cluster size must be positive")
@@ -81,6 +84,9 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         require_edge_probabilities(self.p, self.q)
+        # a bool is an int, and a float seed would sample as its integer part
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not (0 <= self.seed < _SEED_MAX):
             raise ValueError("seed must fit in 64 bits")
 
@@ -92,12 +98,15 @@ class Graph:
     adj: np.ndarray
 
     def __post_init__(self) -> None:
-        adj = np.asarray(self.adj, dtype=np.uint8)
-        object.__setattr__(self, "adj", adj)
+        adj = np.asarray(self.adj)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency matrix must be square")
-        if adj.max(initial=0) > 1:
+        # in its own dtype, as a cast reads 0.5 and NaN as 0 and 257 as 1
+        in_range = adj.min(initial=0) >= 0 and adj.max(initial=0) <= 1
+        if not (in_range and (adj.dtype.kind in "biu" or ((adj == 0) | (adj == 1)).all())):
             raise ValueError("adjacency entries must be 0 or 1")
+        adj = adj.astype(np.uint8, copy=False)
+        object.__setattr__(self, "adj", adj)
         if (np.diag(adj) != 0).any():
             raise ValueError("diagonal must be zero")
         if not _is_symmetric(adj):

@@ -5,7 +5,8 @@ project the adjacency matrix onto its top floor(n/s) eigenvectors, read off a
 size-s candidate set from every projector column, keep the candidate set whose
 indicator vector the projector preserves best, and clean it up by taking the s
 vertices with the most neighbors inside it.  That cluster is removed and the
-round repeats on the rest.
+round repeats on the rest, in :func:`_peel`, which the common-neighbor
+baseline runs with another candidate set.
 
 A round on m vertices with rank r = floor(m/s) costs one solve for the top r
 eigenpairs on a float64 copy of the remaining uint8 adjacency, in a memory
@@ -192,44 +193,45 @@ def _extract(adj: np.ndarray, w: np.ndarray, s: int) -> np.ndarray:
     return np.sort(order[:s])
 
 
-def recover_with_trace(g: Graph, s: int) -> tuple[RecoveryResult, list[PivotTrace]]:
-    """Run the full recursion and keep per-round pivot diagnostics."""
+def _peel(g: Graph, s: int, candidate) -> RecoveryResult:
+    """Remove size-s clusters from g until fewer than s vertices remain: each
+    round's cluster is the s vertices with the most neighbors in the set
+    ``candidate(adj, active)`` (positions in `adj`) of the remaining graph's
+    adjacency `adj` and original vertex ids `active`."""
     if s <= 0:
         raise ZeroSizeError("cluster size must be positive")
     active = np.arange(g.n, dtype=np.int64)
     adj = g.adj
     clusters: list[np.ndarray] = []
-    traces: list[PivotTrace] = []
-    level = 0
-    while active.size // s >= 1:
-        rank = active.size // s
-        p_hat = top_projector(adj, rank)
-        candidates, masses = all_candidate_sets(p_hat, s)
-        j_star = select_pivot(masses)
-        # only the pivot's row is kept: the m x s array is gone before the
-        # next round's solve (24 MB in round 0 at n = 3000, s = 1000)
-        candidate, mass = candidates[j_star].copy(), float(masses[j_star])
-        del candidates, masses
-        members = _extract(adj, candidate, s)
+    while active.size >= s:
+        members = _extract(adj, candidate(adj, active), s)
         clusters.append(active[members])
-        traces.append(
-            PivotTrace(
-                level=level,
-                rank=rank,
-                pivot=int(active[j_star]),
-                mass=mass,
-                candidate=active[candidate],
-                projector=p_hat,
-            )
-        )
         keep = np.ones(active.size, dtype=bool)
         keep[members] = False
         active = active[keep]
         adj = np.compress(keep, np.compress(keep, adj, axis=0), axis=1)
-        level += 1
     result = RecoveryResult(clusters=clusters, leftover=active)
     _check_result(result, g.n, s)
-    return result, traces
+    return result
+
+
+def recover_with_trace(g: Graph, s: int) -> tuple[RecoveryResult, list[PivotTrace]]:
+    """Run the full recursion and keep per-round pivot diagnostics."""
+    traces: list[PivotTrace] = []
+
+    def pivot_candidate(adj: np.ndarray, active: np.ndarray) -> np.ndarray:
+        rank = active.size // s
+        p_hat = top_projector(adj, rank)
+        candidates, masses = all_candidate_sets(p_hat, s)
+        j = select_pivot(masses)
+        # only the pivot's row is kept: the m x s array is gone before the
+        # next round's solve (24 MB in round 0 at n = 3000, s = 1000)
+        candidate = candidates[j].copy()
+        traces.append(PivotTrace(level=len(traces), rank=rank, pivot=int(active[j]), mass=float(masses[j]),
+                                 candidate=active[candidate], projector=p_hat))
+        return candidate
+
+    return _peel(g, s, pivot_candidate), traces
 
 
 def identify_clusters(g: Graph, s: int) -> RecoveryResult:

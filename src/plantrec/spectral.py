@@ -17,7 +17,8 @@ bisections, for the lowest and the highest eigenvalue, each to within a
 few ulps of itself.  All eigenvalues without eigenvectors are numpy's
 ``eigvalsh``.  Without LAPACK, numpy's full ``eigh`` (keeping the top r)
 runs in place of a top-r solve and the two ends of ``eigvalsh`` in place of
-a norm; no block iteration is tried.
+a norm, each on the transpose of a triangle copy; no block iteration is
+tried.
 
 A top-r solve of a large matrix far from the spectral threshold (m >= 1500
 and sqrt(m)/r >= 4) first tries a block iteration: r + 8 vectors from a fixed
@@ -44,8 +45,9 @@ with no m x m temporary.  The solvers of norms (:func:`submatrix_norms`
 and the two-ends solve behind it) also take a row-block gather in place of
 a matrix: an object that holds no m x m array and yields any principal
 submatrix 32 rows at a time, such as :class:`plantrec.bounds.NoiseView`,
-which gathers A - E from a graph's uint8 adjacency and its cluster labels.
-It is finite and exactly symmetric by construction and is not checked.
+which turns the uint8 blocks :func:`_row_blocks` gathers from a graph's
+adjacency into A - E.  It is finite and exactly symmetric by construction
+and is not checked.
 The checked matrix is never written to: each attempt at a solve writes a
 float64 copy of its own, converted straight from an integer or bool matrix
 (a graph's uint8 adjacency) or gathered block by block, into a fresh
@@ -169,8 +171,7 @@ def _solve_copy(a, index: np.ndarray | None = None) -> np.ndarray:
     if hasattr(buffer, "madvise") and hasattr(mmap, "MADV_NOHUGEPAGE"):
         # a huge page would make the untouched triangle's pages resident too
         buffer.madvise(mmap.MADV_NOHUGEPAGE)
-    blocks = a.row_blocks(index, _COPY_ROWS) if _gathers(a) else _row_blocks(a, index)
-    for i, block in blocks:
+    for i, block in a.row_blocks(index) if _gathers(a) else _row_blocks(a, index):
         k = block.shape[0]
         np.copyto(out[i : i + k, i : i + k], block[:, :k], where=_UPPER_TILE[:k, :k])
         out[i : i + k, i + k :] = block[:, k:]
@@ -179,19 +180,20 @@ def _solve_copy(a, index: np.ndarray | None = None) -> np.ndarray:
 
 def _row_blocks(a: np.ndarray, index: np.ndarray | None):
     """Yield (i, block): rows i..i+k-1 of the matrix `a`, or of a[index, index],
-    from column i on, `_COPY_ROWS` rows at a time."""
+    from column i on, `_COPY_ROWS` rows at a time, in `a`'s dtype: a slice, or
+    gathered rows first, then columns (five times faster than both at once)."""
     m = a.shape[0] if index is None else index.size
     for i in range(0, m, _COPY_ROWS):
         k = min(_COPY_ROWS, m - i)
-        yield i, (a[i : i + k, i:] if index is None else a[np.ix_(index[i : i + k], index[i:])])
+        yield i, (a[i : i + k, i:] if index is None else a[index[i : i + k]][:, index[i:]])
 
 
 def _gathers(a) -> bool:
     """Whether `a` is a row-block gather rather than a matrix: a read-only
     symmetric matrix that holds no m x m array, such as
-    :class:`plantrec.bounds.NoiseView`, with `shape` and
-    ``row_blocks(index, rows)`` yielding (i, rows i..i+k-1 of the principal
-    submatrix on `index` from column i on)."""
+    :class:`plantrec.bounds.NoiseView`, with `shape` and ``row_blocks(index)``
+    yielding what :func:`_row_blocks` yields for the matrix it stands for,
+    as float64."""
     return hasattr(a, "row_blocks")
 
 
@@ -524,11 +526,11 @@ _THREADS = None if _LIBRARY is None else _resolve(_LIBRARY, _OPENBLAS_NAMES, _OP
 _BLAS_THREADS_LOCK = threading.RLock()
 
 
-def _lapack(routine: str, head: tuple, lengths: tuple, extra_work: int = 0, iwork: bool = True) -> None:
+def _lapack(routine: str, head: tuple, lengths: tuple, iwork: bool = True) -> None:
     """Call the LAPACK `routine` of `_LAPACK` with the arguments `head`,
     WORK, LWORK, IWORK, LIWORK (only with `iwork`), INFO and the hidden
     string `lengths`: once as the workspace query, then with the sizes it
-    returned (WORK `extra_work` longer).  A nonzero INFO raises LinAlgError."""
+    returned.  A nonzero INFO raises LinAlgError."""
     func, int_type = _LAPACK.functions[routine], _LAPACK.int_type
     info = int_type(0)
 
@@ -540,7 +542,7 @@ def _lapack(routine: str, head: tuple, lengths: tuple, extra_work: int = 0, iwor
     # workspace query: the sizes come back in work[0] and, with `iwork`, integers[0]
     work, integers = np.empty(1, dtype=np.float64), np.zeros(1, dtype=int_type)
     call(work, -1, integers, -1)
-    lwork, liwork = int(work[0]) + extra_work, int(integers[0])
+    lwork, liwork = int(work[0]), int(integers[0])
     call(np.empty(lwork, dtype=np.float64), lwork, np.empty(liwork, dtype=int_type), liwork)
 
 
@@ -555,7 +557,7 @@ def _solve_top(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, SolveR
     which is not written to.
 
     Each attempt works on a triangle copy of its own (see
-    :func:`_solve_copy`).  Where :func:`_iterative_applies`, the certified
+    :func:`_solve_copy`), numpy's too.  Where :func:`_iterative_applies`, the certified
     block iteration runs first; if it gives way, dsyevr solves a new copy,
     so the result is bit for bit dsyevr's alone, and the iteration's copy is
     gone before dsyevr's is made.
@@ -567,7 +569,8 @@ def _solve_top(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, SolveR
             return w, v, SolveRecord("iterative", steps, _SIN_THETA_TOL)
     record = SolveRecord("dsyevr", steps, None)
     if _LAPACK is None:
-        w, v = np.linalg.eigh(a)
+        # eigh reads the lower triangle, which holds the copy's upper one
+        w, v = np.linalg.eigh(_solve_copy(a).T)
         return w[::-1][:rank].copy(), v[:, ::-1][:, :rank].copy(), record
     w, z = _dsyevr(_solve_copy(a), rank)
     if w.size < rank:
@@ -987,8 +990,7 @@ def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # E and TAU hold m - 1 entries; one more keeps them non-empty at m = 1
     d, e, tau = np.empty(m), np.empty(m), np.empty(m)
     head = (b"L", int_type(m), a, int_type(m), d, e, tau)
-    # with 5m more WORK than queried dsytrd blocks as inside eigvalsh's dsyevd
-    _lapack("dsytrd", head, (1,), extra_work=5 * m, iwork=False)
+    _lapack("dsytrd", head, (1,), iwork=False)
     return d, e
 
 

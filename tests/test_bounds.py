@@ -514,6 +514,15 @@ class TestFkSubmatrices:
         assert shuffled.lhs == pytest.approx(in_order.lhs, rel=1e-12)
         assert in_order.rhs == shuffled.rhs == 2.0 * 3.5 * math.sqrt(30)
 
+    def test_uint8_matrix_is_its_float64_form(self):
+        # read in its own dtype and converted into each solve copy: every
+        # report bit for bit that of the float64 matrix
+        g = sample_graph(make_partition(150, 30), ModelParams(p=0.7, q=0.3, seed=9))
+        family = [v for _, v in cluster_unions(make_partition(150, 30))]
+        got = check_fk_submatrices(g.adj, family, sigma=0.5)
+        want = check_fk_submatrices(g.adj.astype(np.float64), family, sigma=0.5)
+        assert [(r.lhs, r.rhs) for r in got] == [(r.lhs, r.rhs) for r in want]
+
     def test_union_enumeration(self):
         part = make_partition(8, 2)
         unions = cluster_unions(part)

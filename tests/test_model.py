@@ -295,6 +295,38 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(adj=adj)
 
+    @pytest.mark.parametrize("value", [0.5, np.nan, 1.7, 257, -1], ids=["half", "nan", "1.7", "257", "-1"])
+    def test_rejects_entries_a_cast_would_read_as_0_or_1(self, value):
+        adj = np.zeros((3, 3), dtype=np.asarray(value).dtype)
+        adj[0, 1] = adj[1, 0] = value
+        with pytest.raises(ValueError, match="0 or 1"):
+            Graph(adj=adj)
+
+    @pytest.mark.parametrize("dtype", [bool, np.float64, np.int64, np.uint8])
+    def test_accepts_0_1_in_any_numeric_dtype(self, dtype):
+        adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=dtype)
+        g = Graph(adj=adj)
+        assert g.adj.dtype == np.uint8 and g.edge_count == 2
+
+    @pytest.mark.parametrize("bad", [0.4, 1.9], ids=["0.4", "1.9"])
+    def test_rejects_fractional_cluster_ids(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            PlantedPartition(assignment=np.array([0, bad, 1, 1]), k=2, s=2)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.int64])
+    def test_accepts_integer_cluster_ids(self, dtype):
+        part = PlantedPartition(assignment=np.array([1, 0, 0, 1], dtype=dtype), k=2, s=2)
+        assert part.assignment.dtype == np.int64 and part.assignment.tolist() == [1, 0, 0, 1]
+
+    @pytest.mark.parametrize("seed", [1.5, True], ids=["1.5", "True"])
+    def test_rejects_non_integer_seeds(self, seed):
+        with pytest.raises(ValueError, match="integer"):
+            ModelParams(p=0.8, q=0.1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int32(7)])
+    def test_accepts_numpy_integer_seeds(self, seed):
+        assert ModelParams(p=0.8, q=0.1, seed=seed).seed == seed
+
     def test_model_params_validation(self):
         with pytest.raises(ValueError):
             ModelParams(p=0.3, q=0.3, seed=0)

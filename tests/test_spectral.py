@@ -765,7 +765,7 @@ class TestSolveCopies:
         # certificate: then a second one
         made = nan_below_the_diagonal(monkeypatch)
         eigh_descending(random_symmetric(30, 4), 3)
-        assert made == ([30] if spectral._LAPACK is not None else [])
+        assert made == [30]
         request.getfixturevalue("iterative_on")
         adj = sample_graph(make_partition(300, 100), ModelParams(p=0.9, q=0.1, seed=1)).adj
         made.clear()
@@ -776,6 +776,40 @@ class TestSolveCopies:
         dec = eigh_descending(adj, 3)
         assert dec.solve.solver == "dsyevr" and made == [300, 300]
         assert_same_decomposition(dec, dsyevr_only(eigh_descending, adj, 3))
+
+    @pytest.mark.parametrize("m", [1, 2, 31, 32, 33, 100])
+    def test_without_lapack_every_solve_reads_the_triangle_copy(self, monkeypatch, m):
+        # numpy's eigh and eigvalsh read the lower triangle of the copy's
+        # transpose: NaN below the copy's diagonal changes no bit
+        monkeypatch.setattr(spectral, "_LAPACK", None)
+        a, adj = random_symmetric(m, m), _graph_adjacency(m, m + 1)
+        rank = max(1, m // 10)
+
+        def solves():
+            return [
+                eigh_descending(a, rank), eigh_descending(adj, rank), eigh_descending(a),
+                spectral_norm(a), spectral_norm(adj), spectral._solve_extremes(a, np.arange(m)[::2]),
+            ]
+
+        want = solves()
+        made = nan_below_the_diagonal(monkeypatch)
+        got = solves()
+        assert made == [m, m, m, m, m, len(range(0, m, 2))]
+        for g, w in zip(got[:3], want[:3]):
+            assert_same_decomposition(g, w)
+        assert got[3:] == want[3:]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    @pytest.mark.parametrize("m", [1, 31, 32, 33, 100])
+    def test_row_blocks_of_an_index_are_the_ix_gather(self, dtype, m):
+        rng = np.random.default_rng(m)
+        a = (rng.random((m, m)) * 255).astype(dtype)
+        index = rng.permutation(m)[: max(1, m - 5)]
+        blocks = list(spectral._row_blocks(a, index))
+        assert [i for i, _ in blocks] == list(range(0, index.size, 32))
+        for i, block in blocks:
+            want = a[np.ix_(index[i : i + 32], index[i:])]
+            assert block.dtype == dtype and block.tobytes() == want.tobytes()
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the resident size there")
     def test_untouched_triangle_is_not_resident(self):
