@@ -12,12 +12,13 @@ A round on m vertices with rank r = floor(m/s) costs one solve for the top r
 eigenpairs on a float64 copy of the remaining uint8 adjacency, in a memory
 mapping of its own (see :func:`~plantrec.spectral.eigh_descending`), plus
 O(m^2 r) ranking.  Where m >= 1500 and sqrt(m)/r >= 4, the solve first
-tries a block subspace iteration, O(m^2 r) per step, and keeps its
-basis only when a Cholesky factorization (m^3 / 3 flops) certifies it
-within sin theta <= 1e-10 of the top-r eigenspace; otherwise, and in every
-other round, LAPACK dsyevr solves a new copy (a tridiagonal reduction,
-O(m^3)), with bit for bit the result it gives
-alone.  Either way the round's clusters and pivots are the same on every
+tries a block subspace iteration, O(m^2 r) per step, on a copy of its own
+that holds the upper triangle as row panels of 128 rows packed back to
+back (4m^2 + 512m bytes), and keeps its basis only when a Cholesky
+factorization (m^3 / 3 flops) certifies it within sin theta <= 1e-10 of
+the top-r eigenspace; otherwise, and in every other round, LAPACK dsyevr
+solves a new copy of the triangle it reads (a tridiagonal reduction,
+O(m^3)), with bit for bit the result it gives alone.  Either way the round's clusters and pivots are the same on every
 tested instance, and the masses move in their last digits (at most 2e-15
 relative, measured at n = 1600 to 3000).  The
 projector is kept as its m x r eigenvector basis V, its columns are formed a

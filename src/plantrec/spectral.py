@@ -26,15 +26,16 @@ Philox start, each step a QR (at one BLAS thread, where that can be set),
 one product with the matrix and a Rayleigh-Ritz step that ranks the Ritz
 pairs by value, until the residual ||A V - V Theta|| of the top r is small.
 Its basis is kept only when a Cholesky factorization of
-sigma' I - A + V Theta V^T succeeds in place (by row blocks of 128: one
-``dgemm`` forms a block, one ``dgemm`` updates it, LAPACK ``dpotrf`` factors
-its diagonal tile and one ``dtrsm`` solves the rest), where sigma' is sigma
-lowered by a bound on the rounding of forming and factoring that matrix;
-this proves lambda_{r+1} < sigma and so, by Davis-Kahan, sin theta <= 1e-10
-against the exact top-r eigenspace.  If the factorization fails, the step
-budget runs out, or from the sixth step on the Ritz gap or the residual's
-contraction shows the wanted part is not separating, ``dsyevr`` solves a new
-copy of the input, bit for bit as it would alone.  Either way the result is
+sigma' I - A + V Theta V^T succeeds in place (by row panels of 128 rows:
+one ``dgemm`` forms a panel, one ``dgemm`` per panel above updates it,
+LAPACK ``dpotrf`` factors its diagonal tile and one ``dtrsm`` solves the
+rest), where sigma' is sigma lowered by a bound on the rounding of forming
+and factoring that matrix; this proves lambda_{r+1} < sigma and so, by
+Davis-Kahan, sin theta <= 1e-10 against the exact top-r eigenspace.  If the
+factorization fails, the step budget runs out, or from the sixth step on
+the Ritz gap or the residual's contraction shows the wanted part is not
+separating, ``dsyevr`` solves a new copy of the input, bit for bit as it
+would alone.  Either way the result is
 deterministic for a fixed input, LAPACK build and BLAS thread count.  Where
 a rank cuts a repeated eigenvalue and ``dsyevr`` finds fewer than the top r
 pairs, another new copy is solved for all pairs.
@@ -57,10 +58,12 @@ and ``dsytrd`` with UPLO='L' read the lower triangle of the column-major
 matrix, which is the upper triangle of the C-order one) holds only that
 triangle: the pages of the other one are never written and never become
 resident, about 4m^2 bytes plus a page per row of 8m^2.  The iteration
-works on the same triangle copy: it mirrors the upper triangle of each
-128 x 128 diagonal tile into the tile's lower one, and multiplies by row
-panels of 128 rows, each read once as it is and once transposed; nothing
-below the diagonal tiles is read or written.
+works on a copy of its own (:func:`_panel_copy`): the upper triangle as row
+panels of 128 rows packed back to back in one mapping, panel k holding rows
+k..k+127 from column k on, whole diagonal tile included, as a C-order block
+whose leading dimension is m - k.  That is 4m^2 + 512m bytes, every page of
+them written, and nothing below the diagonal tiles; a product reads each
+panel once as it is and once transposed.
 
 The norms of many principal submatrices of one matrix
 (:func:`submatrix_norms`) are solved with OpenBLAS held at one thread
@@ -166,16 +169,23 @@ def _solve_copy(a, index: np.ndarray | None = None) -> np.ndarray:
     m = a.shape[0] if index is None else index.size
     if m == 0:
         return np.zeros((0, 0))
-    buffer = mmap.mmap(-1, 8 * m * m, flags=mmap.MAP_PRIVATE)
-    out = np.frombuffer(buffer, dtype=np.float64).reshape(m, m)
-    if hasattr(buffer, "madvise") and hasattr(mmap, "MADV_NOHUGEPAGE"):
-        # a huge page would make the untouched triangle's pages resident too
-        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    out = _mapped(m * m).reshape(m, m)
     for i, block in a.row_blocks(index) if _gathers(a) else _row_blocks(a, index):
         k = block.shape[0]
         np.copyto(out[i : i + k, i : i + k], block[:, :k], where=_UPPER_TILE[:k, :k])
         out[i : i + k, i + k :] = block[:, k:]
     return out
+
+
+def _mapped(count: int) -> np.ndarray:
+    """New float64 array of `count` zeros in an anonymous memory mapping of
+    its own, unmapped when the last view of it dies: no page of it enters the
+    malloc heap, and a page becomes resident only when written."""
+    buffer = mmap.mmap(-1, 8 * count, flags=mmap.MAP_PRIVATE)
+    if hasattr(buffer, "madvise") and hasattr(mmap, "MADV_NOHUGEPAGE"):
+        # a huge page would make unwritten pages resident too
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buffer, dtype=np.float64)
 
 
 def _row_blocks(a: np.ndarray, index: np.ndarray | None):
@@ -556,15 +566,16 @@ def _solve_top(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, SolveR
     and the record of the solve, of the finite, exactly symmetric `a`,
     which is not written to.
 
-    Each attempt works on a triangle copy of its own (see
-    :func:`_solve_copy`), numpy's too.  Where :func:`_iterative_applies`, the certified
+    Each attempt works on a copy of its own, numpy's too: a triangle copy
+    (:func:`_solve_copy`), or the iteration's row panels
+    (:func:`_panel_copy`).  Where :func:`_iterative_applies`, the certified
     block iteration runs first; if it gives way, dsyevr solves a new copy,
     so the result is bit for bit dsyevr's alone, and the iteration's copy is
     gone before dsyevr's is made.
     """
     m, steps = a.shape[0], 0
     if _iterative_applies(m, rank):
-        w, v, steps = _iterate_top(_solve_copy(a), rank)
+        w, v, steps = _iterate_top(_panel_copy(a), rank)
         if w is not None:
             return w, v, SolveRecord("iterative", steps, _SIN_THETA_TOL)
     record = SolveRecord("dsyevr", steps, None)
@@ -607,9 +618,8 @@ _DIM_PER_PRODUCT = 40
 # Key of the Philox stream of the start block: the iteration is a pure
 # function of its input at one BLAS thread count.
 _START_KEY = 0x5EED_B10C
-# Rows of a row panel of the iteration's products and of a row block of the
-# certificate, and the side of the diagonal tiles the iteration mirrors and
-# dpotrf factors.
+# Rows of a row panel of the iteration's copy, and the side of the diagonal
+# tiles dpotrf factors.
 _CERTIFICATE_TILE = 128
 
 
@@ -627,67 +637,76 @@ def _address(a: np.ndarray, i: int, j: int) -> int:
     return a.ctypes.data + a.itemsize * (i * a.shape[1] + j)
 
 
-def _mirror_diagonal_tiles(a: np.ndarray) -> None:
-    """Copy the upper triangle of each _CERTIFICATE_TILE diagonal tile of the
-    C-order `a` into the tile's strict lower triangle, so that each tile
-    holds its whole symmetric block; nothing else below the diagonal is
-    touched."""
+def _panel_copy(a: np.ndarray) -> list:
+    """The upper triangle of the finite, exactly symmetric m x m matrix `a`
+    (any dtype) as float64 row panels, packed back to back in one anonymous
+    memory mapping of their own (:func:`_mapped`).
+
+    The panel of rows k..e-1 (k = 0, _CERTIFICATE_TILE, ..., e the lesser
+    of k + _CERTIFICATE_TILE and m) is a[k:e, k:] as a C-order block whose
+    leading dimension is m - k, so k is m minus its width: its whole
+    diagonal tile, copied from `a`, and the rows right of it.  Nothing below
+    the diagonal tiles is stored, and every stored page is written.
+    """
     m, tile = a.shape[0], _CERTIFICATE_TILE
-    for k in range(0, m, tile):
-        block = a[k : k + tile, k : k + tile]
-        i, j = np.tril_indices(block.shape[0], -1)
-        block[i, j] = block[j, i]
+    starts = range(0, m, tile)
+    sizes = [min(tile, m - k) * (m - k) for k in starts]
+    parts = np.split(_mapped(sum(sizes)), np.cumsum(sizes)[:-1])
+    panels = [part.reshape(-1, m - k) for k, part in zip(starts, parts)]
+    for k, panel in zip(starts, panels):
+        np.copyto(panel, a[k : k + tile, k:])
+    return panels
 
 
-def _inf_norm(a: np.ndarray) -> float:
-    """||A||_inf, the largest absolute row sum of the symmetric A held in the
-    upper triangle and the mirrored diagonal tiles of `a`: the row sums of
-    each row panel from its diagonal tile on, plus the column sums of the
-    panel's part right of the tile, in row blocks with no m x m temporary."""
-    m, tile = a.shape[0], _CERTIFICATE_TILE
+def _inf_norm(panels: list) -> float:
+    """||A||_inf, the largest absolute row sum of the symmetric A held in
+    `panels` (:func:`_panel_copy`): the row sums of each panel, plus the
+    column sums of its part right of its diagonal tile, in row blocks with
+    no m x m temporary."""
+    m = panels[0].shape[1]
     rows, columns = np.zeros(m), np.zeros(m)
     step = max(1, (1 << 15) // m)
-    for k in range(0, m, tile):
-        e = min(k + tile, m)
-        for i in range(k, e, step):
-            block = np.abs(a[i : min(i + step, e), k:])
-            rows[i : i + len(block)] = block.sum(axis=1)
+    for panel in panels:
+        k = m - panel.shape[1]
+        e = k + len(panel)
+        for i in range(0, len(panel), step):
+            block = np.abs(panel[i : i + step])
+            rows[k + i : k + i + len(block)] = block.sum(axis=1)
             columns[e:] += block[:, e - k :].sum(axis=0)
     return float((rows + columns).max())
 
 
-def _product(q: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _product(q: np.ndarray, panels: list) -> np.ndarray:
     """New C-order q A, for the C-order b x m `q` and the symmetric A held
-    in the upper triangle and the mirrored diagonal tiles of `a`.
+    in `panels` (:func:`_panel_copy`).
 
-    By row panels k:e of _CERTIFICATE_TILE rows: q[:, k:e] a[k:e, k:] adds
-    to columns k: of the result, and q[:, e:] a[k:e, e:]^T to columns k:e.
-    On the column-major views (m x b for q and the result) these are one
+    Panel k:e adds q[:, k:e] A[k:e, k:] to columns k: of the result, and
+    q[:, e:] A[k:e, e:]^T to columns k:e.  On the column-major views (m x b
+    for q and the result, (m - k) x (e - k) for the panel) these are one
     dgemm each, accumulating in place.
     """
-    m, b = a.shape[0], q.shape[0]
+    b, m = q.shape
     out = np.empty((b, m), dtype=np.float64)
     int_type, gemm = _LAPACK.int_type, _LAPACK.functions["dgemm"]
     lead, width = int_type(m), int_type(b)
     zero, one = ctypes.c_double(0.0), ctypes.c_double(1.0)
-    for k in range(0, m, _CERTIFICATE_TILE):
-        e = min(k + _CERTIFICATE_TILE, m)
+    for panel in panels:
+        rows, columns = panel.shape
+        k, panel_lead = m - columns, int_type(columns)
         # the first panel spans every column, so beta = 0 sets the whole result
-        gemm(b"N", b"N", int_type(m - k), width, int_type(e - k), one, _address(a, k, k), lead,
+        gemm(b"N", b"N", panel_lead, width, int_type(rows), one, _address(panel, 0, 0), panel_lead,
              _address(q, 0, k), lead, one if k else zero, _address(out, 0, k), lead, 1, 1)
-        if e < m:
-            gemm(b"T", b"N", int_type(e - k), width, int_type(m - e), one, _address(a, k, e), lead,
-                 _address(q, 0, e), lead, one, _address(out, 0, k), lead, 1, 1)
+        if rows < columns:
+            gemm(b"T", b"N", int_type(rows), width, int_type(columns - rows), one, _address(panel, 0, rows),
+                 panel_lead, _address(q, 0, k + rows), lead, one, _address(out, 0, k), lead, 1, 1)
     return out
 
 
-def _iterate_top(a: np.ndarray, rank: int):
+def _iterate_top(panels: list, rank: int):
     """(w, v, steps): the top `rank` eigenpairs of the symmetric A held in
-    the upper triangle of the C-order `a` by block subspace iteration,
-    certified, and the products made; w and v are None where the iteration
-    gives way.  `a` is written over either way: first its diagonal tiles
-    are mirrored (:func:`_mirror_diagonal_tiles`), then the certificate
-    writes there and in the upper triangle.
+    the row panels of its upper triangle (:func:`_panel_copy`) by block
+    subspace iteration, certified, and the products made; w and v are None
+    where the iteration gives way.  The certificate writes over the panels.
 
     A block of b = rank + _GUARD vectors from a fixed Philox start goes
     through steps of a QR (at one BLAS thread where OpenBLAS's thread count
@@ -709,10 +728,9 @@ def _iterate_top(a: np.ndarray, rank: int):
     separating.  A basis is returned only if :func:`_certify` proves it;
     how it was found does not matter to the proof.
     """
-    m = a.shape[0]
+    m = panels[0].shape[1]
     b = min(rank + _GUARD, m - 1)
-    _mirror_diagonal_tiles(a)
-    norm = _inf_norm(a)
+    norm = _inf_norm(panels)
     # blocks are held transposed, b x m: a product is then X^T A = (A X)^T,
     # which OpenBLAS runs in about half the time of A X, and with a tenth of
     # the buffer memory (+1.7 MB against +9.4 MB of RSS at m = 3000, b = 11)
@@ -727,7 +745,7 @@ def _iterate_top(a: np.ndarray, rank: int):
         del x
         # the factor's transpose is F-ordered; a C-ordered block is faster to multiply
         q = np.ascontiguousarray(q.T)
-        aq = _product(q, a)
+        aq = _product(q, panels)
         steps += 1
         theta, y = np.linalg.eigh(aq @ q.T)
         theta, y = theta[::-1], y[:, ::-1].T
@@ -738,7 +756,7 @@ def _iterate_top(a: np.ndarray, rank: int):
         target = min(_RESIDUAL_STOP * norm, _SIN_THETA_TOL * gap / 4)
         if residual <= target:
             del x
-            if _certify(a, theta, v[:rank].T, rank, residual + rounding, norm):
+            if _certify(panels, theta, v[:rank].T, rank, residual + rounding, norm):
                 return theta[:rank].copy(), np.ascontiguousarray(v[:rank].T), steps
             return None, None, steps
         contraction, previous = residual / previous, residual
@@ -754,13 +772,13 @@ def _iterate_top(a: np.ndarray, rank: int):
 
 
 def _certify(
-    a: np.ndarray, theta: np.ndarray, v: np.ndarray, rank: int, residual: float, norm: float
+    panels: list, theta: np.ndarray, v: np.ndarray, rank: int, residual: float, norm: float
 ) -> bool:
-    """Whether the top `rank` Ritz pairs of the symmetric A held in the upper
-    triangle of the C-order `a`, theta[:rank] and the m x rank basis `v`,
-    with residual ||A V - V Theta||_2 at most `residual`, are proved within
-    _SIN_THETA_TOL of the top-`rank` eigenspace.  `norm` is at least
-    ||A||_inf, and `a` is written over either way.
+    """Whether the top `rank` Ritz pairs of the symmetric A held in the row
+    panels of its upper triangle (:func:`_panel_copy`), theta[:rank] and the
+    m x rank basis `v`, with residual ||A V - V Theta||_2 at most `residual`,
+    are proved within _SIN_THETA_TOL of the top-`rank` eigenspace.  `norm`
+    is at least ||A||_inf, and the panels are written over either way.
 
     Let sigma = theta_r - residual / _SIN_THETA_TOL.  If X = A - V Theta V^T
     has lambda_max(X) < sigma, then, V Theta V^T having at most r positive
@@ -777,12 +795,11 @@ def _certify(
     positive definiteness", BIT 46, 2006).  With u = 2^-53 and
     gamma_k = k u / (1 - k u):
 
-    1. Forming.  One dgemm (beta = -1) per row block of _CERTIFICATE_TILE
-       rows forms each entry of V Theta V^T - A in the block, from its
-       diagonal tile on, as a sum of r + 1 terms, in any order: the r
-       products of the rounded V Theta with V, and -a_ij.  It is off by at most
-       gamma_{r+2} (P + |A|)_ij, where P = |V| |Theta| |V|^T, and adding t on
-       the diagonal rounds once more.  So |Mf - M| <= gamma_{r+2} (P + |A|) +
+    1. Forming.  One dgemm (beta = -1) per row panel forms each entry of
+       V Theta V^T - A in the panel as a sum of r + 1 terms, in any order:
+       the r products of the rounded V Theta with V, and -a_ij.  It is off
+       by at most gamma_{r+2} (P + |A|)_ij, where P = |V| |Theta| |V|^T, and
+       adding t on the diagonal rounds once more.  So |Mf - M| <= gamma_{r+2} (P + |A|) +
        u diag|Mf|, and ||Mf - M||_2 <= f = gamma_{r+2} (max|theta| ||V||_F^2 +
        ||A||_inf) + u max_i |Mf_ii|.
     2. Factoring (Demmel; Higham, Accuracy and Stability of Numerical
@@ -802,28 +819,30 @@ def _certify(
        the shift c exceeds: lambda_max(X) = t - lambda_min(M) < t + c = sigma.
 
     The shift also needs t > 0 and t > theta_{r+1}.  M is written over each
-    row block of the C-order `a` from its diagonal tile on, nothing below
-    the diagonal tiles, and the factorization reads its upper triangle.
+    panel, and the factorization reads its upper triangle.
     """
     sigma = theta[rank - 1] - residual / _SIN_THETA_TOL
     if not (sigma > 0 and sigma > theta[rank]):
         return False
-    m, int_type, gemm = a.shape[0], _LAPACK.int_type, _LAPACK.functions["dgemm"]
+    m, int_type, gemm = v.shape[0], _LAPACK.int_type, _LAPACK.functions["dgemm"]
     # a C-order rank x m array is a column-major m x rank one: on those
-    # views, a[k:k+rows, k:] := S V^T - a with S = V Theta, which is
-    # V Theta V^T - A there
+    # views, the panel of rows k:e := S[k:e] V[k:]^T - panel with S = V Theta,
+    # which is V Theta V^T - A there
     vt = np.ascontiguousarray(v.T)
     scaled = vt * theta[:rank, None]
     lead, one, minus_one = int_type(m), ctypes.c_double(1.0), ctypes.c_double(-1.0)
-    for k in range(0, m, _CERTIFICATE_TILE):
-        rows = int_type(min(_CERTIFICATE_TILE, m - k))
-        gemm(b"N", b"T", int_type(m - k), rows, int_type(rank), one, _address(scaled, 0, k), lead,
-             _address(vt, 0, k), lead, minus_one, _address(a, k, k), lead, 1, 1)
-    t = sigma - _rounding_shift(a.diagonal(), theta[:rank], v, norm, sigma)
+    for panel in panels:
+        rows, columns = panel.shape
+        k = m - columns
+        gemm(b"N", b"T", int_type(columns), int_type(rows), int_type(rank), one, _address(scaled, 0, k), lead,
+             _address(vt, 0, k), lead, minus_one, _address(panel, 0, 0), int_type(columns), 1, 1)
+    diagonal = np.concatenate([panel.diagonal() for panel in panels])
+    t = sigma - _rounding_shift(diagonal, theta[:rank], v, norm, sigma)
     if not (t > 0 and t > theta[rank]):
         return False
-    a.flat[:: m + 1] += t
-    return _cholesky_upper(a)
+    for panel in panels:
+        panel.flat[:: panel.shape[1] + 1] += t
+    return _cholesky_upper(panels)
 
 
 _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
@@ -857,42 +876,44 @@ def _rounding_shift(
     return 2 * (alpha * trace + forming) + underflow
 
 
-def _cholesky_upper(a: np.ndarray) -> bool:
+def _cholesky_upper(panels: list) -> bool:
     """Whether the Cholesky factorization M = U^T U of the symmetric matrix
-    M held in the upper triangle of the C-order `a` succeeds (M positive
-    definite); U overwrites that triangle.  U does not depend on the strict
-    lower triangle: outside the diagonal tiles it is not touched, and inside
-    them it is written over.
+    M held in the row panels of its upper triangle (:func:`_panel_copy`)
+    succeeds (M positive definite); U overwrites the panels' upper triangle,
+    and the strict lower triangle of each diagonal tile, which U does not
+    depend on, is written over.
 
-    Left-looking by row blocks of _CERTIFICATE_TILE rows.  On the
-    column-major view of `a`, where U^T is the lower triangle, row block k
-    is column block k: one dgemm updates it in place from the rows above
-    it, diagonal tile included, LAPACK dpotrf factors the diagonal tile's
-    triangle, and one dtrsm solves the rest of the block against it.
-    Nothing is copied: a numpy product of the row block would hold a
-    temporary as large as the block.  dpotrf sees one tile at a time: one
+    Left-looking by panels.  On the column-major view of a panel, where U^T
+    is the lower triangle, the panel is a column block: one dgemm per panel
+    above it updates it in place from that panel's rows (K =
+    _CERTIFICATE_TILE, its diagonal tile included), LAPACK dpotrf factors
+    the diagonal tile's triangle, and one dtrsm solves the rest of the panel
+    against it.  Nothing is copied: a numpy product for the update would hold
+    a temporary as large as the panel.  dpotrf sees one tile at a time: one
     dpotrf of a whole m = 3000 matrix makes OpenBLAS touch 9 MB more of its
     buffers, which then stay resident.
     """
-    m, tile = a.shape[0], _CERTIFICATE_TILE
     int_type = _LAPACK.int_type
     potrf, trsm, gemm = (_LAPACK.functions[name] for name in ("dpotrf", "dtrsm", "dgemm"))
-    lead, info = int_type(m), int_type(0)
-    one, minus_one = ctypes.c_double(1.0), ctypes.c_double(-1.0)
-    for k in range(0, m, tile):
-        rows, rest = min(tile, m - k), int_type(max(0, m - k - tile))
-        if k:
-            # M_kj -= U_:k,k^T U_:k,j for every j >= k
-            gemm(b"N", b"T", int_type(m - k), int_type(rows), int_type(k), minus_one, _address(a, 0, k),
-                 lead, _address(a, 0, k), lead, one, _address(a, k, k), lead, 1, 1)
+    info, one, minus_one = int_type(0), ctypes.c_double(1.0), ctypes.c_double(-1.0)
+    for n, panel in enumerate(panels):
+        rows, columns = panel.shape
+        lead = int_type(columns)
+        for above in panels[:n]:
+            # M_kj -= U_ik^T U_ij over the rows i of the panel above, every
+            # j >= k; column k is that panel's column width - columns
+            width = above.shape[1]
+            gemm(b"N", b"T", lead, int_type(rows), int_type(len(above)), minus_one,
+                 _address(above, 0, width - columns), int_type(width), _address(above, 0, width - columns),
+                 int_type(width), one, _address(panel, 0, 0), lead, 1, 1)
         # the tile's upper triangle is the lower one of its column-major view
-        potrf(b"L", int_type(rows), _address(a, k, k), lead, info, 1)
+        potrf(b"L", int_type(rows), _address(panel, 0, 0), lead, info, 1)
         if info.value != 0:
             return False
-        if rest.value:
+        if rows < columns:
             # U_kk^T X = M_kj, as X_cm L^T = M_cm on the column-major views
-            trsm(b"R", b"L", b"T", b"N", rest, int_type(rows), one,
-                 _address(a, k, k), lead, _address(a, k, k + tile), lead, 1, 1, 1, 1)
+            trsm(b"R", b"L", b"T", b"N", int_type(columns - rows), int_type(rows), one,
+                 _address(panel, 0, 0), lead, _address(panel, 0, rows), lead, 1, 1, 1, 1)
     return True
 
 

@@ -8,6 +8,7 @@ import threading
 import time
 import tracemalloc
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -368,6 +369,16 @@ def assert_certified_or_dsyevr(dec, a, rank):
     assert sin_theta(v, v_full[:, :rank]) <= 1e-10 + 1e-13 * scale / gap
 
 
+def assert_panel_tile(n, lda) -> None:
+    """A dpotrf call of the certificate gets the diagonal tile of a row panel
+    (:func:`spectral._panel_copy`), with the panel's width m - k as its
+    leading dimension: only the last panel may have fewer rows than a tile,
+    and its width is its rows."""
+    tile = spectral._CERTIFICATE_TILE
+    assert 1 <= n.value <= tile and lda.value >= n.value
+    assert n.value == tile or lda.value == n.value
+
+
 def assert_failing_factorization(monkeypatch, tiles: int, calls: list) -> None:
     """dpotrf factors the first tiles - 1 diagonal tiles of the certificate
     and fails on the last one (INFO = 1), and each call is appended to `calls`."""
@@ -375,6 +386,7 @@ def assert_failing_factorization(monkeypatch, tiles: int, calls: list) -> None:
 
     def fake(uplo, n, a, lda, info, length):
         assert uplo == b"L"
+        assert_panel_tile(n, lda)
         calls.append(n.value)
         if len(calls) < tiles:
             potrf(uplo, n, a, lda, info, length)
@@ -389,6 +401,7 @@ def counted_factorizations(monkeypatch) -> list:
     potrf, infos = spectral._LAPACK.functions["dpotrf"], []
 
     def counted(uplo, n, tile, lda, info, length):
+        assert_panel_tile(n, lda)
         potrf(uplo, n, tile, lda, info, length)
         infos.append(info.value)
 
@@ -485,10 +498,10 @@ class TestIterativeSolve:
 
     @pytest.mark.parametrize("path", ["certified", "certificate failed", "budget exhausted"])
     def test_iterative_solve_of_uint8_holds_one_float_copy(self, iterative_on, monkeypatch, path):
-        # the one triangle copy, which the certificate writes in place, is a
-        # memory mapping that tracemalloc does not see (dsyevr's copy after it
-        # too); the iteration's blocks and the certificate's tiles fit in 5%
-        # of 8 m^2
+        # the one panel copy, which the certificate writes in place, is one
+        # memory mapping of just the panels' size that tracemalloc does not
+        # see, unmapped before dsyevr's copy is made (a mapping too); the
+        # iteration's blocks and the certificate's tiles fit in 5% of 8 m^2
         m = 2000
         adj = sample_graph(make_partition(m, 500), ModelParams(p=0.7, q=0.3, seed=6)).adj
         if path == "certificate failed":
@@ -496,6 +509,21 @@ class TestIterativeSolve:
         elif path == "budget exhausted":
             monkeypatch.setattr(spectral, "_DIM_PER_PRODUCT", m // 12)
         eigh_descending(adj[:40, :40], 2)  # warm up: lazy imports and first-call caches
+        panel_copy, solve_copy = spectral._panel_copy, spectral._solve_copy
+        sizes, mappings, mapped_at_copy = [], [], []
+
+        def panels_seen(a):
+            panels = panel_copy(a)
+            sizes.append(len(mapping_of(panels[0])))
+            mappings.append(weakref.ref(mapping_of(panels[0])))
+            return panels
+
+        def copy_seen(a, index=None):
+            mapped_at_copy.append([ref() is not None for ref in mappings])
+            return solve_copy(a, index)
+
+        monkeypatch.setattr(spectral, "_panel_copy", panels_seen)
+        monkeypatch.setattr(spectral, "_solve_copy", copy_seen)
         tracemalloc.start()
         try:
             dec = eigh_descending(adj, 4)
@@ -505,6 +533,9 @@ class TestIterativeSolve:
         assert dec.solve.solver == ("iterative" if path == "certified" else "dsyevr")
         assert dec.solve.steps > 0
         assert peak <= 0.05 * 8 * m * m
+        assert sizes == [8 * panel_entries(m)]
+        assert mapped_at_copy == ([] if path == "certified" else [[False]])
+        assert mappings[0]() is None
         if path != "certified":
             assert_same_decomposition(dec, dsyevr_only(eigh_descending, adj, 4))
 
@@ -531,35 +562,75 @@ class TestIterativeSolve:
         assert_same_decomposition(first, second)
 
 
+def panel_entries(m: int) -> int:
+    """Entries of the row panels of an m x m triangle: sum over k of
+    min(tile, m - k) (m - k)."""
+    tile = spectral._CERTIFICATE_TILE
+    return sum(min(tile, m - k) * (m - k) for k in range(0, m, tile))
+
+
+def from_panels(panels: list) -> np.ndarray:
+    """The m x m matrix whose upper triangle `panels` hold, laid out as
+    :func:`spectral._panel_copy` lays them out, zero below the diagonal."""
+    m = panels[0].shape[1]
+    out = np.zeros((m, m))
+    for panel in panels:
+        k = m - panel.shape[1]
+        out[k : k + len(panel), k:] = panel
+    return np.triu(out)
+
+
+def mapping_of(array: np.ndarray):
+    """The object at the end of `array`'s chain of bases: for a solve copy,
+    the memory mapping that holds it."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.obj if isinstance(base, memoryview) else base
+
+
+def assert_packed(panels: list, m: int) -> None:
+    """`panels` are the row panels of an m x m triangle, packed back to back
+    in one memory mapping of just their size: nothing below the diagonal
+    tiles is stored."""
+    tile = spectral._CERTIFICATE_TILE
+    assert [panel.shape for panel in panels] == [(min(tile, m - k), m - k) for k in range(0, m, tile)]
+    start = end = panels[0].ctypes.data
+    for panel in panels:
+        assert panel.dtype == np.float64 and panel.flags.c_contiguous and panel.flags.writeable
+        assert panel.ctypes.data == end and mapping_of(panel) is mapping_of(panels[0])
+        end += panel.nbytes
+    buffer = mapping_of(panels[0])
+    assert isinstance(buffer, mmap.mmap) and len(buffer) == end - start == 8 * panel_entries(m)
+
+
 @lapack
 class TestCertificate:
     """The tiled Cholesky factorization behind the certificate, in place on
-    the upper triangle, and the certificate's put-back when it fails."""
+    the row panels of the upper triangle, and the certificate's put-back
+    when it fails."""
 
     @staticmethod
-    def upper_and_noise(m: int, upper: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """(`upper`'s upper triangle over an unrelated strict lower triangle,
-        with NaN in the strict lower part of each diagonal tile, which the
-        factorization writes over but never reads; the mask of the rest of
-        the strict lower triangle, which it does not touch)."""
-        noise = np.random.default_rng(seed).standard_normal((m, m))
-        a = np.triu(upper) + np.tril(noise, -1)
-        tile = np.arange(m) // spectral._CERTIFICATE_TILE
-        in_a_diagonal_tile = tile[:, None] == tile[None, :]
-        strict_lower = np.tri(m, k=-1, dtype=bool)
-        a[strict_lower & in_a_diagonal_tile] = np.nan
-        return a, strict_lower & ~in_a_diagonal_tile
+    def panels_of(upper: np.ndarray) -> list:
+        """The row panels of the symmetric `upper`, with NaN in the strict
+        lower triangle of each diagonal tile, which the factorization writes
+        over but never reads."""
+        panels = spectral._panel_copy(upper)
+        for panel in panels:
+            rows = len(panel)
+            panel[:, :rows][np.tril_indices(rows, -1)] = np.nan
+        return panels
 
     @pytest.mark.parametrize("m", [1, 127, 128, 129, 300, 702])
     def test_matches_numpy_and_keeps_the_lower_triangle(self, m):
+        # nothing below the diagonal tiles is stored, so nothing there can change
         x = np.random.default_rng(m).standard_normal((m, m + 5))
         spd = x @ x.T / m + np.eye(m)
-        a, outside = self.upper_and_noise(m, spd, seed=1)
-        lower = a[outside]
-        assert spectral._cholesky_upper(a)
-        assert np.array_equal(a[outside], lower)
+        panels = self.panels_of(spd)
+        assert_packed(panels, m)
+        assert spectral._cholesky_upper(panels)
         want = np.linalg.cholesky(spd).T
-        assert np.abs(np.triu(a) - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(from_panels(panels) - want).max() <= 1e-12 * np.abs(want).max()
 
     @staticmethod
     def spiked(m: int, at: int) -> np.ndarray:
@@ -569,25 +640,28 @@ class TestCertificate:
         return a
 
     def test_fails_in_a_middle_row_block(self, monkeypatch):
-        # 50 I - A is indefinite through the spike at row 400, in row block 3
-        # of 6: dpotrf factors the three diagonal tiles above it, then fails
+        # 50 I - A is indefinite through the spike at row 400, in row panel 3
+        # of 6: dpotrf factors the three diagonal tiles above it, then fails,
+        # and the panels below it are not touched
         m, at = 702, 400
-        a, outside = self.upper_and_noise(m, 50.0 * np.eye(m) - self.spiked(m, at), seed=2)
-        lower = a[outside]
+        panels = self.panels_of(50.0 * np.eye(m) - self.spiked(m, at))
+        below = [panel.copy() for panel in panels[4:]]
         infos = counted_factorizations(monkeypatch)
-        assert not spectral._cholesky_upper(a)
+        assert not spectral._cholesky_upper(panels)
         assert infos[:3] == [0, 0, 0] and len(infos) == 4 and infos[3] > 0
-        assert np.array_equal(a[outside], lower)
+        assert_packed(panels, m)
+        assert all(panel.tobytes() == old.tobytes() for panel, old in zip(panels[4:], below))
 
     def test_certify_fails_at_the_spike(self, monkeypatch):
         # Ritz values 50 and 0.5 for the vector e_0: sigma is about 50, and
-        # sigma I - A + 50 e_0 e_0^T fails at the spike in row block 3; the
-        # copy is left written over, and a solve copies its input again
+        # sigma I - A + 50 e_0 e_0^T fails at the spike in row panel 3; the
+        # panels are left written over, and a solve copies its input again
         m, at = 702, 400
         a = self.spiked(m, at)
         infos = counted_factorizations(monkeypatch)
         theta, v = np.array([50.0, 0.5]), np.eye(m)[:, :1]
-        assert not spectral._certify(a, theta, v, 1, 1e-12, float(np.abs(a).sum(axis=1).max()))
+        norm = float(np.abs(a).sum(axis=1).max())
+        assert not spectral._certify(spectral._panel_copy(a), theta, v, 1, 1e-12, norm)
         assert infos[:3] == [0, 0, 0] and len(infos) == 4 and infos[3] > 0
 
     def test_rounding_shift_at_cli_large_round_0(self):
@@ -619,7 +693,7 @@ class TestCertificate:
         assert theta[1] < 50.0
         calls = []
         assert_failing_factorization(monkeypatch, sys.maxsize, calls)  # factors every tile
-        assert spectral._certify(a.copy(), theta, v, 1, 0.0, norm) is (not within)
+        assert spectral._certify(spectral._panel_copy(a), theta, v, 1, 0.0, norm) is (not within)
         assert (calls == []) is within
 
     @long_double
@@ -637,8 +711,8 @@ class TestCertificate:
         monkeypatch.setattr(
             spectral, "_rounding_shift", lambda *args: shifts.append(shift(*args)) or shifts[-1]
         )
-        monkeypatch.setattr(spectral, "_cholesky_upper", lambda x: formed.append(np.triu(x)) or False)
-        assert not spectral._certify(a.copy(), theta, v, r, 1e-9, norm)
+        monkeypatch.setattr(spectral, "_cholesky_upper", lambda x: formed.append(from_panels(x)) or False)
+        assert not spectral._certify(spectral._panel_copy(a), theta, v, r, 1e-9, norm)
         mf = formed[0] + np.triu(formed[0], 1).T
         t = theta[r - 1] - 1e-9 / 1e-10 - shifts[0]  # as the certificate computes it
         vl = v.astype(np.longdouble)
@@ -654,6 +728,74 @@ class TestCertificate:
         # and so does the one the shift uses: -a_ij is one of r + 1 summands
         f = gamma * (120.0 * float(np.sum(v * v)) + norm) + u * largest
         assert error <= f
+
+
+def _reference_product(q: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """New C-order q A, for the C-order b x m `q` and the symmetric A held
+    in the upper triangle and the mirrored diagonal tiles of the C-order m x m
+    `a` (:func:`mirrored_triangle`), as the iteration formed it before it had
+    panels of its own: by row panels k:e of _CERTIFICATE_TILE rows,
+    q[:, k:e] a[k:e, k:] adds to columns k: of the result, and
+    q[:, e:] a[k:e, e:]^T to columns k:e, one dgemm each on the column-major
+    views (m x b for q and the result), accumulating in place."""
+    m, b = a.shape[0], q.shape[0]
+    out = np.empty((b, m), dtype=np.float64)
+    int_type, gemm = spectral._LAPACK.int_type, spectral._LAPACK.functions["dgemm"]
+    lead, width = int_type(m), int_type(b)
+    zero, one = ctypes.c_double(0.0), ctypes.c_double(1.0)
+    address = spectral._address
+    for k in range(0, m, spectral._CERTIFICATE_TILE):
+        e = min(k + spectral._CERTIFICATE_TILE, m)
+        gemm(b"N", b"N", int_type(m - k), width, int_type(e - k), one, address(a, k, k), lead,
+             address(q, 0, k), lead, one if k else zero, address(out, 0, k), lead, 1, 1)
+        if e < m:
+            gemm(b"T", b"N", int_type(e - k), width, int_type(m - e), one, address(a, k, e), lead,
+                 address(q, 0, e), lead, one, address(out, 0, k), lead, 1, 1)
+    return out
+
+
+def mirrored_triangle(a: np.ndarray) -> np.ndarray:
+    """The triangle copy of `a` (:func:`spectral._solve_copy`) with the upper
+    triangle of each _CERTIFICATE_TILE diagonal tile copied into the tile's
+    strict lower triangle, and nothing else below the diagonal."""
+    copy, tile = spectral._solve_copy(a), spectral._CERTIFICATE_TILE
+    for k in range(0, len(copy), tile):
+        block = copy[k : k + tile, k : k + tile]
+        i, j = np.tril_indices(len(block), -1)
+        block[i, j] = block[j, i]
+    return copy
+
+
+@lapack
+class TestRowPanels:
+    """The iteration's copy: the upper triangle as row panels packed back to
+    back in one mapping, each with its whole diagonal tile."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    @pytest.mark.parametrize("m", [1, 127, 128, 129, 300])
+    def test_panels_hold_the_upper_triangle_and_the_diagonal_tiles(self, dtype, m):
+        a = _graph_adjacency(m, m) if dtype == np.uint8 else random_symmetric(m, m)
+        panels = spectral._panel_copy(a)
+        assert_packed(panels, m)
+        assert np.array_equal(from_panels(panels), np.triu(a))
+        tile = spectral._CERTIFICATE_TILE
+        for k, panel in zip(range(0, m, tile), panels):
+            assert np.array_equal(panel[:, : len(panel)], a[k : k + tile, k : k + tile])
+        assert spectral._inf_norm(panels) == pytest.approx(float(np.abs(a).sum(axis=1).max()), rel=1e-14)
+
+    @pytest.mark.parametrize("threads", ["one", "default"])
+    @pytest.mark.parametrize("m", [1, 127, 128, 129, 702, 1601, 3000])
+    def test_product_is_the_reference_bit_for_bit(self, m, threads):
+        # the products of the panels are the reference's, at the same BLAS
+        # thread count: the same dgemm shapes on the same entries
+        if threads == "one" and spectral._THREADS is None:
+            pytest.skip("OpenBLAS's thread count cannot be set")
+        a = random_symmetric(m, m) if m < 1000 else _graph_adjacency(m, m)
+        q = np.random.default_rng(m + 1).standard_normal((11, m))
+        with spectral._one_blas_thread() if threads == "one" else contextlib.nullcontext():
+            got = spectral._product(q, spectral._panel_copy(a))
+            want = _reference_product(q, mirrored_triangle(a))
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
 class TestDsyevrShortfall:
@@ -688,10 +830,10 @@ class TestDsyevrShortfall:
 
 def nan_below_the_diagonal(monkeypatch) -> list:
     """Every triangle copy a solve makes gets NaN in its strict lower
-    triangle, which LAPACK must not read and the iteration must not read
-    before it writes there; returns the list to which each copy's size is
-    appended."""
-    copy, made = spectral._solve_copy, []
+    triangle, which LAPACK must not read; returns the list to which the size
+    of each copy is appended, and that of each of the iteration's panel
+    copies, which store nothing below their diagonal tiles."""
+    copy, panel_copy, made = spectral._solve_copy, spectral._panel_copy, []
 
     def poisoned(a, index=None):
         out = copy(a, index)
@@ -699,14 +841,19 @@ def nan_below_the_diagonal(monkeypatch) -> list:
         out[np.tril_indices(len(out), -1)] = np.nan
         return out
 
+    def counted(a):
+        made.append(len(a))
+        return panel_copy(a)
+
     monkeypatch.setattr(spectral, "_solve_copy", poisoned)
+    monkeypatch.setattr(spectral, "_panel_copy", counted)
     return made
 
 
 class TestSolveCopies:
     """Each attempt at a solve writes a copy of its own, in a mapping of its
-    own, of the triangle LAPACK reads, which the iteration works on too; a
-    fallback copies the input again."""
+    own: of the triangle LAPACK reads, or the iteration's row panels of it;
+    a fallback copies the input again."""
 
     @pytest.mark.parametrize("m", [1, 2, 31, 32, 33, 100])
     def test_copy_holds_the_upper_triangle_in_a_mapping(self, m):
@@ -716,18 +863,15 @@ class TestSolveCopies:
             copy = spectral._solve_copy(source, idx)
             assert copy.dtype == np.float64 and copy.flags.c_contiguous and copy.flags.writeable
             assert np.array_equal(np.triu(copy), np.triu(want)) and not np.tril(copy, -1).any()
-            base = copy
-            while isinstance(base, np.ndarray):
-                base = base.base
-            assert isinstance(base.obj if isinstance(base, memoryview) else base, mmap.mmap)
+            assert isinstance(mapping_of(copy), mmap.mmap)
         assert spectral._solve_copy(adj, np.array([], dtype=np.int64)).shape == (0, 0)
 
     @pytest.mark.parametrize("m", [1, 2, 127, 128, 129, 300])
     def test_other_triangle_is_never_read(self, request, monkeypatch, m):
         # NaN in the strict lower triangle of every triangle copy: the same
         # bits from every routine that solves one, and, with the iteration
-        # on every solve it can run, the same certified basis of a planted
-        # graph (three clusters; m % 3 isolated vertices)
+        # on every solve it can run (on its panel copy), the same certified
+        # basis of a planted graph (three clusters; m % 3 isolated vertices)
         rng = np.random.default_rng(m)
         a, adj = random_symmetric(m, m), _graph_adjacency(m, m + 1)
         rank = max(1, m // 10)
@@ -761,8 +905,8 @@ class TestSolveCopies:
 
     def test_each_path_copies_the_source_again(self, request, monkeypatch):
         # plain dsyevr: one triangle copy (the shortfall's second one is in
-        # TestDsyevrShortfall); the iteration: one triangle copy; a failed
-        # certificate: then a second one
+        # TestDsyevrShortfall); the iteration: one panel copy; a failed
+        # certificate: then a triangle copy
         made = nan_below_the_diagonal(monkeypatch)
         eigh_descending(random_symmetric(30, 4), 3)
         assert made == [30]
