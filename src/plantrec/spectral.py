@@ -7,7 +7,11 @@ and the BLAS ``dtrsm`` and ``dgemm``), all under one name template, so with
 one integer type.  The thread controls are OpenBLAS's
 ``openblas_set_num_threads`` and ``openblas_get_num_threads``.  OpenBLAS
 wheels export both, an MKL or reference LAPACK build only LAPACK, and
-Accelerate or Windows wheels neither.
+Accelerate or Windows wheels neither.  Each LAPACK routine's arguments are
+declared once, and every call goes through one function (:func:`_call`)
+that passes scalars by reference, every array as an address checked
+against the declaration (:func:`_address`), and appends the hidden string
+lengths.
 
 Every dense eigenvector solve goes through one driver (workspace query,
 call, INFO check) into LAPACK ``dsyevr`` for the top r eigenpairs.  A norm
@@ -407,84 +411,40 @@ _OPENBLAS_NAMES = (
 )
 
 
-def _dsyevr_argtypes(int_type) -> list:
-    integer, double = ctypes.POINTER(int_type), ctypes.POINTER(ctypes.c_double)
-    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
-    integers = np.ctypeslib.ndpointer(int_type, flags="C_CONTIGUOUS,WRITEABLE")
-    return [
-        *[ctypes.c_char_p] * 3,  # JOBZ, RANGE, UPLO
-        integer, doubles, integer,  # N, A, LDA
-        double, double, integer, integer, double,  # VL, VU, IL, IU, ABSTOL
-        integer, doubles, doubles, integer, integers,  # M, W, Z, LDZ, ISUPPZ
-        doubles, integer, integers, integer, integer,  # WORK, LWORK, IWORK, LIWORK, INFO
-        *[ctypes.c_size_t] * 3,  # the hidden lengths of the three strings
-    ]
-
-
-def _dsytrd_argtypes(int_type) -> list:
-    integer = ctypes.POINTER(int_type)
-    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
-    return [
-        ctypes.c_char_p, integer, doubles, integer,  # UPLO, N, A, LDA
-        doubles, doubles, doubles,  # D, E, TAU
-        doubles, integer, integer,  # WORK, LWORK, INFO
-        ctypes.c_size_t,  # the hidden length of UPLO
-    ]
-
-
-def _dstebz_argtypes(int_type) -> list:
-    integer, double = ctypes.POINTER(int_type), ctypes.POINTER(ctypes.c_double)
-    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
-    integers = np.ctypeslib.ndpointer(int_type, flags="C_CONTIGUOUS,WRITEABLE")
-    return [
-        *[ctypes.c_char_p] * 2,  # RANGE, ORDER
-        integer, double, double, integer, integer, double,  # N, VL, VU, IL, IU, ABSTOL
-        doubles, doubles, integer, integer, doubles,  # D, E, M, NSPLIT, W
-        integers, integers, doubles, integers, integer,  # IBLOCK, ISPLIT, WORK, IWORK, INFO
-        *[ctypes.c_size_t] * 2,  # the hidden lengths of the two strings
-    ]
-
-
-# dpotrf, dtrsm and dgemm work on blocks inside a matrix: A, B and C are
-# addresses.
-def _dpotrf_argtypes(int_type) -> list:
-    integer = ctypes.POINTER(int_type)
-    # UPLO, N, A, LDA, INFO and the hidden length of UPLO
-    return [ctypes.c_char_p, integer, ctypes.c_void_p, integer, integer, ctypes.c_size_t]
-
-
-def _dtrsm_argtypes(int_type) -> list:
-    integer = ctypes.POINTER(int_type)
-    return [
-        *[ctypes.c_char_p] * 4,  # SIDE, UPLO, TRANSA, DIAG
-        integer, integer, ctypes.POINTER(ctypes.c_double),  # M, N, ALPHA
-        ctypes.c_void_p, integer, ctypes.c_void_p, integer,  # A, LDA, B, LDB
-        *[ctypes.c_size_t] * 4,  # the hidden lengths of the four strings
-    ]
-
-
-def _dgemm_argtypes(int_type) -> list:
-    integer, double = ctypes.POINTER(int_type), ctypes.POINTER(ctypes.c_double)
-    return [
-        *[ctypes.c_char_p] * 2,  # TRANSA, TRANSB
-        integer, integer, integer, double,  # M, N, K, ALPHA
-        ctypes.c_void_p, integer, ctypes.c_void_p, integer,  # A, LDA, B, LDB
-        double, ctypes.c_void_p, integer,  # BETA, C, LDC
-        *[ctypes.c_size_t] * 2,  # the hidden lengths of the two strings
-    ]
-
-
-_LAPACK_SIGNATURES = {
-    "dsyevr": (_dsyevr_argtypes, None),
-    "dsytrd": (_dsytrd_argtypes, None),
-    "dstebz": (_dstebz_argtypes, None),
-    "dpotrf": (_dpotrf_argtypes, None),
-    "dtrsm": (_dtrsm_argtypes, None),
-    "dgemm": (_dgemm_argtypes, None),
+# Each routine's arguments in order, by LAPACK's names, with the kind of
+# each that :func:`_call` passes: "char", "int" and "double" are Fortran
+# scalars, "ints" and "doubles" arrays, and "c_int" a C int by value.
+_LAPACK_ARGUMENTS = {
+    "dsyevr": {
+        "JOBZ": "char", "RANGE": "char", "UPLO": "char", "N": "int", "A": "doubles", "LDA": "int",
+        "VL": "double", "VU": "double", "IL": "int", "IU": "int", "ABSTOL": "double", "M": "int",
+        "W": "doubles", "Z": "doubles", "LDZ": "int", "ISUPPZ": "ints", "WORK": "doubles", "LWORK": "int",
+        "IWORK": "ints", "LIWORK": "int", "INFO": "int",
+    },
+    "dsytrd": {
+        "UPLO": "char", "N": "int", "A": "doubles", "LDA": "int", "D": "doubles", "E": "doubles",
+        "TAU": "doubles", "WORK": "doubles", "LWORK": "int", "INFO": "int",
+    },
+    "dstebz": {
+        "RANGE": "char", "ORDER": "char", "N": "int", "VL": "double", "VU": "double", "IL": "int",
+        "IU": "int", "ABSTOL": "double", "D": "doubles", "E": "doubles", "M": "int", "NSPLIT": "int",
+        "W": "doubles", "IBLOCK": "ints", "ISPLIT": "ints", "WORK": "doubles", "IWORK": "ints", "INFO": "int",
+    },
+    "dpotrf": {"UPLO": "char", "N": "int", "A": "doubles", "LDA": "int", "INFO": "int"},
+    "dtrsm": {
+        "SIDE": "char", "UPLO": "char", "TRANSA": "char", "DIAG": "char", "M": "int", "N": "int",
+        "ALPHA": "double", "A": "doubles", "LDA": "int", "B": "doubles", "LDB": "int",
+    },
+    "dgemm": {
+        "TRANSA": "char", "TRANSB": "char", "M": "int", "N": "int", "K": "int", "ALPHA": "double",
+        "A": "doubles", "LDA": "int", "B": "doubles", "LDB": "int", "BETA": "double", "C": "doubles",
+        "LDC": "int",
+    },
 }
+_LAPACK_SIGNATURES = {routine: (arguments, None) for routine, arguments in _LAPACK_ARGUMENTS.items()}
 _OPENBLAS_SIGNATURES = {
-    "set_num_threads": (lambda int_type: [int_type], None),
-    "get_num_threads": (lambda int_type: [], ctypes.c_int),
+    "set_num_threads": ({"NUM_THREADS": "c_int"}, None),
+    "get_num_threads": ({}, ctypes.c_int),
 }
 
 
@@ -492,26 +452,33 @@ _OPENBLAS_SIGNATURES = {
 class _Routines:
     """Routines resolved together from one name `template`: `functions`
     maps each routine's name to its ctypes function, declared with
-    `int_type`."""
+    `int_type`, which is `dtype` in numpy."""
 
     template: str
     int_type: type
+    dtype: np.dtype
     functions: dict
 
 
 def _resolve(lib, names, signatures) -> _Routines | None:
-    """Every routine of `signatures` (name -> (argtypes of the integer type,
-    restype)), all from the first of `names` under which `lib` exports each
-    one, declared with that template's integer type; None if no template
-    exports them all."""
+    """Every routine of `signatures` (name -> (arguments, restype), the
+    arguments a dict of name -> kind), all from the first of `names` under
+    which `lib` exports each one, declared with that template's integer
+    type and a size_t after the arguments for each CHARACTER one; None if no
+    template exports them all."""
     for template, int_type in names:
         functions = {routine: getattr(lib, template.format(routine), None) for routine in signatures}
         if any(func is None for func in functions.values()):
             continue
-        for routine, (argtypes, restype) in signatures.items():
-            functions[routine].argtypes = argtypes(int_type)
+        argtype = {
+            "char": ctypes.c_char_p, "int": ctypes.POINTER(int_type), "c_int": int_type,
+            "double": ctypes.POINTER(ctypes.c_double), "ints": ctypes.c_void_p, "doubles": ctypes.c_void_p,
+        }
+        for routine, (arguments, restype) in signatures.items():
+            kinds = list(arguments.values())
+            functions[routine].argtypes = [argtype[k] for k in kinds] + [ctypes.c_size_t] * kinds.count("char")
             functions[routine].restype = restype
-        return _Routines(template, int_type, functions)
+        return _Routines(template, int_type, np.dtype(int_type), functions)
     return None
 
 
@@ -536,24 +503,73 @@ _THREADS = None if _LIBRARY is None else _resolve(_LIBRARY, _OPENBLAS_NAMES, _OP
 _BLAS_THREADS_LOCK = threading.RLock()
 
 
-def _lapack(routine: str, head: tuple, lengths: tuple, iwork: bool = True) -> None:
-    """Call the LAPACK `routine` of `_LAPACK` with the arguments `head`,
-    WORK, LWORK, IWORK, LIWORK (only with `iwork`), INFO and the hidden
-    string `lengths`: once as the workspace query, then with the sizes it
-    returned.  A nonzero INFO raises LinAlgError."""
-    func, int_type = _LAPACK.functions[routine], _LAPACK.int_type
-    info = int_type(0)
+def _call(routine: str, *args) -> None:
+    """Call the LAPACK or BLAS `routine` with `args`, one per declared
+    argument, in Fortran's convention: a CHARACTER as bytes; a scalar by
+    reference, made from a Python number or passed as the ctypes value
+    given (an output from :func:`_output`); an array, or a block (x, i, j)
+    from x[i, j] on, as the address :func:`_address` checks against the
+    declared dtype; then the hidden length of each CHARACTER."""
+    lapack, arguments = _LAPACK, _LAPACK_ARGUMENTS[routine]
+    if len(args) != len(arguments):
+        raise TypeError(f"{routine} takes {len(arguments)} arguments ({len(args)} given)")
+    int_type, values, lengths = lapack.int_type, [], []
+    for kind, arg in zip(arguments.values(), args):
+        if kind == "int":
+            arg = arg if isinstance(arg, int_type) else int_type(arg)
+        elif kind == "double":
+            arg = arg if isinstance(arg, ctypes.c_double) else ctypes.c_double(arg)
+        elif kind == "char":
+            lengths.append(len(arg))
+        else:
+            x, i, j = arg if isinstance(arg, tuple) else (arg, 0, 0)
+            arg = _address(x, i, j, np.float64 if kind == "doubles" else lapack.dtype)
+        values.append(arg)
+    lapack.functions[routine](*values, *lengths)
+
+
+_START = ctypes.c_char * 0  # laid over an array's buffer, also an empty one, gives its address
+
+
+def _address(x: np.ndarray, i: int = 0, j: int = 0, dtype=np.float64) -> int:
+    """Address of x[i, j] in the 2-D `x` (of entry i in any other), for LAPACK
+    and BLAS; (0, 0) is the address of `x` itself, also where `x` is empty.
+    Raises unless `x` is a writeable C-order array of `dtype` and the entry
+    lies inside it."""
+    if x.dtype != dtype or not (x.flags.c_contiguous and x.flags.writeable):
+        raise TypeError(
+            f"an array of {x.dtype} (C-contiguous: {x.flags.c_contiguous}, writeable: {x.flags.writeable})"
+            f" where a writeable C-order array of {np.dtype(dtype)} is declared"
+        )
+    rows, columns = x.shape if x.ndim == 2 else (x.size, 1)
+    if (i, j) != (0, 0) and not (0 <= i < rows and 0 <= j < columns):
+        raise IndexError(f"block ({i}, {j}) outside an array of shape {x.shape}")
+    return ctypes.addressof(_START.from_buffer(x)) + x.itemsize * (i * columns + j)
+
+
+def _output():
+    """A new LAPACK INTEGER, 0, for a routine to write (INFO, M, NSPLIT),
+    which :func:`_call` passes as it is."""
+    return _LAPACK.int_type(0)
+
+
+def _lapack(routine: str, *head) -> None:
+    """Call the LAPACK `routine` through :func:`_call` with the arguments
+    `head`, WORK, LWORK, IWORK and LIWORK (where it declares them) and INFO:
+    once as the workspace query, then with the sizes it returned.  A nonzero
+    INFO raises LinAlgError."""
+    iwork = "IWORK" in _LAPACK_ARGUMENTS[routine]
+    info = _output()
 
     def call(work: np.ndarray, lwork: int, integers: np.ndarray, liwork: int) -> None:
-        tail = (integers, int_type(liwork)) if iwork else ()
-        func(*head, work, int_type(lwork), *tail, info, *lengths)
+        _call(routine, *head, work, lwork, *((integers, liwork) if iwork else ()), info)
         _check_info(routine, info)
 
-    # workspace query: the sizes come back in work[0] and, with `iwork`, integers[0]
-    work, integers = np.empty(1, dtype=np.float64), np.zeros(1, dtype=int_type)
+    # workspace query: the sizes come back in work[0] and, with IWORK, integers[0]
+    work, integers = np.empty(1), np.zeros(1, dtype=_LAPACK.dtype)
     call(work, -1, integers, -1)
     lwork, liwork = int(work[0]), int(integers[0])
-    call(np.empty(lwork, dtype=np.float64), lwork, np.empty(liwork, dtype=int_type), liwork)
+    call(np.empty(lwork), lwork, np.empty(liwork, dtype=_LAPACK.dtype), liwork)
 
 
 def _check_info(routine: str, info) -> None:
@@ -632,11 +648,6 @@ def _iterative_applies(m: int, rank: int) -> bool:
     )
 
 
-def _address(a: np.ndarray, i: int, j: int) -> int:
-    """Address of a[i, j] in the C-order float64 `a`, for BLAS and LAPACK."""
-    return a.ctypes.data + a.itemsize * (i * a.shape[1] + j)
-
-
 def _panel_copy(a: np.ndarray) -> list:
     """The upper triangle of the finite, exactly symmetric m x m matrix `a`
     (any dtype) as float64 row panels, packed back to back in one anonymous
@@ -687,18 +698,15 @@ def _product(q: np.ndarray, panels: list) -> np.ndarray:
     """
     b, m = q.shape
     out = np.empty((b, m), dtype=np.float64)
-    int_type, gemm = _LAPACK.int_type, _LAPACK.functions["dgemm"]
-    lead, width = int_type(m), int_type(b)
-    zero, one = ctypes.c_double(0.0), ctypes.c_double(1.0)
     for panel in panels:
         rows, columns = panel.shape
-        k, panel_lead = m - columns, int_type(columns)
+        k = m - columns
         # the first panel spans every column, so beta = 0 sets the whole result
-        gemm(b"N", b"N", panel_lead, width, int_type(rows), one, _address(panel, 0, 0), panel_lead,
-             _address(q, 0, k), lead, one if k else zero, _address(out, 0, k), lead, 1, 1)
+        _call("dgemm", b"N", b"N", columns, b, rows, 1.0, panel, columns, (q, 0, k), m,
+              1.0 if k else 0.0, (out, 0, k), m)
         if rows < columns:
-            gemm(b"T", b"N", int_type(rows), width, int_type(columns - rows), one, _address(panel, 0, rows),
-                 panel_lead, _address(q, 0, k + rows), lead, one, _address(out, 0, k), lead, 1, 1)
+            _call("dgemm", b"T", b"N", rows, b, columns - rows, 1.0, (panel, 0, rows), columns,
+                  (q, 0, k + rows), m, 1.0, (out, 0, k), m)
     return out
 
 
@@ -740,7 +748,7 @@ def _iterate_top(panels: list, rank: int):
     rounding = m * np.finfo(np.float64).eps * norm
     steps, previous = 0, math.inf
     while True:
-        with _one_blas_thread() if _THREADS is not None else nullcontext():
+        with _one_blas_thread():
             q = np.linalg.qr(x.T)[0]
         del x
         # the factor's transpose is F-ordered; a C-ordered block is faster to multiply
@@ -824,18 +832,17 @@ def _certify(
     sigma = theta[rank - 1] - residual / _SIN_THETA_TOL
     if not (sigma > 0 and sigma > theta[rank]):
         return False
-    m, int_type, gemm = v.shape[0], _LAPACK.int_type, _LAPACK.functions["dgemm"]
+    m = v.shape[0]
     # a C-order rank x m array is a column-major m x rank one: on those
     # views, the panel of rows k:e := S[k:e] V[k:]^T - panel with S = V Theta,
     # which is V Theta V^T - A there
     vt = np.ascontiguousarray(v.T)
     scaled = vt * theta[:rank, None]
-    lead, one, minus_one = int_type(m), ctypes.c_double(1.0), ctypes.c_double(-1.0)
     for panel in panels:
         rows, columns = panel.shape
         k = m - columns
-        gemm(b"N", b"T", int_type(columns), int_type(rows), int_type(rank), one, _address(scaled, 0, k), lead,
-             _address(vt, 0, k), lead, minus_one, _address(panel, 0, 0), int_type(columns), 1, 1)
+        _call("dgemm", b"N", b"T", columns, rows, rank, 1.0, (scaled, 0, k), m, (vt, 0, k), m, -1.0,
+              panel, columns)
     diagonal = np.concatenate([panel.diagonal() for panel in panels])
     t = sigma - _rounding_shift(diagonal, theta[:rank], v, norm, sigma)
     if not (t > 0 and t > theta[rank]):
@@ -893,33 +900,30 @@ def _cholesky_upper(panels: list) -> bool:
     dpotrf of a whole m = 3000 matrix makes OpenBLAS touch 9 MB more of its
     buffers, which then stay resident.
     """
-    int_type = _LAPACK.int_type
-    potrf, trsm, gemm = (_LAPACK.functions[name] for name in ("dpotrf", "dtrsm", "dgemm"))
-    info, one, minus_one = int_type(0), ctypes.c_double(1.0), ctypes.c_double(-1.0)
+    info = _output()
     for n, panel in enumerate(panels):
         rows, columns = panel.shape
-        lead = int_type(columns)
         for above in panels[:n]:
             # M_kj -= U_ik^T U_ij over the rows i of the panel above, every
             # j >= k; column k is that panel's column width - columns
             width = above.shape[1]
-            gemm(b"N", b"T", lead, int_type(rows), int_type(len(above)), minus_one,
-                 _address(above, 0, width - columns), int_type(width), _address(above, 0, width - columns),
-                 int_type(width), one, _address(panel, 0, 0), lead, 1, 1)
+            block = (above, 0, width - columns)
+            _call("dgemm", b"N", b"T", columns, rows, len(above), -1.0, block, width, block, width, 1.0,
+                  panel, columns)
         # the tile's upper triangle is the lower one of its column-major view
-        potrf(b"L", int_type(rows), _address(panel, 0, 0), lead, info, 1)
+        _call("dpotrf", b"L", rows, panel, columns, info)
         if info.value != 0:
             return False
         if rows < columns:
             # U_kk^T X = M_kj, as X_cm L^T = M_cm on the column-major views
-            trsm(b"R", b"L", b"T", b"N", int_type(columns - rows), int_type(rows), one,
-                 _address(panel, 0, 0), lead, _address(panel, 0, rows), lead, 1, 1, 1, 1)
+            _call("dtrsm", b"R", b"L", b"T", b"N", columns - rows, rows, 1.0, panel, columns,
+                  (panel, 0, rows), columns)
     return True
 
 
 _SAFE_MIN = float(np.finfo(np.float64).tiny)
 # the most accurate bisection tolerance, twice LAPACK's safe minimum
-_ABSTOL = ctypes.c_double(2.0 * _SAFE_MIN)
+_ABSTOL = 2.0 * _SAFE_MIN
 
 
 def _dsyevr(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -931,19 +935,15 @@ def _dsyevr(a: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     LAPACK expects; LAPACK destroys it.  Eigenvector j comes back as row j of
     a count x m array, which is column j of a column-major m x count one.
     """
-    int_type = _LAPACK.int_type
     m = a.shape[0]
     # LAPACK requires LDA, LDZ >= 1, also for the 0 x 0 matrix
-    lead, found = int_type(max(m, 1)), int_type(0)
-    unused = ctypes.c_double(0.0)  # VL, VU are not read with RANGE='I'
+    lead, found = max(m, 1), _output()
     w = np.empty(m, dtype=np.float64)
     z = np.empty((count, m), dtype=np.float64)
-    isuppz = np.empty(2 * count, dtype=int_type)
-    head = (
-        b"V", b"I", b"L", int_type(m), a, lead, unused, unused,
-        int_type(m - count + 1), int_type(m), _ABSTOL, found, w, z, lead, isuppz,
-    )
-    _lapack("dsyevr", head, (1, 1, 1))
+    isuppz = np.empty(2 * count, dtype=_LAPACK.dtype)
+    # VL, VU (0.0) are not read with RANGE='I'
+    _lapack("dsyevr", b"V", b"I", b"L", m, a, lead, 0.0, 0.0, m - count + 1, m, _ABSTOL, found, w, z, lead,
+            isuppz)
     return w[: found.value], z[: found.value]
 
 
@@ -1007,28 +1007,22 @@ def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     more, unset) of LAPACK dsytrd's reduction of the float64 C-order `a`
     from its upper triangle, which it overwrites."""
     m = a.shape[0]
-    int_type = _LAPACK.int_type
     # E and TAU hold m - 1 entries; one more keeps them non-empty at m = 1
     d, e, tau = np.empty(m), np.empty(m), np.empty(m)
-    head = (b"L", int_type(m), a, int_type(m), d, e, tau)
-    _lapack("dsytrd", head, (1,), iwork=False)
+    _lapack("dsytrd", b"L", m, a, m, d, e, tau)
     return d, e
 
 
 def _dstebz(d: np.ndarray, e: np.ndarray, index: int) -> float:
     """Eigenvalue number `index` (1 = the lowest) of the tridiagonal matrix
     with diagonal `d` and off-diagonal `e`, by LAPACK dstebz bisection."""
-    func, int_type = _LAPACK.functions["dstebz"], _LAPACK.int_type
     m = d.size
-    found, blocks, info = int_type(0), int_type(0), int_type(0)
-    unused = ctypes.c_double(0.0)  # VL, VU are not read with RANGE='I'
-    w = np.empty(m)
-    block_of, block_ends = np.empty(m, dtype=int_type), np.empty(m, dtype=int_type)
-    work, iwork = np.empty(4 * m), np.empty(3 * m, dtype=int_type)
-    func(
-        b"I", b"E", int_type(m), unused, unused, int_type(index), int_type(index), _ABSTOL,
-        d, e, found, blocks, w, block_of, block_ends, work, iwork, info, 1, 1,
-    )
+    found, blocks, info = _output(), _output(), _output()
+    w, work = np.empty(m), np.empty(4 * m)
+    block_of, block_ends, iwork = (np.empty(size, dtype=_LAPACK.dtype) for size in (m, m, 3 * m))
+    # VL, VU (0.0) are not read with RANGE='I'
+    _call("dstebz", b"I", b"E", m, 0.0, 0.0, index, index, _ABSTOL, d, e, found, blocks, w, block_of,
+          block_ends, work, iwork, info)
     _check_info("dstebz", info)
     if found.value != 1:
         raise np.linalg.LinAlgError(f"LAPACK dstebz found {found.value} eigenvalues, asked for 1")
@@ -1037,11 +1031,15 @@ def _dstebz(d: np.ndarray, e: np.ndarray, index: int) -> float:
 
 @contextmanager
 def _one_blas_thread():
-    """OpenBLAS at one thread inside the block, its old count restored after.
+    """OpenBLAS at one thread inside the block, its old count restored after;
+    nothing where the thread controls (`_THREADS`) do not resolve.
 
     The count is process-wide: a BLAS call another thread makes meanwhile
-    also runs on one thread.  Requires `_THREADS`.
+    also runs on one thread.
     """
+    if _THREADS is None:
+        yield
+        return
     set_threads, get_threads = (_THREADS.functions[name] for name in ("set_num_threads", "get_num_threads"))
     with _BLAS_THREADS_LOCK:
         old = get_threads()

@@ -254,16 +254,26 @@ class TestPartialSolve:
     @lapack
     @pytest.mark.parametrize("info,found,message", [(2, 4, "info = 2"), (0, 3, "found 3 of 4")])
     def test_lapack_failure_raises_linalg_error(self, iterative_off, monkeypatch, info, found, message):
-        # a stand-in for dsyevr, given JOBZ, RANGE, UPLO, N, A, LDA, VL, VU,
-        # IL, IU, ABSTOL, M, W, Z, LDZ, ISUPPZ, WORK, LWORK, IWORK, LIWORK,
-        # INFO and the three string lengths as the kernel passes them
+        # a stand-in for dsyevr, given its declared arguments as the call
+        # passes them (arrays as addresses, scalars by reference) and the
+        # three string lengths
         def fake(*args):
-            args[16][0], args[18][0] = 1.0, 1  # workspace sizes
-            args[11].value, args[20].value = found, info
+            got = declared("dsyevr", args)
+            # workspace sizes
+            ctypes.c_double.from_address(got["WORK"]).value = 1.0
+            spectral._LAPACK.int_type.from_address(got["IWORK"]).value = 1
+            got["M"].value, got["INFO"].value = found, info
 
         monkeypatch.setitem(spectral._LAPACK.functions, "dsyevr", fake)
         with pytest.raises(np.linalg.LinAlgError, match=message):
             eigh_descending(random_symmetric(10, 0), 4)
+
+
+def declared(routine: str, args: tuple) -> dict:
+    """The arguments a stand-in for the LAPACK `routine` is given, by the
+    names its declaration gives them; the hidden lengths after them are
+    left out."""
+    return dict(zip(spectral._LAPACK_ARGUMENTS[routine], args))
 
 
 def stub_library(exports: dict) -> types.SimpleNamespace:
@@ -311,9 +321,17 @@ class TestResolve:
         five = LAPACK_ROUTINES[:-1]
         lib = stub_library({"scipy_{}_64_": five, "{}_64_": five, "{}_": LAPACK_ROUTINES})
         got = self.resolve_lapack(lib)
-        assert (got.template, got.int_type) == ("{}_", ctypes.c_int32)
+        assert (got.template, got.int_type, got.dtype) == ("{}_", ctypes.c_int32, np.dtype(np.int32))
         assert got.functions == {routine: getattr(lib, routine + "_") for routine in LAPACK_ROUTINES}
-        for func in got.functions.values():
+        argtype = {
+            "char": ctypes.c_char_p, "int": ctypes.POINTER(ctypes.c_int32),
+            "double": ctypes.POINTER(ctypes.c_double), "ints": ctypes.c_void_p, "doubles": ctypes.c_void_p,
+        }
+        for routine, func in got.functions.items():
+            kinds = list(spectral._LAPACK_ARGUMENTS[routine].values())
+            # the declared arguments, then a size_t for each CHARACTER one
+            hidden = [ctypes.c_size_t] * kinds.count("char")
+            assert func.argtypes == [argtype[kind] for kind in kinds] + hidden
             assert ctypes.POINTER(ctypes.c_int32) in func.argtypes
             assert ctypes.POINTER(ctypes.c_int64) not in func.argtypes
             assert func.restype is None
@@ -333,6 +351,127 @@ class TestResolve:
         assert got.template == "openblas_{}"
         assert got.functions["set_num_threads"].argtypes == [ctypes.c_int]
         assert got.functions["get_num_threads"].restype is ctypes.c_int
+
+
+def recording_lapack(monkeypatch, int_type) -> list:
+    """Put in place of `_LAPACK` the six routines resolved, with `int_type`,
+    from a library where each one runs nothing and appends (routine, the
+    arguments it was given) to the list returned."""
+    calls, lib = [], types.SimpleNamespace()
+    for routine in LAPACK_ROUTINES:
+        setattr(lib, routine + "_", lambda *args, routine=routine: calls.append((routine, args)))
+    resolved = spectral._resolve(lib, (("{}_", int_type),), spectral._LAPACK_SIGNATURES)
+    monkeypatch.setattr(spectral, "_LAPACK", resolved)
+    return calls
+
+
+def valid_arguments(routine: str) -> list:
+    """An argument of its declared kind for each argument of `routine`."""
+    dtype = spectral._LAPACK.dtype
+    make = {
+        "char": lambda: b"N", "int": lambda: 3, "double": lambda: 0.5,
+        "ints": lambda: np.zeros(4, dtype=dtype), "doubles": lambda: np.zeros((2, 3)),
+    }
+    return [make[kind]() for kind in spectral._LAPACK_ARGUMENTS[routine].values()]
+
+
+def bad_arrays(kind: str, dtype: np.dtype) -> list:
+    """(case, array, error): each array or block that an argument of `kind`
+    declared with `dtype` must reject, and the error it raises."""
+    read_only = np.zeros((2, 3), dtype=dtype)
+    read_only.flags.writeable = False
+    wrong = [np.float32, np.int64, np.int32] if kind == "doubles" else [np.float64, np.int64, np.int32]
+    return [
+        *[(f"{np.dtype(t).name} array", np.zeros((2, 3), dtype=t), TypeError) for t in wrong if t != dtype],
+        ("non-contiguous view", np.zeros((2, 6), dtype=dtype)[:, ::2], TypeError),
+        ("transposed view", np.zeros((3, 2), dtype=dtype).T, TypeError),
+        ("read-only array", read_only, TypeError),
+        *[
+            (f"block {i, j}", (np.zeros((2, 3), dtype=dtype), i, j), IndexError)
+            for i, j in [(2, 0), (0, 3), (1, 3), (-1, 0), (0, -1)]
+        ],
+    ]
+
+
+class TestCallSeam:
+    """Every LAPACK and BLAS call goes through one seam: each argument as its
+    declaration says, every array checked before any routine runs."""
+
+    @pytest.mark.parametrize("int_type", [ctypes.c_int32, ctypes.c_int64], ids=["int32", "int64"])
+    @pytest.mark.parametrize("routine", LAPACK_ROUTINES)
+    def test_declared_arguments_then_hidden_lengths(self, monkeypatch, routine, int_type):
+        calls = recording_lapack(monkeypatch, int_type)
+        kinds = list(spectral._LAPACK_ARGUMENTS[routine].values())
+        args = valid_arguments(routine)
+        info = spectral._output()
+        assert type(info) is int_type and info.value == 0
+        if "int" in kinds:
+            args[len(kinds) - 1 - kinds[::-1].index("int")] = info
+        spectral._call(routine, *args)
+        [(name, got)] = calls
+        assert name == routine
+        # one hidden length of 1 for each CHARACTER argument, after the declared ones
+        assert got[len(kinds) :] == (1,) * kinds.count("char")
+        for kind, arg, value in zip(kinds, args, got):
+            if kind == "char":
+                assert value is arg
+            elif kind in ("ints", "doubles"):
+                assert value == arg.ctypes.data
+            elif arg is info:
+                assert value is info  # a caller-held output passes as it is
+            else:
+                assert type(value) is (int_type if kind == "int" else ctypes.c_double)
+                assert value.value == arg
+        for wrong in (args[:-1], [*args, args[-1]]):
+            with pytest.raises(TypeError, match=f"{routine} takes {len(kinds)} arguments"):
+                spectral._call(routine, *wrong)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("int_type", [ctypes.c_int32, ctypes.c_int64], ids=["int32", "int64"])
+    @pytest.mark.parametrize("routine", LAPACK_ROUTINES)
+    def test_bad_arrays_are_rejected_before_the_routine_runs(self, monkeypatch, routine, int_type):
+        calls = recording_lapack(monkeypatch, int_type)
+        kinds = list(spectral._LAPACK_ARGUMENTS[routine].values())
+        for position, kind in enumerate(kinds):
+            if kind not in ("ints", "doubles"):
+                continue
+            dtype = np.dtype(np.float64) if kind == "doubles" else spectral._LAPACK.dtype
+            for case, bad, error in bad_arrays(kind, dtype):
+                args = valid_arguments(routine)
+                args[position] = bad
+                with pytest.raises(error):
+                    spectral._call(routine, *args)
+                assert calls == [], (position, case)
+            # a block inside the array passes
+            args = valid_arguments(routine)
+            x = np.zeros((2, 3), dtype=dtype)
+            args[position] = (x, 1, 2)
+            spectral._call(routine, *args)
+            assert calls.pop()[1][position] == x.ctypes.data + 5 * dtype.itemsize
+
+    def test_address_of_an_entry(self):
+        x = np.arange(12.0).reshape(3, 4)
+        assert spectral._address(x) == x.ctypes.data
+        assert spectral._address(x, 2, 1) == x.ctypes.data + 8 * 9
+        assert ctypes.c_double.from_address(spectral._address(x, 1, 3)).value == x[1, 3]
+        v = np.arange(5, dtype=np.int32)
+        assert spectral._address(v, 4, dtype=np.int32) == v.ctypes.data + 16
+        # the start of an empty array is its own address
+        empty = np.zeros((0, 0))
+        assert spectral._address(empty) == empty.ctypes.data
+        with pytest.raises(IndexError):
+            spectral._address(empty, 0, 1)
+        with pytest.raises(IndexError):
+            spectral._address(v, 5, dtype=np.int32)
+        with pytest.raises(TypeError, match="array of int32 .* C-order array of float64 is declared"):
+            spectral._address(v)
+        with pytest.raises(TypeError, match="array of float64 .* C-order array of int32 is declared"):
+            spectral._address(x, dtype=np.int32)
+        with pytest.raises(TypeError, match="C-contiguous: False, writeable: True"):
+            spectral._address(x[:, 1:])
+        x.flags.writeable = False
+        with pytest.raises(TypeError, match="C-contiguous: True, writeable: False"):
+            spectral._address(x)
 
 
 def dsyevr_only(solve, *args):
@@ -384,14 +523,15 @@ def assert_failing_factorization(monkeypatch, tiles: int, calls: list) -> None:
     and fails on the last one (INFO = 1), and each call is appended to `calls`."""
     potrf = spectral._LAPACK.functions["dpotrf"]
 
-    def fake(uplo, n, a, lda, info, length):
-        assert uplo == b"L"
-        assert_panel_tile(n, lda)
-        calls.append(n.value)
+    def fake(*args):
+        got = declared("dpotrf", args)
+        assert got["UPLO"] == b"L"
+        assert_panel_tile(got["N"], got["LDA"])
+        calls.append(got["N"].value)
         if len(calls) < tiles:
-            potrf(uplo, n, a, lda, info, length)
+            potrf(*args)
         else:
-            info.value = 1
+            got["INFO"].value = 1
 
     monkeypatch.setitem(spectral._LAPACK.functions, "dpotrf", fake)
 
@@ -400,10 +540,11 @@ def counted_factorizations(monkeypatch) -> list:
     """dpotrf as resolved, with the INFO of each call appended to the list returned."""
     potrf, infos = spectral._LAPACK.functions["dpotrf"], []
 
-    def counted(uplo, n, tile, lda, info, length):
-        assert_panel_tile(n, lda)
-        potrf(uplo, n, tile, lda, info, length)
-        infos.append(info.value)
+    def counted(*args):
+        got = declared("dpotrf", args)
+        assert_panel_tile(got["N"], got["LDA"])
+        potrf(*args)
+        infos.append(got["INFO"].value)
 
     monkeypatch.setitem(spectral._LAPACK.functions, "dpotrf", counted)
     return infos
@@ -554,6 +695,14 @@ class TestIterativeSolve:
     def test_not_tried_without_a_certificate_routine(self, monkeypatch, routine):
         resolve_without(monkeypatch, routine)
         assert not spectral._iterative_applies(3000, 3)
+
+    def test_runs_without_thread_controls(self, iterative_on, monkeypatch):
+        # the QR then runs at the current BLAS thread count
+        resolve_without(monkeypatch, "set_num_threads")
+        adj = sample_graph(make_partition(400, 100), ModelParams(p=0.8, q=0.2, seed=3)).adj
+        dec = eigh_descending(adj, 4)
+        assert dec.solve.solver == "iterative"
+        assert_certified_or_dsyevr(dec, adj, 4)
 
     def test_deterministic(self, iterative_on):
         adj = sample_graph(make_partition(400, 100), ModelParams(p=0.8, q=0.2, seed=3)).adj
@@ -1231,11 +1380,10 @@ class TestSolveExtremes:
 
     @lapack
     def test_bisection_failure_raises_linalg_error(self, monkeypatch):
-        # a stand-in for dstebz, given RANGE, ORDER, N, VL, VU, IL, IU,
-        # ABSTOL, D, E, M, NSPLIT, W, IBLOCK, ISPLIT, WORK, IWORK, INFO and
-        # the two string lengths as the solve passes them
+        # a stand-in for dstebz, given its declared arguments as the call
+        # passes them and the two string lengths
         def fake(*args):
-            args[17].value = 1
+            declared("dstebz", args)["INFO"].value = 1
 
         monkeypatch.setitem(spectral._LAPACK.functions, "dstebz", fake)
         with pytest.raises(np.linalg.LinAlgError, match=r"dstebz failed \(info = 1\)"):
@@ -1252,8 +1400,7 @@ thread_control = pytest.mark.skipif(
 def gathered_norms(a: np.ndarray, sets) -> list:
     """spectral_norm of each gathered submatrix, one at a time, under one
     BLAS thread where OpenBLAS's thread count can be set."""
-    one_thread = spectral._one_blas_thread() if spectral._THREADS else contextlib.nullcontext()
-    with one_thread:
+    with spectral._one_blas_thread():
         return [spectral_norm(a[np.ix_(v, v)]) if len(v) else 0.0 for v in sets]
 
 
@@ -1683,7 +1830,7 @@ class TestEigenvectorsOnly:
         jobz, dsyevr = [], spectral._LAPACK.functions["dsyevr"]
 
         def recorded(*args):
-            jobz.append(args[0])
+            jobz.append(declared("dsyevr", args)["JOBZ"])
             return dsyevr(*args)
 
         monkeypatch.setitem(spectral._LAPACK.functions, "dsyevr", recorded)
