@@ -15,7 +15,10 @@ aggregate.csv (per-cell success and satisfaction rates).
 `plantrec verify`.  A trial makes one eigendecomposition of the full graph:
 recovery's round 0, whose projector and pivot the checks reuse.  The expected matrix
 E = (p-q) Z Z^T + q 11^T is never solved; its top-k projector Z Z^T / s and
-its k-th eigenvalue are taken in closed form.
+its k-th eigenvalue are taken in closed form.  The checks solve the noise
+A - E for the two ends of its spectrum once, before any report, and only
+when norm, proj or fk's union of every cluster reads them; fk's other
+unions follow in one batch.
 """
 
 from __future__ import annotations
@@ -228,25 +231,22 @@ def run_checks(g, part, params, checks, epsilon, round0=None) -> list:
     Reports come in KNOWN_CHECKS order whatever the order of `checks`.
     `epsilon` is a finite positive number, or None to use the measured
     projector deviation ||P_k(A) - P_k(E)||_2 (floored at 1e-12, as it is 0
-    on noiseless instances), the proj report's lhs; it is resolved only when
-    conc or goodcol runs.
+    on noiseless instances), the proj report's lhs.
 
     `round0`, when given, must be recovery's round-0 trace of `g`
     (`recover_with_trace(g, s)[1][0]`): proj and a measured epsilon read its
     rank-k projector, and goodcol its pivot, candidate set and mass, so no
     column is ranked again.  Without it the graph is solved once, only when
-    proj, goodcol or a measured epsilon needs it, and goodcol ranks that
-    projector's columns.  The expected side is taken in closed form:
-    P_k(E) = Z Z^T / s and lambda_k(E) from `theoretical_spectrum`; one SVD
-    gives the principal angles between P_k(A) and P_k(E), which proj and a
-    measured epsilon share.  The checks hold no n x n float64 matrix: each
-    solve copy of the noise is gathered from the uint8 adjacency and the
-    labels through a :class:`~plantrec.bounds.NoiseView`.  fk first solves
-    the submatrices of its proper cluster unions of A - E + pI (diagonal 0)
-    for their two ends (copies, one BLAS thread per core at once).  Then
-    A - E itself (diagonal -p) is solved once for its two ends, from a
-    triangle copy: they give ||A - E||_2 for norm and proj, and, shifted by
-    p, fk's union of every cluster.
+    proj, goodcol or a measured epsilon needs it.
+
+    One straight pass: first the quantities checks share, each once (that
+    projector; its principal angles to P_k(E) = Z Z^T / s, in closed form;
+    a measured epsilon; the two ends of A - E, diagonal -p, only when norm,
+    proj or fk's union of every cluster reads them), then each check's
+    reports.  fk solves its other unions of A - E + pI in one batch (one
+    BLAS thread per core at once).  Each solve copies the noise from the
+    uint8 adjacency through a :class:`~plantrec.bounds.NoiseView`, so no
+    n x n float64 matrix is held.
     """
     _validate_checks(checks, epsilon)
     checks = set(checks)
@@ -271,42 +271,38 @@ def run_checks(g, part, params, checks, epsilon, round0=None) -> list:
     if "proj" in checks or measure_epsilon:
         expected_projector = Projector(basis=np.eye(k)[part.assignment] / math.sqrt(s))
         sines = bounds._projector_distance(projector, expected_projector)
+    if measure_epsilon:
+        epsilon = max(float(sines[0]), 1e-12)
+    unions = bounds.cluster_unions(part, seed=params.seed) if "fk" in checks else []
+    # the full mask, when drawn, sorts last among the unions
+    whole = bool(unions) and unions[-1][0] == ctx["mask"]
+    if {"norm", "proj"} & checks or whole:
+        ends = spectral._solve_extremes(bounds.NoiseView(g, part, params, diagonal=-params.p))
+        instance_dev = max(map(abs, ends))
 
     reports = []
-    if {"norm", "proj", "fk"} & checks:
-        if "fk" in checks:
-            unions = bounds.cluster_unions(part, seed=params.seed)
-            sigma = bounds.Constants.from_params(params.p, params.q, c=1.0).sigma
-            # the union of every cluster is read from the solve below
-            proper = [(mask, v) for mask, v in unions if v.size < n]
-            fk_reports = []
-            if proper:
-                fk_reports = bounds.check_fk_submatrices(
-                    bounds.NoiseView(g, part, params), [v for _, v in proper], sigma,
-                    labels=[m for m, _ in proper], **ctx,
-                )
-        lowest, highest = spectral._solve_extremes(bounds.NoiseView(g, part, params, diagonal=-params.p))
-        instance_dev = max(abs(lowest), abs(highest))
-        if "fk" in checks and len(proper) < len(unions):
-            # fk's noise, with its zero diagonal, is A - E + pI, whose
-            # eigenvalues are those of A - E plus p; the full mask sorts last
-            # among the unions
-            whole = max(abs(lowest + params.p), abs(highest + params.p))
-            fk_reports.append(bounds._fk_report(whole, n, sigma, **ctx))
     if "norm" in checks:
         reports.append(bounds._norm_deviation(instance_dev, n, **ctx))
     if "proj" in checks:
         lambda_k = bounds.theoretical_spectrum(k, s, params.p, params.q)[k - 1]
         reports.extend(bounds._projector_deviation(sines, n, lambda_k, instance_dev, **ctx))
-    if measure_epsilon:
-        epsilon = max(float(sines[0]), 1e-12)
     if "conc" in checks:
         conc_ctx = {key: v for key, v in ctx.items() if key not in ("p", "q")}
         reports.extend(
             bounds.check_concentration(g, part, params.p, params.q, epsilon, **conc_ctx)
         )
     if "fk" in checks:
-        reports.extend(fk_reports)
+        sigma = bounds.Constants.from_params(params.p, params.q, c=1.0).sigma
+        proper = unions[:-1] if whole else unions
+        if proper:
+            reports.extend(bounds.check_fk_submatrices(
+                bounds.NoiseView(g, part, params), [v for _, v in proper], sigma,
+                labels=[m for m, _ in proper], **ctx,
+            ))
+        if whole:
+            # fk's noise, with its zero diagonal, is A - E + pI, whose
+            # eigenvalues are those of A - E plus p
+            reports.append(bounds._fk_report(max(abs(end + params.p) for end in ends), n, sigma, **ctx))
     if "goodcol" in checks:
         # the mass threshold is only meaningful for epsilon <= 0.1; clamp
         # and record the measured value so the report stays interpretable

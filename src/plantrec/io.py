@@ -173,8 +173,10 @@ def _format_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    # a numpy float too, as the float the model compared against: the repr
+    # of np.float64 names its type, and np.float32 would print its own digits
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 

@@ -151,7 +151,10 @@ def _physical_memory() -> int | None:
 
 def require_edge_probabilities(p: float, q: float) -> None:
     """Raise ValueError unless 0 <= q < p <= 1: a model's edge probability
-    inside a cluster, p, above the one across, q."""
+    inside a cluster, p, above the one across, q.  A bool, which compares as
+    0 or 1 but would be written as true or false, is refused."""
+    if isinstance(p, (bool, np.bool_)) or isinstance(q, (bool, np.bool_)):
+        raise ValueError(f"p and q must be numbers, got p={p!r}, q={q!r}")
     if not (0.0 <= q < p <= 1.0):
         raise ValueError(f"need 0 <= q < p <= 1, got p={p}, q={q}")
 

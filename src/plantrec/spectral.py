@@ -591,7 +591,7 @@ def _solve_top(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, SolveR
     """
     m, steps = a.shape[0], 0
     if _iterative_applies(m, rank):
-        w, v, steps = _iterate_top(_panel_copy(a), rank)
+        w, v, steps = _iterate_top(a, rank)
         if w is not None:
             return w, v, SolveRecord("iterative", steps, _SIN_THETA_TOL)
     record = SolveRecord("dsyevr", steps, None)
@@ -669,22 +669,17 @@ def _panel_copy(a: np.ndarray) -> list:
     return panels
 
 
-def _inf_norm(panels: list) -> float:
-    """||A||_inf, the largest absolute row sum of the symmetric A held in
-    `panels` (:func:`_panel_copy`): the row sums of each panel, plus the
-    column sums of its part right of its diagonal tile, in row blocks with
-    no m x m temporary."""
-    m = panels[0].shape[1]
-    rows, columns = np.zeros(m), np.zeros(m)
-    step = max(1, (1 << 15) // m)
-    for panel in panels:
-        k = m - panel.shape[1]
-        e = k + len(panel)
-        for i in range(0, len(panel), step):
-            block = np.abs(panel[i : i + step])
-            rows[k + i : k + i + len(block)] = block.sum(axis=1)
-            columns[e:] += block[:, e - k :].sum(axis=0)
-    return float((rows + columns).max())
+def _inf_norm(a: np.ndarray) -> float:
+    """||a||_inf, the largest absolute row sum of the finite square `a` (any
+    dtype), read _CERTIFICATE_TILE rows at a time and summed in float64:
+    exact for a 0-1 matrix."""
+    # a signed integer's minimum has no absolute value in its own dtype
+    dtype = np.float64 if a.dtype.kind == "i" else None
+    norm = 0.0
+    for i in range(0, len(a), _CERTIFICATE_TILE):
+        rows = np.abs(a[i : i + _CERTIFICATE_TILE], dtype=dtype).sum(axis=1, dtype=np.float64)
+        norm = max(norm, float(rows.max()))
+    return norm
 
 
 def _product(q: np.ndarray, panels: list) -> np.ndarray:
@@ -710,11 +705,12 @@ def _product(q: np.ndarray, panels: list) -> np.ndarray:
     return out
 
 
-def _iterate_top(panels: list, rank: int):
-    """(w, v, steps): the top `rank` eigenpairs of the symmetric A held in
-    the row panels of its upper triangle (:func:`_panel_copy`) by block
-    subspace iteration, certified, and the products made; w and v are None
-    where the iteration gives way.  The certificate writes over the panels.
+def _iterate_top(a: np.ndarray, rank: int):
+    """(w, v, steps): the top `rank` eigenpairs of the finite, exactly
+    symmetric `a` by block subspace iteration, certified, and the products
+    made; w and v are None where the iteration gives way.  The iteration
+    reads the row panels of a copy of a's upper triangle (:func:`_panel_copy`),
+    which the certificate writes over, and ||a||_inf from `a` itself.
 
     A block of b = rank + _GUARD vectors from a fixed Philox start goes
     through steps of a QR (at one BLAS thread where OpenBLAS's thread count
@@ -736,9 +732,10 @@ def _iterate_top(panels: list, rank: int):
     separating.  A basis is returned only if :func:`_certify` proves it;
     how it was found does not matter to the proof.
     """
-    m = panels[0].shape[1]
+    m = a.shape[0]
     b = min(rank + _GUARD, m - 1)
-    norm = _inf_norm(panels)
+    norm = _inf_norm(a)
+    panels = _panel_copy(a)
     # blocks are held transposed, b x m: a product is then X^T A = (A X)^T,
     # which OpenBLAS runs in about half the time of A X, and with a tenth of
     # the buffer memory (+1.7 MB against +9.4 MB of RSS at m = 3000, b = 11)

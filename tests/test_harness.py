@@ -408,14 +408,34 @@ class TestRunChecks:
         assert solve_sizes == [60, 40, 20]
         # and no full solve, except inside the top-r solve where LAPACK does not resolve
         assert eigh_sizes == ([] if spectral._LAPACK else solve_sizes)
-        # the 6 proper cluster unions of the FK check (solved concurrently,
-        # so in any order), then A - E itself for ||A - E|| and the union of
-        # all 3 clusters; ||P_A - P_E|| comes from the principal angles, with
-        # no m x m solve
-        assert sorted(value_sizes[:-1], reverse=True) == [40, 40, 40, 20, 20, 20]
-        assert value_sizes[-1] == 60
+        # A - E itself first, for ||A - E|| and the union of all 3 clusters,
+        # then the 6 proper cluster unions of the FK check (solved
+        # concurrently, so in any order); ||P_A - P_E|| comes from the
+        # principal angles, with no m x m solve
+        assert value_sizes[0] == 60
+        assert sorted(value_sizes[1:], reverse=True) == [40, 40, 40, 20, 20, 20]
         # eigvalsh runs only where LAPACK does not resolve
         assert eigvalsh_sizes == ([] if spectral._LAPACK else value_sizes)
+
+    @pytest.mark.parametrize("seed,whole", [(0, True), (1, False), (2, False), (3, False), (4, True), (5, True)])
+    def test_fk_alone_solves_a_minus_e_only_for_the_union_of_every_cluster(self, monkeypatch, seed, whole):
+        # k = 13 > MAX_ENUMERATE_K: fk samples 4096 of the 2^13 - 1 unions,
+        # with the union of all 13 clusters at seeds 0, 4 and 5 only; that
+        # one is read from a solve of A - E, and no report reads A - E else
+        part, params = make_partition(65, 5), ModelParams(p=0.8, q=0.2, seed=seed)
+        g = sample_graph(part, params)
+        masks = [mask for mask, _ in bounds.cluster_unions(part, seed=seed)]
+        assert len(masks) == bounds.UNION_SAMPLE_LIMIT and (masks[-1] == (1 << 13) - 1) is whole
+        sizes, solve = [], spectral._solve_extremes
+        monkeypatch.setattr(
+            spectral,
+            "_solve_extremes",
+            lambda a, index=None: sizes.append(a.shape[0] if index is None else len(index)) or solve(a, index),
+        )
+        reports = run_checks(g, part, params, ["fk"], 0.1)
+        assert len(sizes) == len(reports) == 4096
+        assert sizes.count(65) == int(whole)
+        assert [r.context["mask"] for r in reports] == masks
 
     def test_checks_build_no_dense_noise_matrix(self, monkeypatch):
         def refused(*args):
@@ -546,6 +566,26 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="n must be at least 1"):
             run_grid(cfg, tmp_path / "o")
         assert not (tmp_path / "o").exists()
+
+    def test_bool_probability_rejected_before_the_output_directory(self, tmp_path):
+        cfg = ExperimentConfig(
+            ns=(4,), ks=(2,), ss=None, ps=(True,), qs=(0.0,), trials=1, seed0=0, checks=()
+        )
+        with pytest.raises(ValueError, match="p and q must be numbers"):
+            run_grid(cfg, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
+    def test_numpy_probabilities_write_the_bytes_of_python_floats(self, tmp_path):
+        # built directly, as from_dict turns every number into a Python float
+        def config(p, q):
+            return ExperimentConfig(
+                ns=(12,), ks=(2,), ss=None, ps=(p,), qs=(q,), trials=2, seed0=5, checks=KNOWN_CHECKS
+            )
+
+        run_grid(config(0.8, 0.2), tmp_path / "python")
+        run_grid(config(np.float64(0.8), np.float64(0.2)), tmp_path / "numpy")
+        for name in ("trials.jsonl", "bounds.csv", "aggregate.csv"):
+            assert (tmp_path / "python" / name).read_bytes() == (tmp_path / "numpy" / name).read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         raw = {

@@ -303,6 +303,17 @@ class TestReportsCsv:
         assert lines[0] == "name,lhs,rhs,satisfied,n,k,s,p,q,seed,J_or_S"
         assert lines[1] == "norm_deviation,1.5,2.0,true,10,2,5,0.8,0.2,3,0x5"
 
+    def test_numpy_floats_written_as_the_floats_they_are(self):
+        # np.float64 is a float whose repr names its type; np.float32(0.8) is
+        # 0.800000011920929 as the float the model compares against
+        def text(p, q, lhs):
+            buf = stdio.StringIO()
+            write_reports_csv(buf, [BoundReport.of("fk_submatrix", lhs, 2.0, n=10, p=p, q=q, seed=3)])
+            return buf.getvalue()
+
+        assert text(np.float64(0.8), np.float64(0.2), np.float64(1.5)) == text(0.8, 0.2, 1.5)
+        assert text(np.float32(0.8), 0.2, 1.5) == text(0.800000011920929, 0.2, 1.5)
+
     def test_missing_context_left_blank(self):
         rep = BoundReport.of("weyl", 3.0, 2.0)
         buf = stdio.StringIO()

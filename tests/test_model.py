@@ -323,6 +323,14 @@ class TestGraphType:
         with pytest.raises(ValueError, match="integer"):
             ModelParams(p=0.8, q=0.1, seed=seed)
 
+    @pytest.mark.parametrize(
+        "p,q", [(True, 0.0), (1.0, False), (np.True_, 0.0)], ids=["p True", "q False", "p np.True_"]
+    )
+    def test_rejects_bool_probabilities(self, p, q):
+        # a bool passes 0 <= q < p <= 1, and would be written as true or false
+        with pytest.raises(ValueError, match="numbers"):
+            ModelParams(p=p, q=q, seed=0)
+
     @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int32(7)])
     def test_accepts_numpy_integer_seeds(self, seed):
         assert ModelParams(p=0.8, q=0.1, seed=seed).seed == seed

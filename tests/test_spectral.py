@@ -930,7 +930,11 @@ class TestRowPanels:
         tile = spectral._CERTIFICATE_TILE
         for k, panel in zip(range(0, m, tile), panels):
             assert np.array_equal(panel[:, : len(panel)], a[k : k + tile, k : k + tile])
-        assert spectral._inf_norm(panels) == pytest.approx(float(np.abs(a).sum(axis=1).max()), rel=1e-14)
+        assert spectral._inf_norm(a) == pytest.approx(float(np.abs(a).sum(axis=1).max()), rel=1e-14)
+
+    def test_inf_norm_of_a_signed_integer_minimum(self):
+        # -128 has no absolute value in int8
+        assert spectral._inf_norm(np.full((300, 300), -128, dtype=np.int8)) == 128.0 * 300
 
     @pytest.mark.parametrize("threads", ["one", "default"])
     @pytest.mark.parametrize("m", [1, 127, 128, 129, 702, 1601, 3000])
