@@ -1,11 +1,14 @@
 """Experiment grid runner: per-trial pipeline, seed derivation, serialization.
 
 A grid is the product of (n, k) x p x q cells with a fixed number of trials
-per cell.  Trial seeds come from a 64-bit mix of (seed0, cell index, trial
-index), so any trial can be reproduced in isolation and no two trials in a
-grid share a seed.  Every trial relabels the canonical partition with a
-seed-derived random permutation before sampling, so nothing downstream can
-exploit the contiguous layout.
+per cell.  `Cell` and `ExperimentConfig` check themselves at construction,
+so a grid built in Python gets every check a JSON config gets (its
+`from_dict` only reads the JSON), and their numbers, numpy's too, are kept
+as the Python ints and floats they equal.  Trial seeds come from a 64-bit
+mix of (seed0, cell index, trial index), so any trial can be reproduced in
+isolation and no two trials in a grid share a seed.  Every trial relabels
+the canonical partition with a seed-derived random permutation before
+sampling, so nothing downstream can exploit the contiguous layout.
 
 Outputs are deterministic byte-for-byte for a fixed config: trials.jsonl (raw
 per-trial rows, with no wall times), bounds.csv (every bound report), and
@@ -24,11 +27,12 @@ unions follow in one batch.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -90,18 +94,26 @@ def _validate_checks(checks, epsilon) -> None:
         raise EpsilonOutOfRangeError(f"epsilon must be finite and positive, or 'auto'; got {epsilon}")
 
 
-def _typed(key: str, value, kind):
-    """A JSON config number as `kind`: an integer for int, an integer or
-    float for float.  A bool is refused although Python counts it as an int,
-    and so is 10.9 for an int, which int() would truncate."""
-    allowed, what = ((int, float), "a number") if kind is float else (int, "an integer")
+def _typed(name: str, value, kind):
+    """A grid number as the Python `kind` it equals: an integer for int, an
+    integer or float for float, Python's or numpy's.  A bool is refused
+    although Python counts it as an int, and so is 10.9 for an int, which
+    int() would truncate."""
+    allowed = (int, np.integer, float, np.floating) if kind is float else (int, np.integer)
     if isinstance(value, bool) or not isinstance(value, allowed):
-        raise ValueError(f"config {key} must be {what}, got {value!r}")
+        raise ValueError(f"{name} must be {'a number' if kind is float else 'an integer'}, got {value!r}")
     return kind(value)
 
 
 @dataclass(frozen=True)
 class Cell:
+    """One point of a grid: n = k*s vertices in k clusters of size s, edge
+    probability p inside a cluster and q across, 0 <= q < p <= 1.
+
+    Checked at construction; index, n, k and s are stored as Python ints and
+    p and q as Python floats, so a numpy number is written as the number it
+    equals."""
+
     index: int
     n: int
     k: int
@@ -109,10 +121,22 @@ class Cell:
     p: float
     q: float
 
+    def __post_init__(self) -> None:
+        for name, kind in (("index", int), ("n", int), ("k", int), ("s", int), ("p", float), ("q", float)):
+            object.__setattr__(self, name, _typed(f"cell {name}", getattr(self, name), kind))
+        if min(self.k, self.s) < 1 or self.n != self.k * self.s:
+            raise ValueError(f"a cell needs n = k*s with k, s >= 1, got n={self.n} k={self.k} s={self.s}")
+        require_edge_probabilities(self.p, self.q)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated grid description; build from a dict with `from_dict`."""
+    """A grid: every cell of ns x (ks or ss) x ps x qs, run `trials` times.
+
+    Checked at construction, whether built directly or by `from_dict` from a
+    JSON object: each list becomes a tuple of Python ints (n, k, s) or floats
+    (p, q), numpy numbers converted, and `cells()` returns the checked cells
+    kept then."""
 
     ns: tuple
     ks: tuple | None
@@ -125,74 +149,69 @@ class ExperimentConfig:
     epsilon: float | None = None  # None: measure the projector deviation per trial
     baseline: bool = False
     out: str | None = None
+    _cells: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if (self.ks is None) == (self.ss is None):
+            raise ValueError("config needs exactly one of k or s")
+        if not isinstance(self.checks, (list, tuple)) or not all(isinstance(c, str) for c in self.checks):
+            raise ValueError(f"config checks must be a list of names, got {self.checks!r}")
+        if not isinstance(self.baseline, bool):
+            raise ValueError(f"config baseline must be true or false, got {self.baseline!r}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ValueError(f"config out must be a path, got {self.out!r}")
+
+        for name, kind in (("ns", int), ("ks", int), ("ss", int), ("ps", float), ("qs", float)):
+            values = getattr(self, name)
+            if values is not None:  # not the one of ks and ss left out
+                object.__setattr__(self, name, tuple(_typed(f"config {name[:-1]}", v, kind) for v in values))
+        for name, kind in (("trials", int), ("seed0", int), ("epsilon", float)):
+            value = getattr(self, name)
+            if value is not None or name != "epsilon":  # epsilon None is measured per trial
+                object.__setattr__(self, name, _typed(f"config {name}", value, kind))
+        object.__setattr__(self, "checks", tuple(self.checks))
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        _validate_checks(self.checks, self.epsilon)
+
+        cells = []
+        for n in self.ns:
+            require_vertex_count(n, "config n")
+            require_adjacency_memory(n, f"config n = {n}")
+            for d in self.ks if self.ks is not None else self.ss:
+                if d < 1 or n % d != 0:
+                    raise ValueError(f"{d} does not divide n={n}")
+                k, s = (d, n // d) if self.ks is not None else (n // d, d)
+                for p, q in itertools.product(self.ps, self.qs):
+                    cells.append(Cell(index=len(cells), n=n, k=k, s=s, p=p, q=q))
+        if not cells:
+            raise ValueError("config names no cell: its n, k or s, p and q lists must not be empty")
+        object.__setattr__(self, "_cells", tuple(cells))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """The config a JSON object describes: a number where a list goes is
+        a list of one, epsilon "auto" is None, and a missing key takes its
+        default."""
         if not isinstance(raw, dict):
             raise ValueError(f"config must be a JSON object, got {raw!r}")
-        known = {"n", "k", "s", "p", "q", "trials", "seed0", "checks", "epsilon", "baseline", "out"}
-        unknown = set(raw) - known
+        grid = ("n", "k", "s", "p", "q")
+        unknown = set(raw) - {*grid, "trials", "seed0", "checks", "epsilon", "baseline", "out"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "n" not in raw or "p" not in raw or "q" not in raw:
             raise ValueError("config needs n, p, and q lists")
-        if ("k" in raw) == ("s" in raw):
-            raise ValueError("config needs exactly one of k or s")
-
-        def as_tuple(key, kind):
-            value = raw[key]
-            if not isinstance(value, (list, tuple)):
-                value = [value]
-            return tuple(_typed(key, v, kind) for v in value)
-
-        checks = raw.get("checks", DEFAULT_CHECKS)
+        lists = {key: v if isinstance(v, (list, tuple)) else [v] for key, v in raw.items() if key in grid}
         epsilon = raw.get("epsilon")
-        baseline = raw.get("baseline", False)
-        out = raw.get("out")
-        if not isinstance(checks, (list, tuple)) or not all(isinstance(c, str) for c in checks):
-            raise ValueError(f"config checks must be a list of names, got {checks!r}")
-        if not isinstance(baseline, bool):
-            raise ValueError(f"config baseline must be true or false, got {baseline!r}")
-        if not (out is None or isinstance(out, str)):
-            raise ValueError(f"config out must be a path, got {out!r}")
-        cfg = cls(
-            ns=as_tuple("n", int),
-            ks=as_tuple("k", int) if "k" in raw else None,
-            ss=as_tuple("s", int) if "s" in raw else None,
-            ps=as_tuple("p", float),
-            qs=as_tuple("q", float),
-            trials=_typed("trials", raw.get("trials", 1), int),
-            seed0=_typed("seed0", raw.get("seed0", 0), int),
-            checks=tuple(checks),
-            epsilon=None if epsilon in (None, "auto") else _typed("epsilon", epsilon, float),
-            baseline=baseline,
-            out=out,
+        return cls(
+            ns=lists["n"], ks=lists.get("k"), ss=lists.get("s"), ps=lists["p"], qs=lists["q"],
+            trials=raw.get("trials", 1), seed0=raw.get("seed0", 0),
+            checks=raw.get("checks", DEFAULT_CHECKS), epsilon=None if epsilon == "auto" else epsilon,
+            baseline=raw.get("baseline", False), out=raw.get("out"),
         )
-        cfg.cells()  # validates every cell
-        return cfg
 
     def cells(self) -> list[Cell]:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        _validate_checks(self.checks, self.epsilon)
-        out = []
-        index = 0
-        for n in self.ns:
-            require_vertex_count(n, "config n")
-            require_adjacency_memory(n, f"config n = {n}")
-            divisors = self.ks if self.ks is not None else self.ss
-            for d in divisors:
-                if d < 1 or n % d != 0:
-                    raise ValueError(f"{d} does not divide n={n}")
-                k, s = (d, n // d) if self.ks is not None else (n // d, d)
-                for p in self.ps:
-                    for q in self.qs:
-                        require_edge_probabilities(p, q)
-                        out.append(Cell(index=index, n=n, k=k, s=s, p=p, q=q))
-                        index += 1
-        if not out:
-            raise ValueError("config names no cell: its n, k or s, p and q lists must not be empty")
-        return out
+        return list(self._cells)
 
 
 @dataclass(frozen=True)
@@ -331,9 +350,10 @@ def run_trial(
     the trial makes one eigendecomposition of the full graph and ranks its
     columns once.
     """
+    params = ModelParams(p=cell.p, q=cell.q, seed=seed)
+    seed = int(seed)  # ModelParams has checked it; a numpy integer would not serialize in the row
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
     part = permute_partition(make_partition(cell.n, cell.s), rng.permutation(cell.n))
-    params = ModelParams(p=cell.p, q=cell.q, seed=seed)
     g = sample_graph(part, params)
 
     result, traces = recover_with_trace(g, cell.s)

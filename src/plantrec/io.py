@@ -46,8 +46,7 @@ REPORT_COLUMNS = ("name", "lhs", "rhs", "satisfied", "n", "k", "s", "p", "q", "s
 def write_graph(path, g: Graph) -> None:
     names = np.array([str(v) for v in range(g.n)], dtype=object)
     with open(path, "w", newline="\n") as f:
-        # a Graph is symmetric with a zero diagonal: each edge sets two entries
-        f.write(f"{g.n} {np.count_nonzero(g.adj) // 2}\n")
+        f.write(f"{g.n} {g.edge_count}\n")
         for u in range(g.n):
             # row u's edges u < v, v ascending
             neighbors = names[np.flatnonzero(g.adj[u, u + 1 :]) + (u + 1)]

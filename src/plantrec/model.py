@@ -118,7 +118,8 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return int(self.adj.sum()) // 2
+        # each edge sets two entries of a symmetric 0-1 matrix
+        return int(np.count_nonzero(self.adj)) // 2
 
 
 def make_partition(n: int, s: int) -> PlantedPartition:

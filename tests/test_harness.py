@@ -15,6 +15,7 @@ from plantrec.experiment import (
     DEFAULT_CHECKS,
     KNOWN_CHECKS,
     ExperimentConfig,
+    TrialReport,
     run_checks,
     run_grid,
     run_trial,
@@ -98,6 +99,37 @@ class TestConfig:
         assert all(c.s == c.n // 2 for c in cells)
 
 
+class TestCell:
+    def test_needs_n_equal_to_k_times_s(self):
+        # six clusters of 2 would run, where the row records k = 5
+        with pytest.raises(ValueError, match=r"n = k\*s"):
+            Cell(index=0, n=12, k=5, s=2, p=0.9, q=0.1)
+        with pytest.raises(ValueError, match=r"n = k\*s"):
+            Cell(index=0, n=12, k=-3, s=-4, p=0.9, q=0.1)
+
+    @pytest.mark.parametrize("p,q", [(0.5, 0.5), (0.3, 0.5), (True, 0.1), (0.9, np.bool_(False))])
+    def test_needs_numbers_with_q_below_p(self, p, q):
+        with pytest.raises(ValueError):
+            Cell(index=0, n=12, k=2, s=6, p=p, q=q)
+
+    @pytest.mark.parametrize("field,value", [("n", 12.0), ("k", True), ("index", np.float64(0)), ("p", "0.9")])
+    def test_refuses_a_number_of_the_wrong_kind(self, field, value):
+        fields = {"index": 0, "n": 12, "k": 2, "s": 6, "p": 0.9, "q": 0.1}
+        with pytest.raises(ValueError, match=f"cell {field} must be"):
+            Cell(**{**fields, field: value})
+
+    def test_numpy_numbers_row_as_python_numbers(self):
+        # np.float32(0.8) is the float 0.800000011920929
+        python = Cell(index=3, n=12, k=2, s=6, p=0.800000011920929, q=0.2)
+        numpy = Cell(
+            index=np.int32(3), n=np.int64(12), k=np.uint8(2), s=np.int16(6),
+            p=np.float32(0.8), q=np.float64(0.2),
+        )
+        rows = [TrialReport(cell, 0, 7, True, [], None, []).json_row() for cell in (python, numpy)]
+        assert json.dumps(rows[0]) == json.dumps(rows[1])
+        assert [type(v) for v in vars(numpy).values()] == [int] * 4 + [float] * 2
+
+
 class TestRunTrial:
     def test_noiseless_recovers(self):
         cell = Cell(index=0, n=30, k=3, s=10, p=1.0, q=0.0)
@@ -123,6 +155,12 @@ class TestRunTrial:
         assert gc.context["epsilon"] <= 0.1
         if gc.context["epsilon_clamped"]:
             assert gc.context["epsilon_measured"] > 0.1
+
+    def test_numpy_seed_row_serializes_as_the_int_it_equals(self):
+        cell = Cell(index=0, n=12, k=2, s=6, p=0.9, q=0.1)
+        row = run_trial(cell, np.uint64(7)).json_row()
+        assert json.dumps(row) == json.dumps(run_trial(cell, 7).json_row())
+        assert type(row["seed"]) is int
 
     def test_checker_errors_carry_cell_context(self):
         cell = Cell(index=2, n=12, k=2, s=6, p=0.8, q=0.2)
@@ -559,24 +597,41 @@ class TestRunGrid:
         assert len(agg) == 2  # header + one cell
 
     def test_invalid_cell_rejected_before_the_output_directory(self, tmp_path):
-        # built directly, so from_dict's validation does not run first
-        cfg = ExperimentConfig(
-            ns=(0,), ks=None, ss=(3,), ps=(0.7,), qs=(0.3,), trials=1, seed0=0, checks=()
-        )
+        # built directly, the config makes the checks a JSON one gets
         with pytest.raises(ValueError, match="n must be at least 1"):
-            run_grid(cfg, tmp_path / "o")
+            run_grid(
+                ExperimentConfig(
+                    ns=(0,), ks=None, ss=(3,), ps=(0.7,), qs=(0.3,), trials=1, seed0=0, checks=()
+                ),
+                tmp_path / "o",
+            )
         assert not (tmp_path / "o").exists()
 
     def test_bool_probability_rejected_before_the_output_directory(self, tmp_path):
-        cfg = ExperimentConfig(
-            ns=(4,), ks=(2,), ss=None, ps=(True,), qs=(0.0,), trials=1, seed0=0, checks=()
-        )
-        with pytest.raises(ValueError, match="p and q must be numbers"):
-            run_grid(cfg, tmp_path / "o")
+        # the message of JSON's "p": [true], which builds the same config
+        with pytest.raises(ValueError, match="config p must be a number, got True"):
+            run_grid(
+                ExperimentConfig(
+                    ns=(4,), ks=(2,), ss=None, ps=(True,), qs=(0.0,), trials=1, seed0=0, checks=()
+                ),
+                tmp_path / "o",
+            )
         assert not (tmp_path / "o").exists()
 
+    def test_numpy_numbers_in_a_direct_config_write_the_bytes_of_from_dict(self, tmp_path):
+        direct = ExperimentConfig(
+            ns=[12], ks=[np.int64(2)], ss=None, ps=(np.float32(0.8),), qs=(np.float64(0.2),),
+            trials=np.int64(2), seed0=np.uint64(5), checks=KNOWN_CHECKS,
+        )
+        raw = {"n": [12], "k": [2], "p": [0.800000011920929], "q": [0.2], "trials": 2, "seed0": 5}
+        run_grid(direct, tmp_path / "direct")
+        run_grid(ExperimentConfig.from_dict({**raw, "checks": list(KNOWN_CHECKS)}), tmp_path / "json")
+        for name in ("trials.jsonl", "bounds.csv", "aggregate.csv"):
+            assert (tmp_path / "direct" / name).read_bytes() == (tmp_path / "json" / name).read_bytes()
+        rows = [json.loads(line) for line in (tmp_path / "direct" / "trials.jsonl").read_text().splitlines()]
+        assert [row["p"] for row in rows] == [0.800000011920929] * 2
+
     def test_numpy_probabilities_write_the_bytes_of_python_floats(self, tmp_path):
-        # built directly, as from_dict turns every number into a Python float
         def config(p, q):
             return ExperimentConfig(
                 ns=(12,), ks=(2,), ss=None, ps=(p,), qs=(q,), trials=2, seed0=5, checks=KNOWN_CHECKS
